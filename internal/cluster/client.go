@@ -84,13 +84,6 @@ type peerClient struct {
 	secret string
 }
 
-// Fill is a successfully fetched, integrity-verified artifact body.
-type Fill struct {
-	Body        []byte
-	ETag        string
-	ContentType string
-}
-
 // LeaseRequest / LeaseResponse are the lease endpoint's JSON bodies.
 // Release true drops the holder's lease instead of acquiring one.
 // Epoch (hex, optional) is each side's ring epoch at send time: a
@@ -149,7 +142,7 @@ func DecodeConfigParam(s string) (core.Config, error) {
 // epochHex rides along so the responder can detect a fill that
 // straddled a ring change; a 409 comes back as *NotAuthorityError with
 // the responder's view attached, and the caller re-resolves.
-func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam, epochHex string, hint bool) (*Fill, error) {
+func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam, epochHex string, hint bool) ([]byte, error) {
 	u := fmt.Sprintf("%s/v1/peer/artifact/%s/%s?format=%s&%s=%s",
 		peer, url.PathEscape(fp), url.PathEscape(artifact), url.QueryEscape(format), ConfigParam, url.QueryEscape(cfgParam))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -183,12 +176,11 @@ func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, for
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading artifact from %s: %w", peer, err)
 	}
-	etag := resp.Header.Get("ETag")
 	sum := sha256.Sum256(body)
-	if want := `"` + hex.EncodeToString(sum[:]) + `"`; etag != want {
+	if want := `"` + hex.EncodeToString(sum[:]) + `"`; resp.Header.Get("ETag") != want {
 		return nil, &table.IntegrityError{Reason: fmt.Sprintf("artifact body from %s does not hash to its ETag", peer)}
 	}
-	return &Fill{Body: body, ETag: etag, ContentType: resp.Header.Get("Content-Type")}, nil
+	return body, nil
 }
 
 // postLease asks authority for (or releases) the compute lease on

@@ -658,7 +658,7 @@ func (c *Cluster) ReleaseLease(ctx context.Context, key string) {
 // the caller re-resolves the authority and retries rather than treating
 // the peer as failed. hint marks the fill as a hint probe (see
 // HintHeader): the responder serves only bytes it already holds.
-func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam string, hint bool) (*Fill, error) {
+func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam string, hint bool) ([]byte, error) {
 	p := c.peerStateFor(peer)
 	if !p.allow(c.now()) {
 		c.peerFills.With("error").Inc()
@@ -666,7 +666,7 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 	}
 	fctx, cancel := context.WithTimeout(ctx, c.opts.FillTimeout)
 	defer cancel()
-	fill, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), hint)
+	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), hint)
 	if err != nil {
 		var na *NotAuthorityError
 		if asNotAuthority(err, &na) {
@@ -688,7 +688,7 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 	}
 	c.reportSuccess(p)
 	c.peerFills.With("ok").Inc()
-	return fill, nil
+	return body, nil
 }
 
 // equalStrings reports whether two sorted string slices are equal.

@@ -93,7 +93,7 @@ func TestChaosStageCacheDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored, corrupt := c3.Warm(); restored == 0 || corrupt != 0 {
+	if restored, corrupt := c3.Warm(nil); restored == 0 || corrupt != 0 {
 		t.Fatalf("Warm after recompute = (%d, %d), want (>0, 0)", restored, corrupt)
 	}
 	again := runCached(t, cfg, c3)

@@ -272,7 +272,7 @@ func TestStageCacheRealStoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored, corrupt := cache2.Warm(); restored == 0 || corrupt != 0 {
+	if restored, corrupt := cache2.Warm(nil); restored == 0 || corrupt != 0 {
 		t.Fatalf("Warm = (%d, %d), want (>0, 0)", restored, corrupt)
 	}
 	warm := runCached(t, cfg, cache2)

@@ -207,6 +207,15 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A repertoire can hold only modules the categorical can draw: the
+	// zero-weight ones never come up, so counting them would let a large
+	// repertoire draw forever.
+	drawable := 0
+	for _, w := range m.ModuleShare {
+		if w > 0 {
+			drawable++
+		}
+	}
 	window := int64(m.WindowDays) * 86400
 	var events []Event
 	for u := 0; u < m.Users; u++ {
@@ -228,7 +237,7 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 			if !dup {
 				repertoire = append(repertoire, name)
 			}
-			if len(repertoire) >= len(m.ModuleShare) {
+			if len(repertoire) >= drawable {
 				break
 			}
 		}

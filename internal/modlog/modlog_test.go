@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -122,6 +123,25 @@ func TestGenerateSortedAndValid(t *testing.T) {
 			t.Fatal("not sorted")
 		}
 		prev = e.Time
+	}
+}
+
+// TestGenerateLargeRepertoireTerminates: the 2011 model gives some
+// modules zero weight, and this stream draws a user repertoire larger
+// than the modules that can be drawn. Generate must still return.
+func TestGenerateLargeRepertoireTerminates(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := CampusModulesModel(2011).Generate(rng.New(3109041469206295453).SplitNamed("modlog-2011"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Generate did not return: the repertoire loop waits for an undrawable module")
 	}
 }
 

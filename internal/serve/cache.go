@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"sync"
+	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/stagecache"
 )
 
 // cacheKey addresses one rendered artifact: which run produced it
@@ -20,106 +20,76 @@ type cacheKey struct {
 	format      string // "json", "txt", "csv", "md", "svg"
 }
 
-// cacheEntry is one cached rendered body with its content-derived ETag.
+// storeKey is k's key in the render cache: the hex of the key triple.
+// Hex keeps it a valid store filename, and unlike a digest it parses
+// back into k, which is how a warm start learns what each entry is.
+func (k cacheKey) storeKey() string {
+	return hex.EncodeToString([]byte(k.fingerprint + "\x00" + k.artifact + "\x00" + k.format))
+}
+
+// parseStoreKey reverses storeKey.
+func parseStoreKey(s string) (cacheKey, bool) {
+	b, err := hex.DecodeString(s)
+	parts := strings.Split(string(b), "\x00")
+	if err != nil || len(parts) != 3 {
+		return cacheKey{}, false
+	}
+	return cacheKey{fingerprint: parts[0], artifact: parts[1], format: parts[2]}, true
+}
+
+// cacheEntry is one rendered body ready to serve.
 type cacheEntry struct {
 	body        []byte
 	etag        string // strong ETag, quoted: `"<sha256-hex>"`
 	contentType string
 }
 
-// etagFor returns the strong ETag for a body: the quoted SHA-256 of its
-// bytes. Deterministic rendering means re-rendering the same artifact
-// always reproduces the same tag, even across processes and restarts.
-func etagFor(body []byte) string {
-	sum := sha256.Sum256(body)
+// entryFor turns a stored body into a servable entry. The ETag comes
+// from the checksum the store already holds, so serving a hit never
+// rehashes the body; the content type is a function of the format.
+func entryFor(k cacheKey, e stagecache.Entry) cacheEntry {
+	ct := "image/svg+xml"
+	if k.format != "svg" {
+		ct = tableFormats[k.format].contentType
+	}
+	return cacheEntry{body: e.Payload, etag: etagOf(e.Sum), contentType: ct}
+}
+
+// etagOf returns the strong ETag for a body with the given SHA-256.
+// Deterministic rendering means re-rendering the same artifact always
+// reproduces the same tag, even across processes and restarts.
+func etagOf(sum [sha256.Size]byte) string {
 	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
-// artifactCache is a byte-size-bounded LRU over rendered artifacts.
-// Entries larger than the bound are served but not retained.
-type artifactCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	ll       *list.List // front = most recently used; values are *cacheItem
-	items    map[cacheKey]*list.Element
-
-	hits      *obs.Counter
-	misses    *obs.Counter
-	evictions *obs.Counter
-	bytesG    *obs.Gauge
-	entriesG  *obs.Gauge
+// newRenderCache builds the rendered-artifact cache: a stage cache bound
+// by bytes alone (bodies larger than the bound are served but not
+// retained), with a disk tier at dir when it is set.
+func newRenderCache(maxBytes int64, dir string, m *stagecache.Metrics) (*stagecache.Cache, error) {
+	return stagecache.New(stagecache.Options{
+		MaxEntries:    -1,
+		MaxBytes:      maxBytes,
+		MaxEntryBytes: maxBytes,
+		Dir:           dir,
+		Metrics:       m,
+	})
 }
 
-type cacheItem struct {
-	key   cacheKey
-	entry cacheEntry
-}
-
-func newArtifactCache(maxBytes int64, reg *obs.Registry) *artifactCache {
-	return &artifactCache{
-		maxBytes:  maxBytes,
-		ll:        list.New(),
-		items:     map[cacheKey]*list.Element{},
-		hits:      reg.Counter("rcpt_cache_hits_total", "rendered-artifact cache hits"),
-		misses:    reg.Counter("rcpt_cache_misses_total", "rendered-artifact cache misses"),
-		evictions: reg.Counter("rcpt_cache_evictions_total", "rendered artifacts evicted by the byte bound"),
-		bytesG:    reg.Gauge("rcpt_cache_bytes", "bytes of rendered artifacts held"),
-		entriesG:  reg.Gauge("rcpt_cache_entries", "rendered artifacts held"),
+// renderCacheMetrics registers the rcpt_cache_* families. The labelled
+// spill series exist only with a disk tier, so a memory-only daemon's
+// exposition lists the families without samples.
+func renderCacheMetrics(reg *obs.Registry, disk bool) *stagecache.Metrics {
+	m := &stagecache.Metrics{
+		Hits:      reg.Counter("rcpt_cache_hits_total", "rendered-artifact cache hits"),
+		Misses:    reg.Counter("rcpt_cache_misses_total", "rendered-artifact cache misses"),
+		Evictions: reg.Counter("rcpt_cache_evictions_total", "rendered artifacts evicted by the byte bound"),
+		Bytes:     reg.Gauge("rcpt_cache_bytes", "bytes of rendered artifacts held"),
+		Entries:   reg.Gauge("rcpt_cache_entries", "rendered artifacts held"),
+		DiskHits:  reg.Counter("rcpt_cache_disk_hits_total", "rendered-artifact reads served from the disk spill"),
 	}
-}
-
-// get returns the cached entry and whether it was present, updating
-// recency and the hit/miss counters.
-func (c *artifactCache) get(key cacheKey) (cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses.Inc()
-		return cacheEntry{}, false
+	spill := reg.CounterVec("rcpt_cache_spill_total", "rendered artifacts spilled to disk, by outcome", "outcome")
+	if disk {
+		m.DiskWrites, m.DiskErrors = spill.With("ok"), spill.With("error")
 	}
-	c.ll.MoveToFront(el)
-	c.hits.Inc()
-	return el.Value.(*cacheItem).entry, true
-}
-
-// put inserts (or refreshes) an entry and evicts from the LRU tail
-// until the byte bound holds. Oversized bodies are not retained.
-func (c *artifactCache) put(key cacheKey, e cacheEntry) {
-	size := int64(len(e.body))
-	if size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		// Identical by construction (deterministic render of the same
-		// key); just refresh recency.
-		c.ll.MoveToFront(el)
-		return
-	}
-	el := c.ll.PushFront(&cacheItem{key: key, entry: e})
-	c.items[key] = el
-	c.bytes += size
-	for c.bytes > c.maxBytes {
-		tail := c.ll.Back()
-		if tail == nil {
-			break
-		}
-		item := tail.Value.(*cacheItem)
-		c.ll.Remove(tail)
-		delete(c.items, item.key)
-		c.bytes -= int64(len(item.entry.body))
-		c.evictions.Inc()
-	}
-	c.bytesG.Set(c.bytes)
-	c.entriesG.Set(int64(c.ll.Len()))
-}
-
-// len returns the number of cached entries (tests only).
-func (c *artifactCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
+	return m
 }

@@ -1,86 +1,103 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/stagecache"
 )
 
-func testCache(maxBytes int64) *artifactCache {
-	return newArtifactCache(maxBytes, obs.NewRegistry())
+// testCache builds a memory-only render cache and returns its metrics.
+func testCache(t *testing.T, maxBytes int64) (*stagecache.Cache, *stagecache.Metrics) {
+	t.Helper()
+	m := renderCacheMetrics(obs.NewRegistry(), false)
+	c, err := newRenderCache(maxBytes, "", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, m
 }
 
-func entryOf(body string) cacheEntry {
-	return cacheEntry{body: []byte(body), etag: etagFor([]byte(body)), contentType: "text/plain"}
-}
-
-func key(id string) cacheKey {
-	return cacheKey{fingerprint: "fp", artifact: id, format: "txt"}
+func key(id string) string {
+	return cacheKey{fingerprint: "fp", artifact: id, format: "txt"}.storeKey()
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
-	c := testCache(1 << 20)
-	if _, hit := c.get(key("T1")); hit {
+	c, m := testCache(t, 1<<20)
+	if _, hit := c.Get(key("T1")); hit {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(key("T1"), entryOf("hello"))
-	e, hit := c.get(key("T1"))
-	if !hit || string(e.body) != "hello" {
-		t.Fatalf("get = %q, %v; want hello, true", e.body, hit)
+	c.Put(key("T1"), []byte("hello"))
+	e, hit := c.Get(key("T1"))
+	if !hit || string(e.Payload) != "hello" {
+		t.Fatalf("get = %q, %v; want hello, true", e.Payload, hit)
 	}
-	if got := c.hits.Value(); got != 1 {
+	if got := m.Hits.Value(); got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}
-	if got := c.misses.Value(); got != 1 {
+	if got := m.Misses.Value(); got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
 }
 
 // TestCacheLRUEviction: the byte bound evicts from the cold tail, and a
-// get refreshes recency.
+// get refreshes recency. There is no count bound.
 func TestCacheLRUEviction(t *testing.T) {
-	c := testCache(30) // room for three 10-byte bodies
-	body := "0123456789"
-	c.put(key("a"), entryOf(body))
-	c.put(key("b"), entryOf(body))
-	c.put(key("c"), entryOf(body))
-	if c.len() != 3 {
-		t.Fatalf("len = %d, want 3", c.len())
+	c, m := testCache(t, 30) // room for three 10-byte bodies
+	body := []byte("0123456789")
+	c.Put(key("a"), body)
+	c.Put(key("b"), body)
+	c.Put(key("c"), body)
+	if c.Len() != 3 {
+		t.Fatalf("len = %d, want 3", c.Len())
 	}
 	// Touch "a" so "b" is now the LRU tail.
-	if _, hit := c.get(key("a")); !hit {
+	if _, hit := c.Get(key("a")); !hit {
 		t.Fatal("expected a cached")
 	}
-	c.put(key("d"), entryOf(body))
-	if _, hit := c.get(key("b")); hit {
+	c.Put(key("d"), body)
+	if _, hit := c.Get(key("b")); hit {
 		t.Error("b survived eviction; want it dropped as LRU tail")
 	}
 	for _, id := range []string{"a", "c", "d"} {
-		if _, hit := c.get(key(id)); !hit {
+		if _, hit := c.Get(key(id)); !hit {
 			t.Errorf("%s evicted; want retained", id)
 		}
 	}
-	if got := c.evictions.Value(); got != 1 {
+	if got := m.Evictions.Value(); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
+	}
+
+	many, _ := testCache(t, 1<<20)
+	for i := 0; i < 1000; i++ {
+		many.Put(key(fmt.Sprint(i)), body)
+	}
+	if many.Len() != 1000 {
+		t.Errorf("len = %d after 1000 small bodies, want 1000 (bytes alone bound the cache)", many.Len())
 	}
 }
 
 // TestCacheOversizedNotRetained: a body larger than the whole bound is
-// served but never stored (it would evict everything for one entry).
+// served but never stored (it would evict everything for one entry),
+// and its checksum still comes back for the ETag.
 func TestCacheOversizedNotRetained(t *testing.T) {
-	c := testCache(8)
-	c.put(key("big"), entryOf("way more than eight bytes"))
-	if c.len() != 0 {
-		t.Fatalf("oversized body retained; len = %d", c.len())
+	c, _ := testCache(t, 8)
+	big := []byte("way more than eight bytes")
+	if e := c.Put(key("big"), big); e.Sum != sha256.Sum256(big) {
+		t.Fatal("oversized body returned without its checksum")
+	}
+	if c.Len() != 0 {
+		t.Fatalf("oversized body retained; len = %d", c.Len())
 	}
 }
 
 // TestCacheConcurrent hammers get/put from many goroutines; run under
 // -race this is the cache's data-race test.
 func TestCacheConcurrent(t *testing.T) {
-	c := testCache(1 << 10)
+	c, _ := testCache(t, 1<<10)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -88,27 +105,38 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := key(fmt.Sprintf("T%d", i%20))
-				if _, hit := c.get(k); !hit {
-					c.put(k, entryOf(fmt.Sprintf("body-%d", i%20)))
+				if _, hit := c.Get(k); !hit {
+					c.Put(k, []byte(fmt.Sprintf("body-%d", i%20)))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if c.len() == 0 {
+	if c.Len() == 0 {
 		t.Fatal("cache empty after concurrent fill")
 	}
 }
 
+func TestStoreKeyRoundTrip(t *testing.T) {
+	k := cacheKey{fingerprint: tinyConfig().Fingerprint(), artifact: "F13", format: "json"}
+	got, ok := parseStoreKey(k.storeKey())
+	if !ok || got != k {
+		t.Fatalf("parseStoreKey(storeKey(%v)) = %v, %v", k, got, ok)
+	}
+	if _, ok := parseStoreKey("zz"); ok {
+		t.Fatal("parsed a non-hex key")
+	}
+}
+
 func TestETagFormat(t *testing.T) {
-	e := etagFor([]byte("x"))
+	e := etagOf(sha256.Sum256([]byte("x")))
 	if len(e) != 66 || e[0] != '"' || e[len(e)-1] != '"' {
 		t.Fatalf("etag %q: want quoted 64-hex", e)
 	}
-	if e != etagFor([]byte("x")) {
+	if e != etagOf(sha256.Sum256([]byte("x"))) {
 		t.Fatal("etag not deterministic")
 	}
-	if e == etagFor([]byte("y")) {
+	if e == etagOf(sha256.Sum256([]byte("y"))) {
 		t.Fatal("distinct bodies share an etag")
 	}
 }

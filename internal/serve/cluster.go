@@ -124,13 +124,12 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, err)
 		return
 	}
-	e, err := renderArtifact(arts, id, format)
+	body, err := renderArtifact(arts, id, format)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	s.cachePut(key, e)
-	s.writeCached(w, r, e)
+	s.writeCached(w, r, s.cachePut(key, body))
 }
 
 // handlePeerLease serves POST /v1/peer/lease: this replica acting as
@@ -357,13 +356,11 @@ func (s *Server) clusterRender(ctx context.Context, key cacheKey) (cacheEntry, e
 // against its ETag by the cluster client) and installs it in the local
 // cache — same bytes, same ETag, as if rendered here.
 func (s *Server) peerFill(ctx context.Context, peer string, key cacheKey) (cacheEntry, error) {
-	fill, err := s.cluster.FetchArtifact(ctx, peer, key.fingerprint, key.artifact, key.format, s.baseCfgParam, false)
+	body, err := s.cluster.FetchArtifact(ctx, peer, key.fingerprint, key.artifact, key.format, s.baseCfgParam, false)
 	if err != nil {
 		return cacheEntry{}, err
 	}
-	e := cacheEntry{body: fill.Body, etag: fill.ETag, contentType: fill.ContentType}
-	s.cachePut(key, e)
-	return e, nil
+	return s.cachePut(key, body), nil
 }
 
 // hintFill handles the authority's cold-start after a handover: this
@@ -380,13 +377,11 @@ func (s *Server) hintFill(ctx context.Context, key cacheKey) (cacheEntry, bool) 
 		if peer == s.cluster.Self() {
 			continue
 		}
-		fill, err := s.cluster.FetchArtifact(ctx, peer, key.fingerprint, key.artifact, key.format, s.baseCfgParam, true)
+		body, err := s.cluster.FetchArtifact(ctx, peer, key.fingerprint, key.artifact, key.format, s.baseCfgParam, true)
 		if err != nil {
 			continue
 		}
-		e := cacheEntry{body: fill.Body, etag: fill.ETag, contentType: fill.ContentType}
-		s.cachePut(key, e)
-		return e, true
+		return s.cachePut(key, body), true
 	}
 	return cacheEntry{}, false
 }
@@ -398,10 +393,9 @@ func (s *Server) localRender(ctx context.Context, key cacheKey) (cacheEntry, err
 	if err != nil {
 		return cacheEntry{}, err
 	}
-	e, err := renderArtifact(arts, key.artifact, key.format)
+	body, err := renderArtifact(arts, key.artifact, key.format)
 	if err != nil {
 		return cacheEntry{}, err
 	}
-	s.cachePut(key, e)
-	return e, nil
+	return s.cachePut(key, body), nil
 }

@@ -242,41 +242,38 @@ var tableFormats = map[string]struct {
 }
 
 // renderArtifact renders one experiment (table or figure) from a
-// completed run into a cache entry — the one rendering path shared by
+// completed run into a body — the one rendering path shared by
 // client requests, cluster fills of never-seen runs, and lease-winner
 // computes, so every replica producing a given (fingerprint, artifact,
 // format) produces the same bytes and therefore the same ETag.
-func renderArtifact(arts *core.Artifacts, id, format string) (cacheEntry, error) {
+func renderArtifact(arts *core.Artifacts, id, format string) ([]byte, error) {
 	exp, err := core.Lookup(id)
 	if err != nil {
-		return cacheEntry{}, err
+		return nil, err
 	}
 	var buf bytes.Buffer
-	var contentType string
 	switch exp.Kind {
 	case core.KindFigure:
 		if format != "svg" {
-			return cacheEntry{}, fmt.Errorf("figure %s renders only as svg, not %q", id, format)
+			return nil, fmt.Errorf("figure %s renders only as svg, not %q", id, format)
 		}
 		if err := exp.Figure(arts, &buf); err != nil {
-			return cacheEntry{}, err
+			return nil, err
 		}
-		contentType = "image/svg+xml"
 	default:
 		ff, ok := tableFormats[format]
 		if !ok {
-			return cacheEntry{}, fmt.Errorf("unknown format %q (json, txt, csv, md)", format)
+			return nil, fmt.Errorf("unknown format %q (json, txt, csv, md)", format)
 		}
 		tab, err := exp.Table(arts)
 		if err != nil {
-			return cacheEntry{}, err
+			return nil, err
 		}
 		if err := ff.render(tab, &buf); err != nil {
-			return cacheEntry{}, err
+			return nil, err
 		}
-		contentType = ff.contentType
 	}
-	return cacheEntry{body: buf.Bytes(), etag: etagFor(buf.Bytes()), contentType: contentType}, nil
+	return buf.Bytes(), nil
 }
 
 // resolveRun picks the artifacts a render request refers to: the base
@@ -341,13 +338,12 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		s.failRender(w, r, id, format, err)
 		return
 	}
-	e, err := renderArtifact(arts, id, format)
+	body, err := renderArtifact(arts, id, format)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.cachePut(key, e)
-	s.writeCached(w, r, e)
+	s.writeCached(w, r, s.cachePut(key, body))
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -386,13 +382,12 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		s.failRender(w, r, id, "svg", err)
 		return
 	}
-	e, err := renderArtifact(arts, id, "svg")
+	body, err := renderArtifact(arts, id, "svg")
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.cachePut(key, e)
-	s.writeCached(w, r, e)
+	s.writeCached(w, r, s.cachePut(key, body))
 }
 
 // ---- POST /v1/run ----
@@ -547,9 +542,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	fp := cfg.Fingerprint()
 	key := cacheKey{fingerprint: fp, artifact: "run", format: "json"}
-	if e, hit := s.cacheGet(key); hit {
-		s.writeCached(w, r, e)
-		return
+	// The summary's tablesPath resolves only while the runner retains the
+	// run, so the cached summary is served only then. Past the run's
+	// eviction it re-executes; determinism makes the body and ETag
+	// identical, and the link works again.
+	if s.runner.knows(fp) {
+		if e, hit := s.cacheGet(key); hit {
+			s.writeCached(w, r, e)
+			return
+		}
 	}
 	ctx, cancel := s.runContext(r)
 	defer cancel()
@@ -588,9 +589,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	e := cacheEntry{body: buf.Bytes(), etag: etagFor(buf.Bytes()), contentType: "application/json"}
-	s.cachePut(key, e)
-	s.writeCached(w, r, e)
+	s.writeCached(w, r, s.cachePut(key, buf.Bytes()))
 }
 
 // ---- POST /v1/responses ----

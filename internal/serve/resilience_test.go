@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
@@ -18,7 +19,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
+	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/stagecache"
 )
 
 // blockingRun returns a RunFunc stub that signals entry on started and
@@ -394,11 +398,7 @@ func TestStaleWhileError(t *testing.T) {
 	// Force the full failure path: drop the rendered-body cache and the
 	// completed-run LRU so the next request must re-execute the (now
 	// broken) pipeline.
-	s.cache.mu.Lock()
-	s.cache.ll.Init()
-	s.cache.items = map[cacheKey]*list.Element{}
-	s.cache.bytes = 0
-	s.cache.mu.Unlock()
+	dropRenderCache(t, s, nil)
 	s.runner.mu.Lock()
 	s.runner.ll.Init()
 	s.runner.items = map[string]*list.Element{}
@@ -439,7 +439,7 @@ func TestWarmStartServesSameETag(t *testing.T) {
 		t.Fatalf("first server render = %d: %s", w1.Code, w1.Body)
 	}
 	etag := w1.Header().Get("ETag")
-	if got := s1.disk.spill.With("ok").Value(); got == 0 {
+	if got := metricValue(t, s1.Handler(), `rcpt_cache_spill_total{outcome="ok"}`); got == 0 {
 		t.Fatal("nothing spilled to disk")
 	}
 
@@ -450,7 +450,7 @@ func TestWarmStartServesSameETag(t *testing.T) {
 			return nil, errors.New("must not run")
 		},
 	})
-	if got := s2.disk.warmstart.With("restored").Value(); got == 0 {
+	if got := metricValue(t, s2.Handler(), `rcpt_cache_warmstart_total{outcome="restored"}`); got == 0 {
 		t.Fatal("no entries restored at warm start")
 	}
 	w2 := get(t, s2.Handler(), "/v1/tables/T5?format=json")
@@ -473,26 +473,23 @@ func TestWarmStartRejectsCorruptSpill(t *testing.T) {
 	if w := get(t, s1.Handler(), "/v1/tables/T5?format=json"); w.Code != 200 {
 		t.Fatalf("render = %d", w.Code)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "*.stg"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no spill files: %v", err)
 	}
-	// Flip bytes inside the body payload of one envelope.
+	// Flip a byte inside the body payload of one envelope.
 	blob, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupted := strings.Replace(string(blob), `"body":"`, `"body":"QUFB`, 1)
-	if corrupted == string(blob) {
-		t.Fatal("could not corrupt envelope")
-	}
-	if err := os.WriteFile(files[0], []byte(corrupted), 0o644); err != nil {
+	blob[len(blob)-2] ^= 0xff
+	if err := os.WriteFile(files[0], blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := newTestServer(t, Options{CacheDir: dir})
-	if got := s2.disk.warmstart.With("corrupt").Value(); got != 1 {
-		t.Errorf("corrupt warm-start count = %d, want 1", got)
+	if got := metricValue(t, s2.Handler(), `rcpt_cache_warmstart_total{outcome="corrupt"}`); got != 1 {
+		t.Errorf("corrupt warm-start count = %v, want 1", got)
 	}
 	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
 		t.Error("corrupt spill file was not removed")
@@ -508,14 +505,15 @@ func TestSpillSurvivesAbruptStop(t *testing.T) {
 		t.Fatalf("render = %d", w.Code)
 	}
 	// A torn mid-spill temp file, as a kill -9 would leave it.
-	if err := os.WriteFile(filepath.Join(dir, ".spill-torn"), []byte(`{"v":1,"trunc`), 0o644); err != nil {
+	torn := filepath.Join(dir, durable.TempPrefix+"torn")
+	if err := os.WriteFile(torn, []byte("rcpt-stg/1\ntrunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := newTestServer(t, Options{CacheDir: dir})
-	if got := s2.disk.warmstart.With("restored").Value(); got == 0 {
+	if got := metricValue(t, s2.Handler(), `rcpt_cache_warmstart_total{outcome="restored"}`); got == 0 {
 		t.Fatal("good entries not restored next to torn temp file")
 	}
-	if _, err := os.Stat(filepath.Join(dir, ".spill-torn")); !os.IsNotExist(err) {
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
 		t.Error("torn temp file not swept at boot")
 	}
 }
@@ -538,22 +536,63 @@ func TestDiskReadThrough(t *testing.T) {
 		t.Fatalf("render = %d", w1.Code)
 	}
 	// Evict from memory only.
-	s.cache.mu.Lock()
-	s.cache.ll.Init()
-	s.cache.items = map[cacheKey]*list.Element{}
-	s.cache.bytes = 0
-	s.cache.mu.Unlock()
+	diskHits := &obs.Counter{}
+	dropRenderCache(t, s, &stagecache.Metrics{DiskHits: diskHits})
 
 	w2 := get(t, h, "/v1/tables/T5?format=json")
 	if w2.Code != 200 || w2.Header().Get("ETag") != w1.Header().Get("ETag") {
 		t.Fatalf("read-through = %d, etag %q vs %q", w2.Code, w2.Header().Get("ETag"), w1.Header().Get("ETag"))
 	}
-	if got := s.disk.diskHits.Value(); got != 1 {
+	if got := diskHits.Value(); got != 1 {
 		t.Errorf("disk hits = %d, want 1", got)
 	}
 	if got := calls.Load(); got != 1 {
 		t.Errorf("pipeline ran %d times, want 1 (disk should have served)", got)
 	}
+}
+
+// TestWarmStartFeedsStaleWhileError: bodies a previous process left in
+// CacheDir are last-good bodies too. A server with another base config,
+// whose pipeline can only fail, degrades to the warm-started body of the
+// same artifact, marked stale and naming the run it came from.
+func TestWarmStartFeedsStaleWhileError(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Options{CacheDir: dir})
+	w1 := get(t, s1.Handler(), "/v1/tables/T5?format=json")
+	if w1.Code != 200 {
+		t.Fatalf("first server render = %d: %s", w1.Code, w1.Body)
+	}
+
+	cfg := tinyConfig()
+	cfg.Seed++
+	s2 := newTestServer(t, Options{
+		BaseConfig: cfg,
+		CacheDir:   dir,
+		RunFunc: func(context.Context, core.Config) (*core.Artifacts, error) {
+			return nil, errors.New("pipeline is on fire")
+		},
+	})
+	w2 := get(t, s2.Handler(), "/v1/tables/T5?format=json")
+	if w2.Code != 200 || w2.Header().Get("X-Rcpt-Stale") != "error" {
+		t.Fatalf("render with failing pipeline = %d, X-Rcpt-Stale %q; want 200 stale", w2.Code, w2.Header().Get("X-Rcpt-Stale"))
+	}
+	if !bytes.Equal(w2.Body.Bytes(), w1.Body.Bytes()) || w2.Header().Get("ETag") != w1.Header().Get("ETag") {
+		t.Fatal("stale body is not the warm-started one")
+	}
+	if got := w2.Header().Get("X-Rcpt-Stale-Fingerprint"); got != s1.BaseFingerprint() {
+		t.Fatalf("stale fingerprint = %q, want %q", got, s1.BaseFingerprint())
+	}
+}
+
+// dropRenderCache replaces s's render cache with an empty one over the
+// same directory: memory is lost, the disk tier is not.
+func dropRenderCache(t *testing.T, s *Server, m *stagecache.Metrics) {
+	t.Helper()
+	c, err := newRenderCache(s.opts.CacheBytes, s.opts.CacheDir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache = c
 }
 
 // ---- metrics ----

@@ -65,8 +65,9 @@ type Options struct {
 	// allows.
 	RunTimeout time.Duration
 	// CacheDir enables crash-safe cache persistence: completed rendered
-	// artifacts are atomically spilled here and checksum-validated back
-	// into the cache on boot. Empty disables persistence.
+	// artifacts are written here through the stage cache's disk tier,
+	// checksum-validated at boot, and read through on memory misses.
+	// Empty disables persistence.
 	CacheDir string
 	// StageCache enables the Merkle stage cache (internal/stagecache):
 	// pipeline stage outputs are stored content-addressed, so a run that
@@ -77,10 +78,9 @@ type Options struct {
 	// cache memory-only.
 	StageCache    bool
 	StageCacheDir string
-	// StageCacheEntries / StageCacheBytes bound the stage cache's
-	// in-memory tier (defaults: 256 entries, 256 MiB).
-	StageCacheEntries int
-	StageCacheBytes   int64
+	// StageCacheBytes bounds the stage cache's in-memory tier (default
+	// 256 MiB, beside the store's default bound of 256 entries).
+	StageCacheBytes int64
 	// BreakerThreshold is how many consecutive failed runs of one
 	// fingerprint trip its circuit breaker (default 3).
 	BreakerThreshold int
@@ -170,11 +170,12 @@ type Server struct {
 	baseCfg core.Config
 	baseFP  string
 
-	mux    *http.ServeMux
-	reg    *obs.Registry
-	cache  *artifactCache
+	mux *http.ServeMux
+	reg *obs.Registry
+	// cache holds rendered bodies (see newRenderCache), with a disk tier
+	// when CacheDir is set.
+	cache  *stagecache.Cache
 	runner *runner
-	disk   *diskStore // nil when CacheDir is unset
 	// stageCache is the Merkle stage store when Options.StageCache (or
 	// StageCacheDir) enabled it; nil otherwise — runs then execute every
 	// stage.
@@ -243,7 +244,6 @@ func New(opts Options) (*Server, error) {
 		baseFP:  opts.BaseConfig.Fingerprint(),
 		mux:     http.NewServeMux(),
 		reg:     reg,
-		cache:   newArtifactCache(opts.CacheBytes, reg),
 		stale:   map[[2]string]staleEntry{},
 		requests: reg.CounterVec("rcpt_http_requests_total",
 			"HTTP requests by route and status code", "route", "code"),
@@ -268,6 +268,12 @@ func New(opts Options) (*Server, error) {
 	s.runGate = newGate("run", opts.RunLimit, opts.RunQueue, opts.QueueTimeout,
 		queueDepth.With("run"), func(reason string) { s.rejected.With("run", reason).Inc() })
 
+	cache, err := newRenderCache(opts.CacheBytes, opts.CacheDir, renderCacheMetrics(reg, opts.CacheDir != ""))
+	if err != nil {
+		return nil, err
+	}
+	s.cache = cache
+
 	// The stage cache registers its metric families only when enabled, so
 	// a standalone daemon's /metrics exposition is unchanged.
 	if opts.StageCache || opts.StageCacheDir != "" {
@@ -290,10 +296,9 @@ func New(opts Options) (*Server, error) {
 			Bytes:   reg.Gauge("rcpt_stagecache_bytes", "payload bytes resident in memory"),
 		}
 		scache, err := stagecache.New(stagecache.Options{
-			MaxEntries: opts.StageCacheEntries,
-			MaxBytes:   opts.StageCacheBytes,
-			Dir:        opts.StageCacheDir,
-			Metrics:    sm,
+			MaxBytes: opts.StageCacheBytes,
+			Dir:      opts.StageCacheDir,
+			Metrics:  sm,
 		})
 		if err != nil {
 			return nil, err
@@ -302,11 +307,8 @@ func New(opts Options) (*Server, error) {
 		if opts.StageCacheDir != "" {
 			// Warm start: verify every persisted stage entry so a restarted
 			// daemon's first run reuses its pre-crash stage work.
-			stageWarm := reg.CounterVec("rcpt_stagecache_warmstart_total",
-				"persisted stage entries examined at boot, by outcome", "outcome")
-			restored, corrupt := scache.Warm()
-			stageWarm.With("restored").Add(uint64(restored))
-			stageWarm.With("corrupt").Add(uint64(corrupt))
+			warmStart(scache, reg.CounterVec("rcpt_stagecache_warmstart_total",
+				"persisted stage entries examined at boot, by outcome", "outcome"), nil)
 		}
 	}
 
@@ -385,23 +387,15 @@ func New(opts Options) (*Server, error) {
 
 	warmstart := reg.CounterVec("rcpt_cache_warmstart_total",
 		"spilled cache entries examined at boot, by outcome", "outcome")
-	spill := reg.CounterVec("rcpt_cache_spill_total",
-		"rendered artifacts spilled to disk, by outcome", "outcome")
-	diskHits := reg.Counter("rcpt_cache_disk_hits_total",
-		"rendered-artifact reads served from the disk spill")
 	if opts.CacheDir != "" {
-		disk, err := newDiskStore(opts.CacheDir, spill, warmstart, diskHits)
-		if err != nil {
-			return nil, err
-		}
-		s.disk = disk
-		// Warm start: every checksum-valid spilled body goes straight
-		// into the in-memory cache (and the stale store), so a restarted
-		// daemon serves its pre-crash artifacts — same bytes, same ETags
-		// — without re-running anything.
-		disk.loadAll(func(key cacheKey, e cacheEntry) {
-			s.cache.put(key, e)
-			s.recordStale(key, e)
+		// Warm start: every checksum-valid spilled body feeds the stale
+		// store and stays on disk for read-through, so a restarted daemon
+		// serves its pre-crash artifacts — same bytes, same ETags —
+		// without re-running anything.
+		warmStart(s.cache, warmstart, func(k string, e stagecache.Entry) {
+			if key, ok := parseStoreKey(k); ok {
+				s.recordStale(key, entryFor(key, e))
+			}
 		})
 	}
 	s.routes()
@@ -501,32 +495,32 @@ func (s *Server) localTraceStage(cfg core.Config, year, rep int) (trace.JobTable
 	return tab, nil
 }
 
-// cacheGet reads a rendered artifact: memory first, then the disk spill
+// warmStart validates a cache's disk tier at boot, counts the outcome
+// into vec, and hands each restored entry to visit (when non-nil).
+func warmStart(c *stagecache.Cache, vec *obs.CounterVec, visit func(key string, e stagecache.Entry)) {
+	restored, corrupt := c.Warm(visit)
+	vec.With("restored").Add(uint64(restored))
+	vec.With("corrupt").Add(uint64(corrupt))
+}
+
+// cacheGet reads a rendered artifact: memory first, then the disk tier
 // (read-through — an entry evicted from memory but still on disk is
 // promoted back).
 func (s *Server) cacheGet(key cacheKey) (cacheEntry, bool) {
-	if e, ok := s.cache.get(key); ok {
-		return e, true
+	e, ok := s.cache.Get(key.storeKey())
+	if !ok {
+		return cacheEntry{}, false
 	}
-	if s.disk != nil {
-		if e, ok := s.disk.load(key); ok {
-			s.cache.put(key, e)
-			s.recordStale(key, e)
-			return e, true
-		}
-	}
-	return cacheEntry{}, false
+	return entryFor(key, e), true
 }
 
-// cachePut stores a freshly rendered artifact everywhere it belongs:
-// the in-memory LRU, the stale-while-error store, and (when persistence
-// is on) the crash-safe disk spill.
-func (s *Server) cachePut(key cacheKey, e cacheEntry) {
-	s.cache.put(key, e)
+// cachePut stores a freshly rendered body everywhere it belongs — the
+// render cache (memory, and disk when persistence is on) and the
+// stale-while-error store — and returns it ready to serve.
+func (s *Server) cachePut(key cacheKey, body []byte) cacheEntry {
+	e := entryFor(key, s.cache.Put(key.storeKey(), body))
 	s.recordStale(key, e)
-	if s.disk != nil {
-		s.disk.save(key, e)
-	}
+	return e
 }
 
 // recordStale remembers e as the last good body for its (artifact,

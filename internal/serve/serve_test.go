@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -134,13 +135,13 @@ func TestTableGoldenAndETag(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	etag := w.Header().Get("ETag")
-	if want := etagFor(w.Body.Bytes()); etag != want {
+	if want := etagOf(sha256.Sum256(w.Body.Bytes())); etag != want {
 		t.Errorf("ETag = %q, want content hash %q", etag, want)
 	}
 	checkGolden(t, "table_t5.golden.json", w.Body.Bytes())
 
 	// Second request: served from cache, byte-identical, same ETag.
-	hits := s.cache.hits.Value()
+	hits := metricValue(t, h, "rcpt_cache_hits_total")
 	w2 := get(t, h, "/v1/tables/T5?format=json")
 	if !bytes.Equal(w.Body.Bytes(), w2.Body.Bytes()) {
 		t.Error("repeated render not byte-identical")
@@ -148,8 +149,8 @@ func TestTableGoldenAndETag(t *testing.T) {
 	if w2.Header().Get("ETag") != etag {
 		t.Error("repeated render changed the ETag")
 	}
-	if got := s.cache.hits.Value(); got != hits+1 {
-		t.Errorf("cache hits = %d, want %d", got, hits+1)
+	if got := metricValue(t, h, "rcpt_cache_hits_total"); got != hits+1 {
+		t.Errorf("cache hits = %v, want %v", got, hits+1)
 	}
 
 	// Conditional request round-trip: If-None-Match answers 304 with no
@@ -231,7 +232,7 @@ func TestRunCachedDeterministic(t *testing.T) {
 	if w1.Code != 200 {
 		t.Fatalf("run 1 = %d: %s", w1.Code, w1.Body)
 	}
-	hits := s.cache.hits.Value()
+	hits := metricValue(t, h, "rcpt_cache_hits_total")
 	w2 := post(t, h, "/v1/run", body)
 	if w2.Code != 200 {
 		t.Fatalf("run 2 = %d: %s", w2.Code, w2.Body)
@@ -246,8 +247,8 @@ func TestRunCachedDeterministic(t *testing.T) {
 	if got := runs.Load(); got != 1 {
 		t.Errorf("pipeline executed %d times, want exactly 1", got)
 	}
-	if got := s.cache.hits.Value(); got != hits+1 {
-		t.Errorf("cache hits = %d, want %d (second response served from cache)", got, hits+1)
+	if got := metricValue(t, h, "rcpt_cache_hits_total"); got != hits+1 {
+		t.Errorf("cache hits = %v, want %v (second response served from cache)", got, hits+1)
 	}
 
 	// The summary exposes the fingerprint; tables of that run resolve.
@@ -257,6 +258,36 @@ func TestRunCachedDeterministic(t *testing.T) {
 	}
 	if w := get(t, h, "/v1/tables/T1?run="+sum.Fingerprint); w.Code != 200 {
 		t.Errorf("table against run fingerprint = %d: %s", w.Code, w.Body)
+	}
+}
+
+// TestRepeatedRunLinkResolves: a repeated POST /v1/run after its run
+// left the run cache must hand out a tablesPath that resolves — the
+// cached summary alone would point at a 404 that tells the client to
+// POST again, forever.
+func TestRepeatedRunLinkResolves(t *testing.T) {
+	s := newTestServer(t, Options{})
+	h := s.Handler()
+	first := post(t, h, "/v1/run", `{"seed": 1}`)
+	if first.Code != 200 {
+		t.Fatalf("run = %d: %s", first.Code, first.Body)
+	}
+	for seed := 2; seed <= 5; seed++ { // evict seed 1 from the 4-run cache
+		if w := post(t, h, "/v1/run", fmt.Sprintf(`{"seed": %d}`, seed)); w.Code != 200 {
+			t.Fatalf("run seed %d = %d: %s", seed, w.Code, w.Body)
+		}
+	}
+	again := post(t, h, "/v1/run", `{"seed": 1}`)
+	if again.Code != 200 || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) ||
+		again.Header().Get("ETag") != first.Header().Get("ETag") {
+		t.Fatalf("repeated run = %d, body or ETag changed", again.Code)
+	}
+	var sum struct{ TablesPath string }
+	if err := json.Unmarshal(again.Body.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	if w := get(t, h, strings.Replace(sum.TablesPath, "{id}", "T5", 1)); w.Code != 200 {
+		t.Fatalf("GET %s = %d, want 200: %s", sum.TablesPath, w.Code, w.Body)
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 )
 
@@ -106,7 +108,7 @@ func TestDiskReadThroughAndRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, corrupt := c2.Warm()
+	restored, corrupt := c2.Warm(nil)
 	if restored != 1 || corrupt != 0 {
 		t.Fatalf("Warm = (%d, %d), want (1, 0)", restored, corrupt)
 	}
@@ -125,11 +127,11 @@ func TestWarmSweepsTempAndCorrupt(t *testing.T) {
 	c.Store(key("good"), []byte("ok"))
 
 	// A crashed mid-write temp file and a truncated entry.
-	if err := os.WriteFile(filepath.Join(dir, stgTempPrefix+"123"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, durable.TempPrefix+"123"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bad := key("bad")
-	if err := os.WriteFile(filepath.Join(dir, bad+stgSuffix), []byte(stgMagic+"trunc"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, bad+suffix), []byte("rcpt-stg/1\ntrunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +139,7 @@ func TestWarmSweepsTempAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, corrupt := c2.Warm()
+	restored, corrupt := c2.Warm(nil)
 	if restored != 1 || corrupt != 1 {
 		t.Fatalf("Warm = (%d, %d), want (1, 1)", restored, corrupt)
 	}
@@ -146,10 +148,10 @@ func TestWarmSweepsTempAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), stgTempPrefix) {
+		if strings.HasPrefix(de.Name(), durable.TempPrefix) {
 			t.Fatalf("temp file %s survived warm sweep", de.Name())
 		}
-		if de.Name() == bad+stgSuffix {
+		if de.Name() == bad+suffix {
 			t.Fatal("corrupt entry survived warm sweep")
 		}
 	}
@@ -169,7 +171,7 @@ func TestCorruptEntryDeletedOnLoad(t *testing.T) {
 
 	// Bit-flip the payload region on disk, then force a disk read by
 	// using a fresh cache (empty memory tier).
-	path := filepath.Join(dir, k+stgSuffix)
+	path := filepath.Join(dir, k+suffix)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +201,11 @@ func TestEnvelopeKeyMismatch(t *testing.T) {
 	ka, kb := key("a"), key("b")
 	c.Store(ka, []byte("a-bytes"))
 	// Copy a's entry under b's name: valid checksum, wrong identity.
-	blob, err := os.ReadFile(filepath.Join(dir, ka+stgSuffix))
+	blob, err := os.ReadFile(filepath.Join(dir, ka+suffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, kb+stgSuffix), blob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, kb+suffix), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := New(Options{Dir: dir})
@@ -242,18 +244,51 @@ func TestMetricsCounting(t *testing.T) {
 func TestEnvelopeRoundTrip(t *testing.T) {
 	k := key("env")
 	payload := bytes.Repeat([]byte{0xAB, 0, 0xCD}, 1000)
-	blob := encodeEnvelope(k, payload)
-	got, err := decodeEnvelope(blob, k)
+	blob := durable.Encode(k, payload, sha256.Sum256(payload))
+	got, sum, err := durable.Decode(blob, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
+	if !bytes.Equal(got, payload) || sum != sha256.Sum256(payload) {
 		t.Fatal("payload mismatch after envelope round trip")
 	}
 	// Every truncation must fail verification, never mis-decode.
 	for cut := 0; cut < len(blob); cut += 97 {
-		if _, err := decodeEnvelope(blob[:cut], k); err == nil {
+		if _, _, err := durable.Decode(blob[:cut], k); !errors.Is(err, durable.ErrCorrupt) {
 			t.Fatalf("truncated envelope at %d decoded", cut)
 		}
+	}
+}
+
+// TestParentEntryStillLoads pins the disk format: a real stage entry
+// written by the store before internal/durable existed must warm start
+// and load byte-for-byte, with the store reporting its checksum.
+func TestParentEntryStillLoads(t *testing.T) {
+	const k = "43cfef9b87406f420f80f1ca745b368c75ef43d8528702d45ca24127598e3a23"
+	blob, err := os.ReadFile(filepath.Join("testdata", k+suffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, k+suffix), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var visited []string
+	if restored, corrupt := c.Warm(func(key string, _ Entry) { visited = append(visited, key) }); restored != 1 || corrupt != 0 {
+		t.Fatalf("Warm = (%d, %d), want (1, 0)", restored, corrupt)
+	}
+	if len(visited) != 1 || visited[0] != k {
+		t.Fatalf("Warm visited %v, want [%s]", visited, k)
+	}
+	e, ok := c.Get(k)
+	if !ok {
+		t.Fatal("parent-written entry did not load")
+	}
+	if e.Sum != sha256.Sum256(e.Payload) || !bytes.Equal(durable.Encode(k, e.Payload, e.Sum), blob) {
+		t.Fatal("parent-written entry does not round-trip through the envelope")
 	}
 }

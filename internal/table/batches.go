@@ -1,8 +1,11 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // Options tunes execution of a Batches table. Every knob here is an
@@ -12,7 +15,7 @@ type Options struct {
 	// BatchSize is rows per column batch (default 8192).
 	BatchSize int
 	// SpillDir, when set, lets batches spill to disk under the given
-	// directory using the crash-safe checksum format in spill.go. Empty
+	// directory using the crash-safe format in spill.go. Empty
 	// means fully resident. The directory must be private to one table.
 	// Deliberately explicit — pipeline code may not consult the
 	// environment (rngpurity), so there is no os.TempDir fallback.
@@ -108,7 +111,7 @@ func (b *Builder[T]) cut() {
 		// forward, so older batches are the coldest.
 		for bi := range b.t.batches {
 			if b.t.batches[bi].cols != nil {
-				if err := writeSpill(spillPath(b.t.opt.SpillDir, bi), b.t.batches[bi].cols); err != nil {
+				if err := writeSpill(b.t.opt.SpillDir, bi, b.t.batches[bi].cols); err != nil {
 					if b.err == nil {
 						b.err = err
 					}
@@ -192,9 +195,9 @@ func (t *Batches[T]) materializeLocked(bi int) (Columns[T], error) {
 		return b.cols, nil
 	}
 	cols := t.codec.NewColumns()
-	err := readSpill(spillPath(t.opt.SpillDir, bi), cols)
+	err := readSpill(t.opt.SpillDir, bi, b.rows, cols)
 	if err != nil {
-		if _, corrupt := err.(*corruptSpillError); !corrupt || t.rebuild == nil {
+		if !errors.Is(err, durable.ErrCorrupt) || t.rebuild == nil {
 			return nil, err
 		}
 		// Corrupt spill: recompute deterministically and rewrite the
@@ -207,7 +210,7 @@ func (t *Batches[T]) materializeLocked(bi int) (Columns[T], error) {
 		if cols.Len() != b.rows {
 			return nil, fmt.Errorf("%v; rebuild returned %d rows, want %d", err, cols.Len(), b.rows)
 		}
-		if werr := writeSpill(spillPath(t.opt.SpillDir, bi), cols); werr != nil {
+		if werr := writeSpill(t.opt.SpillDir, bi, cols); werr != nil {
 			return nil, fmt.Errorf("%v; rewrite failed: %w", err, werr)
 		}
 	}

@@ -72,10 +72,9 @@ func TestChaosCorruptSpillRecomputed(t *testing.T) {
 	// Recovery rewrote the damaged files in place: they must now pass
 	// integrity checks directly, and a fresh row-order hash over the
 	// healed table must match the pre-corruption hash.
-	for _, f := range files[:3] {
-		cols := &testColumns{}
-		if err := readSpill(f, Columns[testRow](cols)); err != nil {
-			t.Fatalf("spill %s not healed: %v", f, err)
+	for bi := range files[:3] {
+		if err := readSpill(dir, bi, tab.batches[bi].rows, Columns[testRow](&testColumns{})); err != nil {
+			t.Fatalf("spill %s not healed: %v", files[bi], err)
 		}
 	}
 	evictAll(tab)

@@ -1,52 +1,37 @@
 package table
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
-// Spill file format (version 1):
+// Spill files: batch bi of a table lives at <SpillDir>/batch-<bi>.col as
+// one internal/durable envelope keyed by its own file name, holding the
+// batch's Columns.EncodeTo bytes. The durable protocol (temp + fsync +
+// rename, checksum, key in frame) means a reader sees either no file or
+// a complete one, and a file copied to another batch's name fails
+// verification. The row count is not stored: Batches already knows how
+// many rows each batch holds and checks the decode against it.
 //
-//	magic   "rcpt-col/1\n"
-//	rows    uvarint — row count, cross-checked after decode
-//	paylen  uvarint — payload byte length
-//	sha256  32 bytes — checksum of the payload
-//	payload Columns.EncodeTo bytes
-//
-// Files are written with the crash-safe discipline of the serve cache
-// (PR 4): encode to a temp file in the same directory, fsync, close,
-// atomically rename into place, then best-effort fsync the directory.
-// A reader can therefore see either the complete old state or the
-// complete new state — never a torn file under its final name. Torn
-// temp files left by a crash are invisible (readers open only final
-// names) and harmless.
-//
-// Integrity failures on read (bad magic, checksum mismatch, short file)
-// are detected, reported, and — because every batch is recomputable
-// from the deterministic generators — recoverable: Batches rebuilds the
-// rows and rewrites the spill, with bytes unchanged by construction.
+// Integrity failures on read wrap durable.ErrCorrupt and are — because
+// every batch is recomputable from the deterministic generators —
+// recoverable: Batches rebuilds the rows and rewrites the spill, with
+// bytes unchanged by construction.
 
-const spillMagic = "rcpt-col/1\n"
-
-// corruptSpillError marks integrity failures so the rebuild path can
-// distinguish "file damaged" from "disk broken".
-type corruptSpillError struct {
-	path   string
-	reason string
+// spillName names batch bi. Deterministic so warm restarts and rebuilds
+// land on the same file.
+func spillName(bi int) string {
+	return fmt.Sprintf("batch-%06d.col", bi)
 }
 
-func (e *corruptSpillError) Error() string {
-	return fmt.Sprintf("table: corrupt spill %s: %s", e.path, e.reason)
-}
-
-// spillPath names batch bi under dir. Deterministic so warm restarts
-// and rebuilds land on the same file.
+// spillPath is batch bi's file under dir.
 func spillPath(dir string, bi int) string {
-	return filepath.Join(dir, fmt.Sprintf("batch-%06d.col", bi))
+	return filepath.Join(dir, spillName(bi))
 }
 
 // spillExists reports whether batch bi has a spill file under dir.
@@ -55,8 +40,8 @@ func spillExists(dir string, bi int) bool {
 	return err == nil
 }
 
-// writeSpill persists cols to path with the temp+fsync+rename protocol.
-func writeSpill[T any](path string, cols Columns[T]) error {
+// writeSpill persists batch bi's columns under dir.
+func writeSpill[T any](dir string, bi int, cols Columns[T]) error {
 	var payload bytes.Buffer
 	ew := NewWriter(&payload)
 	if err := cols.EncodeTo(ew); err != nil {
@@ -65,112 +50,33 @@ func writeSpill[T any](path string, cols Columns[T]) error {
 	if err := ew.Err(); err != nil {
 		return fmt.Errorf("table: encode spill: %w", err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
-
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("table: spill dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".spill-*")
-	if err != nil {
-		return fmt.Errorf("table: spill temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-
-	var head bytes.Buffer
-	hw := NewWriter(&head)
-	hw.Bytes([]byte(spillMagic))
-	hw.Uvarint(uint64(cols.Len()))
-	hw.Uvarint(uint64(payload.Len()))
-	hw.Bytes(sum[:])
-	if err := hw.Err(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(head.Bytes()); err == nil {
-		_, err = tmp.Write(payload.Bytes())
-		if err == nil {
-			err = tmp.Sync()
-		}
-		if cerr := tmp.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-		if err == nil {
-			if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-				d.Sync() // best effort: rename durability
-				d.Close()
-			}
-			return nil
-		}
+	p := payload.Bytes()
+	if err := durable.WriteFile(spillPath(dir, bi), durable.Encode(spillName(bi), p, sha256.Sum256(p))); err != nil {
 		return fmt.Errorf("table: write spill: %w", err)
-	} else {
-		tmp.Close()
-		return fmt.Errorf("table: write spill: %w", err)
-	}
-}
-
-// readSpill loads path into cols, verifying magic, length, checksum and
-// row count. Integrity failures return a *corruptSpillError.
-func readSpill[T any](path string, cols Columns[T]) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 64*1024)
-
-	magic := make([]byte, len(spillMagic))
-	if _, err := readFullOrCorrupt(br, magic, path); err != nil {
-		return err
-	}
-	if string(magic) != spillMagic {
-		return &corruptSpillError{path: path, reason: "bad magic"}
-	}
-	hr := NewReader(br)
-	rows := hr.Uvarint()
-	paylen := hr.Uvarint()
-	if err := hr.Err(); err != nil {
-		return &corruptSpillError{path: path, reason: "truncated header"}
-	}
-	if paylen > 1<<31 {
-		return &corruptSpillError{path: path, reason: "payload length out of range"}
-	}
-	var sum [sha256.Size]byte
-	if _, err := readFullOrCorrupt(br, sum[:], path); err != nil {
-		return err
-	}
-	payload := make([]byte, paylen)
-	if _, err := readFullOrCorrupt(br, payload, path); err != nil {
-		return err
-	}
-	if got := sha256.Sum256(payload); got != sum {
-		return &corruptSpillError{path: path, reason: "checksum mismatch"}
-	}
-	pr := NewReader(bytes.NewReader(payload))
-	if err := cols.DecodeFrom(pr); err != nil {
-		return &corruptSpillError{path: path, reason: fmt.Sprintf("decode: %v", err)}
-	}
-	if err := pr.Err(); err != nil {
-		return &corruptSpillError{path: path, reason: fmt.Sprintf("decode: %v", err)}
-	}
-	if cols.Len() != int(rows) {
-		return &corruptSpillError{path: path, reason: fmt.Sprintf("row count %d, header says %d", cols.Len(), rows)}
 	}
 	return nil
 }
 
-// readFullOrCorrupt reads len(p) bytes, mapping short reads to
-// corruption (a truncated file is a torn write, not an I/O fault).
-func readFullOrCorrupt(br *bufio.Reader, p []byte, path string) (int, error) {
-	n := 0
-	for n < len(p) {
-		m, err := br.Read(p[n:])
-		n += m
-		if err != nil {
-			return n, &corruptSpillError{path: path, reason: "short read"}
-		}
+// readSpill loads batch bi from dir into cols and checks it holds rows
+// rows. Integrity failures wrap durable.ErrCorrupt.
+func readSpill[T any](dir string, bi, rows int, cols Columns[T]) error {
+	payload, _, err := durable.ReadFile(spillPath(dir, bi), spillName(bi))
+	if err != nil {
+		return fmt.Errorf("table: read spill: %w", err)
 	}
-	return n, nil
+	pr := NewReader(bytes.NewReader(payload))
+	err = cols.DecodeFrom(pr)
+	if err == nil {
+		err = pr.Err()
+	}
+	if err == nil && cols.Len() != rows {
+		err = fmt.Errorf("row count %d, want %d", cols.Len(), rows)
+	}
+	if err != nil {
+		return fmt.Errorf("table: spill %s: %w: %w", spillPath(dir, bi), durable.ErrCorrupt, err)
+	}
+	return nil
 }

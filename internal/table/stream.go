@@ -8,14 +8,21 @@ import (
 	"io"
 )
 
-// Stream transfer: the spill envelope ("rcpt-col/1" magic, row count,
-// payload length, SHA-256, columnar payload) generalized from files to
-// io.Writer/io.Reader, so a table can cross a process boundary with the
-// same integrity guarantees a spill file has on disk. This is the wire
-// format of the cluster layer's work-stealing stage responses: a peer
-// encodes the (year, replica) table it computed, the requester decodes
-// and checksum-verifies it, and a corrupted or truncated body surfaces
-// as *IntegrityError — never as silently wrong rows.
+// Stream transfer: one checksummed column envelope over an io.Writer /
+// io.Reader, so a table can cross a process boundary without trusting
+// the transport. This is the wire format of the cluster layer's
+// work-stealing stage responses and of the stage cache's table payloads:
+// a peer encodes the (year, replica) table it computed, the requester
+// decodes and checksum-verifies it, and a corrupted or truncated body
+// surfaces as *IntegrityError — never as silently wrong rows.
+//
+//	magic   "rcpt-col/1\n"
+//	rows    uvarint — row count, cross-checked after decode
+//	paylen  uvarint — payload byte length
+//	sha256  32 bytes — checksum of the payload
+//	payload Columns.EncodeTo bytes
+
+const streamMagic = "rcpt-col/1\n"
 
 // IntegrityError marks a stream whose envelope failed verification
 // (bad magic, truncation, checksum or row-count mismatch). Callers use
@@ -54,7 +61,7 @@ func EncodeStream[T any](w io.Writer, codec Codec[T], t Table[T]) error {
 	sum := sha256.Sum256(payload.Bytes())
 
 	hw := NewWriter(w)
-	hw.Bytes([]byte(spillMagic))
+	hw.Bytes([]byte(streamMagic))
 	hw.Uvarint(uint64(cols.Len()))
 	hw.Uvarint(uint64(payload.Len()))
 	hw.Bytes(sum[:])
@@ -67,11 +74,11 @@ func EncodeStream[T any](w io.Writer, codec Codec[T], t Table[T]) error {
 // return *IntegrityError.
 func DecodeStream[T any](r io.Reader, codec Codec[T]) (Table[T], error) {
 	br := bufio.NewReaderSize(r, 64*1024)
-	magic := make([]byte, len(spillMagic))
+	magic := make([]byte, len(streamMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, &IntegrityError{Reason: "short magic"}
 	}
-	if string(magic) != spillMagic {
+	if string(magic) != streamMagic {
 		return nil, &IntegrityError{Reason: "bad magic"}
 	}
 	hr := NewReader(br)
@@ -87,8 +94,10 @@ func DecodeStream[T any](r io.Reader, codec Codec[T]) (Table[T], error) {
 	if _, err := io.ReadFull(br, sum[:]); err != nil {
 		return nil, &IntegrityError{Reason: "short checksum"}
 	}
-	payload := make([]byte, paylen)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// Read through a limit instead of allocating paylen up front: the
+	// header is untrusted, so memory grows only with bytes that arrive.
+	payload, err := io.ReadAll(io.LimitReader(br, int64(paylen)))
+	if err != nil || uint64(len(payload)) != paylen {
 		return nil, &IntegrityError{Reason: "short payload"}
 	}
 	if got := sha256.Sum256(payload); got != sum {

@@ -1,0 +1,86 @@
+package table_test
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/table"
+	"repro/internal/trace"
+)
+
+// FuzzDecodeStream feeds arbitrary bytes to the peer wire decoder,
+// seeded with a real trace-stage stream. Properties: no panic, every
+// failure is an *IntegrityError, allocation stays proportional to the
+// input, and an accepted stream round-trips — re-encoding the decoded
+// table decodes to the same content hash and re-encodes to the same
+// bytes.
+func FuzzDecodeStream(f *testing.F) {
+	cfg := core.DefaultConfig()
+	cfg.N2011, cfg.N2024 = 30, 40
+	cfg.TraceYears = []int{2011, 2012}
+	cfg.SimYear = 2011
+	cfg.PanelN = 0
+	tab, err := core.TraceReplicaTable(cfg, 2011, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The whole stage, plus its first 64 rows: a small valid stream
+	// gives the mutator a cheap starting point.
+	rows, err := table.Rows(tab)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tab := range []trace.JobTable{tab, table.NewSlice(rows[:64], trace.JobCodec{}.HashRow)} {
+		var seed bytes.Buffer
+		if err := table.EncodeStream(&seed, trace.JobCodec{}, tab); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed.Bytes())
+		f.Add(seed.Bytes()[:seed.Len()/2])
+	}
+
+	codec := trace.JobCodec{}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		before := totalAlloc()
+		got, err := table.DecodeStream(bytes.NewReader(in), codec)
+		if grown := totalAlloc() - before; grown > 1<<20+64*uint64(len(in)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(in), grown)
+		}
+		if err != nil {
+			var ie *table.IntegrityError
+			if !errors.As(err, &ie) {
+				t.Fatalf("err = %v, want *IntegrityError", err)
+			}
+			return
+		}
+		var enc bytes.Buffer
+		if err := table.EncodeStream(&enc, codec, got); err != nil {
+			t.Fatal(err)
+		}
+		again, err := table.DecodeStream(bytes.NewReader(enc.Bytes()), codec)
+		if err != nil {
+			t.Fatalf("re-encoded stream rejected: %v", err)
+		}
+		h1, err1 := got.Hash()
+		h2, err2 := again.Hash()
+		if err1 != nil || err2 != nil || h1 != h2 {
+			t.Fatalf("round trip changed the table: %x (%v) vs %x (%v)", h1, err1, h2, err2)
+		}
+		var enc2 bytes.Buffer
+		if err := table.EncodeStream(&enc2, codec, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatal("encoding is not a fixed point of decode")
+		}
+	})
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}

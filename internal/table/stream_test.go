@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -121,4 +122,37 @@ func TestFromColumnsSharding(t *testing.T) {
 			t.Fatalf("shard total %d: reassembled rows differ", total)
 		}
 	}
+}
+
+// TestStreamBoundsAllocation: the header's payload length is untrusted,
+// so a few bytes claiming a 2 GiB payload must fail as an integrity
+// error without allocating anything near the claim.
+func TestStreamBoundsAllocation(t *testing.T) {
+	var hdr bytes.Buffer
+	w := NewWriter(&hdr)
+	w.Bytes([]byte(streamMagic))
+	w.Uvarint(1)
+	w.Uvarint(1 << 31)
+	w.Bytes(make([]byte, 32)) // checksum
+	w.Bytes([]byte("a few payload bytes"))
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	before := totalAlloc()
+	_, err := DecodeStream[testRow](bytes.NewReader(hdr.Bytes()), testCodec{})
+	grown := totalAlloc() - before
+	var ie *IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want *IntegrityError", err)
+	}
+	if grown >= 1<<20 {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes", hdr.Len(), grown)
+	}
+}
+
+// totalAlloc reports the bytes this process has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
