@@ -11,12 +11,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // The peer protocol's client half. Seven verbs, all under /v1/peer/
@@ -40,20 +38,15 @@ import (
 // straddles a membership change is detected, not trusted.
 //
 // Every byte-carrying response is integrity-checked on this side: an
-// artifact body must hash to its own ETag (the determinism contract
-// makes the ETag a content address, so the check needs no extra
-// protocol), and a stage response is a checksummed "rcpt-col/1"
-// envelope whose decoded table must match the peer's declared content
-// hash. A peer that sends damaged bytes is indistinguishable from a
-// peer that sent none — callers fall back, and corruption can never
-// reach a client.
+// artifact body or a stage payload must hash to its own ETag (the
+// determinism contract makes the ETag a content address, so the check
+// needs no extra protocol). A peer that sends damaged bytes is
+// indistinguishable from a peer that sent none — callers fall back, and
+// corruption can never reach a client. Every read is bounded: a data
+// verb takes at most maxPayloadBytes, a JSON verb at most maxJSONBytes.
 
 // SecretHeader carries the shared cluster secret on peer requests.
 const SecretHeader = "X-Rcpt-Peer-Secret"
-
-// TableHashHeader carries the content hash (table.Table.Hash, hex) of a
-// stage response, computed by the peer before encoding.
-const TableHashHeader = "X-Rcpt-Table-Hash"
 
 // EpochHeader carries the requester's ring epoch (hex) on authority
 // fills, and the responder's on the reply — so a fill that straddles a
@@ -103,14 +96,23 @@ type LeaseResponse struct {
 	Epoch   string `json:"epoch,omitempty"`
 }
 
-// StageRequest is the stage-steal endpoint's JSON body. Epoch carries
-// the thief's ring epoch for the same observability as leases.
+// StageRequest is the stage-steal endpoint's JSON body: which stage of
+// which config to compute. Epoch carries the thief's ring epoch for the
+// same observability as leases.
 type StageRequest struct {
 	Config core.Config `json:"config"`
-	Year   int         `json:"year"`
-	Rep    int         `json:"rep"`
+	Stage  string      `json:"stage"`
 	Epoch  string      `json:"epoch,omitempty"`
 }
+
+// Response read caps. maxPayloadBytes bounds the two data verbs; it is
+// the stage store's default MaxEntryBytes, far above any artifact or
+// stage payload the pipeline produces. maxJSONBytes bounds every JSON
+// verb and the status view.
+const (
+	maxPayloadBytes = 64 << 20
+	maxJSONBytes    = 1 << 20
+)
 
 // EncodeConfigParam serializes cfg for the artifact request's config
 // query parameter.
@@ -136,12 +138,11 @@ func DecodeConfigParam(s string) (core.Config, error) {
 	return cfg, nil
 }
 
-// fetchArtifact GETs one rendered artifact from peer and verifies the
-// body against its ETag: the ETag is the quoted sha256 of the bytes, so
-// recomputing it client-side proves the transfer intact end to end.
-// epochHex rides along so the responder can detect a fill that
-// straddled a ring change; a 409 comes back as *NotAuthorityError with
-// the responder's view attached, and the caller re-resolves.
+// fetchArtifact GETs one rendered artifact from peer, verified against
+// its ETag (fetchPayload). epochHex rides along so the responder can
+// detect a fill that straddled a ring change; a 409 comes back as
+// *NotAuthorityError with the responder's view attached, and the caller
+// re-resolves.
 func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam, epochHex string, hint bool) ([]byte, error) {
 	u := fmt.Sprintf("%s/v1/peer/artifact/%s/%s?format=%s&%s=%s",
 		peer, url.PathEscape(fp), url.PathEscape(artifact), url.QueryEscape(format), ConfigParam, url.QueryEscape(cfgParam))
@@ -156,6 +157,35 @@ func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, for
 		req.Header.Set(HintHeader, "1")
 	}
 	cl.auth(req)
+	return cl.fetchPayload(req, peer, "artifact body")
+}
+
+// postLease asks authority for (or releases) the compute lease on
+// lr.Key.
+func (cl *peerClient) postLease(ctx context.Context, authority string, lr LeaseRequest) (*LeaseResponse, error) {
+	var lresp LeaseResponse
+	if err := cl.postJSON(ctx, authority, "/v1/peer/lease", lr, &lresp); err != nil {
+		return nil, err
+	}
+	return &lresp, nil
+}
+
+// postStage asks peer to compute one stage and returns its verified
+// payload.
+func (cl *peerClient) postStage(ctx context.Context, peer string, sr StageRequest) ([]byte, error) {
+	req, err := cl.newPost(ctx, peer, "/v1/peer/stage", sr)
+	if err != nil {
+		return nil, err
+	}
+	return cl.fetchPayload(req, peer, "stage payload")
+}
+
+// fetchPayload is the one exchange of both data verbs, artifact fill
+// and stage steal: send req, and return a 200 body of at most
+// maxPayloadBytes that hashes to its ETag, the quoted hex SHA-256 of
+// the bytes. A mismatch is a *table.IntegrityError; a 409 comes back as
+// *NotAuthorityError with the responder's view attached.
+func (cl *peerClient) fetchPayload(req *http.Request, peer, what string) ([]byte, error) {
 	resp, err := cl.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -172,60 +202,37 @@ func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, for
 	if resp.StatusCode != http.StatusOK {
 		return nil, peerErr(peer, resp)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp, maxPayloadBytes)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: reading artifact from %s: %w", peer, err)
+		return nil, fmt.Errorf("cluster: reading %s from %s: %w", what, peer, err)
 	}
 	sum := sha256.Sum256(body)
 	if want := `"` + hex.EncodeToString(sum[:]) + `"`; resp.Header.Get("ETag") != want {
-		return nil, &table.IntegrityError{Reason: fmt.Sprintf("artifact body from %s does not hash to its ETag", peer)}
+		return nil, &table.IntegrityError{Reason: fmt.Sprintf("%s from %s does not hash to its ETag", what, peer)}
 	}
 	return body, nil
 }
 
-// postLease asks authority for (or releases) the compute lease on
-// lr.Key.
-func (cl *peerClient) postLease(ctx context.Context, authority string, lr LeaseRequest) (*LeaseResponse, error) {
-	body, err := json.Marshal(lr)
+// postJSON POSTs body to peer+path and decodes the 200 response into
+// out — the shared shape of the lease and every gossip verb.
+func (cl *peerClient) postJSON(ctx context.Context, peer, path string, body, out any) error {
+	req, err := cl.newPost(ctx, peer, path, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, authority+"/v1/peer/lease", bytes.NewReader(body))
+	raw, err := cl.fetchJSON(req, peer)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	cl.auth(req)
-	resp, err := cl.hc.Do(req)
-	if err != nil {
-		return nil, err
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("cluster: response from %s%s: %w", peer, path, err)
 	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, peerErr(authority, resp)
-	}
-	var lresp LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lresp); err != nil {
-		return nil, fmt.Errorf("cluster: lease response from %s: %w", authority, err)
-	}
-	return &lresp, nil
+	return nil
 }
 
-// postStage asks peer to execute one (year, rep) trace stage and
-// returns the decoded, doubly verified table: the stream envelope
-// checksums the wire bytes, and the decoded table's content hash must
-// equal the one the peer computed before encoding.
-func (cl *peerClient) postStage(ctx context.Context, peer string, sr StageRequest) (trace.JobTable, error) {
-	body, err := json.Marshal(sr)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/peer/stage", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	cl.auth(req)
+// fetchJSON sends req and returns its 200 body, of at most
+// maxJSONBytes.
+func (cl *peerClient) fetchJSON(req *http.Request, peer string) ([]byte, error) {
 	resp, err := cl.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -234,53 +241,42 @@ func (cl *peerClient) postStage(ctx context.Context, peer string, sr StageReques
 	if resp.StatusCode != http.StatusOK {
 		return nil, peerErr(peer, resp)
 	}
-	tab, err := table.DecodeStream[trace.Job](resp.Body, trace.JobCodec{})
+	body, err := readBody(resp, maxJSONBytes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: reading response from %s: %w", peer, err)
 	}
-	declared := resp.Header.Get(TableHashHeader)
-	if declared == "" {
-		return nil, &table.IntegrityError{Reason: fmt.Sprintf("stage response from %s carries no content hash", peer)}
-	}
-	want, err := strconv.ParseUint(declared, 16, 64)
-	if err != nil {
-		return nil, &table.IntegrityError{Reason: fmt.Sprintf("stage response from %s: bad content hash %q", peer, declared)}
-	}
-	got, err := tab.Hash()
-	if err != nil {
-		return nil, err
-	}
-	if got != want {
-		return nil, &table.IntegrityError{Reason: fmt.Sprintf("stage table from %s hashes to %x, peer declared %x", peer, got, want)}
-	}
-	return tab, nil
+	return body, nil
 }
 
-// postJSON POSTs body to peer+path and decodes the 200 response into
-// out — the shared shape of every gossip verb.
-func (cl *peerClient) postJSON(ctx context.Context, peer, path string, body, out any) error {
+// newPost builds an authenticated JSON POST of body to peer+path.
+func (cl *peerClient) newPost(ctx context.Context, peer, path string, body any) (*http.Request, error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+path, bytes.NewReader(raw))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	cl.auth(req)
-	resp, err := cl.hc.Do(req)
+	return req, nil
+}
+
+// readBody reads a response body of at most limit bytes. A longer one
+// is an error, refused unread when its length is declared.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte cap", resp.ContentLength, limit)
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return peerErr(peer, resp)
+	if int64(len(body)) > limit {
+		return nil, fmt.Errorf("body exceeds the %d-byte cap", limit)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: response from %s%s: %w", peer, path, err)
-	}
-	return nil
+	return body, nil
 }
 
 // probe sends a direct gossip probe.
@@ -318,15 +314,7 @@ func (cl *peerClient) status(ctx context.Context, peer string) (json.RawMessage,
 		return nil, err
 	}
 	cl.auth(req)
-	resp, err := cl.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, peerErr(peer, resp)
-	}
-	return io.ReadAll(resp.Body)
+	return cl.fetchJSON(req, peer)
 }
 
 func (cl *peerClient) auth(req *http.Request) {

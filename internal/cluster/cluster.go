@@ -13,9 +13,9 @@
 //     the owner is gone they race for a compute lease so at most one
 //     surviving replica executes the run;
 //   - work-stealing stage dispatch (dispatch.go): the replica executing
-//     a run farms per-(year, replica) trace stages out to idle peers
-//     over a checksummed columnar stream, falling back to local
-//     recompute on any fault.
+//     a run farms its stealable stages out to idle peers, which answer
+//     with the stage payload under its SHA-256 ETag, falling back to
+//     local compute on any fault.
 //
 // The resulting invariant, pinned by the peer-death and partition
 // tests: faults cost latency, never bytes. Any replica, any failure
@@ -36,6 +36,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -44,9 +45,8 @@ import (
 	"time"
 
 	"repro/internal/breaker"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/trace"
+	"repro/internal/table"
 )
 
 // epochGaugeMask truncates the 64-bit content-derived epoch to 53 bits
@@ -110,13 +110,6 @@ type Options struct {
 	// Now injects the clock for breakers, leases, and suspicion
 	// timeouts. Nil uses time.Now.
 	Now func() time.Time
-	// LocalStage computes one (year, rep) trace stage in-process; it is
-	// the compute behind both the dispatch fallback and peer-served
-	// steals. Nil uses core.TraceReplicaTable directly. The serving
-	// layer installs a stage-cache-aware implementation here so a steal
-	// or fallback answered from cache costs a decode, not a generation —
-	// the bytes are identical either way.
-	LocalStage func(cfg core.Config, year, rep int) (trace.JobTable, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -155,9 +148,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Now == nil {
 		o.Now = time.Now
-	}
-	if o.LocalStage == nil {
-		o.LocalStage = core.TraceReplicaTable
 	}
 	return o
 }
@@ -602,31 +592,14 @@ func (c *Cluster) countLease(granted bool) {
 	}
 }
 
-// CheckLeaseEpoch meters a lease request whose sender held a different
-// ring epoch than this (serving) replica. Called by the serve-side
-// lease handler.
-func (c *Cluster) CheckLeaseEpoch(reqEpoch string) {
+// CheckEpoch meters a peer request (op: fill | lease | stage) whose
+// sender held a different ring epoch than this serving replica. The
+// disagreement is advisory: bytes are content-addressed, so it is
+// counted, never refused.
+func (c *Cluster) CheckEpoch(op, reqEpoch string) {
 	if reqEpoch != "" && reqEpoch != c.EpochHex() {
-		c.epochMismatch.With("lease").Inc()
+		c.epochMismatch.With(op).Inc()
 	}
-}
-
-// CheckStageEpoch meters a stage-steal request sent under a different
-// ring epoch.
-func (c *Cluster) CheckStageEpoch(reqEpoch string) {
-	if reqEpoch != "" && reqEpoch != c.EpochHex() {
-		c.epochMismatch.With("stage").Inc()
-	}
-}
-
-// CheckFillEpoch meters an authority-fill request sent under a
-// different ring epoch, and reports whether they differed.
-func (c *Cluster) CheckFillEpoch(reqEpoch string) bool {
-	if reqEpoch != "" && reqEpoch != c.EpochHex() {
-		c.epochMismatch.With("fill").Inc()
-		return true
-	}
-	return false
 }
 
 // ReleaseLease drops the lease on key, wherever it was granted.
@@ -669,7 +642,7 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), hint)
 	if err != nil {
 		var na *NotAuthorityError
-		if asNotAuthority(err, &na) {
+		if errors.As(err, &na) {
 			// The peer answered coherently — it just disagrees about the
 			// ring. Not a peer failure; count the handover and let the
 			// caller re-resolve.
@@ -679,7 +652,10 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 			return nil, err
 		}
 		c.reportFailure(p, err)
-		if isIntegrity(err) {
+		// A body that fails its ETag on intact transport points at a bug,
+		// not weather, so integrity failures are metered apart.
+		var ie *table.IntegrityError
+		if errors.As(err, &ie) {
 			c.peerFills.With("integrity").Inc()
 		} else {
 			c.peerFills.With("error").Inc()

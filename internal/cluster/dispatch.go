@@ -5,58 +5,50 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
-// Work-stealing stage dispatch. The replica executing a pipeline run
-// installs TraceStage as core.RunOptions.TraceStage, so every
-// per-(year, replica) trace stage becomes a dispatch decision: run it
-// here, or ship (cfg, year, rep) to the least-loaded healthy peer and
-// stream the resulting table back. The stage graph itself is untouched
-// — repTables slots and the fixed year/replica/shard merge order make
-// reassembly deterministic no matter which mix of local and remote
-// executions filled them — and every remote fault degrades to local
-// recompute, so distribution can only ever change latency, not bytes.
-
-// TraceStage computes one (year, rep) trace stage, remotely when a
-// peer has spare capacity, locally otherwise. It satisfies
-// core.RunOptions.TraceStage.
-func (c *Cluster) TraceStage(ctx context.Context, cfg core.Config, year, rep int) (trace.JobTable, error) {
+// Steal is the work-stealing dispatcher, installed as
+// core.RunOptions.Steal: each stealable stage a run must compute is
+// shipped as (cfg, stage) to the least-loaded healthy peer, or run
+// through local when self is least loaded. The run restores a stolen
+// payload exactly like a stage-cache hit, and every remote fault
+// degrades to the local body, so distribution can only ever change
+// latency, not bytes. Which stages are stealable is core's business;
+// this layer never looks inside a stage or its payload.
+func (c *Cluster) Steal(ctx context.Context, cfg core.Config, stage string, local func() error) ([]byte, error) {
 	target := c.stealTarget()
 	if target == nil {
-		return c.localStage(cfg, year, rep)
+		return nil, c.runLocal(local)
 	}
-	stage := core.TraceStageName(year, rep)
 	target.inflight.Add(1)
 	start := c.now()
-	tab, err := c.remoteStage(ctx, target.name, cfg, year, rep)
+	payload, err := c.remoteStage(ctx, target.name, cfg, stage)
 	target.inflight.Add(-1)
 	if err == nil {
 		c.reportSuccess(target)
 		c.steals.With("remote").Inc()
 		c.stealSeconds.Observe(c.now().Sub(start).Seconds())
-		return tab, nil
+		return payload, nil
 	}
 	// Degraded path: the steal failed (transport, auth, integrity, or a
 	// peer-side error). Note the failure on the peer's breaker and
-	// recompute locally — identical bytes, only later.
+	// compute locally — identical bytes, only later.
 	c.reportFailure(target, err)
 	c.steals.With("fallback").Inc()
 	rerr := &RemoteStageError{Peer: target.name, Stage: stage, Attempt: 1, Err: err}
-	tab, lerr := c.localStage(cfg, year, rep)
-	if lerr != nil {
+	if lerr := c.runLocal(local); lerr != nil {
 		return nil, fmt.Errorf("local recompute failed: %w; after remote failure: %w", lerr, rerr)
 	}
-	return tab, nil
+	return nil, nil
 }
 
-// localStage computes the stage in-process, tracking self load so the
+// runLocal runs the stage body in-process, tracking self load so the
 // target choice sees local work too.
-func (c *Cluster) localStage(cfg core.Config, year, rep int) (trace.JobTable, error) {
+func (c *Cluster) runLocal(local func() error) error {
 	c.selfInflight.Add(1)
 	defer c.selfInflight.Add(-1)
 	c.steals.With("local").Inc()
-	return c.opts.LocalStage(cfg, year, rep)
+	return local()
 }
 
 // remoteStage ships one stage to peer. Execution knobs are stripped
@@ -66,13 +58,13 @@ func (c *Cluster) localStage(cfg core.Config, year, rep int) (trace.JobTable, er
 // directory is meaningless on another machine. The thief's ring epoch
 // rides along so a steal that straddles a membership change is visible
 // on the serving side's mismatch counter.
-func (c *Cluster) remoteStage(ctx context.Context, peer string, cfg core.Config, year, rep int) (trace.JobTable, error) {
+func (c *Cluster) remoteStage(ctx context.Context, peer string, cfg core.Config, stage string) ([]byte, error) {
 	wire := cfg
 	wire.Workers = 0
 	wire.Table = core.TableConfig{}
 	sctx, cancel := context.WithTimeout(ctx, c.opts.FillTimeout)
 	defer cancel()
-	return c.client.postStage(sctx, peer, StageRequest{Config: wire, Year: year, Rep: rep, Epoch: c.EpochHex()})
+	return c.client.postStage(sctx, peer, StageRequest{Config: wire, Stage: stage, Epoch: c.EpochHex()})
 }
 
 // stealTarget picks where the next stage should run: the candidate

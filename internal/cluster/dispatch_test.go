@@ -3,11 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sched"
-	"repro/internal/table"
 	"repro/internal/trace"
 )
 
@@ -48,33 +48,59 @@ func stagePeer(t *testing.T, calls *atomic.Int64) *httptest.Server {
 		if calls != nil {
 			calls.Add(1)
 		}
-		var sr StageRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		payload, ok := computeStage(w, r)
+		if !ok {
 			return
 		}
-		tab, err := core.TraceReplicaTable(sr.Config, sr.Year, sr.Rep)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		h, err := tab.Hash()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		var buf bytes.Buffer
-		if err := table.EncodeStream[trace.Job](&buf, trace.JobCodec{}, tab); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set(TableHashHeader, strconv.FormatUint(h, 16))
+		w.Header().Set("ETag", etagOf(payload))
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		if _, err := w.Write(payload); err != nil {
 			return
 		}
 	})
 	return httptest.NewServer(mux)
+}
+
+// computeStage decodes a stage request and runs it, answering the
+// error itself when either fails.
+func computeStage(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var sr StageRequest
+	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	payload, err := core.RunStage(r.Context(), sr.Config, sr.Stage, nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return nil, false
+	}
+	return payload, true
+}
+
+func etagOf(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return `"` + hex.EncodeToString(sum[:]) + `"`
+}
+
+// localStage returns the stage's local body for c.Steal: it computes
+// the stage standalone into *out and counts its calls.
+func localStage(cfg core.Config, stage string, out *[]byte, calls *atomic.Int64) func() error {
+	return func() error {
+		calls.Add(1)
+		payload, err := core.RunStage(context.Background(), cfg, stage, nil)
+		*out = payload
+		return err
+	}
+}
+
+// mustStage is the reference payload of one stage, computed here.
+func mustStage(t *testing.T, cfg core.Config, stage string) []byte {
+	t.Helper()
+	payload, err := core.RunStage(context.Background(), cfg, stage, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // testCluster builds a two-member cluster: an unreachable self plus the
@@ -94,18 +120,10 @@ func testCluster(t *testing.T, peerURL string) *Cluster {
 	return c
 }
 
-func jobRowsOf(t *testing.T, tab trace.JobTable) []trace.Job {
-	t.Helper()
-	rows, err := table.Rows[trace.Job](tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
 // TestTraceStageRemoteMatchesLocal: a stage stolen to a live peer
-// returns a table byte-identical to local compute. Self is made busy
-// first so the least-loaded choice actually picks the peer.
+// returns a payload byte-identical to local compute, and the local body
+// never runs. Self is made busy first so the least-loaded choice
+// actually picks the peer.
 func TestTraceStageRemoteMatchesLocal(t *testing.T) {
 	var calls atomic.Int64
 	srv := stagePeer(t, &calls)
@@ -115,31 +133,23 @@ func TestTraceStageRemoteMatchesLocal(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	got, err := c.TraceStage(context.Background(), cfg, 2012, 1)
+	var local []byte
+	var localCalls atomic.Int64
+	got, err := c.Steal(context.Background(), cfg, "trace-2012-rep1", localStage(cfg, "trace-2012-rep1", &local, &localCalls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 1 {
-		t.Fatalf("peer stage calls = %d, want 1", calls.Load())
+	if calls.Load() != 1 || localCalls.Load() != 0 {
+		t.Fatalf("peer stage calls = %d, local calls = %d, want 1 and 0", calls.Load(), localCalls.Load())
 	}
-	want, err := core.TraceReplicaTable(cfg, 2012, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, gr := jobRowsOf(t, want), jobRowsOf(t, got)
-	if len(wr) == 0 || len(wr) != len(gr) {
-		t.Fatalf("row counts differ: local %d, remote %d", len(wr), len(gr))
-	}
-	for i := range wr {
-		if wr[i] != gr[i] {
-			t.Fatalf("row %d differs between local and remote compute", i)
-		}
+	if want := mustStage(t, cfg, "trace-2012-rep1"); len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatal("stolen payload differs from local compute")
 	}
 }
 
 // TestTraceStagePeerDeadFallsBack: a peer that is gone entirely
-// (connection refused) costs latency, not bytes — the dispatcher
-// recomputes locally and returns an identical table with no error.
+// (connection refused) costs latency, not bytes — the dispatcher runs
+// the local body and returns no payload and no error.
 func TestTraceStagePeerDeadFallsBack(t *testing.T) {
 	srv := stagePeer(t, nil)
 	url := srv.URL
@@ -149,18 +159,14 @@ func TestTraceStagePeerDeadFallsBack(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	got, err := c.TraceStage(context.Background(), cfg, 2011, 0)
-	if err != nil {
-		t.Fatal(err)
+	var local []byte
+	var localCalls atomic.Int64
+	got, err := c.Steal(context.Background(), cfg, "trace-2011", localStage(cfg, "trace-2011", &local, &localCalls))
+	if err != nil || got != nil {
+		t.Fatalf("Steal = (%d bytes, %v), want the local body to run", len(got), err)
 	}
-	want, err := core.TraceReplicaTable(cfg, 2011, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wh, _ := want.Hash()
-	gh, _ := got.Hash()
-	if wh != gh {
-		t.Fatalf("fallback table hash %x differs from local %x", gh, wh)
+	if localCalls.Load() != 1 || !bytes.Equal(local, mustStage(t, cfg, "trace-2011")) {
+		t.Fatal("fallback did not compute the stage locally")
 	}
 	if v := c.steals.With("fallback").Value(); v != 1 {
 		t.Fatalf("fallback metric = %d, want 1", v)
@@ -168,29 +174,17 @@ func TestTraceStagePeerDeadFallsBack(t *testing.T) {
 }
 
 // TestTraceStageTruncatedBodyFallsBack: a peer dying mid-response
-// leaves a short envelope; the integrity check converts that into a
-// local recompute, never into wrong rows.
+// leaves a short payload; the ETag check converts that into a local
+// recompute, never into wrong rows.
 func TestTraceStageTruncatedBodyFallsBack(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/peer/stage", func(w http.ResponseWriter, r *http.Request) {
-		var sr StageRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		payload, ok := computeStage(w, r)
+		if !ok {
 			return
 		}
-		tab, err := core.TraceReplicaTable(sr.Config, sr.Year, sr.Rep)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		h, _ := tab.Hash()
-		var buf bytes.Buffer
-		if err := table.EncodeStream[trace.Job](&buf, trace.JobCodec{}, tab); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set(TableHashHeader, strconv.FormatUint(h, 16))
-		if _, err := w.Write(buf.Bytes()[:buf.Len()/2]); err != nil { // die mid-body
+		w.Header().Set("ETag", etagOf(payload))
+		if _, err := w.Write(payload[:len(payload)/2]); err != nil { // die mid-body
 			return
 		}
 	})
@@ -201,41 +195,29 @@ func TestTraceStageTruncatedBodyFallsBack(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	got, err := c.TraceStage(context.Background(), cfg, 2011, 1)
-	if err != nil {
-		t.Fatal(err)
+	var local []byte
+	var localCalls atomic.Int64
+	got, err := c.Steal(context.Background(), cfg, "trace-2011-rep1", localStage(cfg, "trace-2011-rep1", &local, &localCalls))
+	if err != nil || got != nil || localCalls.Load() != 1 {
+		t.Fatalf("Steal = (%d bytes, %v) with %d local calls, want a local recompute", len(got), err, localCalls.Load())
 	}
-	want, _ := core.TraceReplicaTable(cfg, 2011, 1)
-	wh, _ := want.Hash()
-	gh, _ := got.Hash()
-	if wh != gh {
-		t.Fatalf("table after truncated steal differs: %x vs %x", gh, wh)
+	if !bytes.Equal(local, mustStage(t, cfg, "trace-2011-rep1")) {
+		t.Fatal("payload after truncated steal differs from local compute")
 	}
 }
 
-// TestTraceStageHashMismatchRejected: a well-formed envelope whose
-// declared content hash disagrees with the decoded table is damaged
-// goods; the client must fall back rather than trust it.
+// TestTraceStageHashMismatchRejected: a whole payload whose ETag
+// disagrees with its bytes is damaged goods; the client must fall back
+// rather than trust it.
 func TestTraceStageHashMismatchRejected(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/peer/stage", func(w http.ResponseWriter, r *http.Request) {
-		var sr StageRequest
-		if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		payload, ok := computeStage(w, r)
+		if !ok {
 			return
 		}
-		tab, err := core.TraceReplicaTable(sr.Config, sr.Year, sr.Rep)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		var buf bytes.Buffer
-		if err := table.EncodeStream[trace.Job](&buf, trace.JobCodec{}, tab); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set(TableHashHeader, "deadbeef") // wrong on purpose
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		w.Header().Set("ETag", etagOf([]byte("some other payload"))) // wrong on purpose
+		if _, err := w.Write(payload); err != nil {
 			return
 		}
 	})
@@ -246,8 +228,11 @@ func TestTraceStageHashMismatchRejected(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	cfg := tinyCfg()
-	if _, err := c.TraceStage(context.Background(), cfg, 2011, 0); err != nil {
-		t.Fatal(err) // fallback must succeed silently
+	var local []byte
+	var localCalls atomic.Int64
+	got, err := c.Steal(context.Background(), cfg, "trace-2011", localStage(cfg, "trace-2011", &local, &localCalls))
+	if err != nil || got != nil || localCalls.Load() != 1 {
+		t.Fatalf("Steal = (%d bytes, %v) with %d local calls, want a silent local fallback", len(got), err, localCalls.Load())
 	}
 	if v := c.peerFills.With("integrity").Value(); v != 0 {
 		t.Fatalf("artifact integrity counter moved on a stage steal: %d", v)
@@ -268,7 +253,9 @@ func TestRemoteStageErrorSurfaces(t *testing.T) {
 	c.selfInflight.Add(1)
 	defer c.selfInflight.Add(-1)
 
-	_, err := c.TraceStage(context.Background(), tinyCfg(), 1999, 0)
+	var local []byte
+	var localCalls atomic.Int64
+	_, err := c.Steal(context.Background(), tinyCfg(), "trace-1999", localStage(tinyCfg(), "trace-1999", &local, &localCalls))
 	if err == nil {
 		t.Fatal("stage for an out-of-graph year succeeded")
 	}
@@ -294,8 +281,10 @@ func TestRemoteStageErrorThroughGraph(t *testing.T) {
 	defer c.selfInflight.Add(-1)
 
 	g := parallel.NewGraph()
+	var local []byte
+	var localCalls atomic.Int64
 	g.Add("trace-1999", func() error {
-		_, err := c.TraceStage(context.Background(), tinyCfg(), 1999, 0)
+		_, err := c.Steal(context.Background(), tinyCfg(), "trace-1999", localStage(tinyCfg(), "trace-1999", &local, &localCalls))
 		return err
 	})
 	err := g.Run(2)
@@ -333,7 +322,7 @@ func TestClusterRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distributed, err := core.RunWithOptions(context.Background(), cfg, core.RunOptions{TraceStage: c.TraceStage})
+	distributed, err := core.RunWithOptions(context.Background(), cfg, core.RunOptions{Steal: c.Steal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +359,7 @@ func TestClusterRunEquivalenceUnderPeerDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	distributed, err := core.RunWithOptions(context.Background(), cfg, core.RunOptions{TraceStage: c.TraceStage})
+	distributed, err := core.RunWithOptions(context.Background(), cfg, core.RunOptions{Steal: c.Steal})
 	if err != nil {
 		t.Fatal(err)
 	}

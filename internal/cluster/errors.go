@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/table"
-)
+import "fmt"
 
 // RemoteStageError records a failed attempt to execute a pipeline stage
 // on a peer. It wraps the transport/decode cause and carries enough
@@ -55,17 +50,4 @@ type PeerError struct {
 
 func (e *PeerError) Error() string {
 	return fmt.Sprintf("cluster: peer %s returned %d: %s", e.Peer, e.Status, e.Body)
-}
-
-// isIntegrity reports whether err is a table integrity failure (as
-// opposed to a transport or peer error) — metered separately because a
-// checksum mismatch on intact transport points at a bug, not weather.
-func isIntegrity(err error) bool {
-	var ie *table.IntegrityError
-	return errors.As(err, &ie)
-}
-
-// asNotAuthority extracts a *NotAuthorityError from err's chain.
-func asNotAuthority(err error, out **NotAuthorityError) bool {
-	return errors.As(err, out)
 }

@@ -237,13 +237,6 @@ func RunContext(ctx context.Context, cfg Config) (*Artifacts, error) {
 // and may be called concurrently.
 type StageObserver func(stage string, seconds float64)
 
-// RunObserved is Run with a per-stage timing hook. The observer must
-// not influence behaviour: artifacts stay byte-identical whether or not
-// one is installed.
-func RunObserved(cfg Config, obs StageObserver) (*Artifacts, error) {
-	return RunWithOptions(context.Background(), cfg, RunOptions{Observer: obs})
-}
-
 // RunSequential executes the same stage graph one stage at a time, in a
 // deterministic topological order. It is the reference implementation
 // the staged/concurrent equivalence tests and benchmarks compare
@@ -273,23 +266,17 @@ type RunOptions struct {
 	// therefore artifacts — are deterministic for any worker count.
 	Retry parallel.RetryPolicy
 
-	// TraceStage, when set, computes the (year, rep) trace stages instead
-	// of the in-process generator. It is the distribution seam: the
-	// cluster layer installs a dispatcher here that steals stage work to
-	// peer replicas and falls back to local compute on any fault. The
-	// contract is strict — the returned table must hold exactly the rows
-	// TraceReplicaTable(cfg, year, rep) would produce (the checksummed
-	// stream envelope enforces transfer integrity; the determinism
-	// contract guarantees any compliant peer produces the same bytes), so
-	// installing a hook can change where work runs but never what the
-	// artifacts contain. A hook error fails the stage like any local
-	// error: it surfaces as a *parallel.StageError for that stage.
-	TraceStage func(ctx context.Context, cfg Config, year, rep int) (trace.JobTable, error)
+	// Steal, when set, is offered every stealable stage the run must
+	// compute (see StealFunc); the cluster layer installs its dispatcher
+	// here. A stolen payload holds exactly the bytes RunStage(cfg, stage)
+	// returns, so a hook can change where work runs, never what the
+	// artifacts contain. A hook error surfaces as a *parallel.StageError.
+	Steal StealFunc
 
 	// StageCache, when set, lets stages reuse outputs across runs by
 	// Merkle-derived content key (see stagecache.go): a stage whose key
 	// hits decodes the stored payload instead of executing its body (for
-	// trace stages that skips the TraceStage hook too), a miss computes
+	// stealable stages that skips the Steal hook too), a miss computes
 	// then stores. Like every other option it cannot influence artifact
 	// bytes — a hit restores exactly the values the body would have
 	// produced, and any cache fault (corruption, codec skew, store
@@ -306,14 +293,8 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Artifact
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Artifacts{
-		Config:     cfg,
-		Instrument: survey.Canonical(),
-		Model2011:  population.Model2011(),
-		Model2024:  population.Model2024(),
-		JobsByYr:   map[int]trace.JobTable{},
-	}
-	g, err := buildGraph(ctx, cfg, a, opts.TraceStage, newStageCacher(opts.StageCache))
+	a := newArtifacts(cfg)
+	g, err := buildGraph(ctx, cfg, a, opts.Steal, newStageCacher(opts.StageCache))
 	if err != nil {
 		return nil, err
 	}
@@ -342,221 +323,210 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Artifact
 	return a, nil
 }
 
-// buildGraph wires the pipeline DAG:
+// newArtifacts returns the empty artifact set a run of cfg fills in.
+func newArtifacts(cfg Config) *Artifacts {
+	return &Artifacts{
+		Config:     cfg,
+		Instrument: survey.Canonical(),
+		Model2011:  population.Model2011(),
+		Model2024:  population.Model2024(),
+		JobsByYr:   map[int]trace.JobTable{},
+	}
+}
+
+// buildGraph adds every stage spec of cfg to a fresh graph, each
+// through sc.add — its Merkle key derived from the same deps the graph
+// orders it by, its body the one cached, stealable exec path. ctx
+// reaches only the steal hook (remote dispatch needs a cancellation
+// signal); every in-process stage ignores it — the graph runner already
+// stops launching stages once ctx is done.
+func buildGraph(ctx context.Context, cfg Config, a *Artifacts, steal StealFunc, sc *stageCacher) (*parallel.Graph, error) {
+	specs, err := stages(cfg, a)
+	if err != nil {
+		return nil, err
+	}
+	g := parallel.NewGraph()
+	for _, s := range specs {
+		sc.add(ctx, g, cfg, s, steal)
+	}
+	return g, nil
+}
+
+// stages declares the pipeline DAG, in topological order:
 //
 //	cohort-2011 ──► rake-2011 ──► cohort-table-2011
 //	cohort-2024 ──► rake-2024 ──► cohort-table-2024
 //	panel
 //	trace-<y>[-rep<r>] (per year × replica) ──► jobs-merge
-//	trace-<simyear>[-rep<r>] ──► sim-easy │ sim-fcfs │ sim-conservative
+//	trace-<simyear>[-rep<r>] ──► sim-policy │ sim-fcfs │ sim-conservative
 //	modlog-<y> (per year) ──► modlog-merge
 //
-// Every stage owns the artifact fields it writes; concurrent stages
-// never share mutable state. Per the determinism convention in
-// internal/parallel, every rng stream is split off the seed-derived
-// root *by name* — and the derivation happens inside each stage body,
-// at the top of every attempt. SplitNamed never advances the parent, so
-// the bytes are identical to deriving up front, while a retried stage
-// re-derives a fresh stream instead of resuming a half-consumed one:
-// that is what makes every stage idempotent and therefore retryable.
-//
-// ctx reaches only the traceStage hook (remote dispatch needs a
-// cancellation signal); every in-process stage ignores it — the graph
-// runner already stops launching stages once ctx is done.
-//
-// sc threads the Merkle stage cache through (nil disables it): each
-// cacheable stage derives its content key at registration — topological
-// order guarantees upstream keys exist — and has its body wrapped into
-// load-or-(compute-and-store). jobs-merge is deliberately uncached: it
-// is pure wiring over tables the trace stages already provide.
-func buildGraph(ctx context.Context, cfg Config, a *Artifacts, traceStage func(context.Context, Config, int, int) (trace.JobTable, error), sc *stageCacher) (*parallel.Graph, error) {
+// Every stage owns the artifact fields its set writes; concurrent
+// stages never share mutable state. Every rng stream is split off the
+// seed-derived root *by name* inside each stage's run, at the top of
+// every attempt: SplitNamed never advances the parent, so the bytes
+// match deriving up front, while a retry re-derives a fresh stream —
+// which makes every stage idempotent (retryable) and lets a stage
+// without deps run standalone (RunStage). jobs-merge is uncached: it is
+// pure wiring over tables the trace stages already provide.
+func stages(cfg Config, a *Artifacts) ([]spec, error) {
 	root := rng.New(cfg.Seed)
-	g := parallel.NewGraph()
+	type cohortSlots struct {
+		year    string
+		n       int
+		model   *population.Model
+		out     *[]*survey.Response
+		quality *survey.QualityReport
+		rake    *weighting.Result
+		tab     *survey.ResponseTable
+	}
+	cohorts := []cohortSlots{
+		{"2011", cfg.N2011, a.Model2011, &a.Cohort2011, &a.Quality2011, &a.Rake2011, &a.CohortTab2011},
+		{"2024", cfg.N2024, a.Model2024, &a.Cohort2024, &a.Quality2024, &a.Rake2024, &a.CohortTab2024},
+	}
+	var specs []spec
 
 	// 1. Survey cohorts: generate, optionally inject noise, screen, and
-	// drop hard-flagged responses. One stage per cohort.
-	g11, err := population.NewGenerator(a.Model2011)
-	if err != nil {
-		return nil, fmt.Errorf("core: 2011 generator: %w", err)
-	}
-	g24, err := population.NewGenerator(a.Model2024)
-	if err != nil {
-		return nil, fmt.Errorf("core: 2024 generator: %w", err)
-	}
-	cohortStage := func(gen *population.Generator, name string, n int, dst *[]*survey.Response, report *survey.QualityReport) func() error {
-		return func() error {
-			seed := root.SplitNamed("cohort-" + name).Uint64()
-			noiseRng := root.SplitNamed("noise-" + name)
-			rs, err := gen.GenerateParallel(seed, n, cfg.Workers)
-			if err != nil {
-				return fmt.Errorf("core: generating %s cohort: %w", name, err)
-			}
-			if cfg.NoiseRate > 0 {
-				noisy, _, err := population.InjectNoise(noiseRng, rs, cfg.NoiseRate)
-				if err != nil {
-					return fmt.Errorf("core: injecting noise into %s: %w", name, err)
-				}
-				rs = noisy
-			}
-			*report = survey.Screen(a.Instrument, rs, survey.CanonicalRules())
-			rs = survey.DropHard(rs, *report)
-			if len(rs) == 0 {
-				return fmt.Errorf("core: screening removed the entire %s cohort", name)
-			}
-			*dst = rs
-			return nil
+	// drop hard-flagged responses. The payload is encoded as the stage
+	// ends, so it holds pre-raking weights; the rake stage's own payload
+	// restores the post-raking ones.
+	for _, c := range cohorts {
+		gen, err := population.NewGenerator(c.model)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s generator: %w", c.year, err)
 		}
-	}
-	// Cohort payloads snapshot the at-completion state: weights here are
-	// pre-raking (the rake stage mutates them in place later, but enc
-	// runs before any dependent can start), and the rake stage's own
-	// payload restores the post-raking weights.
-	cacheCohort := func(name string, dst *[]*survey.Response, report *survey.QualityReport, body func() error) func() error {
-		return sc.wrap(name, body,
-			func() ([]byte, error) { return encodeCohortPayload(*dst, *report) },
-			func(payload []byte) error {
-				rs, qr, err := decodeCohortPayload(payload)
+		specs = append(specs, stage[cohortOutput]{
+			name: "cohort-" + c.year, version: verCohort, inputs: cohortInputs(cfg, c.n),
+			run: func() (cohortOutput, error) {
+				seed := root.SplitNamed("cohort-" + c.year).Uint64()
+				noiseRng := root.SplitNamed("noise-" + c.year)
+				rs, err := gen.GenerateParallel(seed, c.n, cfg.Workers)
 				if err != nil {
-					return err
+					return cohortOutput{}, fmt.Errorf("core: generating %s cohort: %w", c.year, err)
 				}
-				*dst, *report = rs, qr
+				if cfg.NoiseRate > 0 {
+					noisy, _, err := population.InjectNoise(noiseRng, rs, cfg.NoiseRate)
+					if err != nil {
+						return cohortOutput{}, fmt.Errorf("core: injecting noise into %s: %w", c.year, err)
+					}
+					rs = noisy
+				}
+				report := survey.Screen(a.Instrument, rs, survey.CanonicalRules())
+				rs = survey.DropHard(rs, report)
+				if len(rs) == 0 {
+					return cohortOutput{}, fmt.Errorf("core: screening removed the entire %s cohort", c.year)
+				}
+				return cohortOutput{responses: rs, quality: report}, nil
+			},
+			set: func(o cohortOutput) error {
+				*c.out, *c.quality = o.responses, o.quality
 				return nil
-			})
+			},
+			codec: codec[cohortOutput]{encodeCohortPayload, decodeCohortPayload},
+		}.spec())
 	}
-	sc.derive("cohort-2011", verCohort, cohortInputs(cfg, cfg.N2011))
-	sc.derive("cohort-2024", verCohort, cohortInputs(cfg, cfg.N2024))
-	g.AddRetryable("cohort-2011", cacheCohort("cohort-2011", &a.Cohort2011, &a.Quality2011,
-		cohortStage(g11, "2011", cfg.N2011, &a.Cohort2011, &a.Quality2011)))
-	g.AddRetryable("cohort-2024", cacheCohort("cohort-2024", &a.Cohort2024, &a.Quality2024,
-		cohortStage(g24, "2024", cfg.N2024, &a.Cohort2024, &a.Quality2024)))
 
 	// 1b. Longitudinal panel (optional), independent of the cohorts.
 	if cfg.PanelN > 0 {
-		sc.derive("panel", verPanel, panelInputs(cfg))
-		g.AddRetryable("panel", sc.wrap("panel", func() error {
-			panelRng := root.SplitNamed("panel")
-			pg, err := population.NewPanelGenerator(a.Model2011, a.Model2024, population.PanelOptions{})
-			if err != nil {
-				return fmt.Errorf("core: panel generator: %w", err)
-			}
-			if a.Panel, err = pg.Generate(panelRng, cfg.PanelN); err != nil {
-				return fmt.Errorf("core: generating panel: %w", err)
-			}
-			return nil
-		},
-			func() ([]byte, error) { return encodePanelPayload(a.Panel) },
-			func(payload []byte) error {
-				members, err := decodePanelPayload(payload)
+		specs = append(specs, stage[[]population.PanelMember]{
+			name: "panel", version: verPanel, inputs: panelInputs(cfg),
+			run: func() ([]population.PanelMember, error) {
+				panelRng := root.SplitNamed("panel")
+				pg, err := population.NewPanelGenerator(a.Model2011, a.Model2024, population.PanelOptions{})
 				if err != nil {
-					return err
+					return nil, fmt.Errorf("core: panel generator: %w", err)
 				}
-				a.Panel = members
-				return nil
-			}))
+				members, err := pg.Generate(panelRng, cfg.PanelN)
+				if err != nil {
+					return nil, fmt.Errorf("core: generating panel: %w", err)
+				}
+				return members, nil
+			},
+			set:   assign(&a.Panel),
+			codec: codec[[]population.PanelMember]{encodePanelPayload, decodePanelPayload},
+		}.spec())
 	}
 
 	// 2. Post-stratification, each cohort independently once it lands.
 	// Margins are restricted to observed categories so a small cohort
 	// that happens to miss a rare stratum still rakes (the standard
-	// collapsed-stratum fallback).
+	// collapsed-stratum fallback). Raking rewrites the cohort's weights
+	// in place; the output carries them so a restore can apply them
+	// positionally (a length mismatch means skew: recompute).
 	if cfg.Rake {
-		rakeStage := func(name string, cohort *[]*survey.Response, model *population.Model, dst *weighting.Result) func() error {
-			return func() error {
-				margins := make([]weighting.Margin, 0, 2)
-				for _, m := range weighting.FrameMargins(model.FieldShare, model.CareerShare) {
-					rm, err := weighting.RestrictToObserved(m, *cohort)
+		for _, c := range cohorts {
+			specs = append(specs, stage[rakeOutput]{
+				name: "rake-" + c.year, version: verRake, deps: []string{"cohort-" + c.year},
+				run: func() (rakeOutput, error) {
+					margins := make([]weighting.Margin, 0, 2)
+					for _, m := range weighting.FrameMargins(c.model.FieldShare, c.model.CareerShare) {
+						rm, err := weighting.RestrictToObserved(m, *c.out)
+						if err != nil {
+							return rakeOutput{}, fmt.Errorf("core: raking %s: %w", c.year, err)
+						}
+						margins = append(margins, rm)
+					}
+					res, err := weighting.Rake(*c.out, margins, weighting.Options{TrimRatio: 6})
 					if err != nil {
-						return fmt.Errorf("core: raking %s: %w", name, err)
+						return rakeOutput{}, fmt.Errorf("core: raking %s: %w", c.year, err)
 					}
-					margins = append(margins, rm)
-				}
-				res, err := weighting.Rake(*cohort, margins, weighting.Options{TrimRatio: 6})
-				if err != nil {
-					return fmt.Errorf("core: raking %s: %w", name, err)
-				}
-				*dst = res
-				return nil
-			}
-		}
-		// The rake payload carries the diagnostics plus the post-raking
-		// weight per response, applied positionally on restore — sound
-		// because the upstream cohort key pins the responses and their
-		// order. A length mismatch means skew: recompute.
-		cacheRake := func(name string, cohort *[]*survey.Response, dst *weighting.Result, body func() error) func() error {
-			return sc.wrap(name, body,
-				func() ([]byte, error) { return encodeRakePayload(*dst, *cohort) },
-				func(payload []byte) error {
-					res, weights, err := decodeRakePayload(payload)
-					if err != nil {
-						return err
+					weights := make([]float64, len(*c.out))
+					for i, r := range *c.out {
+						weights[i] = r.Weight
 					}
-					if len(weights) != len(*cohort) {
-						return fmt.Errorf("core: rake payload has %d weights for %d responses", len(weights), len(*cohort))
+					return rakeOutput{result: res, weights: weights}, nil
+				},
+				set: func(o rakeOutput) error {
+					if len(o.weights) != len(*c.out) {
+						return fmt.Errorf("core: rake payload has %d weights for %d responses", len(o.weights), len(*c.out))
 					}
-					for i, wt := range weights {
-						(*cohort)[i].Weight = wt
+					for i, wt := range o.weights {
+						(*c.out)[i].Weight = wt
 					}
-					*dst = res
+					*c.rake = o.result
 					return nil
-				})
+				},
+				codec: codec[rakeOutput]{encodeRakePayload, decodeRakePayload},
+			}.spec())
 		}
-		sc.derive("rake-2011", verRake, "", "cohort-2011")
-		sc.derive("rake-2024", verRake, "", "cohort-2024")
-		g.AddRetryable("rake-2011", cacheRake("rake-2011", &a.Cohort2011, &a.Rake2011,
-			rakeStage("2011", &a.Cohort2011, a.Model2011, &a.Rake2011)), "cohort-2011")
-		g.AddRetryable("rake-2024", cacheRake("rake-2024", &a.Cohort2024, &a.Rake2024,
-			rakeStage("2024", &a.Cohort2024, a.Model2024, &a.Rake2024)), "cohort-2024")
 	}
 
 	// 2b. Columnar cohort storage, built from the final weighted
 	// responses (after raking when enabled, so the tables carry the
 	// weights every downstream consumer sees at rest).
-	cohortTable := func(name string, src *[]*survey.Response, dst *survey.ResponseTable) func() error {
-		return func() error {
-			tab, err := table.Build[survey.Response](survey.ResponseCodec{}, cfg.tableOptions("cohort-"+name),
-				func(appendRow func(survey.Response)) error {
-					for _, r := range *src {
-						appendRow(*r)
-					}
-					return nil
-				})
-			if err != nil {
-				return fmt.Errorf("core: %s cohort table: %w", name, err)
-			}
-			*dst = tab
-			return nil
+	for _, c := range cohorts {
+		dep := "cohort-" + c.year
+		if cfg.Rake {
+			dep = "rake-" + c.year
 		}
-	}
-	dep2011, dep2024 := "cohort-2011", "cohort-2024"
-	if cfg.Rake {
-		dep2011, dep2024 = "rake-2011", "rake-2024"
-	}
-	cacheCohortTable := func(name string, dst *survey.ResponseTable, body func() error) func() error {
-		return sc.wrap(name, body,
-			func() ([]byte, error) { return encodeTablePayload(payloadResponses, survey.ResponseCodec{}, *dst) },
-			func(payload []byte) error {
-				tab, err := decodeTablePayload(payloadResponses, survey.ResponseCodec{}, payload)
+		specs = append(specs, stage[survey.ResponseTable]{
+			name: "cohort-table-" + c.year, version: verCohortTable, deps: []string{dep},
+			run: func() (survey.ResponseTable, error) {
+				tab, err := table.Build[survey.Response](survey.ResponseCodec{}, cfg.tableOptions("cohort-"+c.year),
+					func(appendRow func(survey.Response)) error {
+						for _, r := range *c.out {
+							appendRow(*r)
+						}
+						return nil
+					})
 				if err != nil {
-					return err
+					return nil, fmt.Errorf("core: %s cohort table: %w", c.year, err)
 				}
-				*dst = tab
-				return nil
-			})
+				return tab, nil
+			},
+			set:   assign(c.tab),
+			codec: tableCodec(payloadResponses, survey.ResponseCodec{}),
+		}.spec())
 	}
-	sc.derive("cohort-table-2011", verCohortTable, "", dep2011)
-	sc.derive("cohort-table-2024", verCohortTable, "", dep2024)
-	g.AddRetryable("cohort-table-2011", cacheCohortTable("cohort-table-2011", &a.CohortTab2011,
-		cohortTable("2011", &a.Cohort2011, &a.CohortTab2011)), dep2011)
-	g.AddRetryable("cohort-table-2024", cacheCohortTable("cohort-table-2024", &a.CohortTab2024,
-		cohortTable("2024", &a.Cohort2024, &a.CohortTab2024)), dep2024)
 
 	// 3+4. Cluster accounting traces and module-load telemetry. Traces
 	// run one stage per (year, replica): TraceScale replicas of a year
 	// are separate stages — that is the per-shard parallelism beyond the
 	// per-year split — each streaming its generator straight into its
 	// own column table, so a replica's working set is O(BatchSize ×
-	// Resident), never the whole year. Telemetry stays one stage per
-	// year (its volume does not scale).
+	// Resident), never the whole year. Trace stages are the stealable
+	// ones. Telemetry stays one stage per year (its volume does not
+	// scale).
 	scale := cfg.traceScale()
 	repTables := make([][]trace.JobTable, len(cfg.TraceYears))
 	modTables := make([]modlog.EventTable, len(cfg.TraceYears))
@@ -564,163 +534,126 @@ func buildGraph(ctx context.Context, cfg Config, a *Artifacts, traceStage func(c
 	modStages := make([]string, len(cfg.TraceYears))
 	var simStages []string
 	for i, year := range cfg.TraceYears {
-		i, year := i, year
 		repTables[i] = make([]trace.JobTable, scale)
 		for rep := 0; rep < scale; rep++ {
-			rep := rep
-			stage := traceStreamName(year, rep)
-			traceStages = append(traceStages, stage)
+			name := traceStreamName(year, rep)
+			traceStages = append(traceStages, name)
 			if year == cfg.SimYear {
-				simStages = append(simStages, stage)
+				simStages = append(simStages, name)
 			}
-			// newStream derives a fresh copy of this replica's stream on
-			// every call (SplitNamed is pure and never advances root), so
-			// the build and any later spill rebuild replay identical draws.
-			newStream := func() *rng.RNG { return root.SplitNamed(stage) }
 			// A trace stage's cache key excludes TraceScale by design:
 			// scaling up adds stages without renaming existing ones, so
-			// every replica a smaller scale cached keeps hitting. A cache
-			// hit also skips the traceStage steal hook — the bytes already
-			// exist locally, so no peer should compute them.
-			sc.derive(stage, verTrace, traceInputs(cfg))
-			g.AddRetryable(stage, sc.wrap(stage, func() error {
-				var tab trace.JobTable
-				var err error
-				if traceStage != nil {
-					tab, err = traceStage(ctx, cfg, year, rep)
-				} else {
-					tab, err = buildTraceReplica(cfg, newStream, year, rep)
-				}
+			// every replica a smaller scale cached keeps hitting.
+			specs = append(specs, stage[trace.JobTable]{
+				name: name, version: verTrace, inputs: seedInputs(cfg), stealable: true,
+				run:   func() (trace.JobTable, error) { return buildTraceReplica(cfg, root, year, rep) },
+				set:   assign(&repTables[i][rep]),
+				codec: jobsCodec,
+			}.spec())
+		}
+		modStages[i] = fmt.Sprintf("modlog-%d", year)
+		specs = append(specs, stage[modlog.EventTable]{
+			name: modStages[i], version: verModlog, inputs: seedInputs(cfg),
+			run: func() (modlog.EventTable, error) {
+				stream := modStages[i]
+				events, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(stream))
 				if err != nil {
-					return fmt.Errorf("core: generating %s: %w", stage, err)
+					return nil, fmt.Errorf("core: generating %d module log: %w", year, err)
 				}
-				repTables[i][rep] = tab
-				return nil
-			},
-				func() ([]byte, error) { return EncodeTraceStagePayload(repTables[i][rep]) },
-				func(payload []byte) error {
-					tab, err := DecodeTraceStagePayload(payload)
+				tab, err := table.FromSlice[modlog.Event](modlog.EventCodec{}, cfg.tableOptions(stream), events)
+				if err != nil {
+					return nil, fmt.Errorf("core: %d module log table: %w", year, err)
+				}
+				tab.SetRebuild(func(lo, hi int, into table.Columns[modlog.Event]) error {
+					evs, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(stream))
 					if err != nil {
 						return err
 					}
-					repTables[i][rep] = tab
+					for _, e := range evs[lo:hi] {
+						into.Append(e)
+					}
 					return nil
-				}))
-		}
-		modStages[i] = fmt.Sprintf("modlog-%d", year)
-		sc.derive(modStages[i], verModlog, modlogInputs(cfg))
-		g.AddRetryable(modStages[i], sc.wrap(modStages[i], func() error {
-			stream := fmt.Sprintf("modlog-%d", year)
-			events, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(stream))
-			if err != nil {
-				return fmt.Errorf("core: generating %d module log: %w", year, err)
+				})
+				return tab, nil
+			},
+			set:   assign(&modTables[i]),
+			codec: tableCodec(payloadEvents, modlog.EventCodec{}),
+		}.spec())
+	}
+	specs = append(specs, stage[[]trace.JobTable]{
+		name: "jobs-merge", deps: traceStages,
+		run: func() ([]trace.JobTable, error) {
+			all := make([]trace.JobTable, len(cfg.TraceYears))
+			for i := range all {
+				all[i] = concatJobTables(repTables[i])
 			}
-			tab, err := table.FromSlice[modlog.Event](modlog.EventCodec{}, cfg.tableOptions(stream), events)
-			if err != nil {
-				return fmt.Errorf("core: %d module log table: %w", year, err)
+			return all, nil
+		},
+		set: func(all []trace.JobTable) error {
+			for i, year := range cfg.TraceYears {
+				a.JobsByYr[year] = all[i]
 			}
-			tab.SetRebuild(func(lo, hi int, into table.Columns[modlog.Event]) error {
-				evs, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(stream))
-				if err != nil {
-					return err
-				}
-				for _, e := range evs[lo:hi] {
-					into.Append(e)
-				}
-				return nil
-			})
-			modTables[i] = tab
+			a.Jobs = table.Concat[trace.Job](all...)
 			return nil
 		},
-			func() ([]byte, error) { return encodeTablePayload(payloadEvents, modlog.EventCodec{}, modTables[i]) },
-			func(payload []byte) error {
-				tab, err := decodeTablePayload(payloadEvents, modlog.EventCodec{}, payload)
-				if err != nil {
-					return err
-				}
-				modTables[i] = tab
-				return nil
-			}))
-	}
-	g.AddRetryable("jobs-merge", func() error {
-		all := make([]trace.JobTable, len(cfg.TraceYears))
-		for i, year := range cfg.TraceYears {
-			all[i] = concatJobTables(repTables[i])
-			a.JobsByYr[year] = all[i]
-		}
-		a.Jobs = table.Concat[trace.Job](all...)
-		return nil
-	}, traceStages...)
+	}.spec())
 	// modlog-merge's key covers only the telemetry inputs (the upstream
 	// modlog keys): the aggregate is SimYear-independent, so a SimYear
 	// change keeps hitting. ModEventsSim is re-pointed from the live
 	// per-year tables on both paths, which is why it is not in the
 	// payload.
-	sc.derive("modlog-merge", verModAgg, "", modStages...)
-	g.AddRetryable("modlog-merge", sc.wrap("modlog-merge", func() error {
-		agg, err := modlog.AggregateByYearTable(table.Concat[modlog.Event](modTables...), cfg.tableShards())
-		if err != nil {
-			return fmt.Errorf("core: aggregating module log: %w", err)
-		}
-		a.ModAgg = agg
-		a.ModEventsSim = modTables[simIndex(cfg)]
-		return nil
-	},
-		func() ([]byte, error) { return encodeModAggPayload(a.ModAgg) },
-		func(payload []byte) error {
-			agg, err := decodeModAggPayload(payload)
+	specs = append(specs, stage[[]modlog.YearShares]{
+		name: "modlog-merge", version: verModAgg, deps: modStages,
+		run: func() ([]modlog.YearShares, error) {
+			agg, err := modlog.AggregateByYearTable(table.Concat[modlog.Event](modTables...), cfg.tableShards())
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("core: aggregating module log: %w", err)
 			}
+			return agg, nil
+		},
+		set: func(agg []modlog.YearShares) error {
 			a.ModAgg = agg
 			a.ModEventsSim = modTables[simIndex(cfg)]
 			return nil
-		}), modStages...)
+		},
+		codec: codec[[]modlog.YearShares]{encodeModAggPayload, decodeModAggPayload},
+	}.spec())
 
 	// 5. Scheduler simulations on the sim year: the requested policy
 	// plus the FCFS and conservative baselines, concurrently as soon as
 	// the sim-year replicas land (they need only that year, not the
 	// merge). The generator emits arrival order and replica submit
 	// windows are disjoint, so the concatenated feed streams straight
-	// into the simulator — no materialization, no sort.
+	// into the simulator — no materialization, no sort. Sim keys: the
+	// policy run reads cfg.Policy (the canonical late-DAG knob —
+	// changing it invalidates exactly this one stage); the two baselines
+	// hardcode theirs, distinguished by version tag. All three inherit
+	// the sim-year trace keys upstream, so a seed or TraceScale change
+	// invalidates them and a cohort-side change does not.
 	cluster := sched.DefaultCampusCluster()
-	simRun := func(dst **sched.Result, opt sched.Options, what string) func() error {
-		return func() error {
-			res, err := sched.SimulateTable(cluster, concatJobTables(repTables[simIndex(cfg)]), opt)
-			if err != nil {
-				return fmt.Errorf("core: %s: %w", what, err)
-			}
-			*dst = res
-			return nil
-		}
-	}
-	// Sim keys: the policy run reads cfg.Policy (the canonical late-DAG
-	// knob — changing it invalidates exactly this one stage); the two
-	// baselines hardcode theirs, distinguished by version tag. All three
-	// inherit the sim-year trace keys upstream, so a seed or TraceScale
-	// change invalidates them and a cohort-side change does not.
-	cacheSim := func(name string, dst **sched.Result, body func() error) func() error {
-		return sc.wrap(name, body,
-			func() ([]byte, error) { return encodeSimPayload(*dst) },
-			func(payload []byte) error {
-				res, err := decodeSimPayload(payload)
+	for _, sim := range []struct {
+		name, version, inputs, what string
+		opt                         sched.Options
+		dst                         **sched.Result
+	}{
+		{"sim-policy", verSimPolicy, simPolicyInputs(cfg), "scheduler simulation", sched.Options{Policy: cfg.Policy, Fairshare: true}, &a.Sim},
+		{"sim-fcfs", verSimFCFS, "", "FCFS baseline", sched.Options{Policy: sched.FCFS}, &a.SimFCFS},
+		{"sim-conservative", verSimCons, "", "conservative baseline", sched.Options{Policy: sched.ConservativeBackfill}, &a.SimConservative},
+	} {
+		specs = append(specs, stage[*sched.Result]{
+			name: sim.name, version: sim.version, inputs: sim.inputs, deps: simStages,
+			run: func() (*sched.Result, error) {
+				res, err := sched.SimulateTable(cluster, concatJobTables(repTables[simIndex(cfg)]), sim.opt)
 				if err != nil {
-					return err
+					return nil, fmt.Errorf("core: %s: %w", sim.what, err)
 				}
-				*dst = res
-				return nil
-			})
+				return res, nil
+			},
+			set:   assign(sim.dst),
+			codec: codec[*sched.Result]{encodeSimPayload, decodeSimPayload},
+		}.spec())
 	}
-	sc.derive("sim-policy", verSimPolicy, simPolicyInputs(cfg), simStages...)
-	sc.derive("sim-fcfs", verSimFCFS, "", simStages...)
-	sc.derive("sim-conservative", verSimCons, "", simStages...)
-	g.AddRetryable("sim-policy", cacheSim("sim-policy", &a.Sim,
-		simRun(&a.Sim, sched.Options{Policy: cfg.Policy, Fairshare: true}, "scheduler simulation")), simStages...)
-	g.AddRetryable("sim-fcfs", cacheSim("sim-fcfs", &a.SimFCFS,
-		simRun(&a.SimFCFS, sched.Options{Policy: sched.FCFS}, "FCFS baseline")), simStages...)
-	g.AddRetryable("sim-conservative", cacheSim("sim-conservative", &a.SimConservative,
-		simRun(&a.SimConservative, sched.Options{Policy: sched.ConservativeBackfill}, "conservative baseline")), simStages...)
-	return g, nil
+	return specs, nil
 }
 
 // repStride is the submit-time offset between trace replicas: a full
@@ -728,11 +661,6 @@ func buildGraph(ctx context.Context, cfg Config, a *Artifacts, traceStage func(c
 // replica spans, so replica r's arrivals all land after replica r-1's
 // and the concatenated table is in arrival order by construction.
 const repStride = 366 * 86400
-
-// TraceStageName returns the stage-graph name of the (year, rep) trace
-// stage — the distribution layer uses it to attribute remote failures
-// to the stage the scheduler knows.
-func TraceStageName(year, rep int) string { return traceStreamName(year, rep) }
 
 // traceStreamName names a (year, replica) trace stage and its rng
 // stream. Replica 0 keeps the historical "trace-<year>" name so an
@@ -756,15 +684,16 @@ func traceFirstID(year, rep int) uint64 {
 
 // buildTraceReplica streams one (year, replica) trace generation into a
 // column table and installs the deterministic rebuild hook used if a
-// spill file is later found corrupt. newStream must derive a fresh copy
-// of the replica's named rng stream on every call; the generator is the
-// source of truth, so rebuilding rows [lo, hi) re-runs the stream from
-// the top and recomputes byte-identical rows.
-func buildTraceReplica(cfg Config, newStream func() *rng.RNG, year, rep int) (*table.Batches[trace.Job], error) {
+// spill file is later found corrupt. Every generation pass derives a
+// fresh copy of the replica's named stream from root (SplitNamed is pure
+// and never advances root); the generator is the source of truth, so
+// rebuilding rows [lo, hi) re-runs the stream from the top and
+// recomputes byte-identical rows.
+func buildTraceReplica(cfg Config, root *rng.RNG, year, rep int) (*table.Batches[trace.Job], error) {
 	stream := traceStreamName(year, rep)
 	offset := int64(rep) * repStride
 	generate := func(emit func(trace.Job) error) error {
-		return trace.CampusModel(year).GenerateStream(newStream(), traceFirstID(year, rep),
+		return trace.CampusModel(year).GenerateStream(root.SplitNamed(stream), traceFirstID(year, rep),
 			func(j trace.Job) error {
 				j.Submit += offset
 				return emit(j)
@@ -778,7 +707,7 @@ func buildTraceReplica(cfg Config, newStream func() *rng.RNG, year, rep int) (*t
 			})
 		})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: generating %s: %w", stream, err)
 	}
 	tab.SetRebuild(func(lo, hi int, into table.Columns[trace.Job]) error {
 		i := 0
@@ -803,37 +732,6 @@ func buildTraceReplica(cfg Config, newStream func() *rng.RNG, year, rep int) (*t
 // errRebuildDone short-circuits a rebuild scan once the requested row
 // window has been recomputed.
 var errRebuildDone = errors.New("core: rebuild window complete")
-
-// TraceReplicaTable computes one (year, rep) trace stage of cfg from
-// scratch, standalone: the rng stream is re-derived by name from
-// cfg.Seed exactly as the full pipeline derives it, so the result is
-// bit-identical to the table the stage graph would build in place. This
-// is the unit of distributed work-stealing — a peer that receives only
-// (cfg, year, rep) can execute the stage and return bytes no different
-// from local compute, which is what lets the cluster layer treat remote
-// faults as a latency problem, never a correctness one.
-func TraceReplicaTable(cfg Config, year, rep int) (trace.JobTable, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	found := false
-	for _, y := range cfg.TraceYears {
-		if y == year {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("core: year %d not among trace years %v", year, cfg.TraceYears)
-	}
-	if rep < 0 || rep >= cfg.traceScale() {
-		return nil, fmt.Errorf("core: replica %d out of range [0, %d)", rep, cfg.traceScale())
-	}
-	root := rng.New(cfg.Seed)
-	stage := traceStreamName(year, rep)
-	newStream := func() *rng.RNG { return root.SplitNamed(stage) }
-	return buildTraceReplica(cfg, newStream, year, rep)
-}
 
 // concatJobTables joins a year's replica tables in replica order (a
 // no-op for the common single-replica case).

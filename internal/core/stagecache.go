@@ -6,10 +6,10 @@ package core
 //	SHA-256(stage name ‖ version tag ‖ config fields the stage reads
 //	        ‖ sorted upstream stage keys)
 //
-// derived while buildGraph registers stages (registration order is
-// topological, so upstream keys always exist by the time a dependent
-// derives). The config-field subset is declared per stage below —
-// narrower than Config.Fingerprint on purpose: TraceScale must
+// derived while buildGraph adds the stage specs (the spec list is in
+// topological order, so upstream keys always exist by the time a
+// dependent derives). The config-field subset is declared per stage
+// below — narrower than Config.Fingerprint on purpose: TraceScale must
 // invalidate trace stages but not cohort stages, Policy must invalidate
 // only sim-policy, and execution knobs (Workers, Table) stay excluded
 // exactly as the fingerprint contract demands. Upstream keys carry
@@ -17,14 +17,15 @@ package core
 // Merkle chain, so there is no invalidation protocol at all — an entry
 // under a key is valid forever.
 //
-// A stage wrapped by the cache loads its key first: on a hit it decodes
-// the stored payload into the artifact slots the stage body would have
-// written and skips the body entirely (for trace stages that includes
-// the cluster steal hook — a hit never leaves the process); on a miss
-// it runs the body, then encodes and stores. Skipping bodies is safe
-// under the repo's rng discipline: streams are split off the root *by
-// name inside each body* and SplitNamed never advances the parent, so
-// an unexecuted stage leaves every other stage's draws untouched.
+// Every cached stage runs through one path (exec, in stage.go): load
+// its key first; on a hit decode the stored payload into the artifact
+// slots the stage body would have written and skip the body entirely
+// (for stealable stages that includes the steal hook — a hit never
+// leaves the process); on a miss run the body, then encode and store.
+// Skipping bodies is safe under the repo's rng discipline: streams are
+// split off the root *by name inside each body* and SplitNamed never
+// advances the parent, so an unexecuted stage leaves every other
+// stage's draws untouched.
 //
 // Failure contract ("faults cost latency, never bytes"): the store
 // checksums payloads and deletes what fails verification; a payload
@@ -85,23 +86,11 @@ const (
 // dependencies, order-insensitive (sorted here).
 func deriveStageKey(name, version, inputs string, upstream []string) string {
 	var b strings.Builder
-	b.WriteString(stageKeyVersion)
-	b.WriteByte('\n')
-	b.WriteString("stage=")
-	b.WriteString(name)
-	b.WriteByte('\n')
-	b.WriteString("version=")
-	b.WriteString(version)
-	b.WriteByte('\n')
-	b.WriteString("inputs=")
-	b.WriteString(inputs)
-	b.WriteByte('\n')
+	fmt.Fprintf(&b, "%s\nstage=%s\nversion=%s\ninputs=%s\n", stageKeyVersion, name, version, inputs)
 	ups := append([]string(nil), upstream...)
 	sort.Strings(ups)
 	for _, u := range ups {
-		b.WriteString("up=")
-		b.WriteString(u)
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "up=%s\n", u)
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
@@ -125,16 +114,11 @@ func panelInputs(cfg Config) string {
 	return fmt.Sprintf("seed=%d\npaneln=%d\n", cfg.Seed, cfg.PanelN)
 }
 
-// traceInputs: a (year, rep) trace stage reads only the seed — year and
-// replica are in the stage name, and raising TraceScale adds stages
-// without renaming existing ones, so a 10×-scale run reuses every
-// replica a 5×-scale run already cached.
-func traceInputs(cfg Config) string {
-	return fmt.Sprintf("seed=%d\n", cfg.Seed)
-}
-
-// modlogInputs: a telemetry year reads only the seed (year in the name).
-func modlogInputs(cfg Config) string {
+// seedInputs: a (year, rep) trace stage and a telemetry year read only
+// the seed — year and replica are in the stage name, and raising
+// TraceScale adds stages without renaming existing ones, so a 10×-scale
+// run reuses every replica a 5×-scale run already cached.
+func seedInputs(cfg Config) string {
 	return fmt.Sprintf("seed=%d\n", cfg.Seed)
 }
 
@@ -145,103 +129,15 @@ func simPolicyInputs(cfg Config) string {
 	return fmt.Sprintf("policy=%d\n", int(cfg.Policy))
 }
 
-// stageCacher threads the cache through buildGraph: derive records
-// keys as stages register, wrap turns a stage body into
-// load-or-(compute-and-store). A nil *stageCacher (cache disabled) is
-// valid and makes both no-ops, so buildGraph stays branch-free.
-type stageCacher struct {
-	cache StageCache
-	keys  map[string]string
-}
+// jobsCodec is the trace stages' payload codec.
+var jobsCodec = tableCodec(payloadJobs, trace.JobCodec{})
 
-func newStageCacher(cache StageCache) *stageCacher {
-	if cache == nil {
-		return nil
-	}
-	return &stageCacher{cache: cache, keys: map[string]string{}}
-}
-
-// derive computes and records name's key. deps name upstream stages
-// whose keys must already have been derived — buildGraph registers in
-// topological order, so a miss is a wiring bug, not a runtime state.
-func (sc *stageCacher) derive(name, version, inputs string, deps ...string) {
-	if sc == nil {
-		return
-	}
-	ups := make([]string, len(deps))
-	for i, d := range deps {
-		k, ok := sc.keys[d]
-		if !ok {
-			panic(fmt.Sprintf("core: stage %q derives from %q before its key exists", name, d))
-		}
-		ups[i] = k
-	}
-	sc.keys[name] = deriveStageKey(name, version, inputs, ups)
-}
-
-// wrap returns the cache-aware form of a stage body. enc snapshots the
-// stage's freshly computed output (called at the end of a successful
-// body, before any dependent stage can run — so for stages whose
-// outputs are later mutated in place, like cohorts ahead of raking, the
-// payload captures exactly the at-completion state); dec restores a
-// stored payload into the same artifact slots.
-func (sc *stageCacher) wrap(name string, body func() error, enc func() ([]byte, error), dec func([]byte) error) func() error {
-	if sc == nil {
-		return body
-	}
-	key, ok := sc.keys[name]
-	if !ok {
-		panic(fmt.Sprintf("core: stage %q wrapped before its key was derived", name))
-	}
-	return func() error {
-		if payload, hit := sc.cache.Load(key); hit {
-			if err := restorePayload(dec, payload); err == nil {
-				return nil
-			}
-			// Valid checksum, invalid structure: codec skew or a damaged
-			// store. Drop the entry and recompute — the cache may only
-			// ever cost latency.
-			sc.cache.Delete(key)
-		}
-		if err := body(); err != nil {
-			return err
-		}
-		if payload, err := enc(); err == nil {
-			sc.cache.Store(key, payload)
-		}
-		return nil
-	}
-}
-
-// restorePayload applies a decoder under a panic guard: a payload
-// malformed in a way the decoder's structural checks miss must degrade
-// to a recompute, never take down the run.
-func restorePayload(dec func([]byte) error, payload []byte) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("core: stage restore panicked: %v", p)
-		}
-	}()
-	return dec(payload)
-}
-
-// TraceStageKey returns the stage-cache key of the (year, rep) trace
-// stage of cfg — the same key buildGraph derives for that stage. The
-// serving layer uses it so peer-served stage steals consult and fill
-// the stage cache: a steal answered from cache costs a disk read, not a
-// generation, and the bytes are identical either way.
-func TraceStageKey(cfg Config, year, rep int) string {
-	return deriveStageKey(traceStreamName(year, rep), verTrace, traceInputs(cfg), nil)
-}
-
-// EncodeTraceStagePayload frames one trace table as the stage-cache
-// payload the trace stages store — exported with DecodeTraceStagePayload
-// so the serving layer's peer-stage path shares the exact encoding.
-func EncodeTraceStagePayload(tab trace.JobTable) ([]byte, error) {
-	return encodeTablePayload(payloadJobs, trace.JobCodec{}, tab)
-}
+// EncodeTraceStagePayload frames one trace table as the payload the
+// trace stages store and peers answer steals with — exported with
+// DecodeTraceStagePayload for callers that read those bytes directly.
+func EncodeTraceStagePayload(tab trace.JobTable) ([]byte, error) { return jobsCodec.encode(tab) }
 
 // DecodeTraceStagePayload reverses EncodeTraceStagePayload.
 func DecodeTraceStagePayload(payload []byte) (trace.JobTable, error) {
-	return decodeTablePayload(payloadJobs, trace.JobCodec{}, payload)
+	return jobsCodec.decode(payload)
 }

@@ -279,19 +279,33 @@ func TestStageCacheRealStoreEquivalence(t *testing.T) {
 	assertArtifactsEqual(t, "cold", "warm-from-disk", cold, warm)
 }
 
-// TestTraceStageKeyMatchesGraph pins the exported TraceStageKey to the
-// key buildGraph derives, which the peer-stage serving path depends on.
+// TestTraceStageKeyMatchesGraph pins RunStage to the graph's keys: a
+// stage a peer computes standalone is stored under the very key the
+// run's own stage derives, so a steal served or filled through the
+// stage cache and a run hit the same entry.
 func TestTraceStageKeyMatchesGraph(t *testing.T) {
 	cfg := equivConfig()
-	sc := newStageCacher(newMapStageCache())
-	keys := stageKeys(t, cfg, sc)
+	keys := stageKeys(t, cfg, newStageCacher(newMapStageCache()))
 	for _, year := range cfg.TraceYears {
-		name := TraceStageName(year, 0)
+		name := traceStreamName(year, 0)
 		if keys[name] == "" {
 			t.Fatalf("no graph key for %s", name)
 		}
-		if got := TraceStageKey(cfg, year, 0); got != keys[name] {
-			t.Fatalf("TraceStageKey(%d, 0) = %s, graph derived %s", year, got, keys[name])
+		cache := newMapStageCache()
+		payload, err := RunStage(t.Context(), cfg, name, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := cache.m[keys[name]]; !ok || string(got) != string(payload) {
+			t.Fatalf("RunStage(%s) did not store its payload under the graph key", name)
+		}
+		// A second call is a hit that returns the stored bytes.
+		again, err := RunStage(t.Context(), cfg, name, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, hits, stores, _ := cache.stats(); hits != 1 || stores != 1 || string(again) != string(payload) {
+			t.Fatalf("second RunStage(%s): hits %d, stores %d, same bytes %v", name, hits, stores, string(again) == string(payload))
 		}
 	}
 }

@@ -43,33 +43,42 @@ const (
 	payloadSim       = "rcpt-stage-sim/1"
 )
 
-// maxStageItems bounds any decoded count before allocation: no stage
-// output in any plausible configuration approaches it, so a larger
-// value can only be a damaged or hostile payload.
-const maxStageItems = 1 << 28
-
-// checkMagic consumes and verifies the payload's kind marker.
-func checkMagic(r *table.Reader, want string) error {
-	got := r.String()
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("core: stage payload magic: %w", err)
-	}
-	if got != want {
-		return fmt.Errorf("core: stage payload kind %q, want %q", got, want)
-	}
-	return nil
+// payloadReader reads one stage payload and knows how many of its
+// bytes are still unread, which is what bounds every decoded count.
+type payloadReader struct {
+	*table.Reader
+	src *bytes.Reader
 }
 
-// readCount reads a length-prefix and sanity-bounds it.
-func readCount(r *table.Reader, what string) (int, error) {
-	n := r.Uvarint()
+// openPayload checks the payload's kind marker and returns a reader
+// positioned after it.
+func openPayload(payload []byte, want string) (*payloadReader, error) {
+	src := bytes.NewReader(payload)
+	r := &payloadReader{Reader: table.NewReader(src), src: src}
+	got := r.String()
 	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("core: stage payload %s count: %w", what, err)
+		return r, fmt.Errorf("core: stage payload magic: %w", err)
 	}
-	if n > maxStageItems {
-		return 0, fmt.Errorf("core: stage payload %s count %d out of range", what, n)
+	if got != want {
+		return r, fmt.Errorf("core: stage payload kind %q, want %q", got, want)
 	}
-	return int(n), nil
+	return r, nil
+}
+
+// count reads a length prefix. Every element takes at least one byte,
+// so a count larger than the unread bytes can only come from a damaged
+// or hostile payload — refusing it (as 0, failing the reader, whose
+// error the decoder's final Err check reports) before any make keeps
+// allocation proportional to the payload.
+func (r *payloadReader) count(what string) int {
+	n := r.Uvarint()
+	if left := r.src.Len(); n > uint64(left) {
+		r.Fail(fmt.Errorf("core: stage payload %s count %d exceeds the %d unread bytes", what, n, left))
+	}
+	if r.Err() != nil {
+		return 0
+	}
+	return int(n)
 }
 
 // encodeTableBlock frames a whole table as one rcpt-col/1 stream
@@ -94,13 +103,13 @@ func decodeTableBlock[T any](r *table.Reader, codec table.Codec[T]) (table.Table
 	return table.DecodeStream[T](strings.NewReader(block), codec)
 }
 
-// --- generic table payloads (trace replicas, cohort tables, telemetry) ---
-
-func encodeTablePayload[T any](magic string, codec table.Codec[T], tab table.Table[T]) ([]byte, error) {
+// encodePayload frames one payload: its kind magic, then what body
+// writes.
+func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, error) {
 	var buf bytes.Buffer
 	w := table.NewWriter(&buf)
 	w.String(magic)
-	if err := encodeTableBlock(w, codec, tab); err != nil {
+	if err := body(w); err != nil {
 		return nil, err
 	}
 	if err := w.Err(); err != nil {
@@ -109,29 +118,47 @@ func encodeTablePayload[T any](magic string, codec table.Codec[T], tab table.Tab
 	return buf.Bytes(), nil
 }
 
-func decodeTablePayload[T any](magic string, codec table.Codec[T], payload []byte) (table.Table[T], error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, magic); err != nil {
-		return nil, err
+// --- table payloads (trace replicas, cohort tables, telemetry) ---
+
+// tableCodec is the payload codec of a table-valued stage output.
+func tableCodec[T any](magic string, c table.Codec[T]) codec[table.Table[T]] {
+	return codec[table.Table[T]]{
+		encode: func(tab table.Table[T]) ([]byte, error) {
+			return encodePayload(magic, func(w *table.Writer) error { return encodeTableBlock(w, c, tab) })
+		},
+		decode: func(payload []byte) (table.Table[T], error) {
+			r, err := openPayload(payload, magic)
+			if err != nil {
+				return nil, err
+			}
+			return decodeTableBlock(r.Reader, c)
+		},
 	}
-	return decodeTableBlock(r, codec)
 }
 
-// --- cohort: final screened responses + the quality report ---
+// --- responses, as embedded in the cohort and panel payloads ---
 
-// writeEmptyChoices records which (row, question) answers carry an
-// empty-but-allocated Choices slice. The columnar response form stores
-// only answer counts, so []string{} (a multi-choice question answered
-// with zero selections) collapses into nil on decode — but a restored
-// stage must reproduce exactly the values the computed stage held, down
-// to reflect.DeepEqual, so payloads that embed responses carry this
-// sidecar. Rows are emitted in order with questions sorted, keeping the
-// payload canonical.
-func writeEmptyChoices(w *table.Writer, vals []survey.Response) {
-	var refs []struct {
+// writeResponses frames responses as one table block plus a sidecar
+// naming the (row, question) answers that carry an empty-but-allocated
+// Choices slice. The columnar response form stores only answer counts,
+// so []string{} (a multi-choice question answered with zero selections)
+// collapses into nil on decode — but a restored stage must reproduce
+// exactly the values the computed stage held, down to
+// reflect.DeepEqual. Rows are emitted in order with questions sorted,
+// keeping the payload canonical.
+func writeResponses(w *table.Writer, rs []*survey.Response) error {
+	vals := make([]survey.Response, len(rs))
+	for i, r := range rs {
+		vals[i] = *r
+	}
+	if err := encodeTableBlock(w, survey.ResponseCodec{}, table.NewSlice(vals, survey.ResponseCodec{}.HashRow)); err != nil {
+		return err
+	}
+	type ref struct {
 		row int
 		qid string
 	}
+	var refs []ref
 	for i := range vals {
 		var qids []string
 		for qid, a := range vals[i].Answers {
@@ -141,10 +168,7 @@ func writeEmptyChoices(w *table.Writer, vals []survey.Response) {
 		}
 		sort.Strings(qids)
 		for _, qid := range qids {
-			refs = append(refs, struct {
-				row int
-				qid string
-			}{i, qid})
+			refs = append(refs, ref{i, qid})
 		}
 	}
 	w.Uvarint(uint64(len(refs)))
@@ -152,15 +176,20 @@ func writeEmptyChoices(w *table.Writer, vals []survey.Response) {
 		w.Uvarint(uint64(e.row))
 		w.String(e.qid)
 	}
+	return nil
 }
 
-// applyEmptyChoices reverses writeEmptyChoices over freshly
-// materialized responses.
-func applyEmptyChoices(r *table.Reader, rs []*survey.Response) error {
-	n, err := readCount(r, "empty-choice")
+// readResponses reverses writeResponses.
+func readResponses(r *payloadReader) ([]*survey.Response, error) {
+	tab, err := decodeTableBlock(r.Reader, survey.ResponseCodec{})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	rs, err := survey.MaterializeResponses(tab)
+	if err != nil {
+		return nil, err
+	}
+	n := r.count("empty-choice")
 	for i := 0; i < n; i++ {
 		row := int(r.Uvarint())
 		qid := r.String()
@@ -168,74 +197,65 @@ func applyEmptyChoices(r *table.Reader, rs []*survey.Response) error {
 			break
 		}
 		if row < 0 || row >= len(rs) {
-			return fmt.Errorf("core: empty-choice sidecar row %d out of range", row)
+			return nil, fmt.Errorf("core: empty-choice sidecar row %d out of range", row)
 		}
 		a, ok := rs[row].Answers[qid]
 		if !ok {
-			return fmt.Errorf("core: empty-choice sidecar names unanswered question %q", qid)
+			return nil, fmt.Errorf("core: empty-choice sidecar names unanswered question %q", qid)
 		}
 		a.Choices = []string{}
 		rs[row].Answers[qid] = a
 	}
-	return r.Err()
+	return rs, r.Err()
 }
 
-func encodeCohortPayload(rs []*survey.Response, qr survey.QualityReport) ([]byte, error) {
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
-	w.String(payloadCohort)
-	vals := make([]survey.Response, len(rs))
-	for i, r := range rs {
-		vals[i] = *r
-	}
-	if err := encodeTableBlock(w, survey.ResponseCodec{}, table.NewSlice(vals, survey.ResponseCodec{}.HashRow)); err != nil {
-		return nil, err
-	}
-	writeEmptyChoices(w, vals)
-	w.Uvarint(uint64(len(qr.Flags)))
-	for _, f := range qr.Flags {
-		w.String(f.ResponseID)
-		w.String(f.Rule)
-		w.Varint(int64(f.Severity))
-		w.String(f.Detail)
-	}
-	hard := make([]string, 0, len(qr.HardIDs))
-	for id := range qr.HardIDs {
-		hard = append(hard, id)
-	}
-	sort.Strings(hard)
-	w.Uvarint(uint64(len(hard)))
-	for _, id := range hard {
-		w.String(id)
-	}
-	w.Uvarint(uint64(qr.Responses))
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// --- cohort: final screened responses + the quality report ---
+
+// cohortOutput is a cohort stage's output: the screened responses and
+// the quality report of their screening.
+type cohortOutput struct {
+	responses []*survey.Response
+	quality   survey.QualityReport
 }
 
-func decodeCohortPayload(payload []byte) ([]*survey.Response, survey.QualityReport, error) {
+func encodeCohortPayload(c cohortOutput) ([]byte, error) {
+	return encodePayload(payloadCohort, func(w *table.Writer) error {
+		if err := writeResponses(w, c.responses); err != nil {
+			return err
+		}
+		qr := c.quality
+		w.Uvarint(uint64(len(qr.Flags)))
+		for _, f := range qr.Flags {
+			w.String(f.ResponseID)
+			w.String(f.Rule)
+			w.Varint(int64(f.Severity))
+			w.String(f.Detail)
+		}
+		hard := make([]string, 0, len(qr.HardIDs))
+		for id := range qr.HardIDs {
+			hard = append(hard, id)
+		}
+		sort.Strings(hard)
+		w.Uvarint(uint64(len(hard)))
+		for _, id := range hard {
+			w.String(id)
+		}
+		w.Uvarint(uint64(qr.Responses))
+		return nil
+	})
+}
+
+func decodeCohortPayload(payload []byte) (cohortOutput, error) {
 	var qr survey.QualityReport
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadCohort); err != nil {
-		return nil, qr, err
-	}
-	tab, err := decodeTableBlock(r, survey.ResponseCodec{})
+	r, err := openPayload(payload, payloadCohort)
 	if err != nil {
-		return nil, qr, err
+		return cohortOutput{}, err
 	}
-	rs, err := survey.MaterializeResponses(tab)
+	rs, err := readResponses(r)
 	if err != nil {
-		return nil, qr, err
+		return cohortOutput{}, err
 	}
-	if err := applyEmptyChoices(r, rs); err != nil {
-		return nil, qr, err
-	}
-	nf, err := readCount(r, "flag")
-	if err != nil {
-		return nil, qr, err
-	}
+	nf := r.count("flag")
 	if nf > 0 {
 		qr.Flags = make([]survey.Flag, nf)
 		for i := range qr.Flags {
@@ -247,62 +267,61 @@ func decodeCohortPayload(payload []byte) ([]*survey.Response, survey.QualityRepo
 			}
 		}
 	}
-	nh, err := readCount(r, "hard ID")
-	if err != nil {
-		return nil, qr, err
-	}
+	nh := r.count("hard ID")
 	qr.HardIDs = make(map[string]bool, nh)
 	for i := 0; i < nh; i++ {
 		qr.HardIDs[r.String()] = true
 	}
 	qr.Responses = int(r.Uvarint())
 	if err := r.Err(); err != nil {
-		return nil, qr, fmt.Errorf("core: cohort payload: %w", err)
+		return cohortOutput{}, fmt.Errorf("core: cohort payload: %w", err)
 	}
-	return rs, qr, nil
+	return cohortOutput{responses: rs, quality: qr}, nil
 }
 
 // --- rake: the raking diagnostics + the per-response weights it set ---
 
-// encodeRakePayload snapshots res plus the weight the stage assigned to
-// each response, by cohort index. Restoring weights positionally is
-// sound because the cohort the weights apply to is itself pinned by the
-// rake stage's upstream key: same key, same responses in the same
-// order.
-func encodeRakePayload(res weighting.Result, cohort []*survey.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
-	w.String(payloadRake)
-	w.Varint(int64(res.Iterations))
-	converged := uint64(0)
-	if res.Converged {
-		converged = 1
-	}
-	w.Uvarint(converged)
-	w.Float64(res.MaxDeviation)
-	w.Float64(res.EffectiveN)
-	w.Float64(res.DesignEffect)
-	w.Float64(res.MinWeight)
-	w.Float64(res.MaxWeight)
-	w.Uvarint(uint64(len(res.DeviationTrace)))
-	for _, d := range res.DeviationTrace {
-		w.Float64(d)
-	}
-	w.Uvarint(uint64(len(cohort)))
-	for _, resp := range cohort {
-		w.Float64(resp.Weight)
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+// rakeOutput is a rake stage's output: the raking diagnostics plus the
+// weight the stage assigned to each response, by cohort index.
+// Restoring weights positionally is sound because the cohort the
+// weights apply to is itself pinned by the rake stage's upstream key:
+// same key, same responses in the same order.
+type rakeOutput struct {
+	result  weighting.Result
+	weights []float64
 }
 
-func decodeRakePayload(payload []byte) (weighting.Result, []float64, error) {
+func encodeRakePayload(o rakeOutput) ([]byte, error) {
+	return encodePayload(payloadRake, func(w *table.Writer) error {
+		res := o.result
+		w.Varint(int64(res.Iterations))
+		converged := uint64(0)
+		if res.Converged {
+			converged = 1
+		}
+		w.Uvarint(converged)
+		w.Float64(res.MaxDeviation)
+		w.Float64(res.EffectiveN)
+		w.Float64(res.DesignEffect)
+		w.Float64(res.MinWeight)
+		w.Float64(res.MaxWeight)
+		w.Uvarint(uint64(len(res.DeviationTrace)))
+		for _, d := range res.DeviationTrace {
+			w.Float64(d)
+		}
+		w.Uvarint(uint64(len(o.weights)))
+		for _, wt := range o.weights {
+			w.Float64(wt)
+		}
+		return nil
+	})
+}
+
+func decodeRakePayload(payload []byte) (rakeOutput, error) {
 	var res weighting.Result
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadRake); err != nil {
-		return res, nil, err
+	r, err := openPayload(payload, payloadRake)
+	if err != nil {
+		return rakeOutput{}, err
 	}
 	res.Iterations = int(r.Varint())
 	res.Converged = r.Uvarint() == 1
@@ -311,68 +330,52 @@ func decodeRakePayload(payload []byte) (weighting.Result, []float64, error) {
 	res.DesignEffect = r.Float64()
 	res.MinWeight = r.Float64()
 	res.MaxWeight = r.Float64()
-	nt, err := readCount(r, "deviation trace")
-	if err != nil {
-		return res, nil, err
-	}
+	nt := r.count("deviation trace")
 	if nt > 0 {
 		res.DeviationTrace = make([]float64, nt)
 		for i := range res.DeviationTrace {
 			res.DeviationTrace[i] = r.Float64()
 		}
 	}
-	nw, err := readCount(r, "weight")
-	if err != nil {
-		return res, nil, err
-	}
+	nw := r.count("weight")
 	weights := make([]float64, nw)
 	for i := range weights {
 		weights[i] = r.Float64()
 	}
 	if err := r.Err(); err != nil {
-		return res, nil, fmt.Errorf("core: rake payload: %w", err)
+		return rakeOutput{}, fmt.Errorf("core: rake payload: %w", err)
 	}
-	return res, weights, nil
+	return rakeOutput{result: res, weights: weights}, nil
 }
 
 // --- panel: longitudinal members as IDs + two wave tables ---
 
 func encodePanelPayload(members []population.PanelMember) ([]byte, error) {
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
-	w.String(payloadPanel)
-	w.Uvarint(uint64(len(members)))
-	wave1 := make([]survey.Response, len(members))
-	wave2 := make([]survey.Response, len(members))
-	for i, m := range members {
-		if m.Wave1 == nil || m.Wave2 == nil {
-			return nil, fmt.Errorf("core: panel member %d missing a wave", i)
+	return encodePayload(payloadPanel, func(w *table.Writer) error {
+		w.Uvarint(uint64(len(members)))
+		waves := [2][]*survey.Response{make([]*survey.Response, len(members)), make([]*survey.Response, len(members))}
+		for i, m := range members {
+			if m.Wave1 == nil || m.Wave2 == nil {
+				return fmt.Errorf("core: panel member %d missing a wave", i)
+			}
+			w.String(m.PersonID)
+			waves[0][i], waves[1][i] = m.Wave1, m.Wave2
 		}
-		w.String(m.PersonID)
-		wave1[i] = *m.Wave1
-		wave2[i] = *m.Wave2
-	}
-	for _, wave := range [][]survey.Response{wave1, wave2} {
-		if err := encodeTableBlock(w, survey.ResponseCodec{}, table.NewSlice(wave, survey.ResponseCodec{}.HashRow)); err != nil {
-			return nil, err
+		for _, wave := range waves {
+			if err := writeResponses(w, wave); err != nil {
+				return err
+			}
 		}
-		writeEmptyChoices(w, wave)
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+		return nil
+	})
 }
 
 func decodePanelPayload(payload []byte) ([]population.PanelMember, error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadPanel); err != nil {
-		return nil, err
-	}
-	n, err := readCount(r, "panel member")
+	r, err := openPayload(payload, payloadPanel)
 	if err != nil {
 		return nil, err
 	}
+	n := r.count("panel member")
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = r.String()
@@ -380,23 +383,14 @@ func decodePanelPayload(payload []byte) ([]population.PanelMember, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: panel payload: %w", err)
 	}
-	waves := make([][]*survey.Response, 2)
+	var waves [2][]*survey.Response
 	for wi := range waves {
-		tab, err := decodeTableBlock(r, survey.ResponseCodec{})
-		if err != nil {
+		if waves[wi], err = readResponses(r); err != nil {
 			return nil, err
 		}
-		rs, err := survey.MaterializeResponses(tab)
-		if err != nil {
-			return nil, err
+		if len(waves[wi]) != n {
+			return nil, fmt.Errorf("core: panel payload wave %d has %d responses, want %d", wi+1, len(waves[wi]), n)
 		}
-		if err := applyEmptyChoices(r, rs); err != nil {
-			return nil, err
-		}
-		if len(rs) != n {
-			return nil, fmt.Errorf("core: panel payload wave %d has %d responses, want %d", wi+1, len(rs), n)
-		}
-		waves[wi] = rs
 	}
 	members := make([]population.PanelMember, n)
 	for i := range members {
@@ -408,47 +402,37 @@ func decodePanelPayload(payload []byte) ([]population.PanelMember, error) {
 // --- modlog-merge: per-year telemetry shares ---
 
 func encodeModAggPayload(agg []modlog.YearShares) ([]byte, error) {
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
-	w.String(payloadModAgg)
-	w.Uvarint(uint64(len(agg)))
-	for _, ys := range agg {
-		w.Varint(int64(ys.Year))
-		w.Varint(int64(ys.Users))
-		keys := make([]string, 0, len(ys.Shares))
-		for k := range ys.Shares {
-			keys = append(keys, k)
+	return encodePayload(payloadModAgg, func(w *table.Writer) error {
+		w.Uvarint(uint64(len(agg)))
+		for _, ys := range agg {
+			w.Varint(int64(ys.Year))
+			w.Varint(int64(ys.Users))
+			keys := make([]string, 0, len(ys.Shares))
+			for k := range ys.Shares {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			w.Uvarint(uint64(len(keys)))
+			for _, k := range keys {
+				w.String(k)
+				w.Float64(ys.Shares[k])
+			}
 		}
-		sort.Strings(keys)
-		w.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			w.String(k)
-			w.Float64(ys.Shares[k])
-		}
-	}
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+		return nil
+	})
 }
 
 func decodeModAggPayload(payload []byte) ([]modlog.YearShares, error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadModAgg); err != nil {
-		return nil, err
-	}
-	n, err := readCount(r, "year shares")
+	r, err := openPayload(payload, payloadModAgg)
 	if err != nil {
 		return nil, err
 	}
+	n := r.count("year shares")
 	agg := make([]modlog.YearShares, n)
 	for i := range agg {
 		agg[i].Year = int(r.Varint())
 		agg[i].Users = int(r.Varint())
-		nk, err := readCount(r, "module share")
-		if err != nil {
-			return nil, err
-		}
+		nk := r.count("module share")
 		agg[i].Shares = make(map[string]float64, nk)
 		for j := 0; j < nk; j++ {
 			k := r.String()
@@ -467,60 +451,53 @@ func encodeSimPayload(res *sched.Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("core: nil simulation result")
 	}
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
-	w.String(payloadSim)
-	cols := trace.JobCodec{}.NewColumns()
-	for _, jr := range res.Results {
-		cols.Append(jr.Job)
-	}
-	w.Uvarint(uint64(len(res.Results)))
-	if err := cols.EncodeTo(w); err != nil {
-		return nil, err
-	}
-	for _, jr := range res.Results {
-		w.Varint(jr.Start)
-		w.Varint(jr.Wait)
-	}
-	w.Uvarint(uint64(len(res.Samples)))
-	for _, s := range res.Samples {
-		w.Varint(s.Time)
-		w.Float64(s.CPUUtil)
-		w.Float64(s.GPUUtil)
-		w.Varint(int64(s.Queued))
-	}
-	m := res.Metrics
-	w.Varint(int64(m.Policy))
-	w.Varint(int64(m.Jobs))
-	w.Varint(m.Makespan)
-	w.Float64(m.MeanWait)
-	w.Float64(m.MedianWait)
-	w.Float64(m.P95Wait)
-	w.Varint(m.MaxWait)
-	w.Float64(m.AvgCPUUtil)
-	w.Float64(m.AvgGPUUtil)
-	w.Varint(int64(m.BackfillStarts))
-	w.Float64(m.BoundedSlowdown)
-	w.Float64(m.CPUMeanWait)
-	w.Float64(m.GPUMeanWait)
-	w.Float64(m.UserFairness)
-	if err := w.Err(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodePayload(payloadSim, func(w *table.Writer) error {
+		cols := trace.JobCodec{}.NewColumns()
+		for _, jr := range res.Results {
+			cols.Append(jr.Job)
+		}
+		w.Uvarint(uint64(len(res.Results)))
+		if err := cols.EncodeTo(w); err != nil {
+			return err
+		}
+		for _, jr := range res.Results {
+			w.Varint(jr.Start)
+			w.Varint(jr.Wait)
+		}
+		w.Uvarint(uint64(len(res.Samples)))
+		for _, s := range res.Samples {
+			w.Varint(s.Time)
+			w.Float64(s.CPUUtil)
+			w.Float64(s.GPUUtil)
+			w.Varint(int64(s.Queued))
+		}
+		m := res.Metrics
+		w.Varint(int64(m.Policy))
+		w.Varint(int64(m.Jobs))
+		w.Varint(m.Makespan)
+		w.Float64(m.MeanWait)
+		w.Float64(m.MedianWait)
+		w.Float64(m.P95Wait)
+		w.Varint(m.MaxWait)
+		w.Float64(m.AvgCPUUtil)
+		w.Float64(m.AvgGPUUtil)
+		w.Varint(int64(m.BackfillStarts))
+		w.Float64(m.BoundedSlowdown)
+		w.Float64(m.CPUMeanWait)
+		w.Float64(m.GPUMeanWait)
+		w.Float64(m.UserFairness)
+		return nil
+	})
 }
 
 func decodeSimPayload(payload []byte) (*sched.Result, error) {
-	r := table.NewReader(bytes.NewReader(payload))
-	if err := checkMagic(r, payloadSim); err != nil {
-		return nil, err
-	}
-	n, err := readCount(r, "job result")
+	r, err := openPayload(payload, payloadSim)
 	if err != nil {
 		return nil, err
 	}
+	n := r.count("job result")
 	cols := trace.JobCodec{}.NewColumns()
-	if err := cols.DecodeFrom(r); err != nil {
+	if err := cols.DecodeFrom(r.Reader); err != nil {
 		return nil, fmt.Errorf("core: sim payload jobs: %w", err)
 	}
 	if cols.Len() != n {
@@ -530,10 +507,7 @@ func decodeSimPayload(payload []byte) (*sched.Result, error) {
 	for i := 0; i < n; i++ {
 		res.Results[i] = sched.JobResult{Job: cols.Row(i), Start: r.Varint(), Wait: r.Varint()}
 	}
-	ns, err := readCount(r, "utilization sample")
-	if err != nil {
-		return nil, err
-	}
+	ns := r.count("utilization sample")
 	res.Samples = make([]sched.UtilSample, ns)
 	for i := range res.Samples {
 		res.Samples[i] = sched.UtilSample{

@@ -1,0 +1,147 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/internal/sched"
+	"repro/internal/table"
+)
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestDecodersBoundCounts: a tiny payload that claims 2^28 elements, or
+// a 16 MiB string, must be refused before anything is allocated for
+// them — every element takes at least one byte, so no count or length
+// may exceed the unread bytes.
+func TestDecodersBoundCounts(t *testing.T) {
+	claim := func(write func(w *table.Writer)) []byte {
+		var buf bytes.Buffer
+		w := table.NewWriter(&buf)
+		write(w)
+		return buf.Bytes()
+	}
+	rake := claim(func(w *table.Writer) {
+		w.String(payloadRake)
+		w.Varint(3)
+		w.Uvarint(1)
+		for i := 0; i < 5; i++ {
+			w.Float64(1)
+		}
+		w.Uvarint(1 << 28) // deviation-trace entries
+	})
+	modagg := claim(func(w *table.Writer) {
+		w.String(payloadModAgg)
+		w.Uvarint(1 << 28) // years
+	})
+	magic := claim(func(w *table.Writer) {
+		w.Uvarint(1 << 24) // a kind marker 16 MiB long
+	})
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"rake", rake, func(p []byte) error { _, err := decodeRakePayload(p); return err }},
+		{"modagg", modagg, func(p []byte) error { _, err := decodeModAggPayload(p); return err }},
+		{"magic", magic, func(p []byte) error { _, err := decodeSimPayload(p); return err }},
+	} {
+		before := totalAlloc()
+		err := c.decode(c.payload)
+		grown := totalAlloc() - before
+		if err == nil {
+			t.Errorf("%s: a %d-byte payload claiming more than it holds decoded", c.name, len(c.payload))
+		}
+		if grown > 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d", c.name, len(c.payload), grown)
+		}
+	}
+}
+
+// fuzzConfig is the run whose payloads seed FuzzStageDecoders: every
+// cacheable stage kind, at small sizes so the mutator stays fast.
+func fuzzConfig() Config {
+	return Config{
+		Seed:       5,
+		N2011:      20,
+		N2024:      24,
+		TraceYears: []int{2011},
+		SimYear:    2011,
+		Policy:     sched.EASYBackfill,
+		Rake:       true,
+		PanelN:     6,
+		NoiseRate:  0.05,
+	}
+}
+
+// FuzzStageDecoders feeds arbitrary bytes to the decoder of every
+// cacheable stage in the spec list, seeded with the payloads of a real
+// cold run. The seeds must round-trip byte-identically; for any input,
+// decoding must not panic, must allocate in proportion to the input,
+// and an accepted payload must re-encode to a fixed point.
+func FuzzStageDecoders(f *testing.F) {
+	cfg := fuzzConfig()
+	cache := newMapStageCache()
+	if _, err := RunWithOptions(context.Background(), cfg, RunOptions{StageCache: cache}); err != nil {
+		f.Fatal(err)
+	}
+	specs, err := stages(cfg, newArtifacts(cfg))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var kinds []spec
+	index := map[string]int{}
+	sc := newStageCacher(nil)
+	for _, s := range specs {
+		key := sc.key(s)
+		if s.decode == nil {
+			continue
+		}
+		if _, ok := index[s.version]; !ok {
+			index[s.version] = len(kinds)
+			kinds = append(kinds, s)
+		}
+		seed, ok := cache.m[key]
+		if !ok {
+			f.Fatalf("cold run stored no payload for %s", s.name)
+		}
+		v, err := s.decode(seed)
+		if err != nil {
+			f.Fatalf("%s: seed does not decode: %v", s.name, err)
+		}
+		if again, err := s.encode(v); err != nil || !bytes.Equal(again, seed) {
+			f.Fatalf("%s: seed does not round-trip (err %v)", s.name, err)
+		}
+		f.Add(uint8(index[s.version]), seed)
+	}
+
+	f.Fuzz(func(t *testing.T, kind uint8, in []byte) {
+		s := kinds[int(kind)%len(kinds)]
+		before := totalAlloc()
+		v, err := s.decode(in)
+		if grown := totalAlloc() - before; grown > 1<<20+64*uint64(len(in)) {
+			t.Fatalf("%s: decoding %d bytes allocated %d", s.version, len(in), grown)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := s.encode(v)
+		if err != nil {
+			t.Fatalf("%s: accepted payload does not re-encode: %v", s.version, err)
+		}
+		v2, err := s.decode(enc)
+		if err != nil {
+			t.Fatalf("%s: re-encoded payload rejected: %v", s.version, err)
+		}
+		enc2, err := s.encode(v2)
+		if err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("%s: encoding is not a fixed point of decode (err %v)", s.version, err)
+		}
+	})
+}

@@ -1,0 +1,61 @@
+package core
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/sched"
+)
+
+var updateKeys = flag.Bool("update", false, "rewrite testdata/stagekeys.golden")
+
+// TestStageKeysGolden pins every stage's Merkle key to a value, not
+// just to which keys move between configs: a silent key change orphans
+// every persisted stage entry. Two configs cover the whole spec list —
+// DefaultConfig, and a variant whose cohort tables hang straight off
+// the cohorts (Rake off), with no panel, replica stage names
+// (TraceScale 2) and another policy.
+func TestStageKeysGolden(t *testing.T) {
+	variant := DefaultConfig()
+	variant.Rake = false
+	variant.PanelN = 0
+	variant.TraceScale = 2
+	variant.Policy = sched.FCFS
+
+	var b strings.Builder
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"default", DefaultConfig()}, {"variant", variant}} {
+		keys := stageKeys(t, c.cfg, newStageCacher(newMapStageCache()))
+		names := make([]string, 0, len(keys))
+		for name := range keys {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s %s\n", c.name, name, keys[name])
+		}
+	}
+	path := filepath.Join("testdata", "stagekeys.golden")
+	if *updateKeys {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading %s (run `go test ./internal/core -run StageKeysGolden -update`): %v", path, err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("stage keys differ from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
+}

@@ -1,22 +1,20 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/parallel"
-	"repro/internal/table"
-	"repro/internal/trace"
 )
 
 // TestTraceStageHookEquivalence pins the distribution seam's contract:
-// a run whose trace stages are computed through the TraceStage hook —
-// here standalone TraceReplicaTable plus a round trip through the
-// checksummed stream envelope, i.e. exactly what a remote steal does —
-// produces artifacts deeply equal and byte-identical to a plain run.
+// a run whose trace stages are all stolen through the Steal hook —
+// here a standalone RunStage, i.e. exactly what a peer answers a steal
+// with — produces artifacts deeply equal and byte-identical to a plain
+// run, and the hook sees the trace stages and nothing else.
 func TestTraceStageHookEquivalence(t *testing.T) {
 	cfg := equivConfig()
 	cfg.TraceScale = 2 // cover rep>0 stage names through the hook
@@ -26,17 +24,12 @@ func TestTraceStageHookEquivalence(t *testing.T) {
 	}
 	var calls atomic.Int64
 	hooked, err := RunWithOptions(context.Background(), cfg, RunOptions{
-		TraceStage: func(_ context.Context, cfg Config, year, rep int) (trace.JobTable, error) {
+		Steal: func(ctx context.Context, cfg Config, stage string, _ func() error) ([]byte, error) {
 			calls.Add(1)
-			tab, err := TraceReplicaTable(cfg, year, rep)
-			if err != nil {
-				return nil, err
+			if !strings.HasPrefix(stage, "trace-") {
+				t.Errorf("hook offered non-trace stage %q", stage)
 			}
-			var wire bytes.Buffer
-			if err := table.EncodeStream[trace.Job](&wire, trace.JobCodec{}, tab); err != nil {
-				return nil, err
-			}
-			return table.DecodeStream[trace.Job](&wire, trace.JobCodec{})
+			return RunStage(ctx, cfg, stage, nil)
 		},
 	})
 	if err != nil {
@@ -45,7 +38,7 @@ func TestTraceStageHookEquivalence(t *testing.T) {
 	if want := int64(len(cfg.TraceYears) * cfg.TraceScale); calls.Load() != want {
 		t.Fatalf("hook called %d times, want %d", calls.Load(), want)
 	}
-	assertArtifactsEqual(t, "in-process", "via hook+stream", base, hooked)
+	assertArtifactsEqual(t, "in-process", "via hook", base, hooked)
 }
 
 // TestTraceStageHookError: a hook failure is a stage failure — it
@@ -55,11 +48,11 @@ func TestTraceStageHookError(t *testing.T) {
 	cfg := equivConfig()
 	boom := errors.New("peer melted")
 	_, err := RunWithOptions(context.Background(), cfg, RunOptions{
-		TraceStage: func(_ context.Context, cfg Config, year, rep int) (trace.JobTable, error) {
-			if year == cfg.TraceYears[len(cfg.TraceYears)-1] {
+		Steal: func(_ context.Context, cfg Config, stage string, local func() error) ([]byte, error) {
+			if stage == "trace-2013" {
 				return nil, boom
 			}
-			return TraceReplicaTable(cfg, year, rep)
+			return nil, local()
 		},
 	})
 	var se *parallel.StageError
@@ -74,18 +67,63 @@ func TestTraceStageHookError(t *testing.T) {
 	}
 }
 
-// TestTraceReplicaTableValidation: the standalone stage entry point is
-// the surface a peer endpoint exposes, so it must reject out-of-graph
-// (year, rep) coordinates instead of fabricating streams for them.
-func TestTraceReplicaTableValidation(t *testing.T) {
+// TestStealBadPayloadComputesLocally: a stolen payload that does not
+// restore is dropped, never stored, and the stage computes here: the
+// artifacts still match a plain run and the cache holds the locally
+// computed payload.
+func TestStealBadPayloadComputesLocally(t *testing.T) {
 	cfg := equivConfig()
-	if _, err := TraceReplicaTable(cfg, 1999, 0); err == nil {
-		t.Fatal("accepted a year outside TraceYears")
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TraceReplicaTable(cfg, cfg.TraceYears[0], 1); err == nil {
-		t.Fatal("accepted a replica beyond the trace scale")
+	cache := newMapStageCache()
+	got, err := RunWithOptions(context.Background(), cfg, RunOptions{
+		StageCache: cache,
+		Steal: func(context.Context, Config, string, func() error) ([]byte, error) {
+			return []byte("rcpt-stage-jobs/1 but not really"), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := TraceReplicaTable(cfg, cfg.TraceYears[0], -1); err == nil {
-		t.Fatal("accepted a negative replica")
+	assertArtifactsEqual(t, "plain", "bad steals", base, got)
+	keys := stageKeys(t, cfg, newStageCacher(newMapStageCache()))
+	for _, year := range cfg.TraceYears {
+		name := traceStreamName(year, 0)
+		payload, ok := cache.m[keys[name]]
+		if !ok {
+			t.Fatalf("%s: locally computed payload not stored", name)
+		}
+		want, err := RunStage(context.Background(), cfg, name, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(payload) != string(want) {
+			t.Fatalf("%s: stored payload is not the locally computed one", name)
+		}
+	}
+}
+
+// TestRunStageValidation: the standalone stage entry point is the
+// surface a peer endpoint exposes, so it must reject names outside the
+// config's stealable stages instead of fabricating streams for them.
+func TestRunStageValidation(t *testing.T) {
+	cfg := equivConfig()
+	for _, name := range []string{
+		"trace-1999",      // a year outside TraceYears
+		"trace-2011-rep1", // a replica beyond the trace scale
+		"trace-2011-rep-1",
+		"cohort-2011", // a real stage, but not stealable
+		"",
+	} {
+		if _, err := RunStage(context.Background(), cfg, name, nil); err == nil {
+			t.Fatalf("RunStage accepted %q", name)
+		}
+	}
+	bad := cfg
+	bad.TraceYears = nil
+	if _, err := RunStage(context.Background(), bad, "trace-2011", nil); err == nil {
+		t.Fatal("RunStage accepted an invalid config")
 	}
 }

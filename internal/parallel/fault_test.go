@@ -108,7 +108,7 @@ func TestRetryBackoffJitterIsDeterministic(t *testing.T) {
 		jr := rng.New(42).SplitNamed("retry").SplitNamed("retry/stage-x")
 		var out []time.Duration
 		for attempt := 2; attempt <= 5; attempt++ {
-			out = append(out, p.backoffFor(attempt, jr))
+			out = append(out, p.backoff(attempt, jr))
 		}
 		return out
 	}

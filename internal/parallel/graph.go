@@ -181,9 +181,6 @@ func (g *Graph) add(st Stage) {
 	g.stages = append(g.stages, st)
 }
 
-// Len returns the number of registered stages.
-func (g *Graph) Len() int { return len(g.stages) }
-
 // SetObserver installs a per-stage timing hook: after each stage
 // finishes (success or failure), obs is called with the stage name and
 // its wall-clock duration in seconds. Observation is telemetry only —
@@ -204,8 +201,7 @@ func (g *Graph) SetMiddleware(mw StageMiddleware) { g.mw = mw }
 
 // SetRetry installs the retry policy for stages registered with
 // AddRetryable, with jitter drawn from stream (split by stage name, so
-// delays are deterministic for any worker count). A nil stream disables
-// jitter.
+// delays are deterministic for any worker count).
 func (g *Graph) SetRetry(p RetryPolicy, stream *rng.RNG) {
 	g.retry = p
 	g.retryRNG = stream
@@ -380,7 +376,7 @@ func (g *Graph) execStage(ctx context.Context, st Stage) error {
 	// other stages are doing. SplitNamed reads but never advances the
 	// parent, so concurrent derivations are safe.
 	var jitter *rng.RNG
-	if maxAttempts > 1 && g.retryRNG != nil {
+	if maxAttempts > 1 {
 		jitter = g.retryRNG.SplitNamed("retry/" + st.Name)
 	}
 	for attempt := 1; ; attempt++ {
@@ -392,7 +388,7 @@ func (g *Graph) execStage(ctx context.Context, st Stage) error {
 			return err
 		}
 		g.emit(Event{Stage: st.Name, Kind: EventRetry, Attempt: attempt, Err: err})
-		if d := g.retry.backoffFor(attempt+1, jitter); d > 0 {
+		if d := g.retry.backoff(attempt+1, jitter); d > 0 {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
@@ -402,24 +398,6 @@ func (g *Graph) execStage(ctx context.Context, st Stage) error {
 			}
 		}
 	}
-}
-
-// backoffFor is backoff with a nil-jitter fallback.
-func (p RetryPolicy) backoffFor(attempt int, jitter *rng.RNG) time.Duration {
-	if jitter == nil {
-		d := p.BaseDelay
-		for i := 2; i < attempt; i++ {
-			d *= 2
-			if p.MaxDelay > 0 && d >= p.MaxDelay {
-				break
-			}
-		}
-		if p.MaxDelay > 0 && d > p.MaxDelay {
-			d = p.MaxDelay
-		}
-		return d
-	}
-	return p.backoff(attempt, jitter)
 }
 
 // runAttempt invokes one attempt of one stage, converting panics

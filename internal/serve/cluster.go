@@ -1,18 +1,16 @@
 package serve
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"repro/internal/cluster"
-	"repro/internal/table"
-	"repro/internal/trace"
+	"repro/internal/core"
 )
 
 // The serve side of the peer protocol (see internal/cluster for the
@@ -73,7 +71,7 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("config fingerprints to %s, path says %s", got, fp)})
 		return
 	}
-	s.cluster.CheckFillEpoch(r.Header.Get(cluster.EpochHeader))
+	s.cluster.CheckEpoch("fill", r.Header.Get(cluster.EpochHeader))
 	key := cacheKey{fingerprint: fp, artifact: id, format: format}
 	if e, hit := s.cacheGet(key); hit {
 		s.writeCached(w, r, e)
@@ -148,7 +146,7 @@ func (s *Server) handlePeerLease(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "lease request needs key and holder")
 		return
 	}
-	s.cluster.CheckLeaseEpoch(lr.Epoch)
+	s.cluster.CheckEpoch("lease", lr.Epoch)
 	lt := s.cluster.Leases()
 	if lr.Release {
 		lt.Release(lr.Key, lr.Holder)
@@ -160,13 +158,11 @@ func (s *Server) handlePeerLease(w http.ResponseWriter, r *http.Request) {
 		Granted: granted, Holder: holder, TTLMs: ttl.Milliseconds(), Epoch: s.cluster.EpochHex()})
 }
 
-// handlePeerStage serves POST /v1/peer/stage: execute one stolen
-// (year, replica) trace stage and stream the table back in the
-// checksummed columnar envelope, with the content hash declared in a
-// header so the thief can verify the decode end to end. Admission is
-// non-blocking: at PeerStageLimit concurrent stages the answer is an
-// immediate 503 — the thief computes locally, which is always cheaper
-// than both sides waiting on a queue.
+// handlePeerStage serves POST /v1/peer/stage: run one stolen stage
+// through core.RunStage (from and into this replica's stage cache) and
+// answer with its payload under its SHA-256 as the ETag. At
+// PeerStageLimit concurrent stages the answer is an immediate 503 — the
+// thief computes locally rather than both sides waiting on a queue.
 func (s *Server) handlePeerStage(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.peerStageGate <- struct{}{}:
@@ -181,37 +177,23 @@ func (s *Server) handlePeerStage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Stage steals are epoch-advisory: a steal that straddled a
-	// membership change still produces the right bytes (the table hash
-	// proves it), so a mismatch is metered, never refused.
-	s.cluster.CheckStageEpoch(req.Epoch)
+	// membership change still produces the right bytes (the ETag proves
+	// it), so a mismatch is metered, never refused.
+	s.cluster.CheckEpoch("stage", req.Epoch)
 	// The wire config arrives with execution knobs stripped (they are
-	// local concerns, invariant to the artifact bytes); apply this
-	// replica's own.
+	// local concerns, invariant to the bytes and absent from stage
+	// keys); apply this replica's own.
 	cfg := req.Config
 	cfg.Workers = s.baseCfg.Workers
 	cfg.Table = s.baseCfg.Table
-	// Cache-aware compute: a stage this replica (or a run it executed)
-	// already produced is served from the stage cache — the key covers
-	// only fingerprint-relevant fields, so the stripped execution knobs
-	// cannot fork it.
-	tab, err := s.localTraceStage(cfg, req.Year, req.Rep)
+	payload, err := core.RunStage(r.Context(), cfg, req.Stage, s.stageCache)
 	if err != nil {
 		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
 		return
 	}
-	hash, err := tab.Hash()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	var buf bytes.Buffer
-	if err := table.EncodeStream(&buf, trace.JobCodec{}, tab); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set(cluster.TableHashHeader, strconv.FormatUint(hash, 16))
+	w.Header().Set("ETag", etagOf(sha256.Sum256(payload)))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		s.writeErrors.Inc()
 	}
 }

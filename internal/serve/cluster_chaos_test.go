@@ -238,7 +238,7 @@ func TestChaosJoinServesWithoutRecompute(t *testing.T) {
 	// A full citizen also serves stolen trace stages: the dispatcher on
 	// any ring member may now pick the joiner as a steal target.
 	sr, err := json.Marshal(cluster.StageRequest{
-		Config: d.srv.baseCfg, Year: 2011, Rep: 0,
+		Config: d.srv.baseCfg, Stage: "trace-2011",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +257,8 @@ func TestChaosJoinServesWithoutRecompute(t *testing.T) {
 	if sresp.StatusCode != http.StatusOK {
 		t.Fatalf("stage steal from joiner = %d, want 200", sresp.StatusCode)
 	}
-	if sresp.Header.Get(cluster.TableHashHeader) == "" {
-		t.Fatal("stage response from joiner missing table hash")
+	if sresp.Header.Get("ETag") == "" {
+		t.Fatal("stage response from joiner missing its ETag")
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stagecache"
-	"repro/internal/trace"
 )
 
 // Options configures a Server. The zero value is usable: every field
@@ -177,9 +176,9 @@ type Server struct {
 	cache  *stagecache.Cache
 	runner *runner
 	// stageCache is the Merkle stage store when Options.StageCache (or
-	// StageCacheDir) enabled it; nil otherwise — runs then execute every
-	// stage.
-	stageCache *stagecache.Cache
+	// StageCacheDir) enabled it; nil otherwise — runs and served steals
+	// then execute every stage.
+	stageCache core.StageCache
 
 	// cluster is non-nil when Options.Cluster enabled multi-replica
 	// serving; peerStageGate bounds concurrent stolen-stage work, and
@@ -314,9 +313,6 @@ func New(opts Options) (*Server, error) {
 
 	if opts.Cluster != nil {
 		clOpts := *opts.Cluster
-		// Peer-served steals and dispatch fallbacks go through the same
-		// cache-aware local compute the stage graph uses.
-		clOpts.LocalStage = s.localTraceStage
 		if opts.Chaos.NetEnabled() {
 			// Transport chaos rides the peer client via WrapTransport, so
 			// injected weather hits exactly the traffic the cluster sends —
@@ -373,12 +369,10 @@ func New(opts Options) (*Server, error) {
 		}
 		if s.cluster != nil {
 			// Every pipeline run this replica executes dispatches its
-			// trace stages through the cluster's work-stealing seam.
-			runOpts.TraceStage = s.cluster.TraceStage
+			// stealable stages through the cluster's work-stealing seam.
+			runOpts.Steal = s.cluster.Steal
 		}
-		if s.stageCache != nil {
-			runOpts.StageCache = s.stageCache
-		}
+		runOpts.StageCache = s.stageCache
 		runFn = func(ctx context.Context, cfg core.Config) (*core.Artifacts, error) {
 			return core.RunWithOptions(ctx, cfg, runOpts)
 		}
@@ -465,34 +459,6 @@ func (s *Server) BaseFingerprint() string { return s.baseFP }
 func (s *Server) Warm() error {
 	_, err := s.runner.artifacts(context.Background(), s.baseFP, s.baseCfg)
 	return err
-}
-
-// localTraceStage computes one (year, rep) trace stage in-process,
-// consulting the stage cache first when it is enabled. It backs the
-// cluster's LocalStage seam, so both a steal served to a peer and a
-// dispatch fallback reuse cached stage bytes instead of regenerating —
-// identical bytes either way, per the cache's failure contract.
-func (s *Server) localTraceStage(cfg core.Config, year, rep int) (trace.JobTable, error) {
-	if s.stageCache == nil {
-		return core.TraceReplicaTable(cfg, year, rep)
-	}
-	key := core.TraceStageKey(cfg, year, rep)
-	if payload, ok := s.stageCache.Load(key); ok {
-		if tab, err := core.DecodeTraceStagePayload(payload); err == nil {
-			return tab, nil
-		}
-		// Valid checksum, undecodable structure: codec skew. Drop the
-		// entry and recompute.
-		s.stageCache.Delete(key)
-	}
-	tab, err := core.TraceReplicaTable(cfg, year, rep)
-	if err != nil {
-		return nil, err
-	}
-	if payload, err := core.EncodeTraceStagePayload(tab); err == nil {
-		s.stageCache.Store(key, payload)
-	}
-	return tab, nil
 }
 
 // warmStart validates a cache's disk tier at boot, counts the outcome

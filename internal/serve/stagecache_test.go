@@ -3,11 +3,18 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 // metricValue extracts one un-labeled counter/gauge sample from the
@@ -87,13 +94,43 @@ func TestStageCacheMetricsGated(t *testing.T) {
 	}
 }
 
-// TestLocalTraceStageServedFromCache pins the peer-serving seam: after
-// a pipeline run has populated the stage cache, localTraceStage — the
-// compute behind both /v1/peer/stage and the dispatch fallback — must
-// answer from the cache with the exact bytes the run stored, and a
-// stage-cache-less server must compute the identical table.
-func TestLocalTraceStageServedFromCache(t *testing.T) {
-	s := newTestServer(t, Options{StageCache: true})
+// ringOfOne is a server in cluster mode whose ring is itself alone:
+// every stealable stage is offered to the cluster's dispatcher, which
+// has no peer to pick, and the peer endpoints are live.
+func ringOfOne(t *testing.T, opts Options) *Server {
+	t.Helper()
+	self := "http://127.0.0.1:9"
+	opts.Cluster = &cluster.Options{Self: self, Peers: []string{self}, Secret: "s3cret"}
+	s := newTestServer(t, opts)
+	t.Cleanup(func() { _ = s.cluster.Close(context.Background()) })
+	return s
+}
+
+// stealFrom posts one stage steal to h the way a thief does and
+// returns the 200 response.
+func stealFrom(t *testing.T, h http.Handler, cfg core.Config, stage string) *httptest.ResponseRecorder {
+	t.Helper()
+	body, err := json.Marshal(cluster.StageRequest{Config: cfg, Stage: stage})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/peer/stage", bytes.NewReader(body))
+	req.Header.Set(cluster.SecretHeader, "s3cret")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("steal %s = %d: %s", stage, w.Code, w.Body)
+	}
+	return w
+}
+
+// TestPeerStageServedFromCache pins the peer-serving seam: after a
+// pipeline run has populated the stage cache, /v1/peer/stage answers a
+// steal with the exact bytes the run stored — one cache hit, nothing
+// re-stored — under their SHA-256 as the ETag, and a replica without a
+// stage cache computes the identical payload.
+func TestPeerStageServedFromCache(t *testing.T) {
+	s := ringOfOne(t, Options{StageCache: true})
 	h := s.Handler()
 	if w := post(t, h, "/v1/run", `{"seed": 31}`); w.Code != 200 {
 		t.Fatalf("run = %d: %s", w.Code, w.Body)
@@ -102,29 +139,44 @@ func TestLocalTraceStageServedFromCache(t *testing.T) {
 	cfg := s.baseCfg
 	cfg.Seed = 31
 	hitsBefore := metricValue(t, h, "rcpt_stagecache_hits_total")
-	tab, err := s.localTraceStage(cfg, cfg.TraceYears[0], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	storesBefore := metricValue(t, h, "rcpt_stagecache_stores_total")
+	w := stealFrom(t, h, cfg, "trace-2011")
 	if hits := metricValue(t, h, "rcpt_stagecache_hits_total"); hits != hitsBefore+1 {
 		t.Fatalf("stage steal did not hit the cache (hits %v -> %v)", hitsBefore, hits)
 	}
-	hash, err := tab.Hash()
-	if err != nil {
-		t.Fatal(err)
+	if stores := metricValue(t, h, "rcpt_stagecache_stores_total"); stores != storesBefore {
+		t.Fatalf("a steal served from cache stored again (stores %v -> %v)", storesBefore, stores)
+	}
+	sum := sha256.Sum256(w.Body.Bytes())
+	if etag := w.Header().Get("ETag"); etag != `"`+hex.EncodeToString(sum[:])+`"` {
+		t.Fatalf("steal ETag %q is not the payload's SHA-256", etag)
+	}
+	if _, err := core.DecodeTraceStagePayload(w.Body.Bytes()); err != nil {
+		t.Fatalf("steal payload does not decode: %v", err)
 	}
 
-	plain := newTestServer(t, Options{})
-	want, err := plain.localTraceStage(cfg, cfg.TraceYears[0], 0)
-	if err != nil {
-		t.Fatal(err)
+	plain := stealFrom(t, ringOfOne(t, Options{}).Handler(), cfg, "trace-2011")
+	if !bytes.Equal(plain.Body.Bytes(), w.Body.Bytes()) || plain.Header().Get("ETag") != w.Header().Get("ETag") {
+		t.Fatal("cache-served steal differs from a computed one")
 	}
-	wantHash, err := want.Hash()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestRingStoresEachStageOnce: a run on a one-replica ring, where every
+// trace stage goes through the steal hook and is computed locally, must
+// look up and store each stage exactly as often as a standalone
+// server's run does.
+func TestRingStoresEachStageOnce(t *testing.T) {
+	ring := ringOfOne(t, Options{StageCache: true}).Handler()
+	alone := newTestServer(t, Options{StageCache: true}).Handler()
+	for _, h := range []http.Handler{ring, alone} {
+		if w := post(t, h, "/v1/run", `{"seed": 37}`); w.Code != 200 {
+			t.Fatalf("run = %d: %s", w.Code, w.Body)
+		}
 	}
-	if hash != wantHash {
-		t.Fatalf("cache-served stage hash %x != computed %x", hash, wantHash)
+	for _, name := range []string{"rcpt_stagecache_stores_total", "rcpt_stagecache_misses_total"} {
+		if r, a := metricValue(t, ring, name), metricValue(t, alone, name); r != a || a == 0 {
+			t.Fatalf("%s: ring replica %v, standalone %v", name, r, a)
+		}
 	}
 }
 

@@ -104,7 +104,9 @@ func NewReader(r byteAndBlockReader) *Reader { return &Reader{r: r} }
 // Err returns the first read error.
 func (r *Reader) Err() error { return r.err }
 
-func (r *Reader) fail(err error) {
+// Fail records err as the reader's error unless one is already set, for
+// decoders that detect damage the reader itself cannot see.
+func (r *Reader) Fail(err error) {
 	if r.err == nil && err != nil {
 		r.err = err
 	}
@@ -116,7 +118,7 @@ func (r *Reader) Uvarint() uint64 {
 		return 0
 	}
 	v, err := binary.ReadUvarint(r.r)
-	r.fail(err)
+	r.Fail(err)
 	return v
 }
 
@@ -126,7 +128,7 @@ func (r *Reader) Varint() int64 {
 		return 0
 	}
 	v, err := binary.ReadVarint(r.r)
-	r.fail(err)
+	r.Fail(err)
 	return v
 }
 
@@ -144,7 +146,13 @@ func (r *Reader) String() string {
 		return ""
 	}
 	if n > 1<<24 {
-		r.fail(fmt.Errorf("table: string length %d exceeds sanity bound", n))
+		r.Fail(fmt.Errorf("table: string length %d exceeds sanity bound", n))
+		return ""
+	}
+	// An in-memory source (bytes.Reader, strings.Reader) knows how much
+	// is left: a longer claim is damage, refused before the make.
+	if src, ok := r.r.(interface{ Len() int }); ok && n > uint64(src.Len()) {
+		r.Fail(fmt.Errorf("table: string length %d exceeds the %d unread bytes", n, src.Len()))
 		return ""
 	}
 	buf := make([]byte, n)
@@ -158,11 +166,11 @@ func (r *Reader) full(p []byte) {
 	}
 	br, ok := r.r.(io.Reader)
 	if !ok {
-		r.fail(fmt.Errorf("table: reader lacks block reads"))
+		r.Fail(fmt.Errorf("table: reader lacks block reads"))
 		return
 	}
 	_, err := io.ReadFull(br, p)
-	r.fail(err)
+	r.Fail(err)
 }
 
 // Dict interns the strings of one low-cardinality column (users,
@@ -226,7 +234,7 @@ func (d *Dict) DecodeFrom(r *Reader) {
 		return
 	}
 	if n > 1<<22 {
-		r.fail(fmt.Errorf("table: dict size %d exceeds sanity bound", n))
+		r.Fail(fmt.Errorf("table: dict size %d exceeds sanity bound", n))
 		return
 	}
 	d.Reset()

@@ -10,10 +10,9 @@ import (
 
 // Stream transfer: one checksummed column envelope over an io.Writer /
 // io.Reader, so a table can cross a process boundary without trusting
-// the transport. This is the wire format of the cluster layer's
-// work-stealing stage responses and of the stage cache's table payloads:
-// a peer encodes the (year, replica) table it computed, the requester
-// decodes and checksum-verifies it, and a corrupted or truncated body
+// the transport. This is the framing of the stage cache's table
+// payloads, which are also what a peer answers a stage steal with: the
+// reader checksum-verifies it, and a corrupted or truncated body
 // surfaces as *IntegrityError — never as silently wrong rows.
 //
 //	magic   "rcpt-col/1\n"

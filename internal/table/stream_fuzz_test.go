@@ -2,6 +2,7 @@ package table_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -23,7 +24,11 @@ func FuzzDecodeStream(f *testing.F) {
 	cfg.TraceYears = []int{2011, 2012}
 	cfg.SimYear = 2011
 	cfg.PanelN = 0
-	tab, err := core.TraceReplicaTable(cfg, 2011, 0)
+	payload, err := core.RunStage(context.Background(), cfg, "trace-2011", nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tab, err := core.DecodeTraceStagePayload(payload)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"sort"
 
@@ -27,11 +28,11 @@ type JobColumns struct {
 	states    []uint32
 	languages []uint32
 
-	userDict Dict
-	acctDict Dict
-	partDict Dict
+	userDict  Dict
+	acctDict  Dict
+	partDict  Dict
 	stateDict Dict
-	langDict Dict
+	langDict  Dict
 }
 
 // Dict aliases table.Dict so trace callers don't import table for it.
@@ -123,7 +124,8 @@ func (c *JobColumns) EncodeTo(w *table.Writer) error {
 // DecodeFrom implements table.Columns.
 func (c *JobColumns) DecodeFrom(r *table.Reader) error {
 	c.Reset()
-	for _, d := range []*Dict{&c.userDict, &c.acctDict, &c.partDict, &c.stateDict, &c.langDict} {
+	dicts := []*Dict{&c.userDict, &c.acctDict, &c.partDict, &c.stateDict, &c.langDict}
+	for _, d := range dicts {
 		d.DecodeFrom(r)
 	}
 	n := r.Uvarint()
@@ -145,7 +147,18 @@ func (c *JobColumns) DecodeFrom(r *table.Reader) error {
 		c.states = append(c.states, uint32(r.Uvarint()))
 		c.languages = append(c.languages, uint32(r.Uvarint()))
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// A code outside its dictionary would panic Row: refuse it here.
+	for i, codes := range [][]uint32{c.users, c.accounts, c.parts, c.states, c.languages} {
+		for _, code := range codes {
+			if int(code) >= dicts[i].Len() {
+				return fmt.Errorf("trace: dictionary code %d outside its %d entries", code, dicts[i].Len())
+			}
+		}
+	}
+	return nil
 }
 
 // MemBytes implements table.Columns.

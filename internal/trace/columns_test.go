@@ -144,3 +144,32 @@ func TestJobHashDistinguishesFields(t *testing.T) {
 		t.Fatal("hash ignored User")
 	}
 }
+
+// TestJobColumnsRejectCodeOutsideDict: a row whose dictionary code
+// names no dictionary entry is refused at decode time — Row would
+// otherwise panic on it.
+func TestJobColumnsRejectCodeOutsideDict(t *testing.T) {
+	var buf bytes.Buffer
+	w := table.NewWriter(&buf)
+	for i := 0; i < 5; i++ {
+		w.Uvarint(0) // five empty dictionaries
+	}
+	w.Uvarint(1) // one row
+	w.Varint(1)  // id delta
+	w.Varint(1)  // submit delta
+	for i := 0; i < 3; i++ {
+		w.Uvarint(0) // user, account, partition codes: no entry to name
+	}
+	w.Varint(2024)
+	for i := 0; i < 3; i++ {
+		w.Uvarint(1) // nodes, cores, gpus
+	}
+	w.Varint(60)
+	w.Varint(30)
+	w.Uvarint(0) // state
+	w.Uvarint(0) // language
+	cols := JobCodec{}.NewColumns()
+	if err := cols.DecodeFrom(table.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
+		t.Fatal("decoded a row whose codes name no dictionary entry")
+	}
+}
