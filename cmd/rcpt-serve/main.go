@@ -6,8 +6,10 @@
 // Usage:
 //
 //	rcpt-serve [-addr :8080] [-seed 42] [-n2011 200] [-n2024 600]
-//	           [-years 2011,2013,...] [-cache-mb 64] [-warm]
-//	           [-run-timeout 0] [-cache-dir DIR] [-stage-retries N]
+//	           [-years 2011,2013,...] [-workers N] [-cache-mb 64] [-warm]
+//	           [-max-cohort 20000] [-max-runs 2] [-queue-timeout 10s]
+//	           [-drain-timeout 30s] [-run-timeout 0] [-cache-dir DIR]
+//	           [-stage-retries N]
 //	           [-stage-cache] [-stage-cache-dir DIR] [-stage-cache-mb 256]
 //	           [-breaker-threshold 3] [-breaker-cooldown 30s]
 //	           [-chaos "seed=1,panic=0.05,error=0.05"]
@@ -15,7 +17,7 @@
 //	           [-trace-scale N] [-spill-dir DIR] [-table-shards N]
 //	           [-batch-rows N]
 //	           [-peers URL,URL,...] [-join URL,URL,...] [-self URL]
-//	           [-peer-secret S] [-lease-ttl 15s] [-peer-stage-limit 4]
+//	           [-peer-secret S] [-lease-ttl 15s] [-peer-probe-interval 2s]
 //	           [-peer-suspect-timeout 10s] [-readyz-quorum]
 //
 // -peers or -join turns on distributed serving (see internal/cluster).
@@ -106,16 +108,14 @@ func run() error {
 	years := flag.String("years", "", "comma-separated trace years (default: the standard study years)")
 	workers := flag.Int("workers", 0, "pipeline workers per run (0 = GOMAXPROCS)")
 	cacheMB := flag.Int64("cache-mb", 64, "rendered-artifact cache bound in MiB")
-	runCache := flag.Int("run-cache", 4, "completed runs retained for re-rendering")
 	maxCohort := flag.Int("max-cohort", 20000, "per-cohort size cap for POST /v1/run")
-	renderLimit := flag.Int("max-render", 32, "concurrent render requests")
 	runLimit := flag.Int("max-runs", 2, "concurrent pipeline runs")
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "max time a request waits for capacity")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to drain in-flight requests on shutdown")
 	warm := flag.Bool("warm", false, "run the base pipeline before accepting traffic")
 	runTimeout := flag.Duration("run-timeout", 0, "wall-clock cap per pipeline run (0 = uncapped)")
 	cacheDir := flag.String("cache-dir", "", "directory for crash-safe cache persistence (empty = in-memory only)")
-	stageRetries := flag.Int("stage-retries", 0, "retries per failed retryable pipeline stage")
+	stageRetries := flag.Int("stage-retries", 0, "retries per failed pipeline stage")
 	stageCache := flag.Bool("stage-cache", false, "reuse per-stage pipeline outputs across runs (content-addressed; in-memory unless -stage-cache-dir)")
 	stageCacheDir := flag.String("stage-cache-dir", "", "directory for crash-safe stage-cache persistence (implies -stage-cache)")
 	stageCacheMB := flag.Int64("stage-cache-mb", 0, "stage-cache in-memory bound in MiB (0 = default 256)")
@@ -132,7 +132,6 @@ func run() error {
 	self := flag.String("self", "", "this replica's advertised base URL (required with -peers or -join)")
 	peerSecret := flag.String("peer-secret", "", "shared secret authenticating peer endpoints (empty = unauthenticated; localhost only)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "compute-lease TTL; bounds how long a dead replica blocks takeover")
-	peerStageLimit := flag.Int("peer-stage-limit", 4, "concurrent stolen trace stages executed for peers")
 	probeInterval := flag.Duration("peer-probe-interval", 2*time.Second, "peer health probe period")
 	suspectTimeout := flag.Duration("peer-suspect-timeout", 0, "how long a suspect member may refute before being declared dead (0 = 5x probe interval, min 3s)")
 	readyzQuorum := flag.Bool("readyz-quorum", false, "make /readyz return 503 on cluster quorum loss (default: 200 with degraded detail)")
@@ -167,9 +166,7 @@ func run() error {
 	opts := serve.Options{
 		BaseConfig:         cfg,
 		CacheBytes:         *cacheMB << 20,
-		RunCacheEntries:    *runCache,
 		MaxCohort:          *maxCohort,
-		RenderLimit:        *renderLimit,
 		RunLimit:           *runLimit,
 		QueueTimeout:       *queueTimeout,
 		RunTimeout:         *runTimeout,
@@ -182,7 +179,6 @@ func run() error {
 		BreakerCooldown:    *breakerCooldown,
 		Chaos:              chaosSpec,
 		ReadyzQuorumStrict: *readyzQuorum,
-		PeerStageLimit:     *peerStageLimit,
 	}
 	if *peers != "" || *join != "" {
 		if *self == "" {

@@ -95,14 +95,3 @@ func TestStaleAllow(t *testing.T) {
 		t.Errorf("second stale message = %q, want the unknown-analyzer form", got)
 	}
 }
-
-func TestByName(t *testing.T) {
-	for _, a := range analysis.All() {
-		if got := analysis.ByName(a.Name); got != a {
-			t.Errorf("ByName(%q) = %v, want the registered analyzer", a.Name, got)
-		}
-	}
-	if got := analysis.ByName("nosuch"); got != nil {
-		t.Errorf("ByName(nosuch) = %v, want nil", got)
-	}
-}

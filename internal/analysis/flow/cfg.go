@@ -41,10 +41,6 @@ func (e *Engine) CFG(fi *FuncInfo) *CFG {
 	return fi.cfg
 }
 
-// BuildCFG constructs a CFG for any function body (used directly for
-// closure bodies, which have no FuncInfo of their own).
-func BuildCFG(body *ast.BlockStmt) *CFG { return buildCFG(body) }
-
 type cfgBuilder struct {
 	g   *CFG
 	cur *Block

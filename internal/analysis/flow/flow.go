@@ -146,14 +146,6 @@ func (e *Engine) Info(fn *types.Func) *FuncInfo {
 	return e.funcs[origin(fn)]
 }
 
-// Calls returns the resolved call sites inside fn, or nil.
-func (e *Engine) Calls(fn *types.Func) []CallSite {
-	if fi := e.Info(fn); fi != nil {
-		return fi.calls
-	}
-	return nil
-}
-
 // origin normalizes a possibly-instantiated generic function or method
 // to its declared origin, the key the engine indexes by.
 func origin(fn *types.Func) *types.Func {

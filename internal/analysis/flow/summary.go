@@ -39,7 +39,6 @@ const (
 	BlockNetIO      BlockKind = "network I/O"
 	BlockExec       BlockKind = "subprocess wait"
 	BlockLockAcross BlockKind = "lock held across blocking call"
-	BlockSemAcquire BlockKind = "semaphore acquire"
 )
 
 // BlockFact is one direct blocking operation inside a function body.

@@ -39,7 +39,6 @@ import (
 const (
 	sourceBit = uint64(1) << 62
 	orderBit  = uint64(1) << 61
-	paramBits = uint64(1)<<60 - 1
 )
 
 // TaintSpec declares sources and sinks for one taint analysis.
@@ -132,15 +131,6 @@ func (e *Engine) Taint(spec *TaintSpec) []Flow {
 	}
 	sort.Slice(st.flows, func(i, j int) bool { return posLess(e.Fset, st.flows[i].Pos, st.flows[j].Pos) })
 	return st.flows
-}
-
-// TaintSummaryOf exposes a function's transfer summary for a spec that
-// has already run (testing and diagnostics).
-func (e *Engine) TaintSummaryOf(spec *TaintSpec, fn *types.Func) *TaintSummary {
-	if st, ok := e.taints[spec.Name]; ok {
-		return st.summaries[origin(fn)]
-	}
-	return nil
 }
 
 func newTaintSummary(fn *types.Func) *TaintSummary {

@@ -15,13 +15,3 @@ func All() []*Analyzer {
 		SplitShare,
 	}
 }
-
-// ByName resolves an analyzer by its Name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

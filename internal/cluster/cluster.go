@@ -74,8 +74,6 @@ type Options struct {
 	// Secret authenticates peer endpoints. Empty disables auth (tests,
 	// trusted localhost rings).
 	Secret string
-	// VirtualNodes per peer on the hash ring (<=0: 128).
-	VirtualNodes int
 	// LeaseTTL bounds how long a dead lease holder blocks takeover
 	// (<=0: 15s).
 	LeaseTTL time.Duration
@@ -88,34 +86,29 @@ type Options struct {
 	// interval)). Long enough for a refutation to circulate; short
 	// enough that a dead replica's keys move promptly.
 	SuspectTimeout time.Duration
-	// IndirectProbes is how many relays are asked to probe a peer that
-	// failed its direct probe before it is suspected (<=0: 2).
-	IndirectProbes int
-	// BreakerThreshold consecutive request failures open a peer's
-	// circuit for BreakerCooldown (<=0: 3 failures, 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// RequestTimeout bounds control-plane requests: lease, join, and
-	// status calls (<=0: 5s). Artifact fills and stage steals are
-	// compute-bound on the far side and use FillTimeout (<=0: 120s).
-	RequestTimeout time.Duration
-	FillTimeout    time.Duration
-	// HTTPClient overrides the peer transport (tests). Nil builds one
-	// with FillTimeout as overall timeout.
-	HTTPClient *http.Client
 	// WrapTransport, when set, wraps the peer transport — the chaos
 	// harness injects its deterministic network-fault RoundTripper
-	// here. Applied to both a provided HTTPClient and the default one.
+	// here.
 	WrapTransport func(http.RoundTripper) http.RoundTripper
-	// Now injects the clock for breakers, leases, and suspicion
-	// timeouts. Nil uses time.Now.
-	Now func() time.Time
 }
 
+const (
+	// indirectProbes is how many relays are asked to probe a peer that
+	// failed its direct probe before it is suspected.
+	indirectProbes = 2
+	// peerBreakerThreshold consecutive request failures open a peer's
+	// circuit for peerBreakerCooldown.
+	peerBreakerThreshold = 3
+	peerBreakerCooldown  = 5 * time.Second
+	// requestTimeout bounds control-plane requests: lease, join, and
+	// status calls. Artifact fills and stage steals are compute-bound on
+	// the far side and use fillTimeout, which is also the peer HTTP
+	// client's overall timeout.
+	requestTimeout = 5 * time.Second
+	fillTimeout    = 120 * time.Second
+)
+
 func (o Options) withDefaults() Options {
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = defaultVirtualNodes
-	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = defaultLeaseTTL
 	}
@@ -131,24 +124,6 @@ func (o Options) withDefaults() Options {
 			o.SuspectTimeout = 3 * time.Second
 		}
 	}
-	if o.IndirectProbes <= 0 {
-		o.IndirectProbes = 2
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 5 * time.Second
-	}
-	if o.FillTimeout <= 0 {
-		o.FillTimeout = 120 * time.Second
-	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	return o
 }
 
@@ -161,7 +136,9 @@ type Cluster struct {
 	client  *peerClient
 	leases  *LeaseTable
 	members *Memberlist
-	now     func() time.Time
+	// now is time.Now, read through a value: rngpurity forbids direct
+	// time.Now calls in this package.
+	now func() time.Time
 
 	// ring and epoch are rebuilt together from the live member list on
 	// every membership change; readers take the RLock for one routing
@@ -255,25 +232,15 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 		// teach us.
 		peers = append(peers, opts.Self)
 	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = newHTTPClient(opts.FillTimeout)
-	}
+	hc := newHTTPClient(fillTimeout)
 	if opts.WrapTransport != nil {
-		base := hc.Transport
-		if base == nil {
-			base = http.DefaultTransport
-		}
-		// Copy so a shared client (tests) is not mutated in place.
-		wrapped := *hc
-		wrapped.Transport = opts.WrapTransport(base)
-		hc = &wrapped
+		hc.Transport = opts.WrapTransport(hc.Transport)
 	}
 	c := &Cluster{
 		opts:   opts,
 		self:   opts.Self,
 		client: &peerClient{hc: hc, secret: opts.Secret},
-		now:    opts.Now,
+		now:    time.Now,
 		byName: map[string]*peerState{},
 		joined: len(joinSeeds) == 0,
 		stop:   make(chan struct{}),
@@ -318,7 +285,7 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 		c.memberEvents.With(string(ev)).Inc()
 	})
 	initial := c.members.RingMembers()
-	c.ring = NewRing(initial, opts.VirtualNodes)
+	c.ring = NewRing(initial, defaultVirtualNodes)
 	c.epoch = EpochOf(initial)
 	c.leases = NewLeaseTable(opts.LeaseTTL, c.now)
 	c.membershipChanged()
@@ -401,9 +368,6 @@ func (c *Cluster) Owner(key string) string {
 	return c.ring.Owner(key)
 }
 
-// IsOwner reports whether this replica owns key.
-func (c *Cluster) IsOwner(key string) bool { return c.Owner(key) == c.self }
-
 // Sequence returns the takeover order for key (owner first) under the
 // current epoch.
 func (c *Cluster) Sequence(key string) []string {
@@ -432,7 +396,7 @@ func (c *Cluster) membershipChanged() {
 	want := c.members.RingMembers()
 	c.ringMu.Lock()
 	if !equalStrings(c.ring.Peers(), want) {
-		c.ring = NewRing(want, c.opts.VirtualNodes)
+		c.ring = NewRing(want, defaultVirtualNodes)
 		c.epoch = EpochOf(want)
 	}
 	epoch := c.epoch
@@ -479,7 +443,7 @@ func (c *Cluster) peerStateFor(name string) *peerState {
 	c.peersMu.Lock()
 	defer c.peersMu.Unlock()
 	if ps = c.byName[name]; ps == nil {
-		ps = &peerState{name: name, b: breaker.New(c.opts.BreakerThreshold, c.opts.BreakerCooldown)}
+		ps = &peerState{name: name, b: breaker.New(peerBreakerThreshold, peerBreakerCooldown)}
 		c.byName[name] = ps
 		c.breakerOpenG.With(name).Set(0)
 	}
@@ -558,7 +522,7 @@ func (c *Cluster) AcquireLease(ctx context.Context, key string) (granted bool, h
 		if p == nil || !c.healthyPeer(candidate) || !p.allow(c.now()) {
 			continue
 		}
-		lctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
+		lctx, cancel := context.WithTimeout(ctx, requestTimeout)
 		lr, lerr := c.client.postLease(lctx, candidate, LeaseRequest{Key: key, Holder: c.self, Epoch: epoch})
 		cancel()
 		if lerr != nil {
@@ -614,7 +578,7 @@ func (c *Cluster) ReleaseLease(ctx context.Context, key string) {
 	if p == nil || !c.healthyPeer(authority) {
 		return
 	}
-	lctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
+	lctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	// TTL expiry is the backstop: a failed release costs at most one
 	// LeaseTTL of blocked takeover, never correctness.
@@ -637,7 +601,7 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 		c.peerFills.With("error").Inc()
 		return nil, fmt.Errorf("cluster: circuit open for peer %s", peer)
 	}
-	fctx, cancel := context.WithTimeout(ctx, c.opts.FillTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
 	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), hint)
 	if err != nil {

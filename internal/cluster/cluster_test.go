@@ -106,11 +106,11 @@ func TestAcquireLeaseRemoteAuthority(t *testing.T) {
 	// selves in the same three-member ring, so they agree on who owns
 	// every key.
 	members := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", srv.URL}
-	a, err := New(Options{Self: members[0], Peers: members, Now: time.Now}, obs.NewRegistry())
+	a, err := New(Options{Self: members[0], Peers: members}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Options{Self: members[1], Peers: members, Now: time.Now}, obs.NewRegistry())
+	b, err := New(Options{Self: members[1], Peers: members}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,6 @@ func TestProberFlipsHealth(t *testing.T) {
 		Peers:         []string{self, srv.URL},
 		ProbeInterval: 20 * time.Millisecond,
 		ProbeTimeout:  200 * time.Millisecond,
-		Now:           time.Now,
 	}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func (c *Cluster) remoteStage(ctx context.Context, peer string, cfg core.Config,
 	wire := cfg
 	wire.Workers = 0
 	wire.Table = core.TableConfig{}
-	sctx, cancel := context.WithTimeout(ctx, c.opts.FillTimeout)
+	sctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
 	return c.client.postStage(sctx, peer, StageRequest{Config: wire, Stage: stage, Epoch: c.EpochHex()})
 }

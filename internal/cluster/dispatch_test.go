@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -112,7 +111,6 @@ func testCluster(t *testing.T, peerURL string) *Cluster {
 	c, err := New(Options{
 		Self:  self,
 		Peers: []string{self, peerURL},
-		Now:   time.Now,
 	}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)

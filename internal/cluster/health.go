@@ -228,7 +228,7 @@ func (c *Cluster) jitterWait(peer string) bool {
 }
 
 // probeMember runs the SWIM sequence for one member: direct probe;
-// on failure, indirect probes through up to IndirectProbes alive
+// on failure, indirect probes through up to indirectProbes alive
 // relays; if nothing reaches it, mark it suspect. Gossip is exchanged
 // on every successful hop.
 func (c *Cluster) probeMember(name string) {
@@ -252,8 +252,8 @@ func (c *Cluster) probeMember(name string) {
 	// member. Relays are the first K alive members (sorted order —
 	// deterministic, and with ring-scale N the "first K" are as good as
 	// random K).
-	for _, relay := range c.relaysFor(name, c.opts.IndirectProbes) {
-		ictx, icancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout+c.opts.RequestTimeout)
+	for _, relay := range c.relaysFor(name, indirectProbes) {
+		ictx, icancel := context.WithTimeout(context.Background(), c.opts.ProbeTimeout+requestTimeout)
 		iack, ierr := c.client.indirectProbe(ictx, relay, IndirectProbeRequest{
 			From:        c.self,
 			Incarnation: c.members.SelfIncarnation(),
@@ -334,7 +334,7 @@ func (c *Cluster) relaysFor(target string, k int) []string {
 // as the seed comes up.
 func (c *Cluster) tryJoin() {
 	for _, seed := range c.opts.Join {
-		jctx, cancel := context.WithTimeout(context.Background(), c.opts.RequestTimeout)
+		jctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
 		resp, err := c.client.join(jctx, seed, JoinRequest{From: c.self, Incarnation: c.members.SelfIncarnation()})
 		cancel()
 		c.gossipSent.With("join").Inc()
@@ -377,7 +377,7 @@ func (c *Cluster) Leave(ctx context.Context) {
 					c.probePanics.Inc()
 				}
 			}()
-			lctx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
+			lctx, cancel := context.WithTimeout(ctx, requestTimeout)
 			defer cancel()
 			_, _ = c.client.probe(lctx, name, ProbeRequest{From: c.self, Incarnation: inc, Members: snap})
 			c.gossipSent.With("leave").Inc()

@@ -142,6 +142,11 @@ func TestRegistryComplete(t *testing.T) {
 	if _, err := Lookup("T99"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// Callers own the slice Registry returns.
+	reg[0].ID = "mutated"
+	if Registry()[0].ID != "T1" {
+		t.Fatal("Registry shares its backing array with callers")
+	}
 }
 
 func TestAllTablesRender(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/modlog"
@@ -44,43 +45,58 @@ func (e Experiment) Filename() string {
 	return "figure" + e.ID[1:]
 }
 
-// Registry returns every experiment in presentation order. The IDs match
-// DESIGN.md's reconstructed evaluation index.
-func Registry() []Experiment {
-	return append([]Experiment{
-		{ID: "T1", Title: "Respondent demographics by field and career stage", Kind: KindTable, Table: table1},
-		{ID: "T2", Title: "Programming-language usage by cohort", Kind: KindTable, Table: table2},
-		{ID: "T3", Title: "Parallelism and hardware usage by cohort", Kind: KindTable, Table: table3},
-		{ID: "T4", Title: "Software-engineering practice prevalence", Kind: KindTable, Table: table4},
-		{ID: "T5", Title: "Cluster workload mix by year", Kind: KindTable, Table: table5},
-		{ID: "T6", Title: "2024-only tooling by field heterogeneity", Kind: KindTable, Table: table6},
-		{ID: "T7", Title: "Survey vs telemetry concordance", Kind: KindTable, Table: table7},
-		{ID: "F1", Title: "Language adoption trend from module loads", Kind: KindFigure, Figure: figure1},
-		{ID: "F2", Title: "GPU share of compute per year", Kind: KindFigure, Figure: figure2},
-		{ID: "F3", Title: "Job-size CDF by cohort year", Kind: KindFigure, Figure: figure3},
-		{ID: "F4", Title: "Queue wait vs job width", Kind: KindFigure, Figure: figure4},
-		{ID: "F5", Title: "Cluster utilization timeline", Kind: KindFigure, Figure: figure5},
-		{ID: "F6", Title: "Practice co-adoption heatmap", Kind: KindFigure, Figure: figure6},
-		{ID: "F7", Title: "Core-hours by research field", Kind: KindFigure, Figure: figure7},
-		{ID: "F8", Title: "Raking convergence", Kind: KindFigure, Figure: figure8},
-	}, concatExperiments(extensionExperiments(), panelExperiments(), qualityExperiments(), textExperiments(), modelComparisonExperiments(), concentrationExperiments(), sweepExperiments(), waitBoxExperiments())...)
+// registry lists every experiment in presentation order: the
+// paper-core set, then the extensions. The IDs match DESIGN.md's
+// reconstructed evaluation index.
+var registry = []Experiment{
+	{ID: "T1", Title: "Respondent demographics by field and career stage", Kind: KindTable, Table: table1},
+	{ID: "T2", Title: "Programming-language usage by cohort", Kind: KindTable, Table: table2},
+	{ID: "T3", Title: "Parallelism and hardware usage by cohort", Kind: KindTable, Table: table3},
+	{ID: "T4", Title: "Software-engineering practice prevalence", Kind: KindTable, Table: table4},
+	{ID: "T5", Title: "Cluster workload mix by year", Kind: KindTable, Table: table5},
+	{ID: "T6", Title: "2024-only tooling by field heterogeneity", Kind: KindTable, Table: table6},
+	{ID: "T7", Title: "Survey vs telemetry concordance", Kind: KindTable, Table: table7},
+	{ID: "F1", Title: "Language adoption trend from module loads", Kind: KindFigure, Figure: figure1},
+	{ID: "F2", Title: "GPU share of compute per year", Kind: KindFigure, Figure: figure2},
+	{ID: "F3", Title: "Job-size CDF by cohort year", Kind: KindFigure, Figure: figure3},
+	{ID: "F4", Title: "Queue wait vs job width", Kind: KindFigure, Figure: figure4},
+	{ID: "F5", Title: "Cluster utilization timeline", Kind: KindFigure, Figure: figure5},
+	{ID: "F6", Title: "Practice co-adoption heatmap", Kind: KindFigure, Figure: figure6},
+	{ID: "F7", Title: "Core-hours by research field", Kind: KindFigure, Figure: figure7},
+	{ID: "F8", Title: "Raking convergence", Kind: KindFigure, Figure: figure8},
+	{ID: "T8", Title: "Scheduler policy comparison", Kind: KindTable, Table: table8},
+	{ID: "T9", Title: "Formal software training by cohort", Kind: KindTable, Table: table9},
+	{ID: "T10", Title: "Module co-load affinities", Kind: KindTable, Table: table10},
+	{ID: "F9", Title: "Fitted adoption curves with projection", Kind: KindFigure, Figure: figure9},
+	{ID: "F10", Title: "Queue depth under FCFS vs backfill", Kind: KindFigure, Figure: figure10},
+	{ID: "T11", Title: "Panel language retention and adoption", Kind: KindTable, Table: table11},
+	{ID: "F11", Title: "Panel language transition matrix", Kind: KindFigure, Figure: figure11},
+	{ID: "T12", Title: "Data-quality screening summary", Kind: KindTable, Table: table12},
+	{ID: "T13", Title: "Reported bottlenecks coded from free text", Kind: KindTable, Table: table13},
+	{ID: "T14", Title: "Adoption model comparison (logistic vs Bass)", Kind: KindTable, Table: table14},
+	{ID: "T15", Title: "Usage concentration by year", Kind: KindTable, Table: table15},
+	{ID: "F12", Title: "Lorenz curve of per-user core-hours", Kind: KindFigure, Figure: figure12},
+	{ID: "T16", Title: "Seed sensitivity of headline estimates", Kind: KindTable, Table: table16},
+	{ID: "F13", Title: "Wait-time distribution by policy", Kind: KindFigure, Figure: figure13},
 }
 
-// concatExperiments flattens experiment groups.
-func concatExperiments(groups ...[]Experiment) []Experiment {
-	var out []Experiment
-	for _, g := range groups {
-		out = append(out, g...)
+// registryIndex maps each experiment ID to its registry entry.
+var registryIndex = func() map[string]Experiment {
+	index := make(map[string]Experiment, len(registry))
+	for _, e := range registry {
+		index[e.ID] = e
 	}
-	return out
-}
+	return index
+}()
+
+// Registry returns every experiment in presentation order, as a copy
+// the caller may keep or modify.
+func Registry() []Experiment { return slices.Clone(registry) }
 
 // Lookup returns the experiment with the given ID.
 func Lookup(id string) (Experiment, error) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e, nil
-		}
+	if e, ok := registryIndex[id]; ok {
+		return e, nil
 	}
 	return Experiment{}, fmt.Errorf("core: unknown experiment %q", id)
 }

@@ -17,18 +17,6 @@ import (
 	"repro/internal/survey"
 )
 
-// extensionExperiments are appended to the registry after the paper-core
-// set.
-func extensionExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T8", Title: "Scheduler policy comparison", Kind: KindTable, Table: table8},
-		{ID: "T9", Title: "Formal software training by cohort", Kind: KindTable, Table: table9},
-		{ID: "T10", Title: "Module co-load affinities", Kind: KindTable, Table: table10},
-		{ID: "F9", Title: "Fitted adoption curves with projection", Kind: KindFigure, Figure: figure9},
-		{ID: "F10", Title: "Queue depth under FCFS vs backfill", Kind: KindFigure, Figure: figure10},
-	}
-}
-
 func table8(a *Artifacts) (*report.Table, error) {
 	t := report.NewTable(fmt.Sprintf("Table 8: Scheduler policies on the %d trace", a.Config.SimYear),
 		"policy", "mean wait (h)", "median (h)", "p95 (h)", "slowdown", "fairness", "cpu util", "gpu util", "backfills")

@@ -12,13 +12,6 @@ import (
 	"repro/internal/trend"
 )
 
-func panelExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T11", Title: "Panel language retention and adoption", Kind: KindTable, Table: table11},
-		{ID: "F11", Title: "Panel language transition matrix", Kind: KindFigure, Figure: figure11},
-	}
-}
-
 func panelWavesOf(a *Artifacts) ([]*survey.Response, []*survey.Response, error) {
 	return a.PanelWaves()
 }

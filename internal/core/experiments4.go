@@ -9,12 +9,6 @@ import (
 	"repro/internal/survey"
 )
 
-func qualityExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T12", Title: "Data-quality screening summary", Kind: KindTable, Table: table12},
-	}
-}
-
 func table12(a *Artifacts) (*report.Table, error) {
 	t := report.NewTable("Table 12: Data-quality screening by cohort",
 		"rule", "severity", "2011 flags", "2024 flags")

@@ -13,12 +13,6 @@ import (
 	"repro/internal/textcode"
 )
 
-func textExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T13", Title: "Reported bottlenecks coded from free text", Kind: KindTable, Table: table13},
-	}
-}
-
 func table13(a *Artifacts) (*report.Table, error) {
 	tax := textcode.BottleneckTaxonomy()
 	texts := func(rs []*survey.Response) []string {
@@ -69,14 +63,6 @@ func table13(a *Artifacts) (*report.Table, error) {
 	}
 	t.Footnote = fmt.Sprintf("taxonomy-coded shares of respondents; uncoded: %d (2011), %d (2024); multi-coding allowed", u11, u24)
 	return t, nil
-}
-
-// Adoption-model comparison (T14): logistic vs Bass RMSE on the rising
-// telemetry series.
-func modelComparisonExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T14", Title: "Adoption model comparison (logistic vs Bass)", Kind: KindTable, Table: table14},
-	}
 }
 
 func table14(a *Artifacts) (*report.Table, error) {

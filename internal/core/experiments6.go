@@ -15,13 +15,6 @@ import (
 	"repro/internal/stats"
 )
 
-func concentrationExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T15", Title: "Usage concentration by year", Kind: KindTable, Table: table15},
-		{ID: "F12", Title: "Lorenz curve of per-user core-hours", Kind: KindFigure, Figure: figure12},
-	}
-}
-
 func table15(a *Artifacts) (*report.Table, error) {
 	t := report.NewTable("Table 15: Core-hour concentration across users",
 		"year", "users", "gini", "top 1%", "top 10%", "median user (h)")
@@ -116,13 +109,6 @@ func interp(xs, ys []float64, x float64) float64 {
 		}
 	}
 	return ys[len(ys)-1]
-}
-
-// waitBoxExperiments adds the wait-distribution box plot (F13).
-func waitBoxExperiments() []Experiment {
-	return []Experiment{
-		{ID: "F13", Title: "Wait-time distribution by policy", Kind: KindFigure, Figure: figure13},
-	}
 }
 
 func figure13(a *Artifacts, w io.Writer) error {

@@ -21,12 +21,6 @@ import (
 // sweepReplicates is the number of Monte Carlo re-runs for T16.
 const sweepReplicates = 8
 
-func sweepExperiments() []Experiment {
-	return []Experiment{
-		{ID: "T16", Title: "Seed sensitivity of headline estimates", Kind: KindTable, Table: table16},
-	}
-}
-
 // headline is one replicate's key estimates.
 type headline struct {
 	Python24 float64

@@ -95,7 +95,7 @@ func newStageCacher(cache StageCache) *stageCacher {
 // deps g orders it by, and its body is exec.
 func (sc *stageCacher) add(ctx context.Context, g *parallel.Graph, cfg Config, s spec, steal StealFunc) {
 	key := sc.key(s)
-	g.AddRetryable(s.name, func() error {
+	g.Add(s.name, func() error {
 		_, err := sc.exec(ctx, cfg, s, key, steal, false)
 		return err
 	}, s.deps...)

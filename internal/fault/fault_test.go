@@ -186,7 +186,7 @@ func TestInjectedGraphIsRecoverable(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		name := fmt.Sprintf("s%d", i)
 		i := i
-		g.AddRetryable(name, func() error {
+		g.Add(name, func() error {
 			mu.Lock()
 			got[name] = i * i
 			mu.Unlock()

@@ -53,7 +53,7 @@ func TestStageErrorFromPanicHasStack(t *testing.T) {
 func TestRetryableStageRetriesUntilSuccess(t *testing.T) {
 	var attempts atomic.Int64
 	g := NewGraph()
-	g.AddRetryable("flaky", func() error {
+	g.Add("flaky", func() error {
 		if attempts.Add(1) < 3 {
 			return errors.New("transient")
 		}
@@ -72,7 +72,7 @@ func TestRetryExhaustionReportsLastAttempt(t *testing.T) {
 	boom := errors.New("still broken")
 	var attempts atomic.Int64
 	g := NewGraph()
-	g.AddRetryable("flaky", func() error { attempts.Add(1); return boom })
+	g.Add("flaky", func() error { attempts.Add(1); return boom })
 	g.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}, rng.New(1))
 	err := g.Run(1)
 	var se *StageError
@@ -87,16 +87,18 @@ func TestRetryExhaustionReportsLastAttempt(t *testing.T) {
 	}
 }
 
+// TestNonRetryableStageFailsOnce: a policy of one attempt disables
+// retry, so a failing stage runs exactly once.
 func TestNonRetryableStageFailsOnce(t *testing.T) {
 	var attempts atomic.Int64
 	g := NewGraph()
 	g.Add("brittle", func() error { attempts.Add(1); return errors.New("no") })
-	g.SetRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond}, rng.New(1))
+	g.SetRetry(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Microsecond}, rng.New(1))
 	if err := g.Run(1); err == nil {
 		t.Fatal("expected error")
 	}
 	if attempts.Load() != 1 {
-		t.Fatalf("non-retryable stage attempted %d times", attempts.Load())
+		t.Fatalf("stage attempted %d times with retry disabled", attempts.Load())
 	}
 }
 
@@ -130,7 +132,7 @@ func TestGraphEventsEmitted(t *testing.T) {
 	var events []Event
 	g := NewGraph()
 	var tries atomic.Int64
-	g.AddRetryable("flaky", func() error {
+	g.Add("flaky", func() error {
 		if tries.Add(1) == 1 {
 			panic("first try explodes")
 		}
@@ -191,7 +193,7 @@ func TestGraphMiddlewareWrapsEveryAttempt(t *testing.T) {
 	var tries atomic.Int64
 	g := NewGraph()
 	g.Add("ok", func() error { return nil })
-	g.AddRetryable("flaky", func() error {
+	g.Add("flaky", func() error {
 		if tries.Add(1) == 1 {
 			return errors.New("transient")
 		}
@@ -249,7 +251,7 @@ func TestRetryDeterministicAcrossWorkerCounts(t *testing.T) {
 			name := fmt.Sprintf("s%d", i)
 			i := i
 			var tries int32
-			g.AddRetryable(name, func() error {
+			g.Add(name, func() error {
 				t := atomic.AddInt32(&tries, 1)
 				if int(t) <= i%3 { // s0,s3 succeed first try; s2,s5 need 3 tries
 					return errors.New("transient")

@@ -16,15 +16,14 @@ import (
 // the stages whose outputs it consumes. Run must be internally
 // deterministic (derive any randomness from streams split before the
 // graph starts); the executor guarantees only ordering, not scheduling.
-// Retryable stages must additionally be idempotent: re-running the
-// closure from the top must reproduce the same output, which the
-// pipeline achieves by deriving its rng streams by name *inside* the
-// stage body.
+// Run must also be idempotent, since the retry policy may re-attempt
+// it: re-running the closure from the top must reproduce the same
+// output, which the pipeline achieves by deriving its rng streams by
+// name *inside* the stage body.
 type Stage struct {
-	Name      string
-	Deps      []string
-	Run       func() error
-	Retryable bool
+	Name string
+	Deps []string
+	Run  func() error
 }
 
 // StageError is the typed failure of one graph stage: which stage
@@ -75,13 +74,13 @@ type Event struct {
 	Err     error
 }
 
-// RetryPolicy bounds how stages marked retryable are re-attempted.
+// RetryPolicy bounds how failed stages are re-attempted.
 // Backoff doubles from BaseDelay per attempt, is capped at MaxDelay,
 // and carries deterministic "equal jitter" drawn from an rng stream
 // split by stage name — so the delay sequence is a pure function of
 // (retry seed, stage name, attempt), identical for any worker count.
 type RetryPolicy struct {
-	MaxAttempts int           // total attempts per retryable stage; <= 1 disables retry
+	MaxAttempts int           // total attempts per stage; <= 1 disables retry
 	BaseDelay   time.Duration // backoff before attempt 2; doubles each attempt
 	MaxDelay    time.Duration // cap on the backoff (0 = uncapped)
 }
@@ -128,8 +127,7 @@ type StageMiddleware func(stage string, attempt int, run func() error) error
 // for any worker count — the property the pipeline's rng-split
 // determinism convention exists to exploit.
 //
-// Build with Add/AddRetryable, then call Run once. A Graph is not
-// reusable.
+// Build with Add, then call Run once. A Graph is not reusable.
 type Graph struct {
 	stages   []Stage
 	index    map[string]int
@@ -146,19 +144,13 @@ func NewGraph() *Graph {
 	return &Graph{index: map[string]int{}}
 }
 
-// Add registers a stage. Dependencies may be registered before or after
-// the stages that declare them; they are resolved at Run. Registration
-// errors (duplicate name, nil func) are deferred to Run so call sites
-// can stay declarative.
+// Add registers a stage, which the retry policy (SetRetry) may
+// re-attempt after a failure. Dependencies may be registered before or
+// after the stages that declare them; they are resolved at Run.
+// Registration errors (duplicate name, nil func) are deferred to Run so
+// call sites can stay declarative.
 func (g *Graph) Add(name string, run func() error, deps ...string) {
 	g.add(Stage{Name: name, Deps: deps, Run: run})
-}
-
-// AddRetryable registers a stage that the retry policy (SetRetry) may
-// re-attempt after a failure. The stage must be idempotent: re-running
-// it from the top must reproduce the same output.
-func (g *Graph) AddRetryable(name string, run func() error, deps ...string) {
-	g.add(Stage{Name: name, Deps: deps, Run: run, Retryable: true})
 }
 
 func (g *Graph) add(st Stage) {
@@ -199,9 +191,9 @@ func (g *Graph) SetEventHook(fn func(Event)) { g.events = fn }
 // StageMiddleware.
 func (g *Graph) SetMiddleware(mw StageMiddleware) { g.mw = mw }
 
-// SetRetry installs the retry policy for stages registered with
-// AddRetryable, with jitter drawn from stream (split by stage name, so
-// delays are deterministic for any worker count).
+// SetRetry installs the retry policy for every stage, with jitter drawn
+// from stream (split by stage name, so delays are deterministic for any
+// worker count).
 func (g *Graph) SetRetry(p RetryPolicy, stream *rng.RNG) {
 	g.retry = p
 	g.retryRNG = stream
@@ -368,7 +360,7 @@ func (g *Graph) RunContext(ctx context.Context, workers int) error {
 // intact no matter what user code does.
 func (g *Graph) execStage(ctx context.Context, st Stage) error {
 	maxAttempts := 1
-	if st.Retryable && g.retry.enabled() {
+	if g.retry.enabled() {
 		maxAttempts = g.retry.MaxAttempts
 	}
 	// One jitter stream per stage execution, derived by name: the delay

@@ -1,8 +1,8 @@
 // Package parallel provides the small concurrent runtime the study
 // pipeline uses to fan generation and analysis out across cores while
 // staying deterministic: chunked parallel map with stable output order,
-// a bounded worker pool, fold/reduce over chunk partials, and sharded
-// counters for hot aggregation paths.
+// a bounded worker pool, fold/reduce over chunk partials, and the stage
+// graph executor (graph.go).
 //
 // Determinism convention: callers split an rng stream per chunk *before*
 // submitting work, so results are identical for any worker count —
@@ -238,43 +238,4 @@ func (p *Pool) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return errors.Join(p.errs...)
-}
-
-// Counter is a sharded int64 counter that avoids cache-line contention
-// on hot aggregation paths (e.g. counting jobs per class while scanning
-// a trace concurrently).
-type Counter struct {
-	shards []paddedInt64
-}
-
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte // pad to a cache line so shards don't false-share
-}
-
-// NewCounter creates a counter with one shard per worker.
-func NewCounter() *Counter {
-	n := Workers()
-	if n < 4 {
-		n = 4
-	}
-	return &Counter{shards: make([]paddedInt64, n)}
-}
-
-// Add increments the counter by delta. shard selects which shard to hit;
-// callers pass their worker index (any int is safe).
-func (c *Counter) Add(shard int, delta int64) {
-	if shard < 0 {
-		shard = -shard
-	}
-	c.shards[shard%len(c.shards)].v.Add(delta)
-}
-
-// Value returns the current total across shards.
-func (c *Counter) Value() int64 {
-	var t int64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
 }

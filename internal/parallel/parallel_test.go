@@ -189,29 +189,6 @@ func TestPoolPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			for i := 0; i < 1000; i++ {
-				c.Add(w, 1)
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	if c.Value() != 8000 {
-		t.Fatalf("counter=%d", c.Value())
-	}
-	c.Add(-5, 2) // negative shard index must be safe
-	if c.Value() != 8002 {
-		t.Fatalf("counter=%d", c.Value())
-	}
-}
-
 // Property: chunking covers [0,n) exactly for arbitrary inputs.
 func TestQuickChunks(t *testing.T) {
 	f := func(nRaw, pRaw uint16) bool {

@@ -47,9 +47,6 @@ func NewGenerator(m *Model) (*Generator, error) {
 // Instrument returns the canonical instrument the generator fills in.
 func (g *Generator) Instrument() *survey.Instrument { return g.instrument }
 
-// Model returns the cohort model.
-func (g *Generator) Model() *Model { return g.model }
-
 // GenerateRespondents draws until n completed responses have been
 // collected, simulating nonresponse: each sampled population member
 // responds with probability BaseResponseRate × field bias × career bias

@@ -84,9 +84,6 @@ func MustAlias(weights []float64) *Alias {
 	return a
 }
 
-// N returns the number of categories.
-func (a *Alias) N() int { return a.n }
-
 // Draw samples a category index in O(1).
 func (a *Alias) Draw(r *RNG) int {
 	i := r.Intn(a.n)

@@ -202,34 +202,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.NormMeanStd(mu, sigma))
 }
 
-// Exp returns an exponential variate with rate lambda (mean 1/lambda).
-// It panics if lambda <= 0.
-func (r *RNG) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("rng: Exp called with lambda=%g", lambda))
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / lambda
-		}
-	}
-}
-
-// Pareto returns a Pareto(xm, alpha) variate: xm / U^(1/alpha).
-// It panics if xm <= 0 or alpha <= 0.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic(fmt.Sprintf("rng: Pareto called with xm=%g alpha=%g", xm, alpha))
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
-}
-
 // Poisson returns a Poisson(lambda) variate. For small lambda it uses
 // Knuth's product method; for large lambda the PTRS-like normal
 // approximation with rounding, adequate for workload synthesis.
@@ -281,9 +253,6 @@ func NewZipf(n int, s float64) *Zipf {
 	cdf[n-1] = 1 // guard against rounding
 	return &Zipf{cdf: cdf}
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
 
 // Rank draws a rank in [0, n) (zero-based) from the Zipf distribution.
 func (z *Zipf) Rank(r *RNG) int {

@@ -44,13 +44,24 @@ func (s *Server) peerAuth(h http.HandlerFunc) http.HandlerFunc {
 // configuration that produces them — so this replica can compute a run
 // it has never seen. The declared fingerprint must match the config's
 // own: a mismatch means the requester and this replica would disagree
-// about what the bytes are called, which is never recoverable.
+// about what the bytes are called, which is never recoverable. The
+// artifact, its format and the work caps POST /v1/run enforces are all
+// checked before anything is looked up or computed.
 func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	id := r.PathValue("artifact")
 	format := r.URL.Query().Get("format")
 	if format == "" {
 		format = "json"
+	}
+	exp, err := core.Lookup(id)
+	if err != nil {
+		s.writeError(w, http.StatusNotFound, err.Error())
+		return
+	}
+	if err := checkFormat(exp, format); err != nil {
+		s.writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	encoded := r.URL.Query().Get(cluster.ConfigParam)
 	if encoded == "" {
@@ -63,6 +74,10 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := cfg.Validate(); err != nil {
+		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
+		return
+	}
+	if err := s.checkCaps(cfg); err != nil {
 		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
 		return
 	}
@@ -161,7 +176,7 @@ func (s *Server) handlePeerLease(w http.ResponseWriter, r *http.Request) {
 // handlePeerStage serves POST /v1/peer/stage: run one stolen stage
 // through core.RunStage (from and into this replica's stage cache) and
 // answer with its payload under its SHA-256 as the ETag. At
-// PeerStageLimit concurrent stages the answer is an immediate 503 — the
+// peerStageLimit concurrent stages the answer is an immediate 503 — the
 // thief computes locally rather than both sides waiting on a queue.
 func (s *Server) handlePeerStage(w http.ResponseWriter, r *http.Request) {
 	select {

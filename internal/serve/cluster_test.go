@@ -3,15 +3,18 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 )
 
 // replica is one in-process rcpt-serve instance on a real listener.
@@ -312,5 +315,49 @@ func TestReadyzClusterModes(t *testing.T) {
 				t.Fatalf("ready = %v with strict=%v", body.Ready, strict)
 			}
 		})
+	}
+}
+
+// TestPeerFillValidatesBeforeComputing: a peer fill for an unknown
+// artifact, in a format the artifact has no renderer for, or of a
+// config over the caps POST /v1/run enforces is refused before the
+// cache lookup, so it never starts a pipeline run.
+func TestPeerFillValidatesBeforeComputing(t *testing.T) {
+	var runs atomic.Int64
+	reps := startReplicasWith(t, 1, "", func(_ int, o *Options) {
+		o.RunFunc = func(context.Context, core.Config) (*core.Artifacts, error) {
+			runs.Add(1)
+			return nil, errors.New("stub pipeline")
+		}
+	})
+	base := tinyConfig()
+	capped := tinyConfig()
+	capped.N2024 = 20001 // above the default MaxCohort
+	cases := []struct {
+		name     string
+		cfg      core.Config
+		artifact string
+		format   string
+		want     int
+	}{
+		{"unknown artifact", base, "T99", "json", http.StatusNotFound},
+		{"table as svg", base, "T5", "svg", http.StatusBadRequest},
+		{"figure as json", base, "F1", "json", http.StatusBadRequest},
+		{"cohort over cap", capped, "T5", "json", http.StatusUnprocessableEntity},
+	}
+	for _, c := range cases {
+		param, err := cluster.EncodeConfigParam(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := fmt.Sprintf("/v1/peer/artifact/%s/%s?format=%s&%s=%s",
+			c.cfg.Fingerprint(), c.artifact, c.format, cluster.ConfigParam, param)
+		code, _, body := httpGet(t, reps[0].url, path)
+		if code != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.name, code, body, c.want)
+		}
+		if n := runs.Swap(0); n != 0 {
+			t.Errorf("%s: the fill started %d pipeline runs, want none", c.name, n)
+		}
 	}
 }

@@ -251,29 +251,39 @@ func renderArtifact(arts *core.Artifacts, id, format string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkFormat(exp, format); err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
-	switch exp.Kind {
-	case core.KindFigure:
-		if format != "svg" {
-			return nil, fmt.Errorf("figure %s renders only as svg, not %q", id, format)
-		}
+	if exp.Kind == core.KindFigure {
 		if err := exp.Figure(arts, &buf); err != nil {
 			return nil, err
 		}
-	default:
-		ff, ok := tableFormats[format]
-		if !ok {
-			return nil, fmt.Errorf("unknown format %q (json, txt, csv, md)", format)
-		}
-		tab, err := exp.Table(arts)
-		if err != nil {
-			return nil, err
-		}
-		if err := ff.render(tab, &buf); err != nil {
-			return nil, err
-		}
+		return buf.Bytes(), nil
+	}
+	tab, err := exp.Table(arts)
+	if err != nil {
+		return nil, err
+	}
+	if err := tableFormats[format].render(tab, &buf); err != nil {
+		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// checkFormat reports whether exp renders in format: tables as json,
+// txt, csv or md, figures only as svg.
+func checkFormat(exp core.Experiment, format string) error {
+	if exp.Kind == core.KindFigure {
+		if format != "svg" {
+			return fmt.Errorf("figure %s renders only as svg, not %q", exp.ID, format)
+		}
+		return nil
+	}
+	if _, ok := tableFormats[format]; !ok {
+		return fmt.Errorf("unknown format %q (json, txt, csv, md)", format)
+	}
+	return nil
 }
 
 // resolveRun picks the artifacts a render request refers to: the base
@@ -294,100 +304,63 @@ func (s *Server) resolveRun(w http.ResponseWriter, r *http.Request) (fp string, 
 	}, true
 }
 
-func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if _, ok := tableFormats[format]; !ok {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (json, txt, csv, md)", format))
-		return
-	}
-	exp, err := core.Lookup(id)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if exp.Kind != core.KindTable {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("%s is a figure; GET /v1/figures/%s", id, id))
-		return
-	}
-	fp, artsFn, ok := s.resolveRun(w, r)
-	if !ok {
-		return
-	}
-	key := cacheKey{fingerprint: fp, artifact: id, format: format}
-	if e, hit := s.cacheGet(key); hit {
-		s.writeCached(w, r, e)
-		return
-	}
-	ctx, cancel := s.runContext(r)
-	defer cancel()
-	if s.cluster != nil && fp == s.baseFP {
-		e, err := s.clusterRender(ctx, key)
+// handleArtifact serves GET /v1/tables/{id} (kind KindTable, ?format=
+// json by default, or txt, csv, md) and GET /v1/figures/{id} (kind
+// KindFigure, always svg).
+func (s *Server) handleArtifact(kind core.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		format := "svg"
+		if kind == core.KindTable {
+			if format = r.URL.Query().Get("format"); format == "" {
+				format = "json"
+			}
+			if _, ok := tableFormats[format]; !ok {
+				s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown format %q (json, txt, csv, md)", format))
+				return
+			}
+		}
+		exp, err := core.Lookup(id)
+		if err != nil {
+			s.writeError(w, http.StatusNotFound, err.Error())
+			return
+		}
+		if exp.Kind != kind {
+			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("%s is a %s; GET /v1/%ss/%s", id, exp.Kind, exp.Kind, id))
+			return
+		}
+		fp, artsFn, ok := s.resolveRun(w, r)
+		if !ok {
+			return
+		}
+		key := cacheKey{fingerprint: fp, artifact: id, format: format}
+		if e, hit := s.cacheGet(key); hit {
+			s.writeCached(w, r, e)
+			return
+		}
+		ctx, cancel := s.runContext(r)
+		defer cancel()
+		if s.cluster != nil && fp == s.baseFP {
+			e, err := s.clusterRender(ctx, key)
+			if err != nil {
+				s.failRender(w, r, id, format, err)
+				return
+			}
+			s.writeCached(w, r, e)
+			return
+		}
+		arts, err := artsFn(ctx)
 		if err != nil {
 			s.failRender(w, r, id, format, err)
 			return
 		}
-		s.writeCached(w, r, e)
-		return
-	}
-	arts, err := artsFn(ctx)
-	if err != nil {
-		s.failRender(w, r, id, format, err)
-		return
-	}
-	body, err := renderArtifact(arts, id, format)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.writeCached(w, r, s.cachePut(key, body))
-}
-
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	exp, err := core.Lookup(id)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if exp.Kind != core.KindFigure {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("%s is a table; GET /v1/tables/%s", id, id))
-		return
-	}
-	fp, artsFn, ok := s.resolveRun(w, r)
-	if !ok {
-		return
-	}
-	key := cacheKey{fingerprint: fp, artifact: id, format: "svg"}
-	if e, hit := s.cacheGet(key); hit {
-		s.writeCached(w, r, e)
-		return
-	}
-	ctx, cancel := s.runContext(r)
-	defer cancel()
-	if s.cluster != nil && fp == s.baseFP {
-		e, err := s.clusterRender(ctx, key)
+		body, err := renderArtifact(arts, id, format)
 		if err != nil {
-			s.failRender(w, r, id, "svg", err)
+			s.writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		s.writeCached(w, r, e)
-		return
+		s.writeCached(w, r, s.cachePut(key, body))
 	}
-	arts, err := artsFn(ctx)
-	if err != nil {
-		s.failRender(w, r, id, "svg", err)
-		return
-	}
-	body, err := renderArtifact(arts, id, "svg")
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.writeCached(w, r, s.cachePut(key, body))
 }
 
 // ---- POST /v1/run ----
@@ -511,19 +484,28 @@ func (s *Server) buildRunConfig(req runRequest) (core.Config, error) {
 	if req.NoiseRate != nil {
 		cfg.NoiseRate = *req.NoiseRate
 	}
-	if cfg.N2011 > s.opts.MaxCohort || cfg.N2024 > s.opts.MaxCohort {
-		return core.Config{}, fmt.Errorf("cohort size exceeds the server cap of %d", s.opts.MaxCohort)
-	}
-	if cfg.PanelN > s.opts.MaxCohort {
-		return core.Config{}, fmt.Errorf("panel size exceeds the server cap of %d", s.opts.MaxCohort)
-	}
-	if len(cfg.TraceYears) > s.opts.MaxTraceYears {
-		return core.Config{}, fmt.Errorf("trace years exceed the server cap of %d", s.opts.MaxTraceYears)
+	if err := s.checkCaps(cfg); err != nil {
+		return core.Config{}, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return core.Config{}, err
 	}
 	return cfg, nil
+}
+
+// checkCaps enforces the work-admission caps on a config a request
+// would run: POST /v1/run and peer fills share them.
+func (s *Server) checkCaps(cfg core.Config) error {
+	if cfg.N2011 > s.opts.MaxCohort || cfg.N2024 > s.opts.MaxCohort {
+		return fmt.Errorf("cohort size exceeds the server cap of %d", s.opts.MaxCohort)
+	}
+	if cfg.PanelN > s.opts.MaxCohort {
+		return fmt.Errorf("panel size exceeds the server cap of %d", s.opts.MaxCohort)
+	}
+	if len(cfg.TraceYears) > maxTraceYears {
+		return fmt.Errorf("trace years exceed the server cap of %d", maxTraceYears)
+	}
+	return nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {

@@ -30,8 +30,7 @@ import (
 // per-fingerprint circuit breaker fast-fails configurations that keep
 // failing instead of letting them monopolize run slots.
 type runner struct {
-	run        func(ctx context.Context, cfg core.Config) (*core.Artifacts, error)
-	maxEntries int
+	run func(ctx context.Context, cfg core.Config) (*core.Artifacts, error)
 
 	breakerThreshold int
 	breakerCooldown  time.Duration
@@ -69,20 +68,15 @@ type flight struct {
 // runItem is one retained run.
 type runItem struct {
 	fingerprint string
-	cfg         core.Config
 	arts        *core.Artifacts
 }
 
 // newRunner builds the runner. runFn executes one pipeline run; the
 // server injects core.RunWithOptions wired to the stage-timing
 // histogram and resilience counters (tests inject counting stubs).
-func newRunner(runFn func(ctx context.Context, cfg core.Config) (*core.Artifacts, error), maxEntries, breakerThreshold int, breakerCooldown time.Duration, reg *obs.Registry) *runner {
-	if maxEntries < 1 {
-		maxEntries = 1
-	}
+func newRunner(runFn func(ctx context.Context, cfg core.Config) (*core.Artifacts, error), breakerThreshold int, breakerCooldown time.Duration, reg *obs.Registry) *runner {
 	return &runner{
 		run:              runFn,
-		maxEntries:       maxEntries,
 		breakerThreshold: breakerThreshold,
 		breakerCooldown:  breakerCooldown,
 		now:              time.Now,
@@ -194,9 +188,9 @@ func (r *runner) finish(fingerprint string, f *flight, arts *core.Artifacts, err
 	delete(r.flights, fingerprint)
 	f.arts, f.err = arts, err
 	if err == nil {
-		el := r.ll.PushFront(&runItem{fingerprint: fingerprint, cfg: f.cfgOf(arts), arts: arts})
+		el := r.ll.PushFront(&runItem{fingerprint: fingerprint, arts: arts})
 		r.items[fingerprint] = el
-		for r.ll.Len() > r.maxEntries {
+		for r.ll.Len() > runCacheEntries {
 			tail := r.ll.Back()
 			item := tail.Value.(*runItem)
 			r.ll.Remove(tail)
@@ -215,15 +209,6 @@ func (r *runner) finish(fingerprint string, f *flight, arts *core.Artifacts, err
 	r.mu.Unlock()
 	f.cancel()
 	close(f.done)
-}
-
-// cfgOf recovers the config for the runItem record. Artifacts carry
-// their Config; a nil artifact set never reaches here (err==nil path).
-func (f *flight) cfgOf(arts *core.Artifacts) core.Config {
-	if arts != nil {
-		return arts.Config
-	}
-	return core.Config{}
 }
 
 // knows reports whether this replica already holds fp's run — retained

@@ -40,23 +40,18 @@ type Options struct {
 	BaseConfig core.Config
 	// CacheBytes bounds the rendered-artifact cache (default 64 MiB).
 	CacheBytes int64
-	// RunCacheEntries bounds how many completed runs (Artifacts) are
-	// retained for re-rendering (default 4 — Artifacts are large).
-	RunCacheEntries int
-	// MaxCohort caps the per-cohort size a POST /v1/run may request
-	// (default 20000), and MaxTraceYears the trace-year count (default
-	// 16): admission control for work, not just connections.
-	MaxCohort     int
-	MaxTraceYears int
-	// Render/Run admission: concurrent-request limits and bounded queue
-	// depths per class. Defaults: 32/64 for renders, 2/8 for runs.
-	RenderLimit, RenderQueue int
-	RunLimit, RunQueue       int
+	// MaxCohort caps the per-cohort and panel size a POST /v1/run or a
+	// peer fill may request (default 20000): admission control for work,
+	// not just connections. The trace-year count is capped at
+	// maxTraceYears.
+	MaxCohort int
+	// Run admission: the concurrent-run limit and bounded queue depth
+	// (defaults 2 and 8). Renders are admitted renderLimit at a time
+	// with renderQueue waiting.
+	RunLimit, RunQueue int
 	// QueueTimeout bounds how long an admitted-to-queue request waits
 	// for a slot (default 10s).
 	QueueTimeout time.Duration
-	// RetryAfter is the hint returned with 429/503 (default 1s).
-	RetryAfter time.Duration
 	// RunTimeout caps the wall-clock of one pipeline execution triggered
 	// by a request (0 = no cap beyond the client's own disconnect). The
 	// flight is shared: the timeout applies to the run, and a request
@@ -86,9 +81,9 @@ type Options struct {
 	// BreakerCooldown is how long a tripped breaker fast-fails before
 	// admitting a trial run (default 30s).
 	BreakerCooldown time.Duration
-	// StageRetries is how many times a failed retryable pipeline stage
-	// is re-attempted (default 0 = fail fast). Retries re-derive their
-	// rng streams, so artifacts stay byte-identical.
+	// StageRetries is how many times a failed pipeline stage is
+	// re-attempted (default 0 = fail fast). Retries re-derive their rng
+	// streams, so artifacts stay byte-identical.
 	StageRetries int
 	// Chaos injects deterministic faults into pipeline stages (dev/test
 	// only; see internal/fault). The zero Spec disables injection.
@@ -110,11 +105,25 @@ type Options struct {
 	// not unreadiness. Set it when a load balancer should drop
 	// minority-partition replicas instead.
 	ReadyzQuorumStrict bool
-	// PeerStageLimit caps concurrent stolen-stage executions on behalf
-	// of peers (default 4). At the limit, /v1/peer/stage answers 503
-	// immediately — the thief computes locally rather than queueing.
-	PeerStageLimit int
 }
+
+const (
+	// runCacheEntries bounds how many completed runs (Artifacts) are
+	// retained for re-rendering; Artifacts are large.
+	runCacheEntries = 4
+	// maxTraceYears caps the trace-year count a POST /v1/run or a peer
+	// fill may request.
+	maxTraceYears = 16
+	// renderLimit concurrent render requests run, and renderQueue more
+	// wait for a slot.
+	renderLimit, renderQueue = 32, 64
+	// retryAfter is the Retry-After hint, in seconds, sent with 429/503.
+	retryAfter = "1"
+	// peerStageLimit caps concurrent stolen-stage executions on behalf
+	// of peers. At the limit, /v1/peer/stage answers 503 immediately:
+	// the thief computes locally rather than queueing.
+	peerStageLimit = 4
+)
 
 func (o Options) withDefaults() Options {
 	if o.BaseConfig.N2011 == 0 && o.BaseConfig.N2024 == 0 && len(o.BaseConfig.TraceYears) == 0 {
@@ -123,20 +132,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = 64 << 20
 	}
-	if o.RunCacheEntries <= 0 {
-		o.RunCacheEntries = 4
-	}
 	if o.MaxCohort <= 0 {
 		o.MaxCohort = 20000
-	}
-	if o.MaxTraceYears <= 0 {
-		o.MaxTraceYears = 16
-	}
-	if o.RenderLimit <= 0 {
-		o.RenderLimit = 32
-	}
-	if o.RenderQueue <= 0 {
-		o.RenderQueue = 64
 	}
 	if o.RunLimit <= 0 {
 		o.RunLimit = 2
@@ -147,17 +144,11 @@ func (o Options) withDefaults() Options {
 	if o.QueueTimeout <= 0 {
 		o.QueueTimeout = 10 * time.Second
 	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.BreakerThreshold <= 0 {
 		o.BreakerThreshold = 3
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 30 * time.Second
-	}
-	if o.PeerStageLimit <= 0 {
-		o.PeerStageLimit = 4
 	}
 	return o
 }
@@ -262,7 +253,7 @@ func New(opts Options) (*Server, error) {
 			"responses served from the last good body after a run failure"),
 	}
 	queueDepth := reg.GaugeVec("rcpt_admission_queue_depth", "requests waiting for an admission slot", "class")
-	s.renderGate = newGate("render", opts.RenderLimit, opts.RenderQueue, opts.QueueTimeout,
+	s.renderGate = newGate("render", renderLimit, renderQueue, opts.QueueTimeout,
 		queueDepth.With("render"), func(reason string) { s.rejected.With("render", reason).Inc() })
 	s.runGate = newGate("run", opts.RunLimit, opts.RunQueue, opts.QueueTimeout,
 		queueDepth.With("run"), func(reason string) { s.rejected.With("run", reason).Inc() })
@@ -329,7 +320,7 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.cluster = cl
-		s.peerStageGate = make(chan struct{}, opts.PeerStageLimit)
+		s.peerStageGate = make(chan struct{}, peerStageLimit)
 		s.baseCfgParam, err = cluster.EncodeConfigParam(opts.BaseConfig)
 		if err != nil {
 			return nil, err
@@ -377,7 +368,7 @@ func New(opts Options) (*Server, error) {
 			return core.RunWithOptions(ctx, cfg, runOpts)
 		}
 	}
-	s.runner = newRunner(runFn, opts.RunCacheEntries, opts.BreakerThreshold, opts.BreakerCooldown, reg)
+	s.runner = newRunner(runFn, opts.BreakerThreshold, opts.BreakerCooldown, reg)
 
 	warmstart := reg.CounterVec("rcpt_cache_warmstart_total",
 		"spilled cache entries examined at boot, by outcome", "outcome")
@@ -420,8 +411,8 @@ func (s *Server) routes() {
 	handle("GET /{$}", nil, s.handleIndex)
 
 	handle("GET /v1/experiments", s.renderGate, s.handleExperiments)
-	handle("GET /v1/tables/{id}", s.renderGate, s.handleTable)
-	handle("GET /v1/figures/{id}", s.renderGate, s.handleFigure)
+	handle("GET /v1/tables/{id}", s.renderGate, s.handleArtifact(core.KindTable))
+	handle("GET /v1/figures/{id}", s.renderGate, s.handleArtifact(core.KindFigure))
 	handle("POST /v1/responses", s.renderGate, s.handleResponses)
 	handle("GET /v1/stats/chisquare", s.renderGate, s.handleChiSquare)
 	handle("GET /v1/stats/ci", s.renderGate, s.handleCI)
@@ -608,10 +599,6 @@ func (s *Server) instrument(route string, g *gate, h http.HandlerFunc) http.Hand
 
 // retryLater writes an error with a Retry-After hint.
 func (s *Server) retryLater(w http.ResponseWriter, status int, msg string) {
-	secs := int(s.opts.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", retryAfter)
 	s.writeError(w, status, msg)
 }

@@ -1,12 +1,8 @@
 package stats
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"repro/internal/rng"
 )
 
 // Interval is a confidence interval with its point estimate.
@@ -45,114 +41,8 @@ func WilsonInterval(successes, n float64, level float64) (Interval, error) {
 	return Interval{Point: p, Lo: lo, Hi: hi, Level: level}, nil
 }
 
-// BootstrapCI computes a percentile bootstrap confidence interval for an
-// arbitrary statistic of a sample. resamples controls precision (1000 is
-// typical); the RNG makes the interval reproducible.
-func BootstrapCI(r *rng.RNG, xs []float64, stat func([]float64) float64, resamples int, level float64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrEmpty
-	}
-	if resamples < 10 {
-		return Interval{}, fmt.Errorf("stats: bootstrap needs >= 10 resamples, got %d", resamples)
-	}
-	if !(level > 0 && level < 1) {
-		return Interval{}, fmt.Errorf("stats: confidence level %g out of (0,1)", level)
-	}
-	point := stat(xs)
-	ests := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for b := 0; b < resamples; b++ {
-		for i := range buf {
-			buf[i] = xs[r.Intn(len(xs))]
-		}
-		ests[b] = stat(buf)
-	}
-	sort.Float64s(ests)
-	alpha := (1 - level) / 2
-	lo := quantileSorted(ests, alpha)
-	hi := quantileSorted(ests, 1-alpha)
-	return Interval{Point: point, Lo: lo, Hi: hi, Level: level}, nil
-}
-
-// BootstrapDiffCI bootstraps the difference stat(ys) - stat(xs) between
-// two independent samples, the building block for cohort deltas on
-// non-proportion metrics (e.g. median job width 2024 - 2011).
-func BootstrapDiffCI(r *rng.RNG, xs, ys []float64, stat func([]float64) float64, resamples int, level float64) (Interval, error) {
-	if len(xs) == 0 || len(ys) == 0 {
-		return Interval{}, ErrEmpty
-	}
-	if resamples < 10 {
-		return Interval{}, fmt.Errorf("stats: bootstrap needs >= 10 resamples, got %d", resamples)
-	}
-	if !(level > 0 && level < 1) {
-		return Interval{}, fmt.Errorf("stats: confidence level %g out of (0,1)", level)
-	}
-	point := stat(ys) - stat(xs)
-	ests := make([]float64, resamples)
-	bx := make([]float64, len(xs))
-	by := make([]float64, len(ys))
-	for b := 0; b < resamples; b++ {
-		for i := range bx {
-			bx[i] = xs[r.Intn(len(xs))]
-		}
-		for i := range by {
-			by[i] = ys[r.Intn(len(ys))]
-		}
-		ests[b] = stat(by) - stat(bx)
-	}
-	sort.Float64s(ests)
-	alpha := (1 - level) / 2
-	return Interval{
-		Point: point,
-		Lo:    quantileSorted(ests, alpha),
-		Hi:    quantileSorted(ests, 1-alpha),
-		Level: level,
-	}, nil
-}
-
 // Contains reports whether v lies inside the interval (inclusive).
 func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
 
 // Width returns Hi - Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// MeanCI returns the t-based confidence interval for the mean.
-func MeanCI(xs []float64, level float64) (Interval, error) {
-	if len(xs) < 2 {
-		return Interval{}, errors.New("stats: mean CI needs >= 2 observations")
-	}
-	if !(level > 0 && level < 1) {
-		return Interval{}, fmt.Errorf("stats: confidence level %g out of (0,1)", level)
-	}
-	m, _ := Mean(xs)
-	sd, _ := StdDev(xs)
-	n := float64(len(xs))
-	se := sd / math.Sqrt(n)
-	// Invert StudentTSF by bisection for the critical value.
-	t := tQuantile(1-(1-level)/2, n-1)
-	return Interval{Point: m, Lo: m - t*se, Hi: m + t*se, Level: level}, nil
-}
-
-// tQuantile returns the p-quantile of Student's t with df degrees of
-// freedom by bisection on the CDF.
-func tQuantile(p, df float64) float64 {
-	if p == 0.5 {
-		return 0
-	}
-	cdf := func(t float64) float64 {
-		if t >= 0 {
-			return 1 - StudentTSF(t, df)
-		}
-		return StudentTSF(-t, df)
-	}
-	lo, hi := -1e3, 1e3
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if cdf(mid) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

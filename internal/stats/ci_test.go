@@ -46,106 +46,6 @@ func TestWilsonEdges(t *testing.T) {
 	}
 }
 
-func TestBootstrapCIMean(t *testing.T) {
-	r := rng.New(42)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = r.NormMeanStd(10, 2)
-	}
-	mean := func(v []float64) float64 { m, _ := Mean(v); return m }
-	iv, err := BootstrapCI(r, xs, mean, 1000, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(iv.Point) {
-		t.Fatalf("interval [%g,%g] excludes its own point %g", iv.Lo, iv.Hi, iv.Point)
-	}
-	if !iv.Contains(10) {
-		t.Fatalf("interval [%g,%g] misses true mean 10 (possible but ~5%%; deterministic seed should pass)", iv.Lo, iv.Hi)
-	}
-	if iv.Width() <= 0 || iv.Width() > 1 {
-		t.Fatalf("width %g implausible for n=500 sd=2", iv.Width())
-	}
-}
-
-func TestBootstrapCIErrors(t *testing.T) {
-	r := rng.New(1)
-	mean := func(v []float64) float64 { m, _ := Mean(v); return m }
-	if _, err := BootstrapCI(r, nil, mean, 100, 0.95); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := BootstrapCI(r, []float64{1}, mean, 5, 0.95); err == nil {
-		t.Fatal("too few resamples accepted")
-	}
-	if _, err := BootstrapCI(r, []float64{1}, mean, 100, 0); err == nil {
-		t.Fatal("level 0 accepted")
-	}
-}
-
-func TestBootstrapDeterministic(t *testing.T) {
-	xs := []float64{1, 5, 2, 8, 3, 9, 4, 7, 6, 10}
-	med := func(v []float64) float64 { m, _ := Median(v); return m }
-	iv1, _ := BootstrapCI(rng.New(7), xs, med, 500, 0.9)
-	iv2, _ := BootstrapCI(rng.New(7), xs, med, 500, 0.9)
-	if iv1 != iv2 {
-		t.Fatalf("bootstrap not deterministic: %+v vs %+v", iv1, iv2)
-	}
-}
-
-func TestBootstrapDiffCI(t *testing.T) {
-	r := rng.New(9)
-	xs := make([]float64, 300)
-	ys := make([]float64, 300)
-	for i := range xs {
-		xs[i] = r.NormMeanStd(5, 1)
-		ys[i] = r.NormMeanStd(7, 1)
-	}
-	mean := func(v []float64) float64 { m, _ := Mean(v); return m }
-	iv, err := BootstrapDiffCI(r, xs, ys, mean, 800, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The percentile interval brackets the *sample* diff; the true diff 2
-	// may fall just outside on an unlucky draw, so assert the robust
-	// properties: it brackets its point, sits near 2, and excludes 0.
-	if !iv.Contains(iv.Point) {
-		t.Fatalf("interval [%g,%g] excludes its point %g", iv.Lo, iv.Hi, iv.Point)
-	}
-	if iv.Lo < 1 || iv.Hi > 3 {
-		t.Fatalf("diff interval [%g,%g] implausibly far from true diff 2", iv.Lo, iv.Hi)
-	}
-	if iv.Lo <= 0 {
-		t.Fatalf("clear difference but interval [%g,%g] includes 0", iv.Lo, iv.Hi)
-	}
-	if _, err := BootstrapDiffCI(r, nil, ys, mean, 100, 0.95); err == nil {
-		t.Fatal("empty first sample accepted")
-	}
-}
-
-func TestMeanCI(t *testing.T) {
-	iv, err := MeanCI([]float64{4.5, 5.1, 4.9, 5.3, 4.8, 5.0, 5.2, 4.7}, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(iv.Point) || iv.Width() <= 0 {
-		t.Fatalf("bad interval %+v", iv)
-	}
-	if _, err := MeanCI([]float64{1}, 0.95); err == nil {
-		t.Fatal("single observation accepted")
-	}
-}
-
-func TestTQuantileAgainstKnown(t *testing.T) {
-	// R: qt(0.975, 10) = 2.228139.
-	got := tQuantile(0.975, 10)
-	if !almostEq(got, 2.228139, 1e-5) {
-		t.Fatalf("t quantile %g", got)
-	}
-	if tQuantile(0.5, 10) != 0 {
-		t.Fatal("median of t is not 0")
-	}
-}
-
 // Property: Wilson interval always brackets the point estimate and stays
 // inside [0,1].
 func TestQuickWilson(t *testing.T) {

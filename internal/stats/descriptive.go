@@ -20,80 +20,6 @@ import (
 // ErrEmpty is returned when a computation needs at least one observation.
 var ErrEmpty = errors.New("stats: empty data")
 
-// Mean returns the arithmetic mean. It returns ErrEmpty for no data.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// WeightedMean returns sum(w*x)/sum(w). Weights must be non-negative and
-// not all zero, and len(ws) must equal len(xs).
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, fmt.Errorf("stats: %d values but %d weights", len(xs), len(ws))
-	}
-	num, den := 0.0, 0.0
-	for i, x := range xs {
-		w := ws[i]
-		if w < 0 {
-			return 0, fmt.Errorf("stats: negative weight %g at index %d", w, i)
-		}
-		num += w * x
-		den += w
-	}
-	if den == 0 {
-		return 0, errors.New("stats: weights sum to zero")
-	}
-	return num / den, nil
-}
-
-// Variance returns the unbiased (n-1) sample variance. Needs n >= 2.
-func Variance(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: variance needs >= 2 observations, got %d", len(xs))
-	}
-	m, _ := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1), nil
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// GeoMean returns the geometric mean of strictly positive values.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for i, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean needs positive values; xs[%d]=%g", i, x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R/NumPy default).
 // xs need not be sorted; it is not modified.
@@ -174,56 +100,6 @@ func Summarize(xs []float64) (Summary, error) {
 	return s, nil
 }
 
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64 // closed-open domain [Lo, Hi)
-	Counts []int   // one per bin
-	Under  int     // observations below Lo
-	Over   int     // observations at or above Hi
-}
-
-// NewHistogram bins xs into nbins equal-width bins on [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, nbins int) (*Histogram, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs nbins > 0, got %d", nbins)
-	}
-	if !(hi > lo) {
-		return nil, fmt.Errorf("stats: histogram needs hi > lo, got [%g,%g)", lo, hi)
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins)}
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			b := int((x - lo) / width)
-			if b >= nbins { // float edge case at the top boundary
-				b = nbins - 1
-			}
-			h.Counts[b]++
-		}
-	}
-	return h, nil
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
-}
-
 // ECDF returns the empirical CDF of xs evaluated at the sorted sample
 // points: xs sorted ascending paired with cumulative probabilities
 // (i+1)/n. Used directly by the CDF figures.
@@ -240,38 +116,6 @@ func ECDF(xs []float64) (points []float64, probs []float64, err error) {
 		probs[i] = float64(i+1) / n
 	}
 	return points, probs, nil
-}
-
-// Pearson returns the Pearson product-moment correlation of paired
-// samples. Requires n >= 2 and nonzero variance in both.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: pearson length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: pearson needs >= 2 pairs, got %d", len(xs))
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: pearson undefined for zero-variance input")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation (Pearson on midranks).
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: spearman length mismatch %d vs %d", len(xs), len(ys))
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
 }
 
 // Ranks returns midranks (average rank for ties), 1-based, matching the

@@ -9,56 +9,6 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMean(t *testing.T) {
-	m, err := Mean([]float64{1, 2, 3, 4})
-	if err != nil || m != 2.5 {
-		t.Fatalf("mean=%g err=%v", m, err)
-	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Fatalf("expected ErrEmpty, got %v", err)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	m, err := WeightedMean([]float64{1, 10}, []float64{3, 1})
-	if err != nil || !almostEq(m, 3.25, 1e-12) {
-		t.Fatalf("weighted mean=%g err=%v", m, err)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{0, 0}); err == nil {
-		t.Fatal("zero-sum weights accepted")
-	}
-	if _, err := WeightedMean([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestVarianceStd(t *testing.T) {
-	v, err := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil || !almostEq(v, 32.0/7.0, 1e-12) {
-		t.Fatalf("variance=%g err=%v", v, err)
-	}
-	if _, err := Variance([]float64{1}); err == nil {
-		t.Fatal("variance of single value accepted")
-	}
-	sd, _ := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almostEq(sd, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("stddev=%g", sd)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || !almostEq(g, 4, 1e-9) {
-		t.Fatalf("geomean=%g err=%v", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("geomean accepted zero")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	for _, tc := range []struct{ q, want float64 }{
@@ -102,31 +52,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-1, 0, 0.5, 1, 2.5, 5, 10}, 0, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("total=%d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 0.5
-		t.Fatalf("bin0=%d", h.Counts[0])
-	}
-	if !almostEq(h.BinCenter(0), 0.5, 1e-12) {
-		t.Fatalf("bin center %g", h.BinCenter(0))
-	}
-	if _, err := NewHistogram(nil, 5, 5, 3); err == nil {
-		t.Fatal("degenerate domain accepted")
-	}
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-}
-
 func TestECDF(t *testing.T) {
 	pts, probs, err := ECDF([]float64{3, 1, 2})
 	if err != nil {
@@ -140,32 +65,6 @@ func TestECDF(t *testing.T) {
 	}
 	if _, _, err := ECDF(nil); err != ErrEmpty {
 		t.Fatal("expected ErrEmpty")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	r, err := Pearson([]float64{1, 2, 3}, []float64{2, 4, 6})
-	if err != nil || !almostEq(r, 1, 1e-12) {
-		t.Fatalf("r=%g err=%v", r, err)
-	}
-	r, _ = Pearson([]float64{1, 2, 3}, []float64{3, 2, 1})
-	if !almostEq(r, -1, 1e-12) {
-		t.Fatalf("r=%g", r)
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Fatal("zero variance accepted")
-	}
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 4, 9, 16, 25} // monotone, nonlinear
-	r, err := Spearman(xs, ys)
-	if err != nil || !almostEq(r, 1, 1e-12) {
-		t.Fatalf("spearman=%g err=%v", r, err)
 	}
 }
 
@@ -205,34 +104,6 @@ func TestQuickQuantileMonotone(t *testing.T) {
 		copy(sorted, xs)
 		sort.Float64s(sorted)
 		return v1 <= v2 && v1 >= sorted[0] && v2 <= sorted[len(sorted)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: mean lies between min and max.
-func TestQuickMeanBounded(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && math.Abs(v) < 1e15 {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		m, err := Mean(xs)
-		if err != nil {
-			return false
-		}
-		lo, hi := xs[0], xs[0]
-		for _, x := range xs {
-			lo = math.Min(lo, x)
-			hi = math.Max(hi, x)
-		}
-		return m >= lo-1e-6 && m <= hi+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -136,86 +136,6 @@ func ChiSquareSF(x float64, df int) float64 {
 	return 1 - gammaP(float64(df)/2, x/2)
 }
 
-// StudentTSF returns the upper-tail probability P(T >= t) for Student's t
-// with df degrees of freedom, via the regularized incomplete beta
-// function.
-func StudentTSF(t float64, df float64) float64 {
-	if df <= 0 {
-		panic(fmt.Sprintf("stats: StudentTSF df=%g", df))
-	}
-	x := df / (df + t*t)
-	p := 0.5 * incBeta(df/2, 0.5, x)
-	if t < 0 {
-		return 1 - p
-	}
-	return p
-}
-
-// incBeta returns the regularized incomplete beta function I_x(a, b).
-func incBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lga, _ := math.Lgamma(a)
-	lgb, _ := math.Lgamma(b)
-	lgab, _ := math.Lgamma(a + b)
-	bt := math.Exp(lgab - lga - lgb + a*math.Log(x) + b*math.Log(1-x))
-	if x < (a+1)/(a+b+2) {
-		return bt * betaCF(a, b, x) / a
-	}
-	return 1 - bt*betaCF(b, a, 1-x)/b
-}
-
-// betaCF evaluates the continued fraction for incBeta (Lentz's method).
-func betaCF(a, b, x float64) float64 {
-	const itmax = 500
-	const eps = 3e-14
-	const fpmin = 1e-300
-	qab := a + b
-	qap := a + 1
-	qam := a - 1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= itmax; m++ {
-		m2 := 2 * m
-		aa := float64(m) * (b - float64(m)) * x / ((qam + float64(m2)) * (a + float64(m2)))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + float64(m2)) * (qap + float64(m2)))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}
-
 // lnFactorial returns ln(n!) via Lgamma.
 func lnFactorial(n int) float64 {
 	if n < 0 {

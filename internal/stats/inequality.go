@@ -98,41 +98,3 @@ func TopShare(xs []float64, q float64) (float64, error) {
 	}
 	return top / total, nil
 }
-
-// WeightedQuantile returns the q-th quantile of values under weights
-// (non-negative, not all zero): the smallest x whose cumulative weight
-// share reaches q.
-func WeightedQuantile(xs, ws []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if len(xs) != len(ws) {
-		return 0, fmt.Errorf("stats: %d values but %d weights", len(xs), len(ws))
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile %g out of [0,1]", q)
-	}
-	type pair struct{ x, w float64 }
-	ps := make([]pair, len(xs))
-	total := 0.0
-	for i := range xs {
-		if ws[i] < 0 {
-			return 0, fmt.Errorf("stats: negative weight %g at index %d", ws[i], i)
-		}
-		ps[i] = pair{xs[i], ws[i]}
-		total += ws[i]
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("stats: weights sum to zero")
-	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].x < ps[b].x })
-	target := q * total
-	cum := 0.0
-	for _, p := range ps {
-		cum += p.w
-		if cum >= target-1e-12 {
-			return p.x, nil
-		}
-	}
-	return ps[len(ps)-1].x, nil
-}

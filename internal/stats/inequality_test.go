@@ -81,33 +81,6 @@ func TestTopShare(t *testing.T) {
 	}
 }
 
-func TestWeightedQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ws := []float64{1, 1, 1, 1}
-	// Equal weights: weighted median is the first x reaching half the mass.
-	m, err := WeightedQuantile(xs, ws, 0.5)
-	if err != nil || m != 2 {
-		t.Fatalf("median %g err=%v", m, err)
-	}
-	// Heavy weight on 4 pulls the median up.
-	m, _ = WeightedQuantile(xs, []float64{1, 1, 1, 10}, 0.5)
-	if m != 4 {
-		t.Fatalf("weighted median %g", m)
-	}
-	if _, err := WeightedQuantile(xs, ws[:2], 0.5); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := WeightedQuantile(xs, []float64{1, 1, 1, -1}, 0.5); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := WeightedQuantile(xs, []float64{0, 0, 0, 0}, 0.5); err == nil {
-		t.Fatal("zero weights accepted")
-	}
-	if _, err := WeightedQuantile(xs, ws, 2); err == nil {
-		t.Fatal("q>1 accepted")
-	}
-}
-
 // Property: Gini in [0,1); TopShare(q) >= q for non-negative data;
 // weighted quantile equals unweighted type-lower quantile under equal
 // weights.

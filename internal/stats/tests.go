@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/rng"
 )
 
 // MannWhitneyResult reports the U statistic (for the first sample), the
@@ -74,31 +72,6 @@ func MannWhitneyU(xs, ys []float64) (MannWhitneyResult, error) {
 	return MannWhitneyResult{U: u1, Z: z, P: p}, nil
 }
 
-// PermutationTest estimates the two-sided p-value for a difference in an
-// arbitrary statistic between two samples by label permutation. The
-// returned p includes the +1 correction so it is never exactly zero.
-func PermutationTest(r *rng.RNG, xs, ys []float64, stat func([]float64) float64, rounds int) (float64, error) {
-	if len(xs) == 0 || len(ys) == 0 {
-		return 0, ErrEmpty
-	}
-	if rounds < 10 {
-		return 0, fmt.Errorf("stats: permutation test needs >= 10 rounds, got %d", rounds)
-	}
-	obs := math.Abs(stat(ys) - stat(xs))
-	pool := make([]float64, 0, len(xs)+len(ys))
-	pool = append(pool, xs...)
-	pool = append(pool, ys...)
-	extreme := 0
-	for i := 0; i < rounds; i++ {
-		rng.Shuffle(r, pool)
-		d := math.Abs(stat(pool[len(xs):]) - stat(pool[:len(xs)]))
-		if d >= obs-1e-12 {
-			extreme++
-		}
-	}
-	return (float64(extreme) + 1) / (float64(rounds) + 1), nil
-}
-
 // BHAdjust applies the Benjamini–Hochberg step-up procedure, returning
 // adjusted p-values (q-values) in the same order as the input. Inputs
 // must lie in [0, 1].
@@ -126,40 +99,6 @@ func BHAdjust(ps []float64) ([]float64, error) {
 			minSoFar = q
 		}
 		adj[i] = minSoFar
-	}
-	return adj, nil
-}
-
-// HolmAdjust applies the Holm–Bonferroni step-down correction, a
-// conservative alternative used in the robustness ablation.
-func HolmAdjust(ps []float64) ([]float64, error) {
-	n := len(ps)
-	if n == 0 {
-		return nil, ErrEmpty
-	}
-	for i, p := range ps {
-		if p < 0 || p > 1 || math.IsNaN(p) {
-			return nil, fmt.Errorf("stats: p-value %g at index %d out of [0,1]", p, i)
-		}
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return ps[idx[a]] < ps[idx[b]] })
-	adj := make([]float64, n)
-	maxSoFar := 0.0
-	for rank := 0; rank < n; rank++ {
-		i := idx[rank]
-		q := ps[i] * float64(n-rank)
-		if q > 1 {
-			q = 1
-		}
-		if q < maxSoFar {
-			q = maxSoFar
-		}
-		maxSoFar = q
-		adj[i] = q
 	}
 	return adj, nil
 }

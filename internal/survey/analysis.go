@@ -2,7 +2,6 @@ package survey
 
 import (
 	"fmt"
-	"sort"
 )
 
 // CrossTab is a weighted two-way table of single-choice answers: rows
@@ -139,55 +138,4 @@ func (ins *Instrument) SummarizeLikert(qid string, responses []*Response) (Liker
 		s.TopBox = (s.Counts[q.Scale-1] + s.Counts[q.Scale-2]) / s.Base
 	}
 	return s, nil
-}
-
-// CompletionRates reports, for each question, the fraction of
-// respondents who answered it among those it applied to — the
-// item-nonresponse diagnostic every survey methods section includes.
-// Results are in instrument order.
-type CompletionRate struct {
-	QuestionID string
-	Asked      int
-	Answered   int
-	Rate       float64
-}
-
-// CompletionRates computes per-question completion over responses.
-func (ins *Instrument) CompletionRates(responses []*Response) []CompletionRate {
-	out := make([]CompletionRate, 0, len(ins.Questions))
-	for _, q := range ins.Questions {
-		cr := CompletionRate{QuestionID: q.ID}
-		for _, r := range responses {
-			if q.AskIf != nil && !q.AskIf(r) {
-				continue
-			}
-			cr.Asked++
-			if r.Has(q.ID) {
-				cr.Answered++
-			}
-		}
-		if cr.Asked > 0 {
-			cr.Rate = float64(cr.Answered) / float64(cr.Asked)
-		}
-		out = append(out, cr)
-	}
-	return out
-}
-
-// OptionUniverse returns every option ever selected for a multi-choice
-// question across responses, sorted — a data-quality check that catches
-// vocabulary drift between waves.
-func OptionUniverse(qid string, responses []*Response) []string {
-	seen := map[string]bool{}
-	for _, r := range responses {
-		for _, c := range r.Choices(qid) {
-			seen[c] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

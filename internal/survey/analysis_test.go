@@ -123,55 +123,3 @@ func TestSummarizeLikert(t *testing.T) {
 		t.Fatalf("empty summary %+v err=%v", empty, err)
 	}
 }
-
-func TestCompletionRates(t *testing.T) {
-	ins := testInstrument(t)
-	full := NewResponse("full", 2024)
-	full.SetChoice("color", "red")
-	full.SetChoices("pets", []string{"dog"})
-	full.SetRating("happy", 3)
-	full.SetValue("age", 30)
-	full.SetText("notes", "hi")
-	full.SetText("dog_name", "Rex")
-	partial := NewResponse("partial", 2024)
-	partial.SetChoice("color", "blue")
-	partial.SetRating("happy", 2)
-	// partial has no dog -> dog_name not asked.
-	rates := ins.CompletionRates([]*Response{full, partial})
-	byID := map[string]CompletionRate{}
-	for _, cr := range rates {
-		byID[cr.QuestionID] = cr
-	}
-	if byID["color"].Rate != 1 || byID["color"].Asked != 2 {
-		t.Fatalf("color %+v", byID["color"])
-	}
-	if byID["age"].Rate != 0.5 {
-		t.Fatalf("age %+v", byID["age"])
-	}
-	if byID["dog_name"].Asked != 1 || byID["dog_name"].Rate != 1 {
-		t.Fatalf("dog_name %+v (skip logic should exclude partial)", byID["dog_name"])
-	}
-	if got := ins.CompletionRates(nil); len(got) != len(ins.Questions) {
-		t.Fatal("empty responses should still list questions")
-	}
-}
-
-func TestOptionUniverse(t *testing.T) {
-	a := NewResponse("a", 2024)
-	a.SetChoices("langs", []string{"python", "c"})
-	b := NewResponse("b", 2024)
-	b.SetChoices("langs", []string{"r"})
-	got := OptionUniverse("langs", []*Response{a, b})
-	want := []string{"c", "python", "r"}
-	if len(got) != 3 {
-		t.Fatalf("universe %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("universe %v", got)
-		}
-	}
-	if got := OptionUniverse("langs", nil); len(got) != 0 {
-		t.Fatalf("empty universe %v", got)
-	}
-}

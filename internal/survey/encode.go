@@ -1,7 +1,6 @@
 package survey
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -279,92 +278,4 @@ func (ins *Instrument) NumericValues(qid string, responses []*Response) (values,
 		weights = append(weights, r.Weight)
 	}
 	return values, weights, nil
-}
-
-// ReadCSV parses the flat CSV format written by WriteCSV back into
-// validated responses — the ingestion path for spreadsheet-shaped form
-// exports. Header order may differ from the instrument; unknown columns
-// are an error, as is any invalid answer.
-func (ins *Instrument) ReadCSV(r io.Reader) ([]*Response, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("survey: csv header: %w", err)
-	}
-	if len(header) < 4 || header[0] != "id" || header[1] != "cohort" || header[2] != "weight" {
-		return nil, fmt.Errorf("survey: csv header must start with id,cohort,weight; got %v", header[:min(len(header), 3)])
-	}
-	colQ := make([]Question, len(header))
-	for i, name := range header[3:] {
-		q, ok := ins.Question(name)
-		if !ok {
-			return nil, fmt.Errorf("survey: csv column %q is not an instrument question", name)
-		}
-		colQ[i+3] = q
-	}
-	var out []*Response
-	line := 1
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		line++
-		if err != nil {
-			return nil, fmt.Errorf("survey: csv line %d: %w", line, err)
-		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("survey: csv line %d: %d fields, want %d", line, len(rec), len(header))
-		}
-		cohort, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("survey: csv line %d: cohort: %w", line, err)
-		}
-		weight, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("survey: csv line %d: weight: %w", line, err)
-		}
-		resp := NewResponse(rec[0], cohort)
-		resp.Weight = weight
-		for i := 3; i < len(rec); i++ {
-			cell := rec[i]
-			if cell == "" {
-				continue
-			}
-			q := colQ[i]
-			switch q.Kind {
-			case SingleChoice:
-				resp.SetChoice(q.ID, cell)
-			case MultiChoice:
-				resp.SetChoices(q.ID, strings.Split(cell, "|"))
-			case Likert:
-				v, err := strconv.Atoi(cell)
-				if err != nil {
-					return nil, fmt.Errorf("survey: csv line %d: %s: %w", line, q.ID, err)
-				}
-				resp.SetRating(q.ID, v)
-			case Numeric:
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					return nil, fmt.Errorf("survey: csv line %d: %s: %w", line, q.ID, err)
-				}
-				resp.SetValue(q.ID, v)
-			case FreeText:
-				resp.SetText(q.ID, cell)
-			}
-		}
-		if errs := ins.Validate(resp); len(errs) > 0 {
-			return nil, fmt.Errorf("survey: csv line %d: %v", line, errs[0])
-		}
-		out = append(out, resp)
-	}
-	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

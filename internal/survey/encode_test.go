@@ -277,63 +277,3 @@ func TestQuickJSONNumericRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCSVRoundTrip(t *testing.T) {
-	ins := testInstrument(t)
-	in := sampleResponses(t, ins)
-	var buf bytes.Buffer
-	if err := ins.WriteCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ins.ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d responses", len(out))
-	}
-	for i := range in {
-		a, b := in[i], out[i]
-		if a.ID != b.ID || a.Cohort != b.Cohort || a.Weight != b.Weight {
-			t.Fatalf("metadata mismatch: %+v vs %+v", a, b)
-		}
-		for id, av := range a.Answers {
-			bv, ok := b.Answers[id]
-			if !ok {
-				t.Fatalf("answer %s lost for %s", id, a.ID)
-			}
-			if av.Choice != bv.Choice || av.Rating != bv.Rating ||
-				av.Value != bv.Value || av.Text != bv.Text ||
-				strings.Join(av.Choices, "|") != strings.Join(bv.Choices, "|") {
-				t.Fatalf("answer %s mismatch: %+v vs %+v", id, av, bv)
-			}
-		}
-	}
-}
-
-func TestReadCSVFailureInjection(t *testing.T) {
-	ins := testInstrument(t)
-	cases := []struct {
-		name, input string
-	}{
-		{"empty", ""},
-		{"bad header", "nope,cohort,weight\n"},
-		{"unknown column", "id,cohort,weight,ghost\nx,2024,1,boo\n"},
-		{"bad cohort", "id,cohort,weight,color\nx,twenty,1,red\n"},
-		{"bad weight", "id,cohort,weight,color\nx,2024,heavy,red\n"},
-		{"bad likert", "id,cohort,weight,happy\nx,2024,1,five\n"},
-		{"bad numeric", "id,cohort,weight,age\nx,2024,1,old\n"},
-		{"invalid choice", "id,cohort,weight,color,happy\nx,2024,1,mauve,3\n"},
-	}
-	for _, c := range cases {
-		if _, err := ins.ReadCSV(strings.NewReader(c.input)); err == nil {
-			t.Fatalf("%s: accepted", c.name)
-		}
-	}
-	// Valid minimal row (required answers present).
-	ok := "id,cohort,weight,color,happy\nx,2024,1,red,3\n"
-	rs, err := ins.ReadCSV(strings.NewReader(ok))
-	if err != nil || len(rs) != 1 || rs[0].Choice("color") != "red" {
-		t.Fatalf("valid row rejected: %v %v", rs, err)
-	}
-}

@@ -53,7 +53,7 @@ func ShardFold[T, A any](t Table[T], shards int, newAcc func() A, fold func(A, T
 	if shards <= 0 {
 		shards = 1
 	}
-	if n := t.Len(Approx); shards > n && n > 0 {
+	if n := t.Len(Exact); shards > n && n > 0 {
 		shards = n
 	}
 	idx := make([]int, shards)
@@ -110,7 +110,7 @@ func ShardFoldParts[T, A any](t Table[T], shards int, fold func(A, T) A) ([]A, e
 	if shards <= 0 {
 		shards = 1
 	}
-	if n := t.Len(Approx); shards > n && n > 0 {
+	if n := t.Len(Exact); shards > n && n > 0 {
 		shards = n
 	}
 	idx := make([]int, shards)
@@ -143,14 +143,4 @@ func Rows[T any](t Table[T]) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// MustRows is Rows for in-memory tables whose scan cannot fail (Slice,
-// Concat of Slices); it panics on error rather than returning one.
-func MustRows[T any](t Table[T]) []T {
-	rows, err := Rows(t)
-	if err != nil {
-		panic("table: " + err.Error())
-	}
-	return rows
 }

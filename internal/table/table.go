@@ -1,6 +1,6 @@
 // Package table is the columnar streaming artifact layer: a read-only
 // Table abstraction over typed rows with range-sharded scanners, modeled
-// on grailbio/gql's Scanner(start, limit, total) / Len(Exact|Approx) /
+// on grailbio/gql's Scanner(start, limit, total) / Len(Exact) /
 // Hash() contract. Two implementations ship here — Slice (a thin view
 // over an in-memory slice) and Batches (struct-of-arrays column batches
 // with lazy materialization, background prefetch, and crash-safe
@@ -25,13 +25,8 @@ package table
 // CountMode controls the behavior of Table.Len.
 type CountMode int
 
-const (
-	// Exact makes Len return the exact row count.
-	Exact CountMode = iota
-	// Approx lets Len return a fast approximation, used only to guide
-	// sharding and prefetch policy — never to size an artifact.
-	Approx
-)
+// Exact makes Len return the exact row count.
+const Exact CountMode = 0
 
 // Scanner iterates one shard of a table in row order. The zero-value
 // pattern mirrors bufio.Scanner: Scan advances and reports whether a row

@@ -1,8 +1,7 @@
 // Package textcode implements the open-response coding pipeline: a
-// tokenizer and normalizer, a keyword taxonomy that maps free text to
-// analysis categories (with longest-phrase-first matching), TF-IDF
-// scoring for "what terms characterize this category", and term
-// co-occurrence counts. This is the machinery that turns the survey's
+// tokenizer and normalizer and a keyword taxonomy that maps free text to
+// analysis categories (with longest-phrase-first matching). This is the
+// machinery that turns the survey's
 // "what limits your computational research?" answers into the coded
 // categories of table R-T6.
 package textcode
@@ -10,7 +9,6 @@ package textcode
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"unicode"
@@ -48,21 +46,6 @@ func Tokenize(text string) []string {
 	flush()
 	return tokens
 }
-
-// stopwords is the small English stopword list used by TF-IDF; taxonomy
-// matching does not filter stopwords (phrases may contain them).
-var stopwords = map[string]bool{
-	"a": true, "an": true, "and": true, "are": true, "as": true, "at": true,
-	"be": true, "by": true, "for": true, "from": true, "has": true,
-	"have": true, "i": true, "in": true, "is": true, "it": true, "its": true,
-	"my": true, "of": true, "on": true, "or": true, "our": true, "so": true,
-	"that": true, "the": true, "their": true, "this": true, "to": true,
-	"too": true, "was": true, "we": true, "with": true, "you": true,
-	"most": true, "even": true, "keeps": true, "takes": true, "eat": true,
-}
-
-// IsStopword reports whether tok is on the stopword list.
-func IsStopword(tok string) bool { return stopwords[tok] }
 
 // Taxonomy maps categories to trigger phrases. Matching is done on the
 // token stream: a phrase matches when its tokens appear contiguously.
@@ -211,97 +194,4 @@ func BottleneckTaxonomy() *Taxonomy {
 		panic("textcode: bottleneck taxonomy invalid: " + err.Error())
 	}
 	return t
-}
-
-// Corpus accumulates documents for TF-IDF and co-occurrence analysis.
-type Corpus struct {
-	docs [][]string
-	df   map[string]int
-}
-
-// NewCorpus creates an empty corpus.
-func NewCorpus() *Corpus { return &Corpus{df: map[string]int{}} }
-
-// Add tokenizes and stores one document, dropping stopwords.
-func (c *Corpus) Add(text string) {
-	toks := Tokenize(text)
-	kept := make([]string, 0, len(toks))
-	seen := map[string]bool{}
-	for _, tok := range toks {
-		if IsStopword(tok) {
-			continue
-		}
-		kept = append(kept, tok)
-		if !seen[tok] {
-			seen[tok] = true
-			c.df[tok]++
-		}
-	}
-	c.docs = append(c.docs, kept)
-}
-
-// Len returns the number of documents.
-func (c *Corpus) Len() int { return len(c.docs) }
-
-// TermScore is a term with its aggregate TF-IDF weight.
-type TermScore struct {
-	Term  string
-	Score float64
-}
-
-// TopTerms returns the k highest TF-IDF terms across the corpus
-// (smoothed idf = ln(1 + N/df)), ties broken alphabetically.
-func (c *Corpus) TopTerms(k int) []TermScore {
-	if k <= 0 || len(c.docs) == 0 {
-		return nil
-	}
-	n := float64(len(c.docs))
-	agg := map[string]float64{}
-	for _, doc := range c.docs {
-		if len(doc) == 0 {
-			continue
-		}
-		tf := map[string]float64{}
-		for _, tok := range doc {
-			tf[tok]++
-		}
-		for tok, f := range tf {
-			idf := math.Log(1 + n/float64(c.df[tok]))
-			agg[tok] += (f / float64(len(doc))) * idf
-		}
-	}
-	out := make([]TermScore, 0, len(agg))
-	for term, s := range agg {
-		out = append(out, TermScore{Term: term, Score: s})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Term < out[b].Term
-	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
-}
-
-// Cooccurrence returns how many documents contain both a and b.
-func (c *Corpus) Cooccurrence(a, b string) int {
-	count := 0
-	for _, doc := range c.docs {
-		hasA, hasB := false, false
-		for _, tok := range doc {
-			if tok == a {
-				hasA = true
-			}
-			if tok == b {
-				hasB = true
-			}
-		}
-		if hasA && hasB {
-			count++
-		}
-	}
-	return count
 }

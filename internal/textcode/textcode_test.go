@@ -110,58 +110,6 @@ func TestBottleneckTaxonomyCoversGeneratorPhrases(t *testing.T) {
 	}
 }
 
-func TestCorpusTopTerms(t *testing.T) {
-	c := NewCorpus()
-	c.Add("the gpu cluster is slow")
-	c.Add("the gpu queue is slow")
-	c.Add("data cleaning is slow")
-	if c.Len() != 3 {
-		t.Fatalf("len=%d", c.Len())
-	}
-	top := c.TopTerms(3)
-	if len(top) != 3 {
-		t.Fatalf("top=%v", top)
-	}
-	// "slow" appears in all docs (low idf); "gpu" in 2; unique terms get
-	// highest idf. Scores must be positive and sorted descending.
-	for i := 1; i < len(top); i++ {
-		if top[i].Score > top[i-1].Score {
-			t.Fatalf("not sorted: %v", top)
-		}
-	}
-	for _, ts := range top {
-		if ts.Score <= 0 {
-			t.Fatalf("nonpositive score: %v", ts)
-		}
-		if IsStopword(ts.Term) {
-			t.Fatalf("stopword %q survived", ts.Term)
-		}
-	}
-	if got := c.TopTerms(0); got != nil {
-		t.Fatal("k=0 should be nil")
-	}
-	if got := NewCorpus().TopTerms(5); got != nil {
-		t.Fatal("empty corpus should be nil")
-	}
-	// k beyond vocabulary size returns the whole vocabulary.
-	if got := c.TopTerms(10000); len(got) == 0 || len(got) > 20 {
-		t.Fatalf("huge k gave %d terms", len(got))
-	}
-}
-
-func TestCooccurrence(t *testing.T) {
-	c := NewCorpus()
-	c.Add("gpu cluster slow")
-	c.Add("gpu fast")
-	c.Add("cluster busy")
-	if got := c.Cooccurrence("gpu", "cluster"); got != 1 {
-		t.Fatalf("cooc=%d", got)
-	}
-	if got := c.Cooccurrence("gpu", "nonexistent"); got != 0 {
-		t.Fatalf("cooc=%d", got)
-	}
-}
-
 // Property: tokenization output contains no separators or uppercase and
 // coding never panics on arbitrary input.
 func TestQuickTokenizeClean(t *testing.T) {

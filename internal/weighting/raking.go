@@ -244,14 +244,6 @@ func normalize(w []float64) {
 	}
 }
 
-// ResetWeights sets every response weight to 1 (the unweighted
-// baseline used by the ablation).
-func ResetWeights(responses []*survey.Response) {
-	for _, r := range responses {
-		r.Weight = 1
-	}
-}
-
 // KishEffectiveN returns the Kish effective sample size of the current
 // weights without modifying anything.
 func KishEffectiveN(responses []*survey.Response) (float64, error) {

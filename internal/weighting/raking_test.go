@@ -173,15 +173,6 @@ func TestKishEffectiveN(t *testing.T) {
 	}
 }
 
-func TestResetWeights(t *testing.T) {
-	rs := []*survey.Response{makeResp("1", "a", "x")}
-	rs[0].Weight = 7
-	ResetWeights(rs)
-	if rs[0].Weight != 1 {
-		t.Fatal("reset failed")
-	}
-}
-
 // Integration: rake a synthetic cohort back to its frame and verify the
 // weighted field shares match the frame while unweighted ones do not.
 func TestRakeCorrectsCohortBias(t *testing.T) {
