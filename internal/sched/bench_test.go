@@ -2,12 +2,14 @@ package sched
 
 // Microbenchmarks isolating the scheduler hot path per policy, so the
 // incremental-profile claims in DESIGN.md ("Scheduler performance")
-// are measurable without the rest of the pipeline. Two workloads: the
-// standard 2024 campus trace, and a 10× synthetic trace (ten
-// year-offset generations back to back) probing how the simulator
-// scales with trace length. The *Naive variants run the reference
-// oracle (oracle.go) — the pre-incremental implementation — on the
-// same workload, so one `scripts/bench.sh` run records the speedup.
+// are measurable without the rest of the pipeline. Three workloads:
+// the standard 2024 campus trace; the 2019 month the study config
+// simulates in every cold run (the EASY and conservative benchmarks
+// only); and a 10× synthetic trace (ten year-offset generations back
+// to back) probing how the simulator scales with trace length. The
+// *Naive variants run the reference oracle (oracle.go) — the
+// pre-incremental implementation — on the same workload, so one
+// `scripts/bench.sh` run records the speedup.
 
 import (
 	"sort"
@@ -24,9 +26,10 @@ var (
 	benchTraceOnce sync.Once
 	benchCampus    []trace.Job
 	benchCampus10x []trace.Job
+	benchStudy     []trace.Job
 )
 
-func benchTraces(b *testing.B) (campus, campus10x []trace.Job) {
+func benchTraces(b *testing.B) (campus, campus10x, study []trace.Job) {
 	b.Helper()
 	benchTraceOnce.Do(func() {
 		jobs, err := trace.CampusModel(2024).Generate(rng.New(7), 0)
@@ -34,6 +37,9 @@ func benchTraces(b *testing.B) (campus, campus10x []trace.Job) {
 			panic(err)
 		}
 		benchCampus = jobs
+		if benchStudy, err = trace.CampusModel(2019).Generate(rng.New(7), 0); err != nil {
+			panic(err)
+		}
 		// Ten generations, each shifted a year apart so the backlog
 		// carries realistic arrival density across the whole span.
 		const yearStride = 366 * 86400
@@ -56,7 +62,7 @@ func benchTraces(b *testing.B) (campus, campus10x []trace.Job) {
 		})
 		benchCampus10x = big
 	})
-	return benchCampus, benchCampus10x
+	return benchCampus, benchCampus10x, benchStudy
 }
 
 func benchSimulate(b *testing.B, jobs []trace.Job, opt Options, naive bool) {
@@ -76,24 +82,26 @@ func benchSimulate(b *testing.B, jobs []trace.Job, opt Options, naive bool) {
 }
 
 func BenchmarkSimulateFCFS(b *testing.B) {
-	campus, big := benchTraces(b)
+	campus, big, _ := benchTraces(b)
 	opt := Options{Policy: FCFS}
 	b.Run("campus", func(b *testing.B) { benchSimulate(b, campus, opt, false) })
 	b.Run("campus10x", func(b *testing.B) { benchSimulate(b, big, opt, false) })
 }
 
 func BenchmarkSimulateEASY(b *testing.B) {
-	campus, big := benchTraces(b)
+	campus, big, study := benchTraces(b)
 	// Fairshare on, mirroring the pipeline's sim-policy stage.
 	opt := Options{Policy: EASYBackfill, Fairshare: true}
 	b.Run("campus", func(b *testing.B) { benchSimulate(b, campus, opt, false) })
+	b.Run("study", func(b *testing.B) { benchSimulate(b, study, opt, false) })
 	b.Run("campus10x", func(b *testing.B) { benchSimulate(b, big, opt, false) })
 }
 
 func BenchmarkSimulateConservative(b *testing.B) {
-	campus, big := benchTraces(b)
+	campus, big, study := benchTraces(b)
 	opt := Options{Policy: ConservativeBackfill}
 	b.Run("campus", func(b *testing.B) { benchSimulate(b, campus, opt, false) })
+	b.Run("study", func(b *testing.B) { benchSimulate(b, study, opt, false) })
 	b.Run("campus10x", func(b *testing.B) { benchSimulate(b, big, opt, false) })
 }
 
@@ -101,12 +109,12 @@ func BenchmarkSimulateConservative(b *testing.B) {
 // trace only — the 10× workload is impractically slow under the
 // quadratic rescan, which is rather the point.
 func BenchmarkSimulateEASYNaive(b *testing.B) {
-	campus, _ := benchTraces(b)
+	campus, _, _ := benchTraces(b)
 	benchSimulate(b, campus, Options{Policy: EASYBackfill, Fairshare: true}, true)
 }
 
 func BenchmarkSimulateConservativeNaive(b *testing.B) {
-	campus, _ := benchTraces(b)
+	campus, _, _ := benchTraces(b)
 	benchSimulate(b, campus, Options{Policy: ConservativeBackfill}, true)
 }
 

@@ -44,6 +44,14 @@ func (n need) fitsIn(avail need) bool {
 	return n.cpu <= avail.cpu && n.gpuCore <= avail.gpuCore && n.gpu <= avail.gpu
 }
 
+func (n need) plus(m need) need {
+	return need{cpu: n.cpu + m.cpu, gpuCore: n.gpuCore + m.gpuCore, gpu: n.gpu + m.gpu}
+}
+
+func (n need) minus(m need) need {
+	return need{cpu: n.cpu - m.cpu, gpuCore: n.gpuCore - m.gpuCore, gpu: n.gpu - m.gpu}
+}
+
 // profile tracks free resources over future time as a step function.
 // The three resource lanes are stored as parallel arrays (struct of
 // arrays) sharing the times axis: feasibility scans for a cpu-partition
@@ -182,52 +190,84 @@ func (p *profile) boundary(t int64) int {
 	return idx
 }
 
-// scheduleConservative runs one conservative-backfill pass: walk the
-// queue in priority order, give each of the first bfDepth jobs a
-// reservation, and start those whose reservation is now. Each pass
-// works on a scratch copy of the base profile; when a job starts, the
-// base is updated in place (a start is exactly a reservation over the
-// job's limit window) rather than rebuilt, which is what makes the
-// restarted pass cheap.
+// scheduleConservative runs conservative-backfill passes; only a start
+// under fairshare ends a pass early and asks for another.
 func (s *sim) scheduleConservative() error {
 	for {
-		order := s.order()
-		if len(order) == 0 {
-			return nil
-		}
-		if !s.baseOK {
-			s.rebuildBase()
-		}
-		p := &s.work
-		p.copyFrom(&s.base)
-		startedOne := false
-		depth := len(order)
-		if depth > bfDepth {
-			depth = bfDepth
-		}
-		for qi := 0; qi < depth; qi++ {
-			q := order[qi]
-			n := needOf(q.job)
-			start, ok := p.earliestFit(n, q.job.Limit)
-			if !ok {
-				return fmt.Errorf("sched: job %d (%d cores / %d gpus on %q) cannot be reserved: %w",
-					q.job.ID, q.job.Cores(), q.job.GPUs, q.job.Partition, ErrNeverFits)
-			}
-			if start == s.now && s.fits(q.job) {
-				s.start(q)
-				s.base.reserve(n, s.now, q.job.Limit)
-				if qi > 0 {
-					s.backfills++
-				}
-				startedOne = true
-				break // state changed; restart the pass on the updated base
-			}
-			p.reserve(n, start, q.job.Limit)
-		}
-		if !startedOne {
-			return nil
+		restart, err := s.conservativePass()
+		if err != nil || !restart {
+			return err
 		}
 	}
+}
+
+// conservativePass walks the queue in priority order, gives each job
+// in the bfDepth window a reservation, and starts those whose
+// reservation is now. It works on a scratch copy of the base profile;
+// a start updates the base in place (a start is exactly a reservation
+// over the job's limit window) rather than rebuilding it.
+//
+// The pass stops after the last window job that fits the free
+// resources now, or exceeds the whole machine (its reservation fails
+// with ErrNeverFits): later reservations only constrain later jobs,
+// none of which can start now, and the work profile is scratch. With
+// no such job the pass is skipped. Without fairshare a start keeps
+// going on the work profile with the started job reserved at now, and
+// the window slides by one: a restarted pass would give every job
+// ahead of the started one the same reservation — each fit beside the
+// started job already — and none of them can start. With fairshare a
+// start reorders the queue, so restart reports that the caller must
+// run a fresh pass.
+func (s *sim) conservativePass() (restart bool, err error) {
+	order := s.order()
+	last := s.lastCandidate(order, 0)
+	if last < 0 {
+		return false, nil
+	}
+	if !s.baseOK {
+		s.rebuildBase()
+	}
+	p := &s.work
+	p.copyFrom(&s.base)
+	for qi := 0; qi <= last; {
+		q := order[qi]
+		n := needOf(q.job)
+		start, ok := p.earliestFit(n, q.job.Limit)
+		if !ok {
+			return false, fmt.Errorf("sched: job %d (%d cores / %d gpus on %q) cannot be reserved: %w",
+				q.job.ID, q.job.Cores(), q.job.GPUs, q.job.Partition, ErrNeverFits)
+		}
+		if start != s.now || !s.fits(q.job) {
+			p.reserve(n, start, q.job.Limit)
+			qi++
+			continue
+		}
+		s.start(q)
+		s.base.reserve(n, s.now, q.job.Limit)
+		if qi > 0 {
+			s.backfills++
+		}
+		if s.opt.Fairshare {
+			return true, nil
+		}
+		p.reserve(n, s.now, q.job.Limit)
+		order = s.order()
+		last = s.lastCandidate(order, qi)
+	}
+	return false, nil
+}
+
+// lastCandidate returns the index of the last job in the reservation
+// window, at or after from, that fits the free resources now or
+// exceeds the whole machine; -1 if there is none.
+func (s *sim) lastCandidate(order []*queued, from int) int {
+	machine := need{cpu: s.cluster.cpuCapacity(), gpuCore: s.cluster.gpuCoreCap(), gpu: s.cluster.gpuCapacity()}
+	for i := min(len(order), bfDepth) - 1; i >= from; i-- {
+		if j := order[i].job; s.fits(j) || !needOf(j).fitsIn(machine) {
+			return i
+		}
+	}
+	return -1
 }
 
 // jainFairness computes Jain's index over per-user mean bounded

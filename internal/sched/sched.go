@@ -225,7 +225,9 @@ type sim struct {
 	// (baseOK) and then maintained incrementally as jobs start; work is
 	// the per-pass reservation scratch copied from base. prio caches
 	// the fairshare priority order between mutations (prioDirty), and
-	// shadowRels is the reusable buffer behind EASY's shadow sort.
+	// shadowRels is the reusable buffer behind shadowSorted, the sort
+	// EASY's shadow falls back to when a tie at the shadow time makes
+	// the release list walk order-sensitive.
 	releases   []release
 	base       profile
 	work       profile
@@ -525,10 +527,17 @@ func (s *sim) schedule() error {
 		} else if s.opt.Policy == EASYBackfill && len(order) > 1 {
 			// Shadow time: when will the head fit, assuming running jobs
 			// hold resources until their *requested* limits (as EASY does)?
-			shadow, spareCPU, spareGPUCore, spareGPU := s.shadow(head.job)
+			// Computed only once a candidate fits now; nothing else reads it.
+			var shadow int64
+			var spareCPU, spareGPUCore, spareGPU int
+			haveShadow := false
 			for _, cand := range order[1:] {
 				if !s.fits(cand.job) {
 					continue
+				}
+				if !haveShadow {
+					shadow, spareCPU, spareGPUCore, spareGPU = s.shadow(head.job)
+					haveShadow = true
 				}
 				// A backfilled job must either end by the shadow time or
 				// not touch the resources the head is waiting for.
@@ -555,11 +564,62 @@ func (s *sim) schedule() error {
 
 // shadow computes the head job's reservation: the earliest time enough
 // resources free up (by requested limits), plus the spare capacity at
-// that time beyond what the head needs. The rels buffer is reused
-// across calls; the fill order (run-heap layout) and tie-unstable sort
-// are kept exactly as the oracle's so spare-capacity ties resolve
-// identically.
+// that time beyond what the head needs. It walks the release list one
+// release time at a time (shadowWalk) and falls back to shadowSorted,
+// the oracle's sort-based body, only where the walk cannot vouch for
+// the sort's answer.
 func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
+	t, avail, ok := s.shadowWalk(head)
+	if !ok {
+		return s.shadowSorted(head)
+	}
+	h := needOf(head)
+	return t, max(avail.cpu-h.cpu, 0), max(avail.gpuCore-h.gpuCore, 0), max(avail.gpu-h.gpu, 0)
+}
+
+// shadowWalk returns the shadow time and the resources free then,
+// before the head takes its share. s.releases is the running set's
+// release events sorted by (t, seq), so the walk adds whole release
+// times until the head fits, with no copy and no sort. The sort-based
+// body's shadow time is the same, since fitting only grows with
+// resources; but its unstable sort puts the tie group at that time in
+// an order of its own and stops adding at the first member the head
+// fits after, so which members count toward spare capacity depends on
+// that order. When no member can be left out — the group has one
+// release, or the head fits only with every member counted — the
+// answer is order-free and equals the sort's; otherwise ok is false,
+// and also when the head never fits.
+func (s *sim) shadowWalk(head trace.Job) (t int64, avail need, ok bool) {
+	h := needOf(head)
+	avail = need{cpu: s.cpuFree, gpuCore: s.gpuCore, gpu: s.gpuFree}
+	if h.fitsIn(avail) {
+		return s.now, avail, true
+	}
+	rels := s.releases
+	for i := 0; i < len(rels); {
+		t = rels[i].t
+		next, j := avail, i
+		for ; j < len(rels) && rels[j].t == t; j++ {
+			next = next.plus(rels[j].n)
+		}
+		if h.fitsIn(next) {
+			for k := i; k < j; k++ {
+				if h.fitsIn(next.minus(rels[k].n)) {
+					return 0, need{}, false
+				}
+			}
+			return t, next, true
+		}
+		avail, i = next, j
+	}
+	return 0, need{}, false
+}
+
+// shadowSorted is the oracle's shadow body: it copies the running set
+// in run-heap layout and sorts it by release time with sort.Slice,
+// whose order among equal times decides the spare capacity. The rels
+// buffer is reused across calls.
+func (s *sim) shadowSorted(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
 	rels := s.shadowRels[:0]
 	for i := range s.running {
 		e := &s.running[i]

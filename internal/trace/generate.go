@@ -113,6 +113,15 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 		return fmt.Errorf("trace: language share: %w", err)
 	}
 	userZipf := rng.NewZipf(m.Users, 1.2) // few users dominate, as in real logs
+	// Heavy-tailed width within each class's node range: most jobs near
+	// the minimum, occasional wide ones. One table per class, built up
+	// front; NewZipf draws nothing, so the stream is unchanged.
+	widthZipf := make([]*rng.Zipf, len(m.Classes))
+	for i, c := range m.Classes {
+		if c.NodesMax > c.NodesMin {
+			widthZipf[i] = rng.NewZipf(c.NodesMax-c.NodesMin+1, 1.5)
+		}
+	}
 
 	var pending []Job
 	sortPending := func() {
@@ -151,13 +160,10 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 		}
 		n := r.Poisson(m.JobsPerDay * dayFactor)
 		for k := 0; k < n; k++ {
-			c := m.Classes[classAlias.Draw(r)]
+			ci := classAlias.Draw(r)
+			c := m.Classes[ci]
 			nodes := c.NodesMin
-			if c.NodesMax > c.NodesMin {
-				// Heavy-tailed width within the class range: most jobs
-				// near the minimum, occasional wide ones.
-				span := c.NodesMax - c.NodesMin + 1
-				z := rng.NewZipf(span, 1.5)
+			if z := widthZipf[ci]; z != nil {
 				nodes = c.NodesMin + z.Rank(r)
 			}
 			elapsed := int64(r.LogNormal(c.RuntimeMu, c.RuntimeSig))
