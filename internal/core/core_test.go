@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/table"
+	"repro/internal/trace"
 )
 
 // smallConfig keeps integration tests fast: two trace years, small
@@ -111,12 +114,31 @@ func TestRegistryComplete(t *testing.T) {
 	if len(reg) != 29 {
 		t.Fatalf("%d experiments", len(reg))
 	}
+	// Every entry declares its inputs (render keys derive from them): a
+	// version tag, and the stages or config fields it reads, each naming
+	// a cached stage of the default config or a fingerprint field.
+	cfg := DefaultConfig()
+	specs, err := stages(cfg, newArtifacts(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
 	for _, e := range reg {
 		if seen[e.ID] {
 			t.Fatalf("duplicate id %s", e.ID)
 		}
 		seen[e.ID] = true
+		if e.version == "" || len(e.reads)+len(e.config) == 0 {
+			t.Fatalf("%s: declares no version or no inputs", e.ID)
+		}
+		for _, r := range e.reads {
+			if !slices.ContainsFunc(specs, func(s spec) bool { return s.encode != nil && covers(r, s.name) }) {
+				t.Fatalf("%s: read %q names no cached stage", e.ID, r)
+			}
+		}
+		if _, err := configSubset(cfg, e.config); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
 		switch e.Kind {
 		case KindTable:
 			if e.Table == nil || e.Figure != nil {
@@ -146,6 +168,69 @@ func TestRegistryComplete(t *testing.T) {
 	reg[0].ID = "mutated"
 	if Registry()[0].ID != "T1" {
 		t.Fatal("Registry shares its backing array with callers")
+	}
+}
+
+// TestFigure7TiesBreakByAccount: accounts with equal core-hours print
+// in name order, not in map order, so every render of the same jobs is
+// the same byte sequence.
+func TestFigure7TiesBreakByAccount(t *testing.T) {
+	var jobs []trace.Job
+	for i, acct := range []string{"physics", "biology", "chemistry", "economics", "astronomy", "geology"} {
+		jobs = append(jobs, trace.Job{ID: uint64(i + 1), User: "u", Account: acct, Partition: "cpu",
+			Year: 2024, Nodes: 1, CoresPer: 4, Limit: 7200, Elapsed: 3600, State: trace.StateCompleted, Language: "python"})
+	}
+	tab, err := table.FromSlice[trace.Job](trace.JobCodec{}, table.Options{}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	a := &Artifacts{Config: cfg, JobsByYr: map[int]trace.JobTable{cfg.SimYear: tab}}
+	var first []byte
+	for i := 0; i < 50; i++ {
+		var buf bytes.Buffer
+		if err := figure7(a, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+			continue
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("render %d of tied accounts differs from the first", i)
+		}
+	}
+	pos := func(s string) int { return bytes.Index(first, []byte(">"+s+"<")) }
+	for _, pair := range [][2]string{{"astronomy", "biology"}, {"chemistry", "economics"}, {"geology", "physics"}} {
+		if p, q := pos(pair[0]), pos(pair[1]); p < 0 || q < 0 || p > q {
+			t.Errorf("%s (at %d) does not precede %s (at %d)", pair[0], p, pair[1], q)
+		}
+	}
+}
+
+// TestRegistryTablesBuiltOnce: a registry table is built once per
+// Artifacts, however many callers (formats) ask for it concurrently.
+func TestRegistryTablesBuiltOnce(t *testing.T) {
+	a := artifacts(t)
+	e, err := Lookup("T5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabs := make(chan *report.Table, 8)
+	for i := 0; i < cap(tabs); i++ {
+		go func() {
+			tab, err := e.Table(a)
+			if err != nil {
+				t.Error(err)
+			}
+			tabs <- tab
+		}()
+	}
+	first := <-tabs
+	for i := 1; i < cap(tabs); i++ {
+		if got := <-tabs; got != first {
+			t.Fatal("concurrent callers got different table builds")
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ package core
 // many of them need the same aggregates — weighted cross-tabs of a
 // cohort question, per-year job summaries, per-user usage vectors, the
 // sim-year co-load matrix. Computing those once and caching them keeps
-// the render path O(outputs), not O(outputs × scans).
+// the render path O(outputs), not O(outputs × scans). The registry's
+// tables themselves are memoized the same way, so the four formats of a
+// table share one build.
 //
 // All cached values are computed on first use, guarded by a sync.Once
 // (or a mutex for keyed families), and safe for concurrent renderers.
@@ -19,6 +21,7 @@ import (
 
 	"repro/internal/modlog"
 	"repro/internal/population"
+	"repro/internal/report"
 	"repro/internal/survey"
 	"repro/internal/table"
 	"repro/internal/trace"
@@ -27,8 +30,9 @@ import (
 // derivations is the cache embedded in Artifacts. The zero value is
 // ready to use, so Artifacts literals need no constructor.
 type derivations struct {
-	mu   sync.Mutex
-	tabs map[tabKey]tabEntry
+	mu     sync.Mutex
+	tabs   map[tabKey]tabEntry
+	tables map[string]*tableMemo // registry tables by experiment ID
 
 	jobSummariesOnce sync.Once
 	jobSummaries     []trace.YearSummary
@@ -55,6 +59,13 @@ type tabKey struct {
 type tabEntry struct {
 	tab survey.Tabulation
 	err error
+}
+
+// tableMemo is one registry table's build, shared by every format.
+type tableMemo struct {
+	once sync.Once
+	tab  *report.Table
+	err  error
 }
 
 // cohortFor maps a cohort year to its response set.
@@ -101,6 +112,28 @@ func (a *Artifacts) Tabulation(year int, qid string) (survey.Tabulation, error) 
 	}
 	a.derived.mu.Unlock()
 	return e.tab, e.err
+}
+
+// table returns experiment id's table, built by build once per
+// Artifacts and shared by every format that renders it. Read-only.
+func (a *Artifacts) table(id string, build func(*Artifacts) (*report.Table, error)) (*report.Table, error) {
+	a.derived.mu.Lock()
+	m, ok := a.derived.tables[id]
+	if !ok {
+		if a.derived.tables == nil {
+			a.derived.tables = map[string]*tableMemo{}
+		}
+		m = &tableMemo{}
+		a.derived.tables[id] = m
+	}
+	a.derived.mu.Unlock()
+	// Build outside the lock, so one slow table (T16) does not hold up
+	// the others; the error set first is what a panicking build leaves.
+	m.once.Do(func() {
+		m.err = fmt.Errorf("core: building %s panicked", id)
+		m.tab, m.err = build(a)
+	})
+	return m.tab, m.err
 }
 
 // JobSummaries returns the per-year workload summaries over the full

@@ -31,10 +31,21 @@ type Experiment struct {
 	ID    string // e.g. "T2", "F3"
 	Title string
 	Kind  Kind
-	// Table builds the table from a completed run.
+	// Table builds the table from a completed run, once per Artifacts:
+	// every format renders the same shared, read-only table.
 	Table func(a *Artifacts) (*report.Table, error)
 	// Figure renders SVG from a completed run.
 	Figure func(a *Artifacts, w io.Writer) error
+
+	// What the experiment is built from: its render key's inputs (see
+	// renderkey.go), as a stage spec's deps, inputs and version are its
+	// Merkle key's. reads names the stages whose outputs it reads, each
+	// an exact stage name or a family prefix ending in "*"; config names
+	// the Config fields it reads directly, by their Fingerprint names;
+	// version is bumped when the experiment's rendering changes.
+	reads   []string
+	config  []string
+	version string
 }
 
 // Filename returns the artifact base name ("table2", "figure3").
@@ -45,39 +56,93 @@ func (e Experiment) Filename() string {
 	return "figure" + e.ID[1:]
 }
 
+// The stage sets experiments read. A cohort table stands for its whole
+// chain (cohort, rake, table) through the Merkle keys; the trace family
+// feeds Jobs and JobsByYr through the uncached jobs-merge; the modlog
+// family (every year plus the merge) feeds ModAgg and ModEventsSim.
+var (
+	readsCohorts   = []string{"cohort-table-2011", "cohort-table-2024"}
+	readsCohort24  = []string{"cohort-table-2024"}
+	readsTraces    = []string{"trace-*"}
+	readsTelemetry = []string{"modlog-*"}
+	readsPanel     = []string{"panel"}
+	readsSim       = []string{"sim-policy"}
+	readsSims      = []string{"sim-*"}
+)
+
 // registry lists every experiment in presentation order: the
 // paper-core set, then the extensions. The IDs match DESIGN.md's
 // reconstructed evaluation index.
-var registry = []Experiment{
-	{ID: "T1", Title: "Respondent demographics by field and career stage", Kind: KindTable, Table: table1},
-	{ID: "T2", Title: "Programming-language usage by cohort", Kind: KindTable, Table: table2},
-	{ID: "T3", Title: "Parallelism and hardware usage by cohort", Kind: KindTable, Table: table3},
-	{ID: "T4", Title: "Software-engineering practice prevalence", Kind: KindTable, Table: table4},
-	{ID: "T5", Title: "Cluster workload mix by year", Kind: KindTable, Table: table5},
-	{ID: "T6", Title: "2024-only tooling by field heterogeneity", Kind: KindTable, Table: table6},
-	{ID: "T7", Title: "Survey vs telemetry concordance", Kind: KindTable, Table: table7},
-	{ID: "F1", Title: "Language adoption trend from module loads", Kind: KindFigure, Figure: figure1},
-	{ID: "F2", Title: "GPU share of compute per year", Kind: KindFigure, Figure: figure2},
-	{ID: "F3", Title: "Job-size CDF by cohort year", Kind: KindFigure, Figure: figure3},
-	{ID: "F4", Title: "Queue wait vs job width", Kind: KindFigure, Figure: figure4},
-	{ID: "F5", Title: "Cluster utilization timeline", Kind: KindFigure, Figure: figure5},
-	{ID: "F6", Title: "Practice co-adoption heatmap", Kind: KindFigure, Figure: figure6},
-	{ID: "F7", Title: "Core-hours by research field", Kind: KindFigure, Figure: figure7},
-	{ID: "F8", Title: "Raking convergence", Kind: KindFigure, Figure: figure8},
-	{ID: "T8", Title: "Scheduler policy comparison", Kind: KindTable, Table: table8},
-	{ID: "T9", Title: "Formal software training by cohort", Kind: KindTable, Table: table9},
-	{ID: "T10", Title: "Module co-load affinities", Kind: KindTable, Table: table10},
-	{ID: "F9", Title: "Fitted adoption curves with projection", Kind: KindFigure, Figure: figure9},
-	{ID: "F10", Title: "Queue depth under FCFS vs backfill", Kind: KindFigure, Figure: figure10},
-	{ID: "T11", Title: "Panel language retention and adoption", Kind: KindTable, Table: table11},
-	{ID: "F11", Title: "Panel language transition matrix", Kind: KindFigure, Figure: figure11},
-	{ID: "T12", Title: "Data-quality screening summary", Kind: KindTable, Table: table12},
-	{ID: "T13", Title: "Reported bottlenecks coded from free text", Kind: KindTable, Table: table13},
-	{ID: "T14", Title: "Adoption model comparison (logistic vs Bass)", Kind: KindTable, Table: table14},
-	{ID: "T15", Title: "Usage concentration by year", Kind: KindTable, Table: table15},
-	{ID: "F12", Title: "Lorenz curve of per-user core-hours", Kind: KindFigure, Figure: figure12},
-	{ID: "T16", Title: "Seed sensitivity of headline estimates", Kind: KindTable, Table: table16},
-	{ID: "F13", Title: "Wait-time distribution by policy", Kind: KindFigure, Figure: figure13},
+var registry = memoTables([]Experiment{
+	{ID: "T1", Title: "Respondent demographics by field and career stage", Kind: KindTable, Table: table1,
+		reads: readsCohorts, version: "1"},
+	{ID: "T2", Title: "Programming-language usage by cohort", Kind: KindTable, Table: table2,
+		reads: readsCohorts, version: "1"},
+	{ID: "T3", Title: "Parallelism and hardware usage by cohort", Kind: KindTable, Table: table3,
+		reads: readsCohorts, version: "1"},
+	{ID: "T4", Title: "Software-engineering practice prevalence", Kind: KindTable, Table: table4,
+		reads: readsCohorts, version: "1"},
+	{ID: "T5", Title: "Cluster workload mix by year", Kind: KindTable, Table: table5,
+		reads: readsTraces, version: "1"},
+	{ID: "T6", Title: "2024-only tooling by field heterogeneity", Kind: KindTable, Table: table6,
+		reads: readsCohort24, version: "1"},
+	{ID: "T7", Title: "Survey vs telemetry concordance", Kind: KindTable, Table: table7,
+		reads: slices.Concat(readsCohorts, readsTelemetry), config: []string{"simyear"}, version: "1"},
+	{ID: "F1", Title: "Language adoption trend from module loads", Kind: KindFigure, Figure: figure1,
+		reads: readsTelemetry, version: "1"},
+	{ID: "F2", Title: "GPU share of compute per year", Kind: KindFigure, Figure: figure2,
+		reads: readsTraces, version: "1"},
+	{ID: "F3", Title: "Job-size CDF by cohort year", Kind: KindFigure, Figure: figure3,
+		reads: readsTraces, config: []string{"simyear"}, version: "1"},
+	{ID: "F4", Title: "Queue wait vs job width", Kind: KindFigure, Figure: figure4,
+		reads: readsSim, version: "1"},
+	{ID: "F5", Title: "Cluster utilization timeline", Kind: KindFigure, Figure: figure5,
+		reads: readsSim, version: "1"},
+	{ID: "F6", Title: "Practice co-adoption heatmap", Kind: KindFigure, Figure: figure6,
+		reads: readsCohort24, version: "1"},
+	{ID: "F7", Title: "Core-hours by research field", Kind: KindFigure, Figure: figure7,
+		reads: readsTraces, config: []string{"simyear"}, version: "1"},
+	{ID: "F8", Title: "Raking convergence", Kind: KindFigure, Figure: figure8,
+		reads: readsCohort24, version: "1"},
+	{ID: "T8", Title: "Scheduler policy comparison", Kind: KindTable, Table: table8,
+		reads: readsSims, config: []string{"simyear"}, version: "1"},
+	{ID: "T9", Title: "Formal software training by cohort", Kind: KindTable, Table: table9,
+		reads: readsCohorts, version: "1"},
+	{ID: "T10", Title: "Module co-load affinities", Kind: KindTable, Table: table10,
+		reads: readsTelemetry, config: []string{"simyear"}, version: "1"},
+	{ID: "F9", Title: "Fitted adoption curves with projection", Kind: KindFigure, Figure: figure9,
+		reads: readsTelemetry, version: "1"},
+	{ID: "F10", Title: "Queue depth under FCFS vs backfill", Kind: KindFigure, Figure: figure10,
+		reads: []string{"sim-policy", "sim-fcfs"}, version: "1"},
+	{ID: "T11", Title: "Panel language retention and adoption", Kind: KindTable, Table: table11,
+		reads: readsPanel, version: "1"},
+	{ID: "F11", Title: "Panel language transition matrix", Kind: KindFigure, Figure: figure11,
+		reads: readsPanel, version: "1"},
+	{ID: "T12", Title: "Data-quality screening summary", Kind: KindTable, Table: table12,
+		reads: readsCohorts, config: []string{"noiserate"}, version: "1"},
+	{ID: "T13", Title: "Reported bottlenecks coded from free text", Kind: KindTable, Table: table13,
+		reads: readsCohorts, version: "1"},
+	{ID: "T14", Title: "Adoption model comparison (logistic vs Bass)", Kind: KindTable, Table: table14,
+		reads: readsTelemetry, version: "1"},
+	{ID: "T15", Title: "Usage concentration by year", Kind: KindTable, Table: table15,
+		reads: readsTraces, config: []string{"traceyears"}, version: "1"},
+	{ID: "F12", Title: "Lorenz curve of per-user core-hours", Kind: KindFigure, Figure: figure12,
+		reads: readsTraces, config: []string{"simyear"}, version: "1"},
+	{ID: "T16", Title: "Seed sensitivity of headline estimates", Kind: KindTable, Table: table16,
+		config: []string{"seed", "n2011", "n2024"}, version: "1"},
+	{ID: "F13", Title: "Wait-time distribution by policy", Kind: KindFigure, Figure: figure13,
+		reads: readsSims, version: "1"},
+})
+
+// memoTables wraps every table builder in its Artifacts' memo, so a run
+// builds each table once however many formats render it.
+func memoTables(exps []Experiment) []Experiment {
+	for i, e := range exps {
+		if build := e.Table; build != nil {
+			exps[i].Table = func(a *Artifacts) (*report.Table, error) { return a.table(e.ID, build) }
+		}
+	}
+	return exps
 }
 
 // registryIndex maps each experiment ID to its registry entry.
@@ -543,8 +608,13 @@ func figure7(a *Artifacts, w io.Writer) error {
 	for f := range cpuH {
 		fields = append(fields, f)
 	}
+	// Ties break by account name: map order must never reach the bytes.
 	sort.Slice(fields, func(i, j int) bool {
-		return cpuH[fields[i]]+gpuH[fields[i]] > cpuH[fields[j]]+gpuH[fields[j]]
+		ti, tj := cpuH[fields[i]]+gpuH[fields[i]], cpuH[fields[j]]+gpuH[fields[j]]
+		if ti != tj {
+			return ti > tj
+		}
+		return fields[i] < fields[j]
 	})
 	if len(fields) > 10 {
 		fields = fields[:10]

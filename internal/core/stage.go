@@ -15,7 +15,7 @@ import (
 type stage[T any] struct {
 	name    string
 	version string   // cache version tag (see stagecache.go)
-	inputs  string   // the config fields the stage reads, as deriveStageKey takes them
+	inputs  string   // the config fields the stage reads, as deriveKey takes them
 	deps    []string // upstream stages: graph edges and Merkle parents alike
 	// stealable marks a stage a peer may compute: it has no deps, so
 	// (config, name) alone determines its bytes.
@@ -116,7 +116,7 @@ func (sc *stageCacher) key(s spec) string {
 		}
 		ups[i] = k
 	}
-	sc.keys[s.name] = deriveStageKey(s.name, s.version, s.inputs, ups)
+	sc.keys[s.name] = deriveKey(stageKeyVersion, s.name, s.version, s.inputs, ups)
 	return sc.keys[s.name]
 }
 

@@ -80,13 +80,14 @@ const (
 	verSimCons     = "sim-conservative/1"
 )
 
-// deriveStageKey computes one stage's content key. inputs is the
-// stage's canonical config-field encoding ("k=v\n" lines, same style as
-// Config.Fingerprint); upstream is the keys of its cacheable
-// dependencies, order-insensitive (sorted here).
-func deriveStageKey(name, version, inputs string, upstream []string) string {
+// deriveKey computes one Merkle content key: a stage's (domain
+// stageKeyVersion) or an experiment render's (renderKeyVersion, see
+// renderkey.go). inputs is the canonical config-field encoding ("k=v\n"
+// lines, same style as Config.Fingerprint); upstream is the keys of the
+// cached stages it derives from, order-insensitive (sorted here).
+func deriveKey(domain, name, version, inputs string, upstream []string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\nstage=%s\nversion=%s\ninputs=%s\n", stageKeyVersion, name, version, inputs)
+	fmt.Fprintf(&b, "%s\nstage=%s\nversion=%s\ninputs=%s\n", domain, name, version, inputs)
 	ups := append([]string(nil), upstream...)
 	sort.Strings(ups)
 	for _, u := range ups {

@@ -12,7 +12,7 @@ import (
 	"repro/internal/sched"
 )
 
-var updateKeys = flag.Bool("update", false, "rewrite testdata/stagekeys.golden")
+var updateKeys = flag.Bool("update", false, "rewrite testdata/stagekeys.golden and testdata/renderkeys.golden")
 
 // TestStageKeysGolden pins every stage's Merkle key to a value, not
 // just to which keys move between configs: a silent key change orphans

@@ -9,32 +9,47 @@ import (
 	"repro/internal/stagecache"
 )
 
-// cacheKey addresses one rendered artifact: which run produced it
-// (Config.Fingerprint), which artifact, and in which format. Because
-// rendering is deterministic, a key identifies exactly one byte
-// sequence — the property that makes the cache safe under concurrency
-// and lets ETags be derived from content hashes.
+// cacheKey addresses one rendered body by what it is built from: the
+// artifact, its format, and a content key — the experiment's render key
+// (core.RenderKeys), or for the "run" summary the run's fingerprint.
+// Because rendering is deterministic, a key identifies exactly one byte
+// sequence, which many runs may share — the property that makes the
+// cache safe under concurrency and lets ETags be derived from content
+// hashes.
 type cacheKey struct {
-	fingerprint string // core.Config.Fingerprint of the producing run
-	artifact    string // experiment ID ("T5", "F2") or pseudo-artifact ("run")
-	format      string // "json", "txt", "csv", "md", "svg"
+	artifact string // experiment ID ("T5", "F2") or pseudo-artifact ("run")
+	format   string // "json", "txt", "csv", "md", "svg"
+	content  string // render key, or the run fingerprint for "run"
 }
 
 // storeKey is k's key in the render cache: the hex of the key triple.
 // Hex keeps it a valid store filename, and unlike a digest it parses
 // back into k, which is how a warm start learns what each entry is.
 func (k cacheKey) storeKey() string {
-	return hex.EncodeToString([]byte(k.fingerprint + "\x00" + k.artifact + "\x00" + k.format))
+	return hex.EncodeToString([]byte(k.artifact + "\x00" + k.format + "\x00" + k.content))
 }
 
-// parseStoreKey reverses storeKey.
+// parseStoreKey reverses storeKey. It refuses any other name — among
+// them the keys older releases wrote, which led with a fingerprint —
+// so a warm start never indexes a body under a key it was not put by.
 func parseStoreKey(s string) (cacheKey, bool) {
 	b, err := hex.DecodeString(s)
 	parts := strings.Split(string(b), "\x00")
 	if err != nil || len(parts) != 3 {
 		return cacheKey{}, false
 	}
-	return cacheKey{fingerprint: parts[0], artifact: parts[1], format: parts[2]}, true
+	k := cacheKey{artifact: parts[0], format: parts[1], content: parts[2]}
+	_, tableFormat := tableFormats[k.format]
+	if k.artifact == "" || !tableFormat && k.format != "svg" || !isDigest(k.content) {
+		return cacheKey{}, false
+	}
+	return k, true
+}
+
+// isDigest reports whether s is a lowercase hex SHA-256, the shape of
+// both render keys and fingerprints.
+func isDigest(s string) bool {
+	return len(s) == 2*sha256.Size && strings.Trim(s, "0123456789abcdef") == ""
 }
 
 // cacheEntry is one rendered body ready to serve.

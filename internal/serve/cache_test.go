@@ -2,7 +2,9 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,7 +24,7 @@ func testCache(t *testing.T, maxBytes int64) (*stagecache.Cache, *stagecache.Met
 }
 
 func key(id string) string {
-	return cacheKey{fingerprint: "fp", artifact: id, format: "txt"}.storeKey()
+	return cacheKey{artifact: id, format: "txt", content: "fp"}.storeKey()
 }
 
 func TestCacheHitMissCounters(t *testing.T) {
@@ -118,13 +120,47 @@ func TestCacheConcurrent(t *testing.T) {
 }
 
 func TestStoreKeyRoundTrip(t *testing.T) {
-	k := cacheKey{fingerprint: tinyConfig().Fingerprint(), artifact: "F13", format: "json"}
+	k := cacheKey{artifact: "F13", format: "json", content: tinyConfig().Fingerprint()}
 	got, ok := parseStoreKey(k.storeKey())
 	if !ok || got != k {
 		t.Fatalf("parseStoreKey(storeKey(%v)) = %v, %v", k, got, ok)
 	}
 	if _, ok := parseStoreKey("zz"); ok {
 		t.Fatal("parsed a non-hex key")
+	}
+}
+
+// TestParseStoreKey: a warm start indexes only names storeKey writes.
+// Everything else — non-hex, the wrong number of parts, an unknown
+// format, a content part that is not a SHA-256, and the key layout of
+// older releases, which led with the fingerprint — is refused.
+func TestParseStoreKey(t *testing.T) {
+	renderKey := tinyConfig().Fingerprint() // any 64-hex digest
+	raw := func(parts ...string) string { return hex.EncodeToString([]byte(strings.Join(parts, "\x00"))) }
+	for _, c := range []struct {
+		name, store string
+		want        cacheKey
+		ok          bool
+	}{
+		{"table", cacheKey{"T16", "json", renderKey}.storeKey(), cacheKey{"T16", "json", renderKey}, true},
+		{"figure", cacheKey{"F4", "svg", renderKey}.storeKey(), cacheKey{"F4", "svg", renderKey}, true},
+		{"run summary", cacheKey{"run", "json", renderKey}.storeKey(), cacheKey{"run", "json", renderKey}, true},
+		{"not hex", "zz" + cacheKey{"T5", "csv", renderKey}.storeKey(), cacheKey{}, false},
+		{"two parts", raw("T5", renderKey), cacheKey{}, false},
+		{"four parts", raw("T5", "json", renderKey, "x"), cacheKey{}, false},
+		{"older layout", raw(renderKey, "T5", "json"), cacheKey{}, false},
+		{"empty artifact", raw("", "json", renderKey), cacheKey{}, false},
+		{"unknown format", raw("T5", "xml", renderKey), cacheKey{}, false},
+		{"short content", raw("T5", "json", renderKey[:63]), cacheKey{}, false},
+		{"uppercase content", raw("T5", "json", strings.ToUpper(renderKey)), cacheKey{}, false},
+	} {
+		got, ok := parseStoreKey(c.store)
+		if ok != c.ok || got != c.want {
+			t.Errorf("%s: parseStoreKey = %+v, %v; want %+v, %v", c.name, got, ok, c.want, c.ok)
+		}
+	}
+	if n := len(cacheKey{"T16", "json", renderKey}.storeKey()); n != 146 {
+		t.Errorf("store key of T16/json is %d hex characters, want 146", n)
 	}
 }
 

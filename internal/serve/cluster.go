@@ -87,10 +87,16 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cluster.CheckEpoch("fill", r.Header.Get(cluster.EpochHeader))
-	key := cacheKey{fingerprint: fp, artifact: id, format: format}
-	if e, hit := s.cacheGet(key); hit {
-		s.writeCached(w, r, e)
-		return
+	// Bodies are cached by render key, which this replica holds for the
+	// base config and for retained runs; a run it cannot name yet is a
+	// miss until it runs.
+	keys, named := s.renderKeys(fp)
+	key := cacheKey{artifact: id, format: format, content: keys[id]}
+	if named {
+		if e, hit := s.cacheGet(key); hit {
+			s.writeCached(w, r, e)
+			return
+		}
 	}
 	// A cache miss means serving this fill would compute the run. Bytes
 	// this replica already holds (a retained or in-flight run) are served
@@ -126,23 +132,25 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 	// but has never computed the run — a non-hinted fill arriving here
 	// would recompute bytes some peer may still hold. Probe the ring
 	// first; only when nobody has them is the compute genuinely fresh.
-	if !hinted && !s.runner.knows(fp) {
-		if e, ok := s.hintFill(ctx, key); ok {
+	// (A run it cannot name — another base config — computes directly.)
+	if !hinted && !s.runner.knows(fp) && named {
+		if e, ok := s.hintFill(ctx, fp, key); ok {
 			s.writeCached(w, r, e)
 			return
 		}
 	}
-	arts, err := s.runner.artifacts(ctx, fp, cfg)
+	run, err := s.runner.artifacts(ctx, fp, cfg)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
 	}
-	body, err := renderArtifact(arts, id, format)
+	body, err := renderArtifact(run.arts, id, format)
 	if err != nil {
 		s.writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	s.writeCached(w, r, s.cachePut(key, body))
+	key.content = run.keys[id]
+	s.writeCached(w, r, s.cachePut(fp, key, body))
 }
 
 // handlePeerLease serves POST /v1/peer/lease: this replica acting as
@@ -309,14 +317,13 @@ func (s *Server) handlePeerStatus(w http.ResponseWriter, r *http.Request) {
 //  3. every peer path failed: compute locally. The determinism contract
 //     makes this safe — a duplicate compute costs CPU, never bytes —
 //     so faults degrade latency and cache efficiency only.
-func (s *Server) clusterRender(ctx context.Context, key cacheKey) (cacheEntry, error) {
-	fp := key.fingerprint
+func (s *Server) clusterRender(ctx context.Context, fp string, key cacheKey) (cacheEntry, error) {
 	// Up to two authority handovers are followed; past that the rings
 	// are churning faster than fills resolve, and the lease race below
 	// (then local compute) is the bounded-latency way out.
 	auth := s.cluster.Authority(fp)
 	for hop := 0; hop < 3 && auth != s.cluster.Self(); hop++ {
-		e, err := s.peerFill(ctx, auth, key)
+		e, err := s.peerFill(ctx, auth, fp, key)
 		if err == nil {
 			return e, nil
 		}
@@ -329,7 +336,7 @@ func (s *Server) clusterRender(ctx context.Context, key cacheKey) (cacheEntry, e
 	if auth == s.cluster.Self() && !s.runner.knows(fp) {
 		// Authority cold-start: probe the ring for a peer that already
 		// holds the bytes before racing for the compute lease.
-		if e, ok := s.hintFill(ctx, key); ok {
+		if e, ok := s.hintFill(ctx, fp, key); ok {
 			return e, nil
 		}
 	}
@@ -339,25 +346,26 @@ func (s *Server) clusterRender(ctx context.Context, key cacheKey) (cacheEntry, e
 		// a TTL of blocked takeover; the release must not be lost to the
 		// request's own cancellation.
 		defer s.cluster.ReleaseLease(context.Background(), fp)
-		return s.localRender(ctx, key)
+		return s.localRender(ctx, fp, key)
 	}
 	if holder != "" && holder != s.cluster.Self() {
-		if e, err := s.peerFill(ctx, holder, key); err == nil {
+		if e, err := s.peerFill(ctx, holder, fp, key); err == nil {
 			return e, nil
 		}
 	}
-	return s.localRender(ctx, key)
+	return s.localRender(ctx, fp, key)
 }
 
-// peerFill fetches one rendered artifact from peer (integrity-checked
-// against its ETag by the cluster client) and installs it in the local
-// cache — same bytes, same ETag, as if rendered here.
-func (s *Server) peerFill(ctx context.Context, peer string, key cacheKey) (cacheEntry, error) {
-	body, err := s.cluster.FetchArtifact(ctx, peer, key.fingerprint, key.artifact, key.format, s.baseCfgParam, false)
+// peerFill fetches run fp's rendered artifact from peer (integrity-
+// checked against its ETag by the cluster client) and installs it in
+// the local cache under key — same bytes, same ETag, as if rendered
+// here.
+func (s *Server) peerFill(ctx context.Context, peer, fp string, key cacheKey) (cacheEntry, error) {
+	body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, s.baseCfgParam, false)
 	if err != nil {
 		return cacheEntry{}, err
 	}
-	return s.cachePut(key, body), nil
+	return s.cachePut(fp, key, body), nil
 }
 
 // hintFill handles the authority's cold-start after a handover: this
@@ -369,30 +377,30 @@ func (s *Server) peerFill(ctx context.Context, peer string, key cacheKey) (cache
 // asks are hint-marked, so a peer answers only from what it has —
 // never computes, never re-hints — which keeps the walk loop-free and
 // means its total cost is bounded by ring size, not by pipeline runs.
-func (s *Server) hintFill(ctx context.Context, key cacheKey) (cacheEntry, bool) {
-	for _, peer := range s.cluster.Sequence(key.fingerprint) {
+func (s *Server) hintFill(ctx context.Context, fp string, key cacheKey) (cacheEntry, bool) {
+	for _, peer := range s.cluster.Sequence(fp) {
 		if peer == s.cluster.Self() {
 			continue
 		}
-		body, err := s.cluster.FetchArtifact(ctx, peer, key.fingerprint, key.artifact, key.format, s.baseCfgParam, true)
+		body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, s.baseCfgParam, true)
 		if err != nil {
 			continue
 		}
-		return s.cachePut(key, body), true
+		return s.cachePut(fp, key, body), true
 	}
 	return cacheEntry{}, false
 }
 
-// localRender runs (or joins) the pipeline here and renders the
+// localRender runs (or joins) the base run fp here and renders the
 // requested artifact.
-func (s *Server) localRender(ctx context.Context, key cacheKey) (cacheEntry, error) {
-	arts, err := s.runner.artifacts(ctx, key.fingerprint, s.baseCfg)
+func (s *Server) localRender(ctx context.Context, fp string, key cacheKey) (cacheEntry, error) {
+	run, err := s.runner.artifacts(ctx, fp, s.baseCfg)
 	if err != nil {
 		return cacheEntry{}, err
 	}
-	body, err := renderArtifact(arts, key.artifact, key.format)
+	body, err := renderArtifact(run.arts, key.artifact, key.format)
 	if err != nil {
 		return cacheEntry{}, err
 	}
-	return s.cachePut(key, body), nil
+	return s.cachePut(fp, key, body), nil
 }

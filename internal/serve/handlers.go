@@ -86,7 +86,9 @@ func (s *Server) failRender(w http.ResponseWriter, r *http.Request, artifact, fo
 	if se, ok := s.lookupStale(artifact, format); ok {
 		s.staleServed.Inc()
 		w.Header().Set("X-Rcpt-Stale", "error")
-		w.Header().Set("X-Rcpt-Stale-Fingerprint", se.fingerprint)
+		if se.fingerprint != "" {
+			w.Header().Set("X-Rcpt-Stale-Fingerprint", se.fingerprint)
+		}
 		s.writeCached(w, r, se.entry)
 		return
 	}
@@ -244,7 +246,7 @@ var tableFormats = map[string]struct {
 // renderArtifact renders one experiment (table or figure) from a
 // completed run into a body — the one rendering path shared by
 // client requests, cluster fills of never-seen runs, and lease-winner
-// computes, so every replica producing a given (fingerprint, artifact,
+// computes, so every replica producing a given (render key, artifact,
 // format) produces the same bytes and therefore the same ETag.
 func renderArtifact(arts *core.Artifacts, id, format string) ([]byte, error) {
 	exp, err := core.Lookup(id)
@@ -286,21 +288,26 @@ func checkFormat(exp core.Experiment, format string) error {
 	return nil
 }
 
-// resolveRun picks the artifacts a render request refers to: the base
-// run by default, or a previously executed run via ?run=<fingerprint>.
-// The returned closure executes (or joins) the run under ctx — the
-// request's deadline and disconnect propagate into the pipeline.
-func (s *Server) resolveRun(w http.ResponseWriter, r *http.Request) (fp string, arts func(ctx context.Context) (*core.Artifacts, error), ok bool) {
+// resolveRun picks the run a render request refers to: the base run by
+// default, or a previously executed run via ?run=<fingerprint>. It
+// returns the run's render keys, known without running anything, and a
+// closure that executes (or joins) the run under ctx — the request's
+// deadline and disconnect propagate into the pipeline.
+func (s *Server) resolveRun(w http.ResponseWriter, r *http.Request) (fp string, keys map[string]string, arts func(ctx context.Context) (*core.Artifacts, error), ok bool) {
 	if ref := r.URL.Query().Get("run"); ref != "" {
-		if a, found := s.runner.lookup(ref); found {
-			return ref, func(context.Context) (*core.Artifacts, error) { return a, nil }, true
+		if run, found := s.runner.lookup(ref); found {
+			return ref, run.keys, func(context.Context) (*core.Artifacts, error) { return run.arts, nil }, true
 		}
 		s.writeError(w, http.StatusNotFound,
 			"unknown or evicted run fingerprint; POST /v1/run to (re)execute it")
-		return "", nil, false
+		return "", nil, nil, false
 	}
-	return s.baseFP, func(ctx context.Context) (*core.Artifacts, error) {
-		return s.runner.artifacts(ctx, s.baseFP, s.baseCfg)
+	return s.baseFP, s.baseKeys, func(ctx context.Context) (*core.Artifacts, error) {
+		run, err := s.runner.artifacts(ctx, s.baseFP, s.baseCfg)
+		if err != nil {
+			return nil, err
+		}
+		return run.arts, nil
 	}, true
 }
 
@@ -329,11 +336,11 @@ func (s *Server) handleArtifact(kind core.Kind) http.HandlerFunc {
 			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("%s is a %s; GET /v1/%ss/%s", id, exp.Kind, exp.Kind, id))
 			return
 		}
-		fp, artsFn, ok := s.resolveRun(w, r)
+		fp, keys, artsFn, ok := s.resolveRun(w, r)
 		if !ok {
 			return
 		}
-		key := cacheKey{fingerprint: fp, artifact: id, format: format}
+		key := cacheKey{artifact: id, format: format, content: keys[id]}
 		if e, hit := s.cacheGet(key); hit {
 			s.writeCached(w, r, e)
 			return
@@ -341,7 +348,7 @@ func (s *Server) handleArtifact(kind core.Kind) http.HandlerFunc {
 		ctx, cancel := s.runContext(r)
 		defer cancel()
 		if s.cluster != nil && fp == s.baseFP {
-			e, err := s.clusterRender(ctx, key)
+			e, err := s.clusterRender(ctx, fp, key)
 			if err != nil {
 				s.failRender(w, r, id, format, err)
 				return
@@ -359,7 +366,7 @@ func (s *Server) handleArtifact(kind core.Kind) http.HandlerFunc {
 			s.writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		s.writeCached(w, r, s.cachePut(key, body))
+		s.writeCached(w, r, s.cachePut(fp, key, body))
 	}
 }
 
@@ -523,7 +530,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := cfg.Fingerprint()
-	key := cacheKey{fingerprint: fp, artifact: "run", format: "json"}
+	key := cacheKey{artifact: "run", format: "json", content: fp}
 	// The summary's tablesPath resolves only while the runner retains the
 	// run, so the cached summary is served only then. Past the run's
 	// eviction it re-executes; determinism makes the body and ETag
@@ -536,13 +543,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.runContext(r)
 	defer cancel()
-	arts, err := s.runner.artifacts(ctx, fp, cfg)
+	run, err := s.runner.artifacts(ctx, fp, cfg)
 	if err != nil {
 		// No stale degradation here: POST /v1/run callers need the truth
 		// about their configuration, typed and attributed.
 		s.writeRunError(w, err)
 		return
 	}
+	arts := run.arts
 	sum := runSummary{
 		Fingerprint: fp,
 		Config: configEcho{
@@ -571,7 +579,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.writeCached(w, r, s.cachePut(key, buf.Bytes()))
+	s.writeCached(w, r, s.cachePut(fp, key, buf.Bytes()))
 }
 
 // ---- POST /v1/responses ----

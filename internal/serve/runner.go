@@ -61,14 +61,17 @@ type flight struct {
 	done    chan struct{}
 	cancel  context.CancelFunc
 	waiters int
-	arts    *core.Artifacts
+	run     *runItem
 	err     error
 }
 
-// runItem is one retained run.
+// runItem is one retained run: its artifacts, and each experiment's
+// render key (core.RenderKeys), derived once as the run completes so no
+// request has to.
 type runItem struct {
 	fingerprint string
 	arts        *core.Artifacts
+	keys        map[string]string
 }
 
 // newRunner builds the runner. runFn executes one pipeline run; the
@@ -104,14 +107,14 @@ func newRunner(runFn func(ctx context.Context, cfg core.Config) (*core.Artifacts
 // concurrently. Failed runs are not cached (the next request retries,
 // subject to the circuit breaker); cancelled waits leave the flight
 // running for the remaining waiters.
-func (r *runner) artifacts(ctx context.Context, fingerprint string, cfg core.Config) (*core.Artifacts, error) {
+func (r *runner) artifacts(ctx context.Context, fingerprint string, cfg core.Config) (*runItem, error) {
 	r.mu.Lock()
 	if el, ok := r.items[fingerprint]; ok {
 		r.ll.MoveToFront(el)
-		arts := el.Value.(*runItem).arts
+		run := el.Value.(*runItem)
 		r.runCacheHits.Inc()
 		r.mu.Unlock()
-		return arts, nil
+		return run, nil
 	}
 	if f, ok := r.flights[fingerprint]; ok {
 		f.waiters++
@@ -144,7 +147,11 @@ func (r *runner) artifacts(ctx context.Context, fingerprint string, cfg core.Con
 		start := time.Now()
 		arts, err := r.run(fctx, cfg)
 		r.runSeconds.Observe(time.Since(start).Seconds())
-		r.finish(fingerprint, f, arts, err)
+		run := &runItem{fingerprint: fingerprint, arts: arts}
+		if err == nil {
+			run.keys, err = core.RenderKeys(cfg)
+		}
+		r.finish(fingerprint, f, run, err)
 	}()
 	return r.wait(ctx, fingerprint, cfg, f)
 }
@@ -152,7 +159,7 @@ func (r *runner) artifacts(ctx context.Context, fingerprint string, cfg core.Con
 // wait blocks until the flight completes or the caller's context dies.
 // A departing waiter decrements the refcount; the last one out cancels
 // the flight so an abandoned run tears down promptly.
-func (r *runner) wait(ctx context.Context, fingerprint string, cfg core.Config, f *flight) (*core.Artifacts, error) {
+func (r *runner) wait(ctx context.Context, fingerprint string, cfg core.Config, f *flight) (*runItem, error) {
 	select {
 	case <-f.done:
 		if f.err != nil && ctx.Err() == nil &&
@@ -163,7 +170,7 @@ func (r *runner) wait(ctx context.Context, fingerprint string, cfg core.Config, 
 			// our failure — start (or join) a fresh flight.
 			return r.artifacts(ctx, fingerprint, cfg)
 		}
-		return f.arts, f.err
+		return f.run, f.err
 	case <-ctx.Done():
 		r.mu.Lock()
 		f.waiters--
@@ -183,13 +190,13 @@ func (r *runner) wait(ctx context.Context, fingerprint string, cfg core.Config, 
 // finish publishes a flight's outcome: LRU insert and breaker bookkeeping
 // under the lock, then the done broadcast. Ordering matters — by the
 // time any waiter wakes, the cache and breaker already reflect the run.
-func (r *runner) finish(fingerprint string, f *flight, arts *core.Artifacts, err error) {
+func (r *runner) finish(fingerprint string, f *flight, run *runItem, err error) {
 	r.mu.Lock()
 	delete(r.flights, fingerprint)
-	f.arts, f.err = arts, err
+	f.err = err
 	if err == nil {
-		el := r.ll.PushFront(&runItem{fingerprint: fingerprint, arts: arts})
-		r.items[fingerprint] = el
+		f.run = run
+		r.items[fingerprint] = r.ll.PushFront(run)
 		for r.ll.Len() > runCacheEntries {
 			tail := r.ll.Back()
 			item := tail.Value.(*runItem)
@@ -229,7 +236,7 @@ func (r *runner) knows(fingerprint string) bool {
 // lookup returns a retained run by fingerprint without executing
 // anything — the `?run=` parameter path. It reports false when the run
 // was never executed here or has been evicted.
-func (r *runner) lookup(fingerprint string) (*core.Artifacts, bool) {
+func (r *runner) lookup(fingerprint string) (*runItem, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	el, ok := r.items[fingerprint]
@@ -237,5 +244,5 @@ func (r *runner) lookup(fingerprint string) (*core.Artifacts, bool) {
 		return nil, false
 	}
 	r.ll.MoveToFront(el)
-	return el.Value.(*runItem).arts, true
+	return el.Value.(*runItem), true
 }

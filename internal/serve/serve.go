@@ -6,10 +6,12 @@
 // observability underneath.
 //
 // The layer leans on the repo's determinism contract: a
-// core.Config.Fingerprint identifies exactly one artifact set, so cache
+// core.Config.Fingerprint identifies exactly one artifact set, and an
+// experiment's render key (core.RenderKeys) exactly one body, so cache
 // keys are safe under concurrency, concurrent identical runs collapse
-// onto one execution, and ETags are content hashes that hold across
-// processes and restarts.
+// onto one execution, runs that differ only in what an experiment does
+// not read share its rendered body, and ETags are content hashes that
+// hold across processes and restarts.
 package serve
 
 import (
@@ -159,6 +161,9 @@ type Server struct {
 	opts    Options
 	baseCfg core.Config
 	baseFP  string
+	// baseKeys are the base config's render keys (core.RenderKeys),
+	// derived once here; a retained run carries its own.
+	baseKeys map[string]string
 
 	mux *http.ServeMux
 	reg *obs.Registry
@@ -184,7 +189,7 @@ type Server struct {
 	netChaos *fault.NetInjector
 
 	// stale holds the last good rendered body per (artifact, format),
-	// regardless of fingerprint, for stale-while-error degradation: when
+	// whatever run it came from, for stale-while-error degradation: when
 	// a run fails, render endpoints can serve the previous good body
 	// (marked via X-Rcpt-Stale) instead of a bare 5xx.
 	staleMu sync.Mutex
@@ -210,7 +215,9 @@ type Server struct {
 	staleServed  *obs.Counter
 }
 
-// staleEntry is one last-good rendered body plus the run it came from.
+// staleEntry is one last-good rendered body plus the run whose request
+// rendered or filled it — empty for a body a warm start restored, since
+// a content key names bytes many runs share, not a run.
 type staleEntry struct {
 	entry       cacheEntry
 	fingerprint string
@@ -227,14 +234,19 @@ func New(opts Options) (*Server, error) {
 	if err := opts.Chaos.Validate(); err != nil {
 		return nil, err
 	}
+	baseKeys, err := core.RenderKeys(opts.BaseConfig)
+	if err != nil {
+		return nil, fmt.Errorf("serve: base config: %w", err)
+	}
 	reg := obs.NewRegistry()
 	s := &Server{
-		opts:    opts,
-		baseCfg: opts.BaseConfig,
-		baseFP:  opts.BaseConfig.Fingerprint(),
-		mux:     http.NewServeMux(),
-		reg:     reg,
-		stale:   map[[2]string]staleEntry{},
+		opts:     opts,
+		baseCfg:  opts.BaseConfig,
+		baseFP:   opts.BaseConfig.Fingerprint(),
+		baseKeys: baseKeys,
+		mux:      http.NewServeMux(),
+		reg:      reg,
+		stale:    map[[2]string]staleEntry{},
 		requests: reg.CounterVec("rcpt_http_requests_total",
 			"HTTP requests by route and status code", "route", "code"),
 		latency: reg.HistogramVec("rcpt_http_request_seconds",
@@ -376,10 +388,11 @@ func New(opts Options) (*Server, error) {
 		// Warm start: every checksum-valid spilled body feeds the stale
 		// store and stays on disk for read-through, so a restarted daemon
 		// serves its pre-crash artifacts — same bytes, same ETags —
-		// without re-running anything.
+		// without re-running anything. No run produced them here, so
+		// their stale answers name none.
 		warmStart(s.cache, warmstart, func(k string, e stagecache.Entry) {
 			if key, ok := parseStoreKey(k); ok {
-				s.recordStale(key, entryFor(key, e))
+				s.recordStale(key, "", entryFor(key, e))
 			}
 		})
 	}
@@ -471,21 +484,35 @@ func (s *Server) cacheGet(key cacheKey) (cacheEntry, bool) {
 	return entryFor(key, e), true
 }
 
-// cachePut stores a freshly rendered body everywhere it belongs — the
-// render cache (memory, and disk when persistence is on) and the
-// stale-while-error store — and returns it ready to serve.
-func (s *Server) cachePut(key cacheKey, body []byte) cacheEntry {
+// cachePut stores a body that a request for run fp rendered or filled
+// everywhere it belongs — the render cache (memory, and disk when
+// persistence is on) and the stale-while-error store — and returns it
+// ready to serve.
+func (s *Server) cachePut(fp string, key cacheKey, body []byte) cacheEntry {
 	e := entryFor(key, s.cache.Put(key.storeKey(), body))
-	s.recordStale(key, e)
+	s.recordStale(key, fp, e)
 	return e
 }
 
-// recordStale remembers e as the last good body for its (artifact,
-// format), whatever run produced it.
-func (s *Server) recordStale(key cacheKey, e cacheEntry) {
+// recordStale remembers e, from run fp ("" when unknown), as the last
+// good body for its (artifact, format).
+func (s *Server) recordStale(key cacheKey, fp string, e cacheEntry) {
 	s.staleMu.Lock()
-	s.stale[[2]string{key.artifact, key.format}] = staleEntry{entry: e, fingerprint: key.fingerprint}
+	s.stale[[2]string{key.artifact, key.format}] = staleEntry{entry: e, fingerprint: fp}
 	s.staleMu.Unlock()
+}
+
+// renderKeys returns the render keys of run fp when this replica holds
+// them — the base config's, or a retained run's — without deriving any.
+func (s *Server) renderKeys(fp string) (map[string]string, bool) {
+	if fp == s.baseFP {
+		return s.baseKeys, true
+	}
+	run, ok := s.runner.lookup(fp)
+	if !ok {
+		return nil, false
+	}
+	return run.keys, true
 }
 
 // lookupStale returns the last good body for (artifact, format), if any.

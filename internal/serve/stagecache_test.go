@@ -218,3 +218,70 @@ func TestStageCacheDirWarmStart(t *testing.T) {
 		t.Fatalf("post-restart run missed %v stages, want 0", misses)
 	}
 }
+
+// TestWhatIfReRendersOnlyWhatChanged: the render cache is keyed by
+// what each body is built from, so once every artifact of run A is
+// rendered, run B — A with n2011 raised — re-renders only the nine
+// experiments that read the 2011 cohort or its size and serves the
+// other twenty from the cache. Every body B gets, hit or not, is
+// byte-identical to an in-process render of B.
+func TestWhatIfReRendersOnlyWhatChanged(t *testing.T) {
+	s := newTestServer(t, Options{StageCache: true})
+	h := s.Handler()
+	runA := `{"seed": 7, "panelN": 20, "traceYears": [2011, 2012, 2013, 2014]}`
+	runB := `{"seed": 7, "panelN": 20, "traceYears": [2011, 2012, 2013, 2014], "n2011": 31}`
+	post := func(body string) string {
+		w := post(t, h, "/v1/run", body)
+		if w.Code != 200 {
+			t.Fatalf("run %s = %d: %s", body, w.Code, w.Body)
+		}
+		var sum struct{ Fingerprint string }
+		if err := json.Unmarshal(w.Body.Bytes(), &sum); err != nil {
+			t.Fatal(err)
+		}
+		return sum.Fingerprint
+	}
+	path := func(e core.Experiment, fp string) string {
+		if e.Kind == core.KindFigure {
+			return "/v1/figures/" + e.ID + "?run=" + fp
+		}
+		return "/v1/tables/" + e.ID + "?format=json&run=" + fp
+	}
+	fpA := post(runA)
+	for _, e := range core.Registry() {
+		if w := get(t, h, path(e, fpA)); w.Code != 200 {
+			t.Fatalf("%s of run A = %d: %s", e.ID, w.Code, w.Body)
+		}
+	}
+
+	fpB := post(runB)
+	runBItem, ok := s.runner.lookup(fpB)
+	if !ok {
+		t.Fatal("run B not retained")
+	}
+	var reRendered []string
+	for _, e := range core.Registry() {
+		hits := metricValue(t, h, "rcpt_cache_hits_total")
+		w := get(t, h, path(e, fpB))
+		if w.Code != 200 {
+			t.Fatalf("%s of run B = %d: %s", e.ID, w.Code, w.Body)
+		}
+		if metricValue(t, h, "rcpt_cache_hits_total") == hits {
+			reRendered = append(reRendered, e.ID)
+		}
+		format := "json"
+		if e.Kind == core.KindFigure {
+			format = "svg"
+		}
+		want, err := renderArtifact(runBItem.arts, e.ID, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Errorf("%s of run B differs from its own render", e.ID)
+		}
+	}
+	if got, want := strings.Join(reRendered, " "), "T1 T2 T3 T4 T7 T9 T12 T13 T16"; got != want {
+		t.Errorf("run B re-rendered %s, want %s", got, want)
+	}
+}
