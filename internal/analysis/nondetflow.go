@@ -164,7 +164,7 @@ func artifactSink(fn *types.Func, call *ast.CallExpr, info *types.Info) (string,
 		switch {
 		case recv == "Writer":
 			switch name {
-			case "Bytes", "Uvarint", "Varint", "Float64", "String":
+			case "Raw", "Uvarint", "Varint", "Float64", "String":
 				return "table.Writer." + name, nil, true
 			}
 		case recv == "Builder" && name == "Append":

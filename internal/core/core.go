@@ -640,17 +640,25 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 		{"sim-fcfs", verSimFCFS, "", "FCFS baseline", sched.Options{Policy: sched.FCFS}, &a.SimFCFS},
 		{"sim-conservative", verSimCons, "", "conservative baseline", sched.Options{Policy: sched.ConservativeBackfill}, &a.SimConservative},
 	} {
-		specs = append(specs, stage[*sched.Result]{
+		specs = append(specs, stage[simOutput]{
 			name: sim.name, version: sim.version, inputs: sim.inputs, deps: simStages,
-			run: func() (*sched.Result, error) {
+			run: func() (simOutput, error) {
 				res, err := sched.SimulateTable(cluster, concatJobTables(repTables[simIndex(cfg)]), sim.opt)
 				if err != nil {
-					return nil, fmt.Errorf("core: %s: %w", sim.what, err)
+					return simOutput{}, fmt.Errorf("core: %s: %w", sim.what, err)
 				}
-				return res, nil
+				return simOutput{res: res}, nil
 			},
-			set:   assign(sim.dst),
-			codec: codec[*sched.Result]{encodeSimPayload, decodeSimPayload},
+			set: func(o simOutput) error {
+				if o.rows != nil {
+					if err := o.join(concatJobTables(repTables[simIndex(cfg)])); err != nil {
+						return err
+					}
+				}
+				*sim.dst = o.res
+				return nil
+			},
+			codec: codec[simOutput]{encodeSimPayload, decodeSimPayload},
 		}.spec())
 	}
 	return specs, nil

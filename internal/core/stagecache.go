@@ -75,9 +75,9 @@ const (
 	verTrace       = "trace/1"
 	verModlog      = "modlog/1"
 	verModAgg      = "modagg/1"
-	verSimPolicy   = "sim-policy/1"
-	verSimFCFS     = "sim-fcfs/1"
-	verSimCons     = "sim-conservative/1"
+	verSimPolicy   = "sim-policy/2"
+	verSimFCFS     = "sim-fcfs/2"
+	verSimCons     = "sim-conservative/2"
 )
 
 // deriveKey computes one Merkle content key: a stage's (domain

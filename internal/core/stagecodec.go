@@ -17,10 +17,11 @@ package core
 // return errors; they never trust a field they can check.
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/modlog"
 	"repro/internal/population"
@@ -40,21 +41,15 @@ const (
 	payloadJobs      = "rcpt-stage-jobs/1"
 	payloadEvents    = "rcpt-stage-events/1"
 	payloadModAgg    = "rcpt-stage-modagg/1"
-	payloadSim       = "rcpt-stage-sim/1"
+	payloadSim       = "rcpt-stage-sim/2"
 )
 
-// payloadReader reads one stage payload and knows how many of its
-// bytes are still unread, which is what bounds every decoded count.
-type payloadReader struct {
-	*table.Reader
-	src *bytes.Reader
-}
-
 // openPayload checks the payload's kind marker and returns a reader
-// positioned after it.
-func openPayload(payload []byte, want string) (*payloadReader, error) {
-	src := bytes.NewReader(payload)
-	r := &payloadReader{Reader: table.NewReader(src), src: src}
+// positioned after it. The reader decodes in place; every decoder
+// copies what it keeps, because a stage cache may hand the same payload
+// to several readers.
+func openPayload(payload []byte, want string) (*table.Reader, error) {
+	r := table.NewReader(payload)
 	got := r.String()
 	if err := r.Err(); err != nil {
 		return r, fmt.Errorf("core: stage payload magic: %w", err)
@@ -65,49 +60,33 @@ func openPayload(payload []byte, want string) (*payloadReader, error) {
 	return r, nil
 }
 
-// count reads a length prefix. Every element takes at least one byte,
-// so a count larger than the unread bytes can only come from a damaged
-// or hostile payload — refusing it (as 0, failing the reader, whose
-// error the decoder's final Err check reports) before any make keeps
-// allocation proportional to the payload.
-func (r *payloadReader) count(what string) int {
-	n := r.Uvarint()
-	if left := r.src.Len(); n > uint64(left) {
-		r.Fail(fmt.Errorf("core: stage payload %s count %d exceeds the %d unread bytes", what, n, left))
-	}
-	if r.Err() != nil {
-		return 0
-	}
-	return int(n)
-}
-
 // encodeTableBlock frames a whole table as one rcpt-col/1 stream
 // envelope carried as a length-prefixed block, so table payloads can
-// embed in larger payloads without the stream decoder's buffering
-// swallowing trailing fields.
+// embed in larger payloads.
 func encodeTableBlock[T any](w *table.Writer, codec table.Codec[T], tab table.Table[T]) error {
-	var block bytes.Buffer
-	if err := table.EncodeStream[T](&block, codec, tab); err != nil {
+	block, err := table.EncodeStream[T](codec, tab)
+	if err != nil {
 		return err
 	}
-	w.String(block.String())
+	w.Uvarint(uint64(len(block)))
+	w.Raw(block)
 	return w.Err()
 }
 
-// decodeTableBlock reverses encodeTableBlock into a resident table.
+// decodeTableBlock reverses encodeTableBlock into a resident table,
+// verifying the block where it lies in the payload.
 func decodeTableBlock[T any](r *table.Reader, codec table.Codec[T]) (table.Table[T], error) {
-	block := r.String()
+	block := r.Raw(r.Count("table block bytes", 1))
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: stage payload table block: %w", err)
 	}
-	return table.DecodeStream[T](strings.NewReader(block), codec)
+	return table.DecodeStream[T](block, codec)
 }
 
 // encodePayload frames one payload: its kind magic, then what body
 // writes.
 func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, error) {
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
+	w := table.NewWriter(nil)
 	w.String(magic)
 	if err := body(w); err != nil {
 		return nil, err
@@ -115,7 +94,7 @@ func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, erro
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
 // --- table payloads (trace replicas, cohort tables, telemetry) ---
@@ -131,7 +110,7 @@ func tableCodec[T any](magic string, c table.Codec[T]) codec[table.Table[T]] {
 			if err != nil {
 				return nil, err
 			}
-			return decodeTableBlock(r.Reader, c)
+			return decodeTableBlock(r, c)
 		},
 	}
 }
@@ -180,8 +159,8 @@ func writeResponses(w *table.Writer, rs []*survey.Response) error {
 }
 
 // readResponses reverses writeResponses.
-func readResponses(r *payloadReader) ([]*survey.Response, error) {
-	tab, err := decodeTableBlock(r.Reader, survey.ResponseCodec{})
+func readResponses(r *table.Reader) ([]*survey.Response, error) {
+	tab, err := decodeTableBlock(r, survey.ResponseCodec{})
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +168,7 @@ func readResponses(r *payloadReader) ([]*survey.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := r.count("empty-choice")
+	n := r.Count("empty-choice entries", 1)
 	for i := 0; i < n; i++ {
 		row := int(r.Uvarint())
 		qid := r.String()
@@ -255,7 +234,7 @@ func decodeCohortPayload(payload []byte) (cohortOutput, error) {
 	if err != nil {
 		return cohortOutput{}, err
 	}
-	nf := r.count("flag")
+	nf := r.Count("flags", 1)
 	if nf > 0 {
 		qr.Flags = make([]survey.Flag, nf)
 		for i := range qr.Flags {
@@ -267,7 +246,7 @@ func decodeCohortPayload(payload []byte) (cohortOutput, error) {
 			}
 		}
 	}
-	nh := r.count("hard ID")
+	nh := r.Count("hard IDs", 1)
 	qr.HardIDs = make(map[string]bool, nh)
 	for i := 0; i < nh; i++ {
 		qr.HardIDs[r.String()] = true
@@ -330,14 +309,14 @@ func decodeRakePayload(payload []byte) (rakeOutput, error) {
 	res.DesignEffect = r.Float64()
 	res.MinWeight = r.Float64()
 	res.MaxWeight = r.Float64()
-	nt := r.count("deviation trace")
+	nt := r.Count("deviation trace entries", 8)
 	if nt > 0 {
 		res.DeviationTrace = make([]float64, nt)
 		for i := range res.DeviationTrace {
 			res.DeviationTrace[i] = r.Float64()
 		}
 	}
-	nw := r.count("weight")
+	nw := r.Count("weights", 8)
 	weights := make([]float64, nw)
 	for i := range weights {
 		weights[i] = r.Float64()
@@ -375,7 +354,7 @@ func decodePanelPayload(payload []byte) ([]population.PanelMember, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := r.count("panel member")
+	n := r.Count("panel members", 1)
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = r.String()
@@ -427,12 +406,12 @@ func decodeModAggPayload(payload []byte) ([]modlog.YearShares, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := r.count("year shares")
+	n := r.Count("year shares", 1)
 	agg := make([]modlog.YearShares, n)
 	for i := range agg {
 		agg[i].Year = int(r.Varint())
 		agg[i].Users = int(r.Varint())
-		nk := r.count("module share")
+		nk := r.Count("module shares", 1)
 		agg[i].Shares = make(map[string]float64, nk)
 		for j := 0; j < nk; j++ {
 			k := r.String()
@@ -445,22 +424,97 @@ func decodeModAggPayload(payload []byte) ([]modlog.YearShares, error) {
 	return agg, nil
 }
 
-// --- simulations: job results, utilization samples, metrics ---
+// --- simulations: job results as rows of their feed, samples, metrics ---
 
-func encodeSimPayload(res *sched.Result) ([]byte, error) {
+// simOutput is a sim stage's output. A computed one is the Result as
+// simulated. A decoded one carries, for each job result, its start and
+// wait, and in rows the row of its job in the sim-year feed; set joins
+// the rows against the restored feed to fill in the jobs. rows is nil
+// exactly when the output was computed.
+type simOutput struct {
+	res  *sched.Result
+	rows []int32
+}
+
+// simResultMinBytes is the least a job result takes on the wire: its
+// row, start and wait, one varint each.
+const simResultMinBytes = 3
+
+// feedRows returns, for each job result of a computed simulation, the
+// row of its job in the feed the simulation read. SimulateTable refuses
+// a feed out of strict (Submit, ID) order, and every fed job gets a
+// result, so a job's row is its rank in that order among the results.
+func feedRows(res *sched.Result) []int32 {
+	byFeed := make([]int32, len(res.Results))
+	for i := range byFeed {
+		byFeed[i] = int32(i)
+	}
+	slices.SortFunc(byFeed, func(a, b int32) int {
+		ja, jb := &res.Results[a].Job, &res.Results[b].Job
+		return cmp.Or(cmp.Compare(ja.Submit, jb.Submit), cmp.Compare(ja.ID, jb.ID))
+	})
+	rows := make([]int32, len(byFeed))
+	for row, i := range byFeed {
+		rows[i] = int32(row)
+	}
+	return rows
+}
+
+// join fills in the jobs of a decoded output from feed, the sim-year
+// replica tables in the order SimulateTable reads them. It refuses a
+// result count other than the feed's length, a row out of range, a row
+// used twice and a wait other than start − submit, so a payload that
+// does not fit the restored feed fails the restore and the stage
+// recomputes.
+func (o simOutput) join(feed trace.JobTable) error {
+	n := feed.Len(table.Exact)
+	if len(o.rows) != n {
+		return fmt.Errorf("core: sim payload has %d job results for a %d-job feed", len(o.rows), n)
+	}
+	result := make([]int32, n) // feed row → 1 + index of its result; 0: none yet
+	for i, row := range o.rows {
+		if int(row) >= n {
+			return fmt.Errorf("core: sim payload row %d outside the %d-job feed", row, n)
+		}
+		if result[row] != 0 {
+			return fmt.Errorf("core: sim payload uses feed row %d twice", row)
+		}
+		result[row] = int32(i) + 1
+	}
+	row := 0
+	var bad error
+	err := table.Each(feed, func(j trace.Job) bool {
+		jr := &o.res.Results[result[row]-1]
+		if jr.Wait != jr.Start-j.Submit {
+			bad = fmt.Errorf("core: sim payload job %d waits %d, starting at %d after submit %d", j.ID, jr.Wait, jr.Start, j.Submit)
+			return false
+		}
+		jr.Job = j
+		row++
+		return true
+	})
+	if bad != nil {
+		return bad
+	}
+	return err
+}
+
+func encodeSimPayload(o simOutput) ([]byte, error) {
+	res := o.res
 	if res == nil {
 		return nil, fmt.Errorf("core: nil simulation result")
 	}
+	rows := o.rows
+	if rows == nil {
+		rows = feedRows(res)
+	}
+	if len(rows) != len(res.Results) {
+		return nil, fmt.Errorf("core: %d feed rows for %d job results", len(rows), len(res.Results))
+	}
 	return encodePayload(payloadSim, func(w *table.Writer) error {
-		cols := trace.JobCodec{}.NewColumns()
-		for _, jr := range res.Results {
-			cols.Append(jr.Job)
-		}
 		w.Uvarint(uint64(len(res.Results)))
-		if err := cols.EncodeTo(w); err != nil {
-			return err
-		}
-		for _, jr := range res.Results {
+		for i, jr := range res.Results {
+			w.Uvarint(uint64(rows[i]))
 			w.Varint(jr.Start)
 			w.Varint(jr.Wait)
 		}
@@ -490,24 +544,26 @@ func encodeSimPayload(res *sched.Result) ([]byte, error) {
 	})
 }
 
-func decodeSimPayload(payload []byte) (*sched.Result, error) {
+// decodeSimPayload decodes a sim payload standalone: the jobs stay
+// zero until set joins the rows against the feed.
+func decodeSimPayload(payload []byte) (simOutput, error) {
 	r, err := openPayload(payload, payloadSim)
 	if err != nil {
-		return nil, err
+		return simOutput{}, err
 	}
-	n := r.count("job result")
-	cols := trace.JobCodec{}.NewColumns()
-	if err := cols.DecodeFrom(r.Reader); err != nil {
-		return nil, fmt.Errorf("core: sim payload jobs: %w", err)
-	}
-	if cols.Len() != n {
-		return nil, fmt.Errorf("core: sim payload has %d jobs, header says %d", cols.Len(), n)
-	}
+	n := r.Count("job results", simResultMinBytes)
 	res := &sched.Result{Results: make([]sched.JobResult, n)}
-	for i := 0; i < n; i++ {
-		res.Results[i] = sched.JobResult{Job: cols.Row(i), Start: r.Varint(), Wait: r.Varint()}
+	rows := make([]int32, n)
+	for i := range rows {
+		row := r.Uvarint()
+		if row > math.MaxInt32 {
+			r.Fail(fmt.Errorf("core: sim payload row %d out of range", row))
+		}
+		rows[i] = int32(row)
+		res.Results[i].Start = r.Varint()
+		res.Results[i].Wait = r.Varint()
 	}
-	ns := r.count("utilization sample")
+	ns := r.Count("utilization samples", 18)
 	res.Samples = make([]sched.UtilSample, ns)
 	for i := range res.Samples {
 		res.Samples[i] = sched.UtilSample{
@@ -534,7 +590,7 @@ func decodeSimPayload(payload []byte) (*sched.Result, error) {
 		UserFairness:    r.Float64(),
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: sim payload: %w", err)
+		return simOutput{}, fmt.Errorf("core: sim payload: %w", err)
 	}
-	return res, nil
+	return simOutput{res: res, rows: rows}, nil
 }

@@ -22,10 +22,9 @@ func totalAlloc() uint64 {
 // may exceed the unread bytes.
 func TestDecodersBoundCounts(t *testing.T) {
 	claim := func(write func(w *table.Writer)) []byte {
-		var buf bytes.Buffer
-		w := table.NewWriter(&buf)
+		w := table.NewWriter(nil)
 		write(w)
-		return buf.Bytes()
+		return w.Bytes()
 	}
 	rake := claim(func(w *table.Writer) {
 		w.String(payloadRake)
@@ -43,6 +42,16 @@ func TestDecodersBoundCounts(t *testing.T) {
 	magic := claim(func(w *table.Writer) {
 		w.Uvarint(1 << 24) // a kind marker 16 MiB long
 	})
+	sim := claim(func(w *table.Writer) {
+		w.String(payloadSim)
+		w.Uvarint(1 << 28) // job results
+		w.Raw(make([]byte, 64))
+	})
+	block := claim(func(w *table.Writer) {
+		w.String(payloadJobs)
+		w.Uvarint(1 << 28) // table block bytes
+		w.Raw(make([]byte, 64))
+	})
 	for _, c := range []struct {
 		name    string
 		payload []byte
@@ -51,6 +60,8 @@ func TestDecodersBoundCounts(t *testing.T) {
 		{"rake", rake, func(p []byte) error { _, err := decodeRakePayload(p); return err }},
 		{"modagg", modagg, func(p []byte) error { _, err := decodeModAggPayload(p); return err }},
 		{"magic", magic, func(p []byte) error { _, err := decodeSimPayload(p); return err }},
+		{"sim", sim, func(p []byte) error { _, err := decodeSimPayload(p); return err }},
+		{"table block", block, func(p []byte) error { _, err := jobsCodec.decode(p); return err }},
 	} {
 		before := totalAlloc()
 		err := c.decode(c.payload)

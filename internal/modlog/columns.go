@@ -1,6 +1,7 @@
 package modlog
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/table"
@@ -63,21 +64,38 @@ func (c *EventColumns) EncodeTo(w *table.Writer) error {
 	return w.Err()
 }
 
-// DecodeFrom implements table.Columns.
+// eventRowMinBytes is the least an event row takes on the wire: four
+// varints of at least one byte each.
+const eventRowMinBytes = 4
+
+// DecodeFrom implements table.Columns. Every column is sized once from
+// the row count, which the unread bytes bound.
 func (c *EventColumns) DecodeFrom(r *table.Reader) error {
 	c.Reset()
 	c.userDict.DecodeFrom(r)
 	c.modDict.DecodeFrom(r)
-	n := r.Uvarint()
+	n := r.Count("event rows", eventRowMinBytes)
+	c.times, c.years = table.Resize(c.times, n), table.Resize(c.years, n)
+	c.users, c.modules = table.Resize(c.users, n), table.Resize(c.modules, n)
 	prev := int64(0)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		prev += r.Varint()
-		c.times = append(c.times, prev)
-		c.years = append(c.years, int32(r.Varint()))
-		c.users = append(c.users, uint32(r.Uvarint()))
-		c.modules = append(c.modules, uint32(r.Uvarint()))
+		c.times[i] = prev
+		c.years[i] = int32(r.Varint())
+		c.users[i] = uint32(r.Uvarint())
+		c.modules[i] = uint32(r.Uvarint())
 	}
-	return r.Err()
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// A code outside its dictionary would panic Row: refuse it here.
+	if err := c.userDict.Check(c.users); err != nil {
+		return fmt.Errorf("modlog: users: %w", err)
+	}
+	if err := c.modDict.Check(c.modules); err != nil {
+		return fmt.Errorf("modlog: modules: %w", err)
+	}
+	return nil
 }
 
 // MemBytes implements table.Columns.

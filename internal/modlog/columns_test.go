@@ -96,3 +96,28 @@ func TestCoLoadsTableMatchesSliceAcrossShards(t *testing.T) {
 		t.Fatal("CoLoadsTable accepted events from the wrong year")
 	}
 }
+
+// TestEventColumnsRejectCodeOutsideDict: a row whose user or module
+// code names no dictionary entry is refused at decode time — Row would
+// otherwise panic on it, at render time, outside any restore guard.
+func TestEventColumnsRejectCodeOutsideDict(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		user, modules uint64
+	}{{"user", 3, 0}, {"module", 0, 3}} {
+		w := table.NewWriter(nil)
+		w.Uvarint(1) // one user
+		w.String("u0")
+		w.Uvarint(1) // one module
+		w.String("gcc/12")
+		w.Uvarint(1)   // one row
+		w.Varint(100)  // time delta
+		w.Varint(2024) // year
+		w.Uvarint(c.user)
+		w.Uvarint(c.modules)
+		cols := EventCodec{}.NewColumns()
+		if err := cols.DecodeFrom(table.NewReader(w.Bytes())); err == nil {
+			t.Errorf("%s: decoded a row whose code names no dictionary entry", c.name)
+		}
+	}
+}

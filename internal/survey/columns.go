@@ -1,6 +1,7 @@
 package survey
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/table"
@@ -143,35 +144,78 @@ func (c *ResponseColumns) EncodeTo(w *table.Writer) error {
 	return w.Err()
 }
 
-// DecodeFrom implements table.Columns.
+// The least a response row takes on the wire (ID length, cohort,
+// 8-byte weight, answer count) and the least an answer takes (question
+// and choice codes, choice count, rating, 8-byte value, text length).
+const (
+	responseRowMinBytes = 11
+	answerMinBytes      = 13
+)
+
+// DecodeFrom implements table.Columns. Every column is sized once from
+// its count, which the unread bytes bound. The per-row answer counts
+// must sum to the answer count and the per-answer choice counts to the
+// choices that follow, and every code must name a dictionary entry:
+// Row would panic on anything else.
 func (c *ResponseColumns) DecodeFrom(r *table.Reader) error {
 	c.Reset()
 	c.qidDict.DecodeFrom(r)
 	c.strDict.DecodeFrom(r)
-	rows := r.Uvarint()
-	total := int32(0)
-	for i := uint64(0); i < rows && r.Err() == nil; i++ {
-		c.ids = append(c.ids, r.String())
-		c.cohorts = append(c.cohorts, int32(r.Varint()))
-		c.weights = append(c.weights, r.Float64())
-		total += int32(r.Uvarint())
-		c.ansOff = append(c.ansOff, total)
+	rows := r.Count("response rows", responseRowMinBytes)
+	c.ids, c.cohorts, c.weights = table.Resize(c.ids, rows), table.Resize(c.cohorts, rows), table.Resize(c.weights, rows)
+	c.ansOff = table.Resize(c.ansOff, rows+1)
+	c.ansOff[0] = 0
+	total := 0
+	for i := 0; i < rows; i++ {
+		c.ids[i] = r.String()
+		c.cohorts[i] = int32(r.Varint())
+		c.weights[i] = r.Float64()
+		total += r.Count("answers", answerMinBytes)
+		c.ansOff[i+1] = int32(total)
 	}
-	answers := r.Uvarint()
-	chTotal := int32(0)
-	for ai := uint64(0); ai < answers && r.Err() == nil; ai++ {
-		c.ansQID = append(c.ansQID, uint32(r.Uvarint()))
-		c.ansChoice = append(c.ansChoice, uint32(r.Uvarint()))
-		chTotal += int32(r.Uvarint())
-		c.ansChOff = append(c.ansChOff, chTotal)
-		c.ansRating = append(c.ansRating, int32(r.Varint()))
-		c.ansValue = append(c.ansValue, r.Float64())
-		c.ansText = append(c.ansText, r.String())
+	answers := r.Count("answers", answerMinBytes)
+	if r.Err() == nil && answers != total {
+		r.Fail(fmt.Errorf("survey: %d answers, rows claim %d", answers, total))
 	}
-	for ci := int32(0); ci < chTotal && r.Err() == nil; ci++ {
-		c.ansChoices = append(c.ansChoices, uint32(r.Uvarint()))
+	if err := r.Err(); err != nil {
+		return err
 	}
-	return r.Err()
+	c.ansQID, c.ansChoice = table.Resize(c.ansQID, answers), table.Resize(c.ansChoice, answers)
+	c.ansRating, c.ansValue, c.ansText = table.Resize(c.ansRating, answers), table.Resize(c.ansValue, answers), table.Resize(c.ansText, answers)
+	c.ansChOff = table.Resize(c.ansChOff, answers+1)
+	c.ansChOff[0] = 0
+	choices := 0
+	for ai := 0; ai < answers; ai++ {
+		c.ansQID[ai] = uint32(r.Uvarint())
+		c.ansChoice[ai] = uint32(r.Uvarint())
+		choices += r.Count("choices", 1)
+		c.ansChOff[ai+1] = int32(choices)
+		c.ansRating[ai] = int32(r.Varint())
+		c.ansValue[ai] = r.Float64()
+		c.ansText[ai] = r.String()
+	}
+	if r.Err() == nil && choices > r.Len() {
+		r.Fail(fmt.Errorf("survey: answers claim %d choices, more than the %d unread bytes hold", choices, r.Len()))
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	c.ansChoices = table.Resize(c.ansChoices, choices)
+	for ci := range c.ansChoices {
+		c.ansChoices[ci] = uint32(r.Uvarint())
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if err := c.qidDict.Check(c.ansQID); err != nil {
+		return fmt.Errorf("survey: question IDs: %w", err)
+	}
+	for _, codes := range [][]uint32{c.ansChoice, c.ansChoices} {
+		if err := c.strDict.Check(codes); err != nil {
+			return fmt.Errorf("survey: choices: %w", err)
+		}
+	}
+	return nil
 }
 
 // MemBytes implements table.Columns.

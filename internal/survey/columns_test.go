@@ -109,3 +109,54 @@ func TestMaterializeResponsesIsolation(t *testing.T) {
 		t.Fatal("view mutation leaked into table storage")
 	}
 }
+
+// TestResponseColumnsRejectInconsistentBatch: a batch whose per-row
+// answer counts, per-answer choice counts or dictionary codes point
+// past what it holds is refused at decode time — Row would otherwise
+// panic on it, at render time, outside any restore guard.
+func TestResponseColumnsRejectInconsistentBatch(t *testing.T) {
+	type answer struct{ qid, choice, nchoices uint64 }
+	batch := func(rowAnswers uint64, answers []answer, choices []uint64) []byte {
+		w := table.NewWriter(nil)
+		w.Uvarint(1) // one question ID
+		w.String("role")
+		w.Uvarint(1) // one choice string
+		w.String("faculty")
+		w.Uvarint(1) // one row
+		w.String("r00000")
+		w.Varint(2024)
+		w.Float64(1)
+		w.Uvarint(rowAnswers)
+		w.Uvarint(uint64(len(answers)))
+		for _, a := range answers {
+			w.Uvarint(a.qid)
+			w.Uvarint(a.choice)
+			w.Uvarint(a.nchoices)
+			w.Varint(0)  // rating
+			w.Float64(0) // value
+			w.String("") // text
+		}
+		for _, ch := range choices {
+			w.Uvarint(ch)
+		}
+		return w.Bytes()
+	}
+	valid := batch(1, []answer{{0, 0, 1}}, []uint64{0})
+	cols := ResponseCodec{}.NewColumns()
+	if err := cols.DecodeFrom(table.NewReader(valid)); err != nil {
+		t.Fatalf("valid batch refused: %v", err)
+	}
+	for name, in := range map[string][]byte{
+		"row claims answers that never follow":     batch(5, nil, nil),
+		"row claims fewer answers than follow":     batch(0, []answer{{0, 0, 0}}, nil),
+		"answer claims choices that never follow":  batch(1, []answer{{0, 0, 5}}, nil),
+		"question code outside its dictionary":     batch(1, []answer{{3, 0, 0}}, nil),
+		"choice code outside its dictionary":       batch(1, []answer{{0, 3, 0}}, nil),
+		"multi-choice code outside its dictionary": batch(1, []answer{{0, 0, 1}}, []uint64{3}),
+	} {
+		cols := ResponseCodec{}.NewColumns()
+		if err := cols.DecodeFrom(table.NewReader(in)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}

@@ -2,9 +2,11 @@ package table
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Columns is a struct-of-arrays buffer for rows of type T: one growable
@@ -36,70 +38,66 @@ type Codec[T any] interface {
 	HashRow(row T) uint64
 }
 
-// Writer wraps an io.Writer with the varint-oriented primitives column
-// encoders use. Errors are sticky; check Err once at the end.
+// maxString bounds one length-prefixed string on the wire, in both
+// directions: a writer refuses to emit what a reader would refuse.
+const maxString = 1 << 24
+
+// Writer appends the varint-oriented primitives column encoders use to
+// a byte slice. Errors are sticky; check Err once at the end.
 type Writer struct {
-	w       io.Writer
-	scratch [binary.MaxVarintLen64]byte
-	err     error
+	buf []byte
+	err error
 }
 
-// NewWriter returns a Writer over w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+// NewWriter returns a Writer that appends to buf (nil starts empty).
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
-// Err returns the first write error.
+// Bytes returns everything written so far.
+func (w *Writer) Bytes() []byte { return w.buf }
+
+// Err returns the first encoding error.
 func (w *Writer) Err() error { return w.err }
 
-// Bytes writes raw bytes.
-func (w *Writer) Bytes(p []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.w.Write(p)
-}
+// Raw writes raw bytes.
+func (w *Writer) Raw(p []byte) { w.buf = append(w.buf, p...) }
 
 // Uvarint writes an unsigned varint.
-func (w *Writer) Uvarint(v uint64) {
-	n := binary.PutUvarint(w.scratch[:], v)
-	w.Bytes(w.scratch[:n])
-}
+func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
 // Varint writes a signed (zig-zag) varint.
-func (w *Writer) Varint(v int64) {
-	n := binary.PutVarint(w.scratch[:], v)
-	w.Bytes(w.scratch[:n])
-}
+func (w *Writer) Varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
 // Float64 writes a float bit pattern (fixed 8 bytes, little-endian), so
 // floats round-trip bit-exactly including negative zero and NaN payloads.
 func (w *Writer) Float64(f float64) {
-	binary.LittleEndian.PutUint64(w.scratch[:8], math.Float64bits(f))
-	w.Bytes(w.scratch[:8])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
 }
 
 // String writes a length-prefixed string.
 func (w *Writer) String(s string) {
-	w.Uvarint(uint64(len(s)))
-	if w.err == nil {
-		_, w.err = io.WriteString(w.w, s)
+	if len(s) > maxString {
+		if w.err == nil {
+			w.err = fmt.Errorf("table: string length %d exceeds sanity bound", len(s))
+		}
+		return
 	}
+	w.Uvarint(uint64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
-// Reader is the decoding counterpart of Writer.
+// Reader decodes what a Writer wrote, in place from a byte slice. It
+// knows how many bytes are unread, which bounds every decoded count and
+// length. Errors are sticky: after the first, every read returns zero.
+// Nothing a Reader returns aliases its input except Raw's slices, so a
+// decoded value owns its memory.
 type Reader struct {
-	r   io.ByteReader
+	buf []byte
+	off int
 	err error
 }
 
-// byteAndBlockReader is what Reader actually needs for string payloads.
-type byteAndBlockReader interface {
-	io.ByteReader
-	io.Reader
-}
-
-// NewReader returns a Reader over r. r must also implement io.Reader
-// (bufio.Reader and bytes.Reader both do).
-func NewReader(r byteAndBlockReader) *Reader { return &Reader{r: r} }
+// NewReader returns a Reader over buf.
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Err returns the first read error.
 func (r *Reader) Err() error { return r.err }
@@ -112,13 +110,29 @@ func (r *Reader) Fail(err error) {
 	}
 }
 
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.buf) - r.off }
+
+// varintErr is Fail's argument for a varint that ends early (n == 0)
+// or overflows 64 bits (n < 0), as binary.Uvarint and Varint report.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("table: varint overflows a 64-bit integer")
+}
+
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r.r)
-	r.Fail(err)
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		r.Fail(varintErr(n))
+		return 0
+	}
+	r.off += n
 	return v
 }
 
@@ -127,51 +141,72 @@ func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(r.r)
-	r.Fail(err)
+	v, n := binary.Varint(r.buf[r.off:])
+	if n <= 0 {
+		r.Fail(varintErr(n))
+		return 0
+	}
+	r.off += n
 	return v
 }
 
 // Float64 reads a fixed 8-byte float bit pattern.
 func (r *Reader) Float64() float64 {
-	var buf [8]byte
-	r.full(buf[:])
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+	p := r.Raw(8)
+	if p == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(p))
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string into memory of its own.
 func (r *Reader) String() string {
 	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
-	if n > 1<<24 {
+	if n > maxString {
 		r.Fail(fmt.Errorf("table: string length %d exceeds sanity bound", n))
 		return ""
 	}
-	// An in-memory source (bytes.Reader, strings.Reader) knows how much
-	// is left: a longer claim is damage, refused before the make.
-	if src, ok := r.r.(interface{ Len() int }); ok && n > uint64(src.Len()) {
-		r.Fail(fmt.Errorf("table: string length %d exceeds the %d unread bytes", n, src.Len()))
-		return ""
-	}
-	buf := make([]byte, n)
-	r.full(buf)
-	return string(buf)
+	return string(r.Raw(int(n)))
 }
 
-func (r *Reader) full(p []byte) {
+// Raw reads the next n bytes. The slice aliases the reader's input: a
+// decoder copies what it keeps. A claim past the unread bytes fails the
+// reader and returns nil.
+func (r *Reader) Raw(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	br, ok := r.r.(io.Reader)
-	if !ok {
-		r.Fail(fmt.Errorf("table: reader lacks block reads"))
-		return
+	if n < 0 || n > r.Len() {
+		r.Fail(fmt.Errorf("table: %d bytes claimed, %d unread: %w", n, r.Len(), io.ErrUnexpectedEOF))
+		return nil
 	}
-	_, err := io.ReadFull(br, p)
-	r.Fail(err)
+	p := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return p
 }
+
+// Count reads an element count for elements that each take at least
+// minSize bytes on the wire. A count the unread bytes cannot hold comes
+// only from a damaged or hostile input: it fails the reader and reads
+// as 0, so a decoder that sizes its columns by the count allocates in
+// proportion to its input.
+func (r *Reader) Count(what string, minSize int) int {
+	n := r.Uvarint()
+	if left := r.Len(); r.err == nil && n > uint64(left/minSize) {
+		r.Fail(fmt.Errorf("table: %d %s claimed, more than the %d unread bytes hold", n, what, left))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Resize returns s with length n, reusing its array when that holds n:
+// a column decoder sizes each column once from its decoded count.
+func Resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // Dict interns the strings of one low-cardinality column (users,
 // accounts, partitions, states, languages, modules): values are stored
@@ -219,6 +254,16 @@ func (d *Dict) MemBytes() int {
 	return n
 }
 
+// Check refuses a code with no entry in d, which Value would panic on.
+func (d *Dict) Check(codes []uint32) error {
+	for _, c := range codes {
+		if int(c) >= len(d.vals) {
+			return fmt.Errorf("dictionary code %d outside its %d entries", c, len(d.vals))
+		}
+	}
+	return nil
+}
+
 // EncodeTo writes the value table in code order.
 func (d *Dict) EncodeTo(w *Writer) {
 	w.Uvarint(uint64(len(d.vals)))
@@ -229,16 +274,13 @@ func (d *Dict) EncodeTo(w *Writer) {
 
 // DecodeFrom reads a value table written by EncodeTo.
 func (d *Dict) DecodeFrom(r *Reader) {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return
-	}
+	n := r.Count("dictionary entries", 1)
 	if n > 1<<22 {
 		r.Fail(fmt.Errorf("table: dict size %d exceeds sanity bound", n))
 		return
 	}
 	d.Reset()
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		s := r.String()
 		if r.Err() != nil {
 			return

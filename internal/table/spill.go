@@ -1,7 +1,6 @@
 package table
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -42,8 +41,7 @@ func spillExists(dir string, bi int) bool {
 
 // writeSpill persists batch bi's columns under dir.
 func writeSpill[T any](dir string, bi int, cols Columns[T]) error {
-	var payload bytes.Buffer
-	ew := NewWriter(&payload)
+	ew := NewWriter(nil)
 	if err := cols.EncodeTo(ew); err != nil {
 		return fmt.Errorf("table: encode spill: %w", err)
 	}
@@ -53,7 +51,7 @@ func writeSpill[T any](dir string, bi int, cols Columns[T]) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("table: spill dir: %w", err)
 	}
-	p := payload.Bytes()
+	p := ew.Bytes()
 	if err := durable.WriteFile(spillPath(dir, bi), durable.Encode(spillName(bi), p, sha256.Sum256(p))); err != nil {
 		return fmt.Errorf("table: write spill: %w", err)
 	}
@@ -67,7 +65,7 @@ func readSpill[T any](dir string, bi, rows int, cols Columns[T]) error {
 	if err != nil {
 		return fmt.Errorf("table: read spill: %w", err)
 	}
-	pr := NewReader(bytes.NewReader(payload))
+	pr := NewReader(payload)
 	err = cols.DecodeFrom(pr)
 	if err == nil {
 		err = pr.Err()

@@ -1,19 +1,18 @@
 package table
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"io"
 )
 
-// Stream transfer: one checksummed column envelope over an io.Writer /
-// io.Reader, so a table can cross a process boundary without trusting
-// the transport. This is the framing of the stage cache's table
-// payloads, which are also what a peer answers a stage steal with: the
-// reader checksum-verifies it, and a corrupted or truncated body
-// surfaces as *IntegrityError — never as silently wrong rows.
+// Stream transfer: one checksummed column envelope, so a table can
+// cross a process boundary without trusting the transport. This is the
+// framing of the stage cache's table payloads, which are also what a
+// peer answers a stage steal with: the reader checksum-verifies it, and
+// a corrupted or truncated body surfaces as *IntegrityError — never as
+// silently wrong rows.
 //
 //	magic   "rcpt-col/1\n"
 //	rows    uvarint — row count, cross-checked after decode
@@ -35,52 +34,53 @@ func (e *IntegrityError) Error() string {
 	return fmt.Sprintf("table: stream integrity: %s", e.Reason)
 }
 
-// EncodeStream writes every row of t to w as one checksummed column
+// EncodeStream returns every row of t as one checksummed column
 // envelope. The payload is a single Columns batch regardless of how t
 // stores its rows — encoding is a pure function of the row sequence, so
 // two tables with identical rows encode identically whatever their
 // batch size, shard count, or residency.
-func EncodeStream[T any](w io.Writer, codec Codec[T], t Table[T]) error {
+func EncodeStream[T any](codec Codec[T], t Table[T]) ([]byte, error) {
 	cols := codec.NewColumns()
 	sc := t.Scanner(0, 1, 1)
 	for sc.Scan() {
 		cols.Append(sc.Row())
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("table: encode stream scan: %w", err)
+		return nil, fmt.Errorf("table: encode stream scan: %w", err)
 	}
-	var payload bytes.Buffer
-	ew := NewWriter(&payload)
-	if err := cols.EncodeTo(ew); err != nil {
-		return fmt.Errorf("table: encode stream: %w", err)
+	pw := NewWriter(nil)
+	if err := cols.EncodeTo(pw); err != nil {
+		return nil, fmt.Errorf("table: encode stream: %w", err)
 	}
-	if err := ew.Err(); err != nil {
-		return fmt.Errorf("table: encode stream: %w", err)
+	if err := pw.Err(); err != nil {
+		return nil, fmt.Errorf("table: encode stream: %w", err)
 	}
-	sum := sha256.Sum256(payload.Bytes())
+	payload := pw.Bytes()
+	sum := sha256.Sum256(payload)
 
-	hw := NewWriter(w)
-	hw.Bytes([]byte(streamMagic))
-	hw.Uvarint(uint64(cols.Len()))
-	hw.Uvarint(uint64(payload.Len()))
-	hw.Bytes(sum[:])
-	hw.Bytes(payload.Bytes())
-	return hw.Err()
+	w := NewWriter(make([]byte, 0, len(streamMagic)+2*binary.MaxVarintLen64+len(sum)+len(payload)))
+	w.Raw([]byte(streamMagic))
+	w.Uvarint(uint64(cols.Len()))
+	w.Uvarint(uint64(len(payload)))
+	w.Raw(sum[:])
+	w.Raw(payload)
+	return w.Bytes(), nil
 }
 
-// DecodeStream reads one EncodeStream envelope from r, verifies it, and
-// returns the decoded rows as a resident table. Integrity failures
+// DecodeStream verifies data as exactly one EncodeStream envelope and
+// returns its rows as a resident table. It checks, in order, the magic,
+// the header, the payload length's 2 GiB cap, that length against the
+// bytes left, and the checksum, over the payload in place. The table
+// owns its memory; nothing in it aliases data. Integrity failures
 // return *IntegrityError.
-func DecodeStream[T any](r io.Reader, codec Codec[T]) (Table[T], error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	magic := make([]byte, len(streamMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+func DecodeStream[T any](data []byte, codec Codec[T]) (Table[T], error) {
+	if len(data) < len(streamMagic) {
 		return nil, &IntegrityError{Reason: "short magic"}
 	}
-	if string(magic) != streamMagic {
+	if string(data[:len(streamMagic)]) != streamMagic {
 		return nil, &IntegrityError{Reason: "bad magic"}
 	}
-	hr := NewReader(br)
+	hr := NewReader(data[len(streamMagic):])
 	rows := hr.Uvarint()
 	paylen := hr.Uvarint()
 	if err := hr.Err(); err != nil {
@@ -89,21 +89,19 @@ func DecodeStream[T any](r io.Reader, codec Codec[T]) (Table[T], error) {
 	if paylen > 1<<31 {
 		return nil, &IntegrityError{Reason: "payload length out of range"}
 	}
-	var sum [sha256.Size]byte
-	if _, err := io.ReadFull(br, sum[:]); err != nil {
+	sum := hr.Raw(sha256.Size)
+	if hr.Err() != nil {
 		return nil, &IntegrityError{Reason: "short checksum"}
 	}
-	// Read through a limit instead of allocating paylen up front: the
-	// header is untrusted, so memory grows only with bytes that arrive.
-	payload, err := io.ReadAll(io.LimitReader(br, int64(paylen)))
-	if err != nil || uint64(len(payload)) != paylen {
-		return nil, &IntegrityError{Reason: "short payload"}
+	if paylen != uint64(hr.Len()) {
+		return nil, &IntegrityError{Reason: fmt.Sprintf("payload length %d, %d bytes left", paylen, hr.Len())}
 	}
-	if got := sha256.Sum256(payload); got != sum {
+	payload := hr.Raw(int(paylen))
+	if got := sha256.Sum256(payload); !bytes.Equal(got[:], sum) {
 		return nil, &IntegrityError{Reason: "checksum mismatch"}
 	}
 	cols := codec.NewColumns()
-	pr := NewReader(bytes.NewReader(payload))
+	pr := NewReader(payload)
 	if err := cols.DecodeFrom(pr); err != nil {
 		return nil, &IntegrityError{Reason: fmt.Sprintf("decode: %v", err)}
 	}

@@ -39,18 +39,18 @@ func FuzzDecodeStream(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, tab := range []trace.JobTable{tab, table.NewSlice(rows[:64], trace.JobCodec{}.HashRow)} {
-		var seed bytes.Buffer
-		if err := table.EncodeStream(&seed, trace.JobCodec{}, tab); err != nil {
+		seed, err := table.EncodeStream(trace.JobCodec{}, tab)
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(seed.Bytes())
-		f.Add(seed.Bytes()[:seed.Len()/2])
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
 	}
 
 	codec := trace.JobCodec{}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		before := totalAlloc()
-		got, err := table.DecodeStream(bytes.NewReader(in), codec)
+		got, err := table.DecodeStream(in, codec)
 		if grown := totalAlloc() - before; grown > 1<<20+64*uint64(len(in)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(in), grown)
 		}
@@ -61,11 +61,11 @@ func FuzzDecodeStream(f *testing.F) {
 			}
 			return
 		}
-		var enc bytes.Buffer
-		if err := table.EncodeStream(&enc, codec, got); err != nil {
+		enc, err := table.EncodeStream(codec, got)
+		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := table.DecodeStream(bytes.NewReader(enc.Bytes()), codec)
+		again, err := table.DecodeStream(enc, codec)
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)
 		}
@@ -74,11 +74,11 @@ func FuzzDecodeStream(f *testing.F) {
 		if err1 != nil || err2 != nil || h1 != h2 {
 			t.Fatalf("round trip changed the table: %x (%v) vs %x (%v)", h1, err1, h2, err2)
 		}
-		var enc2 bytes.Buffer
-		if err := table.EncodeStream(&enc2, codec, again); err != nil {
+		enc2, err := table.EncodeStream(codec, again)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+		if !bytes.Equal(enc, enc2) {
 			t.Fatal("encoding is not a fixed point of decode")
 		}
 	})

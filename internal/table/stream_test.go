@@ -14,11 +14,11 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeStream[testRow](&buf, testCodec{}, src); err != nil {
+	buf, err := EncodeStream[testRow](testCodec{}, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeStream[testRow](&buf, testCodec{})
+	got, err := DecodeStream[testRow](buf, testCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,15 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 	rows := testRows(300)
 	small, _ := FromSlice[testRow](testCodec{}, Options{BatchSize: 16}, rows)
 	big, _ := FromSlice[testRow](testCodec{}, Options{BatchSize: 4096}, rows)
-	var b1, b2 bytes.Buffer
-	if err := EncodeStream[testRow](&b1, testCodec{}, small); err != nil {
+	b1, err := EncodeStream[testRow](testCodec{}, small)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeStream[testRow](&b2, testCodec{}, big); err != nil {
+	b2, err := EncodeStream[testRow](testCodec{}, big)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(b1, b2) {
 		t.Fatal("stream bytes depend on batch size")
 	}
 }
@@ -70,11 +71,11 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 func TestStreamDetectsCorruption(t *testing.T) {
 	rows := testRows(100)
 	src, _ := FromSlice[testRow](testCodec{}, Options{}, rows)
-	var buf bytes.Buffer
-	if err := EncodeStream[testRow](&buf, testCodec{}, src); err != nil {
+	buf, err := EncodeStream[testRow](testCodec{}, src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := append([]byte(nil), buf.Bytes()...)
+	pristine := append([]byte(nil), buf...)
 
 	cases := map[string]func([]byte) []byte{
 		"flipped payload byte": func(b []byte) []byte {
@@ -90,7 +91,7 @@ func TestStreamDetectsCorruption(t *testing.T) {
 	}
 	for name, corrupt := range cases {
 		body := corrupt(append([]byte(nil), pristine...))
-		_, err := DecodeStream[testRow](bytes.NewReader(body), testCodec{})
+		_, err := DecodeStream[testRow](body, testCodec{})
 		var ie *IntegrityError
 		if !errors.As(err, &ie) {
 			t.Errorf("%s: err = %v, want *IntegrityError", name, err)
@@ -128,25 +129,25 @@ func TestFromColumnsSharding(t *testing.T) {
 // so a few bytes claiming a 2 GiB payload must fail as an integrity
 // error without allocating anything near the claim.
 func TestStreamBoundsAllocation(t *testing.T) {
-	var hdr bytes.Buffer
-	w := NewWriter(&hdr)
-	w.Bytes([]byte(streamMagic))
+	w := NewWriter(nil)
+	w.Raw([]byte(streamMagic))
 	w.Uvarint(1)
 	w.Uvarint(1 << 31)
-	w.Bytes(make([]byte, 32)) // checksum
-	w.Bytes([]byte("a few payload bytes"))
+	w.Raw(make([]byte, 32)) // checksum
+	w.Raw([]byte("a few payload bytes"))
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
+	hdr := w.Bytes()
 	before := totalAlloc()
-	_, err := DecodeStream[testRow](bytes.NewReader(hdr.Bytes()), testCodec{})
+	_, err := DecodeStream[testRow](hdr, testCodec{})
 	grown := totalAlloc() - before
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want *IntegrityError", err)
 	}
 	if grown >= 1<<20 {
-		t.Fatalf("decoding a %d-byte stream allocated %d bytes", hdr.Len(), grown)
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes", len(hdr), grown)
 	}
 }
 

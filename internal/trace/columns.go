@@ -121,41 +121,49 @@ func (c *JobColumns) EncodeTo(w *table.Writer) error {
 	return w.Err()
 }
 
-// DecodeFrom implements table.Columns.
+// jobRowMinBytes is the least a job row takes on the wire: thirteen
+// varints of at least one byte each.
+const jobRowMinBytes = 13
+
+// DecodeFrom implements table.Columns. Every column is sized once from
+// the row count, which the unread bytes bound.
 func (c *JobColumns) DecodeFrom(r *table.Reader) error {
 	c.Reset()
 	dicts := []*Dict{&c.userDict, &c.acctDict, &c.partDict, &c.stateDict, &c.langDict}
 	for _, d := range dicts {
 		d.DecodeFrom(r)
 	}
-	n := r.Uvarint()
+	n := r.Count("job rows", jobRowMinBytes)
+	c.ids, c.submits = table.Resize(c.ids, n), table.Resize(c.submits, n)
+	c.users, c.accounts, c.parts = table.Resize(c.users, n), table.Resize(c.accounts, n), table.Resize(c.parts, n)
+	c.years, c.nodes, c.coresPer, c.gpus = table.Resize(c.years, n), table.Resize(c.nodes, n), table.Resize(c.coresPer, n), table.Resize(c.gpus, n)
+	c.limits, c.elapseds = table.Resize(c.limits, n), table.Resize(c.elapseds, n)
+	c.states, c.languages = table.Resize(c.states, n), table.Resize(c.languages, n)
 	prevID, prevSub := int64(0), int64(0)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		prevID += r.Varint()
-		c.ids = append(c.ids, uint64(prevID))
+		c.ids[i] = uint64(prevID)
 		prevSub += r.Varint()
-		c.submits = append(c.submits, prevSub)
-		c.users = append(c.users, uint32(r.Uvarint()))
-		c.accounts = append(c.accounts, uint32(r.Uvarint()))
-		c.parts = append(c.parts, uint32(r.Uvarint()))
-		c.years = append(c.years, int32(r.Varint()))
-		c.nodes = append(c.nodes, int32(r.Uvarint()))
-		c.coresPer = append(c.coresPer, int32(r.Uvarint()))
-		c.gpus = append(c.gpus, int32(r.Uvarint()))
-		c.limits = append(c.limits, r.Varint())
-		c.elapseds = append(c.elapseds, r.Varint())
-		c.states = append(c.states, uint32(r.Uvarint()))
-		c.languages = append(c.languages, uint32(r.Uvarint()))
+		c.submits[i] = prevSub
+		c.users[i] = uint32(r.Uvarint())
+		c.accounts[i] = uint32(r.Uvarint())
+		c.parts[i] = uint32(r.Uvarint())
+		c.years[i] = int32(r.Varint())
+		c.nodes[i] = int32(r.Uvarint())
+		c.coresPer[i] = int32(r.Uvarint())
+		c.gpus[i] = int32(r.Uvarint())
+		c.limits[i] = r.Varint()
+		c.elapseds[i] = r.Varint()
+		c.states[i] = uint32(r.Uvarint())
+		c.languages[i] = uint32(r.Uvarint())
 	}
 	if err := r.Err(); err != nil {
 		return err
 	}
 	// A code outside its dictionary would panic Row: refuse it here.
 	for i, codes := range [][]uint32{c.users, c.accounts, c.parts, c.states, c.languages} {
-		for _, code := range codes {
-			if int(code) >= dicts[i].Len() {
-				return fmt.Errorf("trace: dictionary code %d outside its %d entries", code, dicts[i].Len())
-			}
+		if err := dicts[i].Check(codes); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 	}
 	return nil

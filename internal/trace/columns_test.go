@@ -149,8 +149,7 @@ func TestJobHashDistinguishesFields(t *testing.T) {
 // names no dictionary entry is refused at decode time — Row would
 // otherwise panic on it.
 func TestJobColumnsRejectCodeOutsideDict(t *testing.T) {
-	var buf bytes.Buffer
-	w := table.NewWriter(&buf)
+	w := table.NewWriter(nil)
 	for i := 0; i < 5; i++ {
 		w.Uvarint(0) // five empty dictionaries
 	}
@@ -169,7 +168,7 @@ func TestJobColumnsRejectCodeOutsideDict(t *testing.T) {
 	w.Uvarint(0) // state
 	w.Uvarint(0) // language
 	cols := JobCodec{}.NewColumns()
-	if err := cols.DecodeFrom(table.NewReader(bytes.NewReader(buf.Bytes()))); err == nil {
+	if err := cols.DecodeFrom(table.NewReader(w.Bytes())); err == nil {
 		t.Fatal("decoded a row whose codes name no dictionary entry")
 	}
 }
