@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // MapOrder flags `range` over a map whose body either accumulates into a
@@ -15,7 +17,13 @@ import (
 // worker-count equivalence test exposed. The fix is to collect and sort
 // the keys, then range over the sorted slice — the standard
 // collect-then-sort idiom (append inside the loop, sort.Strings/Slice
-// right after) erases the order and is recognized as clean.
+// right after) erases the order and is recognized as clean. When the
+// loop appends the map's keys, a comparator sort erases the order only
+// if its comparator ends on the keys themselves (keys[i] < keys[j],
+// cmp.Compare(a, b), or the last argument of a cmp.Or); otherwise keys
+// that compare equal keep the iteration order, and the sort is
+// reported. sort.Sort and sort.Stable, whose comparator is a Less
+// method, never erase it.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "range over a map must not do order-sensitive accumulation (float folds, unsorted escaping appends)",
@@ -24,7 +32,7 @@ var MapOrder = &Analyzer{
 
 func runMapOrder(pass *Pass) error {
 	for _, f := range pass.Files {
-		sorted := sortCallPositions(pass, f)
+		sorted := sortCalls(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -44,27 +52,26 @@ func runMapOrder(pass *Pass) error {
 	return nil
 }
 
-// sortCallPositions maps each variable to the positions where a
-// sort/slices call reorders it (sort.Strings(v), sort.Slice(v, ...),
-// slices.SortFunc(v, ...), including through a one-level conversion like
-// sort.Sort(byName(v))).
-func sortCallPositions(pass *Pass, f *ast.File) map[*types.Var][]token.Pos {
-	out := map[*types.Var][]token.Pos{}
+// sortCall is one call that reorders a variable. byElem is set when
+// the order it leaves depends on the elements alone: a value sort, or a
+// comparator literal whose last statement compares the two elements.
+type sortCall struct {
+	pos    token.Pos
+	byElem bool
+}
+
+// sortCalls maps each variable to the sort/slices calls that reorder it
+// (sort.Strings(v), sort.Slice(v, ...), slices.SortFunc(v, ...),
+// including through a one-level conversion like sort.Sort(byName(v))).
+func sortCalls(pass *Pass, f *ast.File) map[*types.Var][]sortCall {
+	out := map[*types.Var][]sortCall{}
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pkgName, ok := pass.Info.Uses[id].(*types.PkgName)
-		if !ok || !isSortFunc(pkgName.Imported().Path(), sel.Sel.Name) {
+		pkgPath, name := pkgFunc(pass, call.Fun)
+		if !isSortFunc(pkgPath, name) {
 			return true
 		}
 		arg := call.Args[0]
@@ -73,12 +80,25 @@ func sortCallPositions(pass *Pass, f *ast.File) map[*types.Var][]token.Pos {
 		}
 		if argID, ok := arg.(*ast.Ident); ok {
 			if v := useObj(pass.Info, argID); v != nil {
-				out[v] = append(out[v], call.Pos())
+				out[v] = append(out[v], sortCall{call.Pos(), sortsByElem(pass, call, pkgPath, name, v)})
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// pkgFunc resolves fun to a package-level function's import path and
+// name, or returns empty strings.
+func pkgFunc(pass *Pass, fun ast.Expr) (pkgPath, name string) {
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			if pkgName, ok := pass.Info.Uses[id].(*types.PkgName); ok {
+				return pkgName.Imported().Path(), sel.Sel.Name
+			}
+		}
+	}
+	return "", ""
 }
 
 func isSortFunc(pkgPath, name string) bool {
@@ -94,18 +114,80 @@ func isSortFunc(pkgPath, name string) bool {
 	return false
 }
 
-// sortedAfter reports whether v is passed to a sort call somewhere after
-// pos — the collect-then-sort idiom.
-func sortedAfter(sorted map[*types.Var][]token.Pos, v *types.Var, pos token.Pos) bool {
-	for _, p := range sorted[v] {
-		if p > pos {
-			return true
+// sortsByElem reports whether a sort of v orders by the elements alone
+// (see sortCall). sort.Slice's comparator takes indexes into v,
+// slices.SortFunc's the elements themselves.
+func sortsByElem(pass *Pass, call *ast.CallExpr, pkgPath, name string, v *types.Var) bool {
+	if name == "Strings" || name == "Ints" || name == "Float64s" || pkgPath == "slices" && name == "Sort" {
+		return true
+	}
+	fn, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
+	if !ok || len(call.Args) != 2 || len(fn.Body.List) == 0 {
+		return false
+	}
+	ret, ok := fn.Body.List[len(fn.Body.List)-1].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	var params []types.Object
+	for _, field := range fn.Type.Params.List {
+		for _, id := range field.Names {
+			params = append(params, pass.Info.Defs[id])
+		}
+	}
+	// elem numbers the element an operand names, 1 or 2, else 0.
+	elem := func(e ast.Expr) int {
+		if pkgPath == "sort" { // the parameters index v
+			ix, ok := e.(*ast.IndexExpr)
+			if !ok {
+				return 0
+			}
+			if x, ok := ix.X.(*ast.Ident); !ok || useObj(pass.Info, x) != v {
+				return 0
+			}
+			e = ix.Index
+		}
+		if id, ok := e.(*ast.Ident); ok && len(params) == 2 {
+			return slices.Index(params, pass.Info.Uses[id]) + 1
+		}
+		return 0
+	}
+	return comparesElems(pass, ret.Results[0], elem)
+}
+
+// comparesElems reports whether e compares the two elements elem
+// numbers: with an ordering operator, as cmp.Compare's arguments, or in
+// the last argument of a cmp.Or.
+func comparesElems(pass *Pass, e ast.Expr, elem func(ast.Expr) int) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.BinaryExpr:
+		ordering := e.Op == token.LSS || e.Op == token.GTR || e.Op == token.LEQ || e.Op == token.GEQ
+		return ordering && elem(e.X)*elem(e.Y) == 2
+	case *ast.CallExpr:
+		switch pkgPath, name := pkgFunc(pass, e.Fun); {
+		case pkgPath == "cmp" && name == "Compare" && len(e.Args) == 2:
+			return elem(e.Args[0])*elem(e.Args[1]) == 2
+		case pkgPath == "cmp" && name == "Or" && len(e.Args) > 0:
+			return comparesElems(pass, e.Args[len(e.Args)-1], elem)
 		}
 	}
 	return false
 }
 
-func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorted map[*types.Var][]token.Pos) {
+// sortAfter returns v's first sort after pos — the collect-then-sort
+// idiom — or token.NoPos, and whether a sort after pos orders by the
+// elements alone.
+func sortAfter(sorted map[*types.Var][]sortCall, v *types.Var, pos token.Pos) (first token.Pos, byElem bool) {
+	for _, c := range sorted[v] {
+		if c.pos > pos {
+			first = cmp.Or(first, c.pos)
+			byElem = byElem || c.byElem
+		}
+	}
+	return first, byElem
+}
+
+func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorted map[*types.Var][]sortCall) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -130,9 +212,13 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorted map[*types.Var][]to
 					continue
 				}
 				if isSelfAppend(pass, as.Rhs[i], v) {
-					if !sortedAfter(sorted, v, rs.End()) {
+					switch first, byElem := sortAfter(sorted, v, rs.End()); {
+					case first == token.NoPos:
 						pass.Reportf(as.Pos(),
 							"append to %q inside range over map: element order follows map iteration order; sort %q afterwards or iterate over sorted keys", v.Name(), v.Name())
+					case !byElem && appendsKey(pass, as.Rhs[i], rs):
+						pass.Reportf(first,
+							"sort of map keys in %q does not end its comparator on the keys: keys that compare equal keep map iteration order; break ties on the keys themselves", v.Name())
 					}
 				} else if isFloat(v.Type()) && isSelfArithmetic(pass, as.Rhs[i], v) {
 					pass.Reportf(as.Pos(),
@@ -175,6 +261,18 @@ func isSelfAppend(pass *Pass, rhs ast.Expr, v *types.Var) bool {
 	}
 	arg, ok := call.Args[0].(*ast.Ident)
 	return ok && useObj(pass.Info, arg) == v
+}
+
+// appendsKey reports whether the append call rhs appends rs's key.
+func appendsKey(pass *Pass, rhs ast.Expr, rs *ast.RangeStmt) bool {
+	key, ok := rs.Key.(*ast.Ident)
+	if !ok || pass.Info.ObjectOf(key) == nil {
+		return false
+	}
+	return slices.ContainsFunc(rhs.(*ast.CallExpr).Args[1:], func(arg ast.Expr) bool {
+		id, ok := arg.(*ast.Ident)
+		return ok && pass.Info.Uses[id] == pass.Info.ObjectOf(key)
+	})
 }
 
 // isSelfArithmetic reports whether rhs is a binary +,-,*,/ expression

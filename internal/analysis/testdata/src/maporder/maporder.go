@@ -3,7 +3,11 @@
 // stay clean.
 package maporder
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // meanShare folds floats in map iteration order — the jainFairness bug.
 func meanShare(shares map[string]float64) float64 {
@@ -43,13 +47,52 @@ func collectSorted(m map[string]int) []string {
 	return keys
 }
 
-// collectSortSlice is the comparator variant of the blessed idiom.
+// collectSortSlice sorts the keys by their values alone: keys with
+// equal values keep map iteration order.
 func collectSortSlice(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] })
+	sort.Slice(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] }) // want `sort of map keys in "keys" does not end its comparator on the keys`
+	return keys
+}
+
+// collectSortSliceTieBroken is the comparator variant of the blessed
+// idiom: ties on the value fall through to the keys themselves.
+func collectSortSliceTieBroken(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if m[keys[i]] != m[keys[j]] {
+			return m[keys[i]] > m[keys[j]]
+		}
+		return keys[i] < keys[j]
+	})
+	return keys
+}
+
+// collectSortFunc is the slices.SortFunc spelling of collectSortSlice.
+func collectSortFunc(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b string) int { return cmp.Compare(m[b], m[a]) }) // want `sort of map keys in "keys" does not end its comparator on the keys`
+	return keys
+}
+
+// collectSortFuncTieBroken ends its cmp.Or on the keys.
+func collectSortFuncTieBroken(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b string) int {
+		return cmp.Or(cmp.Compare(m[b], m[a]), cmp.Compare(a, b))
+	})
 	return keys
 }
 
@@ -84,4 +127,22 @@ func localAccumulator(m map[string][]float64) int {
 		}
 	}
 	return n
+}
+
+// byName orders keys through a sort.Interface.
+type byName []string
+
+func (s byName) Len() int           { return len(s) }
+func (s byName) Less(i, j int) bool { return s[i] < s[j] }
+func (s byName) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+// collectSortInterface: the analyzer does not follow a Less method, so
+// sort.Sort of collected keys is reported even when Less ends on them.
+func collectSortInterface(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Sort(byName(keys)) // want `sort of map keys in "keys" does not end its comparator on the keys`
+	return keys
 }

@@ -178,12 +178,6 @@ type Artifacts struct {
 	Model2011, Model2024   *population.Model
 	Cohort2011, Cohort2024 []*survey.Response
 	Rake2011, Rake2024     weighting.Result
-	// CohortTab2011 and CohortTab2024 are the cohorts' columnar storage,
-	// built from the final (post-screening, post-raking) responses. The
-	// []*survey.Response views above stay the mutable working set the
-	// weighting code requires; the tables are the at-rest form — content
-	// hashing, spill, and streamed export go through them.
-	CohortTab2011, CohortTab2024 survey.ResponseTable
 
 	// Jobs streams the whole multi-year accounting trace: the per-year
 	// tables concatenated in TraceYears order (arrival order within each
@@ -354,8 +348,8 @@ func buildGraph(ctx context.Context, cfg Config, a *Artifacts, steal StealFunc, 
 
 // stages declares the pipeline DAG, in topological order:
 //
-//	cohort-2011 ──► rake-2011 ──► cohort-table-2011
-//	cohort-2024 ──► rake-2024 ──► cohort-table-2024
+//	cohort-2011 ──► rake-2011
+//	cohort-2024 ──► rake-2024
 //	panel
 //	trace-<y>[-rep<r>] (per year × replica) ──► jobs-merge
 //	trace-<simyear>[-rep<r>] ──► sim-policy │ sim-fcfs │ sim-conservative
@@ -378,11 +372,10 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 		out     *[]*survey.Response
 		quality *survey.QualityReport
 		rake    *weighting.Result
-		tab     *survey.ResponseTable
 	}
 	cohorts := []cohortSlots{
-		{"2011", cfg.N2011, a.Model2011, &a.Cohort2011, &a.Quality2011, &a.Rake2011, &a.CohortTab2011},
-		{"2024", cfg.N2024, a.Model2024, &a.Cohort2024, &a.Quality2024, &a.Rake2024, &a.CohortTab2024},
+		{"2011", cfg.N2011, a.Model2011, &a.Cohort2011, &a.Quality2011, &a.Rake2011},
+		{"2024", cfg.N2024, a.Model2024, &a.Cohort2024, &a.Quality2024, &a.Rake2024},
 	}
 	var specs []spec
 
@@ -489,34 +482,6 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 				codec: codec[rakeOutput]{encodeRakePayload, decodeRakePayload},
 			}.spec())
 		}
-	}
-
-	// 2b. Columnar cohort storage, built from the final weighted
-	// responses (after raking when enabled, so the tables carry the
-	// weights every downstream consumer sees at rest).
-	for _, c := range cohorts {
-		dep := "cohort-" + c.year
-		if cfg.Rake {
-			dep = "rake-" + c.year
-		}
-		specs = append(specs, stage[survey.ResponseTable]{
-			name: "cohort-table-" + c.year, version: verCohortTable, deps: []string{dep},
-			run: func() (survey.ResponseTable, error) {
-				tab, err := table.Build[survey.Response](survey.ResponseCodec{}, cfg.tableOptions("cohort-"+c.year),
-					func(appendRow func(survey.Response)) error {
-						for _, r := range *c.out {
-							appendRow(*r)
-						}
-						return nil
-					})
-				if err != nil {
-					return nil, fmt.Errorf("core: %s cohort table: %w", c.year, err)
-				}
-				return tab, nil
-			},
-			set:   assign(c.tab),
-			codec: tableCodec(payloadResponses, survey.ResponseCodec{}),
-		}.spec())
 	}
 
 	// 3+4. Cluster accounting traces and module-load telemetry. Traces

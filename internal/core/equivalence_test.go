@@ -56,8 +56,6 @@ func assertArtifactsEqual(t *testing.T, labelA, labelB string, x, y *Artifacts) 
 	}
 	check("ModAgg", x.ModAgg, y.ModAgg)
 	check("ModEventsSim", eventRows(t, x.ModEventsSim), eventRows(t, y.ModEventsSim))
-	check("CohortTab2011.Hash", tableHash(t, x.CohortTab2011), tableHash(t, y.CohortTab2011))
-	check("CohortTab2024.Hash", tableHash(t, x.CohortTab2024), tableHash(t, y.CohortTab2024))
 	check("Quality2011", x.Quality2011, y.Quality2011)
 	check("Quality2024", x.Quality2024, y.Quality2024)
 	check("Panel", x.Panel, y.Panel)

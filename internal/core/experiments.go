@@ -56,13 +56,14 @@ func (e Experiment) Filename() string {
 	return "figure" + e.ID[1:]
 }
 
-// The stage sets experiments read. A cohort table stands for its whole
-// chain (cohort, rake, table) through the Merkle keys; the trace family
-// feeds Jobs and JobsByYr through the uncached jobs-merge; the modlog
-// family (every year plus the merge) feeds ModAgg and ModEventsSim.
+// The stage sets experiments read. A cohort experiment reads the
+// responses and their raked weights (with raking off the rake stages
+// are absent and add no key); the trace family feeds Jobs and JobsByYr
+// through the uncached jobs-merge; the modlog family (every year plus
+// the merge) feeds ModAgg and ModEventsSim.
 var (
-	readsCohorts   = []string{"cohort-table-2011", "cohort-table-2024"}
-	readsCohort24  = []string{"cohort-table-2024"}
+	readsCohorts   = []string{"cohort-*", "rake-*"}
+	readsCohort24  = []string{"cohort-2024", "rake-2024"}
 	readsTraces    = []string{"trace-*"}
 	readsTelemetry = []string{"modlog-*"}
 	readsPanel     = []string{"panel"}
@@ -234,7 +235,7 @@ func table3(a *Artifacts) (*report.Table, error) {
 		return nil, err
 	}
 	// Append the cohort×mode chi-square as a footnote statistic.
-	tab := buildCohortTable(a, survey.QParallelism)
+	tab := cohortContingency(a, survey.QParallelism)
 	res, err := tab.ChiSquare()
 	if err != nil {
 		return nil, err
@@ -244,9 +245,9 @@ func table3(a *Artifacts) (*report.Table, error) {
 	return t, nil
 }
 
-// buildCohortTable counts option selections by cohort for a multi-choice
+// cohortContingency counts option selections by cohort for a multi-choice
 // question (unweighted raw counts, as chi-square requires).
-func buildCohortTable(a *Artifacts, qid string) *stats.Contingency {
+func cohortContingency(a *Artifacts, qid string) *stats.Contingency {
 	q, _ := a.Instrument.Question(qid)
 	tab, err := stats.NewContingency(2, len(q.Options))
 	if err != nil {

@@ -68,16 +68,15 @@ const stageKeyVersion = "rcpt-stage/1"
 // implementation or payload encoding changes meaning, so stale entries
 // miss instead of decoding into wrong values.
 const (
-	verCohort      = "cohort/1"
-	verPanel       = "panel/1"
-	verRake        = "rake/1"
-	verCohortTable = "cohort-table/1"
-	verTrace       = "trace/1"
-	verModlog      = "modlog/1"
-	verModAgg      = "modagg/1"
-	verSimPolicy   = "sim-policy/2"
-	verSimFCFS     = "sim-fcfs/2"
-	verSimCons     = "sim-conservative/2"
+	verCohort    = "cohort/1"
+	verPanel     = "panel/1"
+	verRake      = "rake/1"
+	verTrace     = "trace/1"
+	verModlog    = "modlog/1"
+	verModAgg    = "modagg/1"
+	verSimPolicy = "sim-policy/3"
+	verSimFCFS   = "sim-fcfs/2"
+	verSimCons   = "sim-conservative/2"
 )
 
 // deriveKey computes one Merkle content key: a stage's (domain

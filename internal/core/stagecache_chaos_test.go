@@ -115,7 +115,7 @@ func TestChaosStageCacheCodecSkew(t *testing.T) {
 	keys := stageKeys(t, cfg, newStageCacher(newMapStageCache()))
 	cache := newMapStageCache()
 	garbage := [][]byte{
-		nil,                          // empty payload
+		nil,                           // empty payload
 		[]byte("not a stage payload"), // wrong magic
 		[]byte("rcpt-stage-cohort/1"), // right magic for one kind, truncated
 	}

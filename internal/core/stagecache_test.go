@@ -162,7 +162,7 @@ func TestStageCacheFieldSubsets(t *testing.T) {
 		cfg := base
 		cfg.N2011 += 5
 		diff := diffKeys(baseKeys, keysFor(cfg))
-		want := map[string]bool{"cohort-2011": true, "rake-2011": true, "cohort-table-2011": true}
+		want := map[string]bool{"cohort-2011": true, "rake-2011": true}
 		if !sameSet(diff, want) {
 			t.Fatalf("n2011 change invalidated %v, want %v", diff, want)
 		}

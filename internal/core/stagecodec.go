@@ -34,14 +34,13 @@ import (
 
 // Payload kind magics, one per stage-output shape.
 const (
-	payloadCohort    = "rcpt-stage-cohort/1"
-	payloadRake      = "rcpt-stage-rake/1"
-	payloadPanel     = "rcpt-stage-panel/1"
-	payloadResponses = "rcpt-stage-responses/1"
-	payloadJobs      = "rcpt-stage-jobs/1"
-	payloadEvents    = "rcpt-stage-events/1"
-	payloadModAgg    = "rcpt-stage-modagg/1"
-	payloadSim       = "rcpt-stage-sim/2"
+	payloadCohort = "rcpt-stage-cohort/1"
+	payloadRake   = "rcpt-stage-rake/1"
+	payloadPanel  = "rcpt-stage-panel/1"
+	payloadJobs   = "rcpt-stage-jobs/1"
+	payloadEvents = "rcpt-stage-events/1"
+	payloadModAgg = "rcpt-stage-modagg/1"
+	payloadSim    = "rcpt-stage-sim/2"
 )
 
 // openPayload checks the payload's kind marker and returns a reader
@@ -97,7 +96,7 @@ func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, erro
 	return w.Bytes(), nil
 }
 
-// --- table payloads (trace replicas, cohort tables, telemetry) ---
+// --- table payloads (trace replicas, telemetry) ---
 
 // tableCodec is the payload codec of a table-valued stage output.
 func tableCodec[T any](magic string, c table.Codec[T]) codec[table.Table[T]] {

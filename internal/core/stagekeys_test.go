@@ -18,9 +18,8 @@ var updateKeys = flag.Bool("update", false, "rewrite the stage key, render key a
 // TestStageKeysGolden pins every stage's Merkle key to a value, not
 // just to which keys move between configs: a silent key change orphans
 // every persisted stage entry. Two configs cover the whole spec list —
-// DefaultConfig, and a variant whose cohort tables hang straight off
-// the cohorts (Rake off), with no panel, replica stage names
-// (TraceScale 2) and another policy.
+// DefaultConfig, and a variant with no rake stages (Rake off), no
+// panel, replica stage names (TraceScale 2) and another policy.
 func TestStageKeysGolden(t *testing.T) {
 	variant := DefaultConfig()
 	variant.Rake = false

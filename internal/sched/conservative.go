@@ -48,10 +48,6 @@ func (n need) plus(m need) need {
 	return need{cpu: n.cpu + m.cpu, gpuCore: n.gpuCore + m.gpuCore, gpu: n.gpu + m.gpu}
 }
 
-func (n need) minus(m need) need {
-	return need{cpu: n.cpu - m.cpu, gpuCore: n.gpuCore - m.gpuCore, gpu: n.gpu - m.gpu}
-}
-
 // profile tracks free resources over future time as a step function.
 // The three resource lanes are stored as parallel arrays (struct of
 // arrays) sharing the times axis: feasibility scans for a cpu-partition

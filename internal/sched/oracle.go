@@ -4,7 +4,8 @@ package sched
 // the availability profile from scratch on every started job, re-sorts
 // the queue on every pass, and allocates fresh profile/order slices
 // per call. It is kept verbatim (modulo the interned-usage storage the
-// whole package shares) as the semantic ground truth for the optimized
+// whole package shares, and EASY's shadow counting the whole tie group
+// at the shadow time) as the semantic ground truth for the optimized
 // incremental simulator in sched.go/conservative.go: the differential
 // property test in oracle_test.go asserts both produce identical
 // Results across seeded random traces, policies, and cluster shapes.
@@ -91,7 +92,9 @@ func (s *sim) orderNaive() []*queued {
 }
 
 // shadowNaive computes the head job's reservation with a fresh
-// allocation and sort of the running set per call.
+// allocation and sort of the running set per call. Once the head fits,
+// the rest of the releases at the shadow time still count, so the
+// sort's order among equal times never matters.
 func (s *sim) shadowNaive(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
 	// Sort running jobs by limit-based end time.
 	type rel struct {
@@ -121,7 +124,7 @@ func (s *sim) shadowNaive(head trace.Job) (shadowTime int64, spareCPU, spareGPUC
 	}
 	shadowTime = s.now
 	for _, r := range rels {
-		if headFits() {
+		if headFits() && r.t != shadowTime {
 			break
 		}
 		cpu += r.cores

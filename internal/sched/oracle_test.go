@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -216,108 +215,4 @@ func TestOversizedJobErrNeverFits(t *testing.T) {
 	if !errors.Is(err, ErrNeverFits) {
 		t.Fatalf("error %v is not ErrNeverFits", err)
 	}
-}
-
-// TestShadowTieGroups checks EASY's release-list shadow against the
-// sort-based body on running sets built to tie: every job starts at one
-// instant with one of three limits, in both partitions, so the release
-// list holds three crowded release times. For random heads the two must
-// agree, and the walk must answer alone exactly when the tie group at
-// the shadow time is order-free — no member can be left out with the
-// head still fitting. The heads must meet multi-member groups of both
-// kinds.
-func TestShadowTieGroups(t *testing.T) {
-	c := Cluster{CPUNodes: 8, GPUNodes: 4, CoresPerNode: 8, GPUsPerNode: 4}
-	job := func(r *rng.RNG, id uint64, maxNodes int) trace.Job {
-		j := trace.Job{
-			ID: id, User: "u", Account: "x", Partition: "cpu", Year: 2024,
-			Nodes: 1 + r.Intn(maxNodes), CoresPer: 1 + r.Intn(c.CoresPerNode),
-			Limit: int64(600 * (1 + r.Intn(3))), State: trace.StateCompleted, Language: "c",
-		}
-		if r.Bool(0.4) {
-			j.Partition = "gpu"
-			j.Nodes = 1 + r.Intn(min(maxNodes, c.GPUNodes))
-			j.GPUs = 1 + r.Intn(c.GPUsPerNode*j.Nodes)
-		}
-		j.Elapsed = 1 + int64(r.Intn(int(j.Limit)))
-		return j
-	}
-	var orderFree, orderSensitive int
-	for trial := uint64(0); trial < 200; trial++ {
-		r := rng.New(trial*104729 + 11)
-		s := newSim(c, []trace.Job{mkJob(1, 0, 1, 1, 1)}, Options{Policy: EASYBackfill})
-		for k := 0; k < 60; k++ {
-			j := job(r, uint64(k+1), 2)
-			if !s.fits(j) {
-				continue
-			}
-			q := &queued{job: j, seq: k, user: s.internUser(j.User)}
-			s.queue = append(s.queue, q)
-			s.start(q)
-		}
-		for h := 0; h < 50; h++ {
-			head := job(r, 1000, c.CPUNodes)
-			members, leaveOut := shadowTieGroup(s, head)
-			_, _, ok := s.shadowWalk(head)
-			switch {
-			case members >= 2 && leaveOut == 0:
-				orderFree++
-				if !ok {
-					t.Fatalf("trial %d head %+v: order-free group of %d fell back to the sort", trial, head, members)
-				}
-			case leaveOut > 0:
-				orderSensitive++
-				if ok {
-					t.Fatalf("trial %d head %+v: order-sensitive group (%d of %d members optional) answered by the walk",
-						trial, head, leaveOut, members)
-				}
-			}
-			gt, gc, ggc, gg := s.shadow(head)
-			wt, wc, wgc, wg := s.shadowSorted(head)
-			if gt != wt || gc != wc || ggc != wgc || gg != wg {
-				t.Fatalf("trial %d head %+v: shadow (%d, %d, %d, %d) vs sort (%d, %d, %d, %d)",
-					trial, head, gt, gc, ggc, gg, wt, wc, wgc, wg)
-			}
-		}
-	}
-	t.Logf("%d order-free and %d order-sensitive multi-member tie groups", orderFree, orderSensitive)
-	if orderFree == 0 || orderSensitive == 0 {
-		t.Fatalf("heads met %d order-free and %d order-sensitive multi-member tie groups; want both", orderFree, orderSensitive)
-	}
-}
-
-// shadowTieGroup finds, from the run heap, the group of releases at the
-// head's shadow time and counts its members the head would fit without.
-// members is 0 when the head fits now and -1 when it never fits.
-func shadowTieGroup(s *sim, head trace.Job) (members, leaveOut int) {
-	type rel struct {
-		t int64
-		n need
-	}
-	rels := make([]rel, 0, len(s.running))
-	for _, e := range s.running {
-		rels = append(rels, rel{t: e.end - e.job.Elapsed + e.job.Limit, n: needOf(e.job)})
-	}
-	sort.SliceStable(rels, func(a, b int) bool { return rels[a].t < rels[b].t })
-	h := needOf(head)
-	avail := need{cpu: s.cpuFree, gpuCore: s.gpuCore, gpu: s.gpuFree}
-	if h.fitsIn(avail) {
-		return 0, 0
-	}
-	for i := 0; i < len(rels); {
-		j, all := i, avail
-		for ; j < len(rels) && rels[j].t == rels[i].t; j++ {
-			all = all.plus(rels[j].n)
-		}
-		if h.fitsIn(all) {
-			for _, g := range rels[i:j] {
-				if h.fitsIn(all.minus(g.n)) {
-					leaveOut++
-				}
-			}
-			return j - i, leaveOut
-		}
-		avail, i = all, j
-	}
-	return -1, 0
 }

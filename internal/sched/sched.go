@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -88,9 +89,6 @@ type Options struct {
 	// (lighter users first) instead of pure submit order. The queue-head
 	// guarantee of EASY backfill then applies to the priority order.
 	Fairshare bool
-	// FairshareHalfLife is the usage decay half-life in seconds
-	// (default 7 days).
-	FairshareHalfLife float64
 	// UtilSampleEvery controls the spacing of utilization samples in
 	// seconds (default 3600).
 	UtilSampleEvery int64
@@ -172,7 +170,11 @@ func simulate(cluster Cluster, jobs []trace.Job, opt Options, naive bool) (*Resu
 			return nil, err
 		}
 	}
-	s := newSim(cluster, jobs, opt)
+	pending, err := arrivalOrder(jobs)
+	if err != nil {
+		return nil, err
+	}
+	s := newSim(cluster, pending, opt)
 	s.naive = naive
 	if err := s.run(); err != nil {
 		return nil, err
@@ -224,17 +226,13 @@ type sim struct {
 	// event, rebuilt from releases at most once per simulation event
 	// (baseOK) and then maintained incrementally as jobs start; work is
 	// the per-pass reservation scratch copied from base. prio caches
-	// the fairshare priority order between mutations (prioDirty), and
-	// shadowRels is the reusable buffer behind shadowSorted, the sort
-	// EASY's shadow falls back to when a tie at the shadow time makes
-	// the release list walk order-sensitive.
-	releases   []release
-	base       profile
-	work       profile
-	baseOK     bool
-	prio       []*queued
-	prioDirty  bool
-	shadowRels []shadowRel
+	// the fairshare priority order between mutations (prioDirty).
+	releases  []release
+	base      profile
+	work      profile
+	baseOK    bool
+	prio      []*queued
+	prioDirty bool
 }
 
 type queued struct {
@@ -251,12 +249,6 @@ type release struct {
 	t   int64 // release time: start + Limit
 	seq int   // owning job's arrival seq (removal key, tiebreak)
 	n   need
-}
-
-// shadowRel is the scratch element for the EASY shadow computation.
-type shadowRel struct {
-	t                int64
-	cores, gpuc, gpu int
 }
 
 // runHeap orders running jobs by completion time.
@@ -278,35 +270,50 @@ func (h runHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
 func (h *runHeap) Push(x any)   { *h = append(*h, x.(runEntry)) }
 func (h *runHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// JobsSorted reports whether jobs are already in simulation arrival
-// order: ascending submit time, ties broken by ascending ID.
-func JobsSorted(jobs []trace.Job) bool {
-	for i := 1; i < len(jobs); i++ {
-		a, b := jobs[i-1], jobs[i]
-		if a.Submit > b.Submit || (a.Submit == b.Submit && a.ID > b.ID) {
-			return false
-		}
-	}
-	return true
+// arrivesBefore is the strict arrival order both entry points enforce:
+// ascending submit time, ties broken by ascending ID. Two jobs sharing
+// a (Submit, ID) pair are in neither order.
+func arrivesBefore(a, b trace.Job) bool {
+	return a.Submit < b.Submit || (a.Submit == b.Submit && a.ID < b.ID)
 }
 
-func newSim(cluster Cluster, jobs []trace.Job, opt Options) *sim {
-	// The generator emits each year's trace already in arrival order, so
-	// the common case skips the defensive copy+sort entirely. The sim
-	// never mutates pending entries, so aliasing the caller's slice is
-	// safe; an unsorted input still gets the copy+sort fallback.
-	pending := jobs
-	if !JobsSorted(jobs) {
-		sorted := make([]trace.Job, len(jobs))
-		copy(sorted, jobs)
-		sort.Slice(sorted, func(a, b int) bool {
-			if sorted[a].Submit != sorted[b].Submit {
-				return sorted[a].Submit < sorted[b].Submit
-			}
-			return sorted[a].ID < sorted[b].ID
-		})
-		pending = sorted
+// JobsSorted reports whether jobs are already in simulation arrival
+// order, each strictly after the one before it.
+func JobsSorted(jobs []trace.Job) bool {
+	return unsortedAt(jobs) < 0
+}
+
+// unsortedAt returns the index of the first job not strictly after its
+// predecessor in arrival order, or -1.
+func unsortedAt(jobs []trace.Job) int {
+	for i := 1; i < len(jobs); i++ {
+		if !arrivesBefore(jobs[i-1], jobs[i]) {
+			return i
+		}
 	}
+	return -1
+}
+
+// arrivalOrder returns jobs in arrival order. The generator emits each
+// year's trace already sorted, so the common case aliases the caller's
+// slice (the sim never mutates pending entries); otherwise it sorts a
+// copy. A repeated (Submit, ID) pair is refused on either path: nothing
+// would order the two jobs, so their arrival seqs, and every tie-break
+// that reads them, would follow whatever order the sort left.
+func arrivalOrder(jobs []trace.Job) ([]trace.Job, error) {
+	if JobsSorted(jobs) {
+		return jobs, nil
+	}
+	sorted := slices.Clone(jobs)
+	sort.Slice(sorted, func(a, b int) bool { return arrivesBefore(sorted[a], sorted[b]) })
+	if i := unsortedAt(sorted); i >= 0 {
+		return nil, fmt.Errorf("sched: job %d submitted twice at %d", sorted[i].ID, sorted[i].Submit)
+	}
+	return sorted, nil
+}
+
+// newSim builds the simulation state over jobs already in arrival order.
+func newSim(cluster Cluster, pending []trace.Job, opt Options) *sim {
 	// Preallocate the event-queue structures to their known or easily
 	// bounded sizes: every job produces exactly one result, the run heap
 	// holds at most the running set, and the sample count is bounded by
@@ -324,9 +331,6 @@ func newSim(cluster Cluster, jobs []trace.Job, opt Options) *sim {
 func applyOptionDefaults(opt *Options) {
 	if opt.UtilSampleEvery <= 0 {
 		opt.UtilSampleEvery = 3600
-	}
-	if opt.FairshareHalfLife <= 0 {
-		opt.FairshareHalfLife = 7 * 86400
 	}
 }
 
@@ -445,12 +449,15 @@ func (s *sim) advance(to int64) {
 	s.now = to
 }
 
+// fairshareHalfLife is the usage decay half-life in seconds (7 days).
+const fairshareHalfLife = 7 * 86400
+
 // decayUsage applies exponential decay to fairshare usage.
 func (s *sim) decayUsage(to int64) {
 	if !s.opt.Fairshare || to <= s.lastDecay {
 		return
 	}
-	f := math.Exp2(-float64(to-s.lastDecay) / s.opt.FairshareHalfLife)
+	f := math.Exp2(-float64(to-s.lastDecay) / fairshareHalfLife)
 	for i := range s.usage {
 		s.usage[i] *= f
 	}
@@ -564,115 +571,24 @@ func (s *sim) schedule() error {
 
 // shadow computes the head job's reservation: the earliest time enough
 // resources free up (by requested limits), plus the spare capacity at
-// that time beyond what the head needs. It walks the release list one
-// release time at a time (shadowWalk) and falls back to shadowSorted,
-// the oracle's sort-based body, only where the walk cannot vouch for
-// the sort's answer.
-func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
-	t, avail, ok := s.shadowWalk(head)
-	if !ok {
-		return s.shadowSorted(head)
-	}
-	h := needOf(head)
-	return t, max(avail.cpu-h.cpu, 0), max(avail.gpuCore-h.gpuCore, 0), max(avail.gpu-h.gpu, 0)
-}
-
-// shadowWalk returns the shadow time and the resources free then,
-// before the head takes its share. s.releases is the running set's
+// that time beyond what the head needs. s.releases is the running set's
 // release events sorted by (t, seq), so the walk adds whole release
-// times until the head fits, with no copy and no sort. The sort-based
-// body's shadow time is the same, since fitting only grows with
-// resources; but its unstable sort puts the tie group at that time in
-// an order of its own and stops adding at the first member the head
-// fits after, so which members count toward spare capacity depends on
-// that order. When no member can be left out — the group has one
-// release, or the head fits only with every member counted — the
-// answer is order-free and equals the sort's; otherwise ok is false,
-// and also when the head never fits.
-func (s *sim) shadowWalk(head trace.Job) (t int64, avail need, ok bool) {
+// times until the head fits, with no copy and no sort. Every release at
+// the shadow time counts toward spare capacity, as textbook EASY
+// defines its extra nodes, so the answer does not depend on the order
+// of the releases that tie there. A head that never fits (reachable
+// only past validation) gets the last release time.
+func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
 	h := needOf(head)
-	avail = need{cpu: s.cpuFree, gpuCore: s.gpuCore, gpu: s.gpuFree}
-	if h.fitsIn(avail) {
-		return s.now, avail, true
-	}
-	rels := s.releases
-	for i := 0; i < len(rels); {
-		t = rels[i].t
-		next, j := avail, i
-		for ; j < len(rels) && rels[j].t == t; j++ {
-			next = next.plus(rels[j].n)
-		}
-		if h.fitsIn(next) {
-			for k := i; k < j; k++ {
-				if h.fitsIn(next.minus(rels[k].n)) {
-					return 0, need{}, false
-				}
-			}
-			return t, next, true
-		}
-		avail, i = next, j
-	}
-	return 0, need{}, false
-}
-
-// shadowSorted is the oracle's shadow body: it copies the running set
-// in run-heap layout and sorts it by release time with sort.Slice,
-// whose order among equal times decides the spare capacity. The rels
-// buffer is reused across calls.
-func (s *sim) shadowSorted(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
-	rels := s.shadowRels[:0]
-	for i := range s.running {
-		e := &s.running[i]
-		// Conservative end: start + limit. Start = end - elapsed.
-		startT := e.end - e.job.Elapsed
-		r := shadowRel{t: startT + e.job.Limit}
-		if e.job.Partition == "gpu" {
-			r.gpuc = e.job.Cores()
-			r.gpu = e.job.GPUs
-		} else {
-			r.cores = e.job.Cores()
-		}
-		rels = append(rels, r)
-	}
-	s.shadowRels = rels
-	sort.Slice(rels, func(a, b int) bool { return rels[a].t < rels[b].t })
-	cpu, gpuc, gpu := s.cpuFree, s.gpuCore, s.gpuFree
-	headFits := func() bool {
-		if head.Partition == "gpu" {
-			return head.Cores() <= gpuc && head.GPUs <= gpu
-		}
-		return head.Cores() <= cpu
-	}
+	avail := need{cpu: s.cpuFree, gpuCore: s.gpuCore, gpu: s.gpuFree}
 	shadowTime = s.now
-	for _, r := range rels {
-		if headFits() {
-			break
+	for i := 0; i < len(s.releases) && !h.fitsIn(avail); {
+		shadowTime = s.releases[i].t
+		for ; i < len(s.releases) && s.releases[i].t == shadowTime; i++ {
+			avail = avail.plus(s.releases[i].n)
 		}
-		cpu += r.cores
-		gpuc += r.gpuc
-		gpu += r.gpu
-		shadowTime = r.t
 	}
-	// Spare capacity at shadow time, after the head takes its share.
-	if head.Partition == "gpu" {
-		spareCPU = cpu
-		spareGPUCore = gpuc - head.Cores()
-		spareGPU = gpu - head.GPUs
-	} else {
-		spareCPU = cpu - head.Cores()
-		spareGPUCore = gpuc
-		spareGPU = gpu
-	}
-	if spareCPU < 0 {
-		spareCPU = 0
-	}
-	if spareGPUCore < 0 {
-		spareGPUCore = 0
-	}
-	if spareGPU < 0 {
-		spareGPU = 0
-	}
-	return shadowTime, spareCPU, spareGPUCore, spareGPU
+	return shadowTime, max(avail.cpu-h.cpu, 0), max(avail.gpuCore-h.gpuCore, 0), max(avail.gpu-h.gpu, 0)
 }
 
 func (s *sim) run() error {

@@ -472,3 +472,77 @@ func sortJobsForTest(jobs []trace.Job) {
 		}
 	}
 }
+
+// TestShadowIgnoresStartOrder checks that EASY's shadow depends on the
+// running set, not on the order its jobs started in. Every job starts at
+// one instant with one of three limits, in both partitions, so the
+// releases crowd into three tie groups; starting the same set (same
+// seqs) in a shuffled order lays the run heap out differently. For
+// random heads both sims must return the same shadow, and some heads
+// must meet a tie group of several releases at their shadow time.
+func TestShadowIgnoresStartOrder(t *testing.T) {
+	c := Cluster{CPUNodes: 8, GPUNodes: 4, CoresPerNode: 8, GPUsPerNode: 4}
+	job := func(r *rng.RNG, id uint64, maxNodes int) trace.Job {
+		j := trace.Job{
+			ID: id, User: "u", Account: "x", Partition: "cpu", Year: 2024,
+			Nodes: 1 + r.Intn(maxNodes), CoresPer: 1 + r.Intn(c.CoresPerNode),
+			Limit: int64(600 * (1 + r.Intn(3))), State: trace.StateCompleted, Language: "c",
+		}
+		if r.Bool(0.4) {
+			j.Partition = "gpu"
+			j.Nodes = 1 + r.Intn(min(maxNodes, c.GPUNodes))
+			j.GPUs = 1 + r.Intn(c.GPUsPerNode*j.Nodes)
+		}
+		j.Elapsed = 1 + int64(r.Intn(int(j.Limit)))
+		return j
+	}
+	startAll := func(set []trace.Job, order []int) *sim {
+		s := newSim(c, []trace.Job{mkJob(1, 0, 1, 1, 1)}, Options{Policy: EASYBackfill})
+		for _, k := range order {
+			q := &queued{job: set[k], seq: k, user: s.internUser(set[k].User)}
+			s.queue = append(s.queue, q)
+			s.start(q)
+		}
+		return s
+	}
+	crowded := 0
+	for trial := uint64(0); trial < 200; trial++ {
+		r := rng.New(trial*104729 + 11)
+		probe := newSim(c, []trace.Job{mkJob(1, 0, 1, 1, 1)}, Options{Policy: EASYBackfill})
+		var set []trace.Job
+		for k := 0; k < 60; k++ {
+			if j := job(r, uint64(k+1), 2); probe.fits(j) {
+				probe.alloc(j)
+				set = append(set, j)
+			}
+		}
+		order := make([]int, len(set))
+		for i := range order {
+			order[i] = i
+		}
+		inOrder := startAll(set, order)
+		rng.Shuffle(r, order)
+		shuffled := startAll(set, order)
+		for h := 0; h < 50; h++ {
+			head := job(r, 1000, c.CPUNodes)
+			gt, gc, ggc, gg := inOrder.shadow(head)
+			wt, wc, wgc, wg := shuffled.shadow(head)
+			if gt != wt || gc != wc || ggc != wgc || gg != wg {
+				t.Fatalf("trial %d head %+v: shadow (%d, %d, %d, %d) in start order, (%d, %d, %d, %d) shuffled",
+					trial, head, gt, gc, ggc, gg, wt, wc, wgc, wg)
+			}
+			ties := 0
+			for _, rel := range inOrder.releases {
+				if rel.t == gt {
+					ties++
+				}
+			}
+			if ties >= 2 {
+				crowded++
+			}
+		}
+	}
+	if crowded == 0 {
+		t.Fatal("no head met a tie group of two or more releases at its shadow time")
+	}
+}

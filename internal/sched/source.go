@@ -95,7 +95,7 @@ func (s *tableSource) fill() {
 		s.e = err
 		return
 	}
-	if s.started && (j.Submit < s.prev.Submit || (j.Submit == s.prev.Submit && j.ID <= s.prev.ID)) {
+	if s.started && !arrivesBefore(s.prev, j) {
 		s.e = fmt.Errorf("sched: streamed trace out of arrival order: job %d (submit %d) after job %d (submit %d)",
 			j.ID, j.Submit, s.prev.ID, s.prev.Submit)
 		return

@@ -80,3 +80,29 @@ func TestSimulateTableEmpty(t *testing.T) {
 		t.Fatal("want error for empty table")
 	}
 }
+
+// TestRepeatedArrivalRefused: two jobs sharing a (Submit, ID) pair have
+// no arrival order between them, so both entry points refuse the feed,
+// sorted or not, with an error naming the job.
+func TestRepeatedArrivalRefused(t *testing.T) {
+	first, dup, last := mkJob(1, 0, 1, 1, 10), mkJob(2, 5, 1, 1, 10), mkJob(3, 9, 1, 1, 10)
+	twin := dup
+	twin.User = "u2"
+	for _, tc := range []struct {
+		name string
+		jobs []trace.Job
+	}{
+		{"sorted", []trace.Job{first, dup, twin, last}},
+		{"unsorted", []trace.Job{last, dup, first, twin}},
+	} {
+		_, err := Simulate(smallCluster(), tc.jobs, Options{Policy: EASYBackfill})
+		if err == nil || !strings.Contains(err.Error(), "job 2 ") {
+			t.Errorf("Simulate, %s feed: want an error naming job 2, got %v", tc.name, err)
+		}
+		tab := table.NewSlice(tc.jobs, trace.JobCodec{}.HashRow)
+		_, err = SimulateTable(smallCluster(), tab, Options{Policy: EASYBackfill})
+		if err == nil || !strings.Contains(err.Error(), "job 2 ") {
+			t.Errorf("SimulateTable, %s feed: want an error naming job 2, got %v", tc.name, err)
+		}
+	}
+}

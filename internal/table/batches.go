@@ -59,8 +59,8 @@ type Batches[T any] struct {
 	opt   Options
 	total int
 
-	mu      sync.Mutex
-	batches []batch[T]
+	mu       sync.Mutex
+	batches  []batch[T]
 	resident int // count of batches with cols != nil
 
 	// rebuild recomputes rows [lo, hi) into a fresh Columns when a
@@ -254,13 +254,13 @@ type batchScanner[T any] struct {
 	t   *Batches[T]
 	pos int // next global row to deliver
 	hi  int
-	bi  int        // current batch index, -1 before first Scan
-	off int        // global row index of batches[bi][0]
-	i   int        // index within current batch of the current row
+	bi  int // current batch index, -1 before first Scan
+	off int // global row index of batches[bi][0]
+	i   int // index within current batch of the current row
 	cur Columns[T]
 	err error
 
-	prefetchBi int                 // batch index the prefetch targets, 0 = none
+	prefetchBi int // batch index the prefetch targets, 0 = none
 	prefetchCh chan prefetched[T]
 }
 

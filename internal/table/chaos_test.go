@@ -50,8 +50,8 @@ func TestChaosCorruptSpillRecomputed(t *testing.T) {
 		t.Fatalf("want >= 3 spill files, got %d (err %v)", len(files), err)
 	}
 	damage := []func(p string) error{
-		func(p string) error { return flipByteAt(p, 5) },   // inside magic/header
-		func(p string) error { return flipByteAt(p, -2) },  // inside payload tail
+		func(p string) error { return flipByteAt(p, 5) },    // inside magic/header
+		func(p string) error { return flipByteAt(p, -2) },   // inside payload tail
 		func(p string) error { return truncateFile(p, 10) }, // torn write
 	}
 	for i, f := range files[:3] {
