@@ -76,13 +76,15 @@ func TestDecodersBoundCounts(t *testing.T) {
 }
 
 // fuzzConfig is the run whose payloads seed FuzzStageDecoders: every
-// cacheable stage kind, at small sizes so the mutator stays fast.
+// cacheable stage kind, at small sizes so the mutator stays fast. Two
+// trace years give the corpus a second year's trace and telemetry
+// tables and a modlog-merge payload that carries more than one year.
 func fuzzConfig() Config {
 	return Config{
 		Seed:       5,
 		N2011:      20,
 		N2024:      24,
-		TraceYears: []int{2011},
+		TraceYears: []int{2011, 2024},
 		SimYear:    2011,
 		Policy:     sched.EASYBackfill,
 		Rake:       true,
