@@ -10,9 +10,11 @@ package modlog
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -265,16 +267,35 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 			events = append(events, e)
 		}
 	}
-	sort.Slice(events, func(a, b int) bool {
-		if events[a].Time != events[b].Time {
-			return events[a].Time < events[b].Time
+	return sortEvents(events), nil
+}
+
+// sortEvents returns events ordered by (Time, User, Module). It sorts
+// small pointer-free keys and then places each event once: swapping
+// whole events, which hold two strings, pays a write barrier per move
+// whenever the collector runs. Events equal in all three fields are
+// equal in every field, so their order cannot show.
+func sortEvents(events []Event) []Event {
+	type eventKey struct {
+		time int64
+		i    int
+	}
+	keys := make([]eventKey, len(events))
+	for i := range events {
+		keys[i] = eventKey{time: events[i].Time, i: i}
+	}
+	slices.SortFunc(keys, func(a, b eventKey) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
 		}
-		if events[a].User != events[b].User {
-			return events[a].User < events[b].User
-		}
-		return events[a].Module < events[b].Module
+		ea, eb := &events[a.i], &events[b.i]
+		return cmp.Or(strings.Compare(ea.User, eb.User), strings.Compare(ea.Module, eb.Module))
 	})
-	return events, nil
+	sorted := make([]Event, len(events))
+	for i, k := range keys {
+		sorted[i] = events[k.i]
+	}
+	return sorted
 }
 
 // YearShares aggregates events into per-year module-name user shares:

@@ -4,12 +4,12 @@ package sched
 // incremental-profile claims in DESIGN.md ("Scheduler performance")
 // are measurable without the rest of the pipeline. Three workloads:
 // the standard 2024 campus trace; the 2019 month the study config
-// simulates in every cold run (the EASY and conservative benchmarks
-// only); and a 10× synthetic trace (ten year-offset generations back
-// to back) probing how the simulator scales with trace length. The
-// *Naive variants run the reference oracle (oracle.go) — the
-// pre-incremental implementation — on the same workload, so one
-// `scripts/bench.sh` run records the speedup.
+// simulates with all three policies in every cold run; and a 10×
+// synthetic trace (ten year-offset generations back to back) probing
+// how the simulator scales with trace length. The *Naive variants run
+// the reference oracle (oracle.go) — the pre-incremental
+// implementation — on the same workload, so one `scripts/bench.sh`
+// run records the speedup.
 
 import (
 	"sort"
@@ -82,9 +82,10 @@ func benchSimulate(b *testing.B, jobs []trace.Job, opt Options, naive bool) {
 }
 
 func BenchmarkSimulateFCFS(b *testing.B) {
-	campus, big, _ := benchTraces(b)
+	campus, big, study := benchTraces(b)
 	opt := Options{Policy: FCFS}
 	b.Run("campus", func(b *testing.B) { benchSimulate(b, campus, opt, false) })
+	b.Run("study", func(b *testing.B) { benchSimulate(b, study, opt, false) })
 	b.Run("campus10x", func(b *testing.B) { benchSimulate(b, big, opt, false) })
 }
 

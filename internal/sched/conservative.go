@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -75,41 +76,45 @@ func (p *profile) copyFrom(src *profile) {
 // rebuildBase reconstructs the availability profile for the current
 // instant from free resources and the incrementally maintained release
 // list. Unlike the oracle's newProfileNaive this does not sort (the
-// release list is kept ordered on job start/finish) and reuses the
-// base profile's backing arrays, so a rebuild is one linear merge.
+// release list is kept ordered on job start/finish) and writes into
+// the base profile's backing arrays, sized once for the most steps the
+// releases can make, so a rebuild is one linear merge.
 func (s *sim) rebuildBase() {
 	p := &s.base
-	p.times = append(p.times[:0], s.now)
-	p.cpu = append(p.cpu[:0], int32(s.cpuFree))
-	p.gpuCore = append(p.gpuCore[:0], int32(s.gpuCore))
-	p.gpu = append(p.gpu[:0], int32(s.gpuFree))
+	n := len(s.releases) + 1
+	p.times = slices.Grow(p.times[:0], n)[:n]
+	p.cpu = slices.Grow(p.cpu[:0], n)[:n]
+	p.gpuCore = slices.Grow(p.gpuCore[:0], n)[:n]
+	p.gpu = slices.Grow(p.gpu[:0], n)[:n]
+	p.times[0], p.cpu[0], p.gpuCore[0], p.gpu[0] = s.now, int32(s.cpuFree), int32(s.gpuCore), int32(s.gpuFree)
+	k := 0
 	for i := range s.releases {
 		r := &s.releases[i]
-		last := len(p.times) - 1
-		if r.t > p.times[last] {
+		if r.t > p.times[k] {
 			// New step, carrying the previous availability forward.
-			p.times = append(p.times, r.t)
-			p.cpu = append(p.cpu, p.cpu[last])
-			p.gpuCore = append(p.gpuCore, p.gpuCore[last])
-			p.gpu = append(p.gpu, p.gpu[last])
-			last++
+			k++
+			p.times[k], p.cpu[k], p.gpuCore[k], p.gpu[k] = r.t, p.cpu[k-1], p.gpuCore[k-1], p.gpu[k-1]
 		}
 		// Release at (or before) the current step start: merge.
-		p.cpu[last] += int32(r.n.cpu)
-		p.gpuCore[last] += int32(r.n.gpuCore)
-		p.gpu[last] += int32(r.n.gpu)
+		p.cpu[k] += int32(r.n.cpu)
+		p.gpuCore[k] += int32(r.n.gpuCore)
+		p.gpu[k] += int32(r.n.gpu)
 	}
+	k++
+	p.times, p.cpu, p.gpuCore, p.gpu = p.times[:k], p.cpu[:k], p.gpuCore[:k], p.gpu[:k]
 	s.baseOK = true
 }
 
-// earliestFit returns the earliest time >= now at which n is available
-// continuously for duration seconds. A single cursor tracks the first
-// step after the most recent infeasible one, so the scan is linear in
-// profile steps instead of the oracle's nested rescan, and only the
-// lanes the job's partition uses are read. ok is false when even the
-// final (steady-state) step cannot hold n — the caller must surface
-// ErrNeverFits rather than fabricate a reservation.
-func (p *profile) earliestFit(n need, duration int64) (start int64, ok bool) {
+// earliestFit finds the earliest window of duration seconds, starting
+// at a step start at or after now, in which n is available throughout:
+// it starts at step si and ends in step sj, so times[sj] < times[si] +
+// duration <= times[sj+1] (or sj is the final step). A single cursor
+// tracks the first step after the most recent infeasible one, so the
+// scan is linear in profile steps instead of the oracle's nested
+// rescan, and only the lanes the job's partition uses are read. ok is
+// false when even the final (steady-state) step cannot hold n — the
+// caller must surface ErrNeverFits rather than fabricate a reservation.
+func (p *profile) earliestFit(n need, duration int64) (si, sj int, ok bool) {
 	if n.gpuCore == 0 && n.gpu == 0 {
 		return p.earliestFitLane(p.cpu, nil, int32(n.cpu), 0, duration)
 	}
@@ -117,7 +122,7 @@ func (p *profile) earliestFit(n need, duration int64) (start int64, ok bool) {
 }
 
 // earliestFitLane runs the cursor scan over one lane (b nil) or two.
-func (p *profile) earliestFitLane(a, b []int32, na, nb int32, duration int64) (int64, bool) {
+func (p *profile) earliestFitLane(a, b []int32, na, nb int32, duration int64) (si, sj int, ok bool) {
 	i := 0 // candidate start step: first feasible step after the last infeasible one
 	last := len(p.times) - 1
 	for j := 0; j <= last; j++ {
@@ -125,65 +130,40 @@ func (p *profile) earliestFitLane(a, b []int32, na, nb int32, duration int64) (i
 			i = j + 1
 			continue
 		}
-		if j == last {
-			// Feasible through the final step, which extends forever.
-			return p.times[i], true
-		}
-		if p.times[j+1] >= p.times[i]+duration {
-			// Steps i..j cover [times[i], times[i]+duration) entirely.
-			return p.times[i], true
+		// Feasible through the final step, which extends forever, or
+		// steps i..j cover [times[i], times[i]+duration) entirely.
+		if j == last || p.times[j+1] >= p.times[i]+duration {
+			return i, j, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
-// reserve subtracts n from the profile over [start, start+duration).
-// Both step boundaries are resolved (inserting at most one step each)
-// and the subtraction touches only the covered step range of the lanes
-// the job actually uses, instead of the oracle's two independent
-// insertions plus full-profile scan.
-func (p *profile) reserve(n need, start, duration int64) {
-	si := p.boundary(start)
-	ei := p.boundary(start + duration)
+// reserve subtracts n over the window earliestFit reported, steps
+// si..sj, and makes its end a step boundary: step sj+1 must start at
+// end, so step sj is split there unless a step already starts at end.
+// That is the only step a reservation can add, and the subtraction
+// touches only the lanes the job actually uses, instead of the
+// oracle's two boundary insertions plus full-profile scan.
+func (p *profile) reserve(n need, si, sj int, end int64) {
+	if k := sj + 1; k == len(p.times) || p.times[k] != end {
+		p.times = slices.Insert(p.times, k, end)
+		p.cpu = slices.Insert(p.cpu, k, p.cpu[sj])
+		p.gpuCore = slices.Insert(p.gpuCore, k, p.gpuCore[sj])
+		p.gpu = slices.Insert(p.gpu, k, p.gpu[sj])
+	}
 	if n.gpuCore == 0 && n.gpu == 0 {
-		lane := p.cpu[si:ei]
+		lane := p.cpu[si : sj+1]
 		for i := range lane {
 			lane[i] -= int32(n.cpu)
 		}
 		return
 	}
-	gc, g := p.gpuCore[si:ei], p.gpu[si:ei]
+	gc, g := p.gpuCore[si:sj+1], p.gpu[si:sj+1]
 	for i := range gc {
 		gc[i] -= int32(n.gpuCore)
 		g[i] -= int32(n.gpu)
 	}
-}
-
-// boundary returns the index of the step starting at t, splitting the
-// step containing t if needed. Times at or before the profile start
-// map to step 0.
-func (p *profile) boundary(t int64) int {
-	if t <= p.times[0] {
-		return 0
-	}
-	idx := sort.Search(len(p.times), func(i int) bool { return p.times[i] >= t })
-	if idx < len(p.times) && p.times[idx] == t {
-		return idx
-	}
-	// Insert at idx, copying the preceding step's availability.
-	p.times = append(p.times, 0)
-	p.cpu = append(p.cpu, 0)
-	p.gpuCore = append(p.gpuCore, 0)
-	p.gpu = append(p.gpu, 0)
-	copy(p.times[idx+1:], p.times[idx:])
-	copy(p.cpu[idx+1:], p.cpu[idx:])
-	copy(p.gpuCore[idx+1:], p.gpuCore[idx:])
-	copy(p.gpu[idx+1:], p.gpu[idx:])
-	p.times[idx] = t
-	p.cpu[idx] = p.cpu[idx-1]
-	p.gpuCore[idx] = p.gpuCore[idx-1]
-	p.gpu[idx] = p.gpu[idx-1]
-	return idx
 }
 
 // scheduleConservative runs conservative-backfill passes; only a start
@@ -227,26 +207,29 @@ func (s *sim) conservativePass() (restart bool, err error) {
 	p.copyFrom(&s.base)
 	for qi := 0; qi <= last; {
 		q := order[qi]
-		n := needOf(q.job)
-		start, ok := p.earliestFit(n, q.job.Limit)
+		si, sj, ok := p.earliestFit(q.n, q.job.Limit)
 		if !ok {
 			return false, fmt.Errorf("sched: job %d (%d cores / %d gpus on %q) cannot be reserved: %w",
 				q.job.ID, q.job.Cores(), q.job.GPUs, q.job.Partition, ErrNeverFits)
 		}
-		if start != s.now || !s.fits(q.job) {
-			p.reserve(n, start, q.job.Limit)
+		end := p.times[si] + q.job.Limit
+		if si != 0 || !q.n.fitsIn(s.free()) {
+			p.reserve(q.n, si, sj, end)
 			qi++
 			continue
 		}
+		// Step 0 starts now: the job starts. The base has steps of its
+		// own, and its window ends in the last one that starts before end.
 		s.start(q)
-		s.base.reserve(n, s.now, q.job.Limit)
+		bj, _ := slices.BinarySearch(s.base.times, end)
+		s.base.reserve(q.n, 0, bj-1, end)
 		if qi > 0 {
 			s.backfills++
 		}
 		if s.opt.Fairshare {
 			return true, nil
 		}
-		p.reserve(n, s.now, q.job.Limit)
+		p.reserve(q.n, 0, sj, end)
 		order = s.order()
 		last = s.lastCandidate(order, qi)
 	}
@@ -258,8 +241,9 @@ func (s *sim) conservativePass() (restart bool, err error) {
 // exceeds the whole machine; -1 if there is none.
 func (s *sim) lastCandidate(order []*queued, from int) int {
 	machine := need{cpu: s.cluster.cpuCapacity(), gpuCore: s.cluster.gpuCoreCap(), gpu: s.cluster.gpuCapacity()}
+	free := s.free()
 	for i := min(len(order), bfDepth) - 1; i >= from; i-- {
-		if j := order[i].job; s.fits(j) || !needOf(j).fitsIn(machine) {
+		if n := order[i].n; n.fitsIn(free) || !n.fitsIn(machine) {
 			return i
 		}
 	}

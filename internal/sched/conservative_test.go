@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -195,24 +196,32 @@ func TestProfileOperations(t *testing.T) {
 		gpu:     []int32{0, 0, 0},
 	}
 	// Needs 16 cores for 150s: at t=0 only 8 free; at t=100, window
-	// [100,250) has >= 16 throughout.
-	if got, ok := p.earliestFit(need{cpu: 16}, 150); !ok || got != 100 {
-		t.Fatalf("earliestFit=%d ok=%v", got, ok)
+	// [100,250) has >= 16 throughout and ends in step 2.
+	if si, sj, ok := p.earliestFit(need{cpu: 16}, 150); !ok || si != 1 || sj != 2 {
+		t.Fatalf("earliestFit=(%d, %d) ok=%v", si, sj, ok)
 	}
-	// Needs 32 for 10s: only from t=200.
-	if got, ok := p.earliestFit(need{cpu: 32}, 10); !ok || got != 200 {
-		t.Fatalf("earliestFit=%d ok=%v", got, ok)
+	// Needs 32 for 10s: only from t=200, the final step.
+	if si, sj, ok := p.earliestFit(need{cpu: 32}, 10); !ok || si != 2 || sj != 2 {
+		t.Fatalf("earliestFit=(%d, %d) ok=%v", si, sj, ok)
 	}
-	// Reserve 8 cores over [100, 250) and re-check.
-	p.reserve(need{cpu: 8}, 100, 150)
-	if got, ok := p.earliestFit(need{cpu: 32}, 10); !ok || got != 250 {
-		t.Fatalf("post-reserve earliestFit=%d ok=%v", got, ok)
+	// Reserve 8 cores over [100, 250) and re-check: step 2 splits at 250.
+	p.reserve(need{cpu: 8}, 1, 2, 250)
+	if want := []int32{8, 8, 24, 32}; !slices.Equal(p.cpu, want) {
+		t.Fatalf("post-reserve cpu lane %v, want %v", p.cpu, want)
+	}
+	if si, _, ok := p.earliestFit(need{cpu: 32}, 10); !ok || p.times[si] != 250 {
+		t.Fatalf("post-reserve earliestFit=%d ok=%v", p.times[si], ok)
+	}
+	// A window ending on an existing step start adds no step.
+	p.reserve(need{cpu: 8}, 0, 0, 100)
+	if len(p.times) != 4 || p.cpu[0] != 0 {
+		t.Fatalf("reserve up to a step start: times %v cpu %v", p.times, p.cpu)
 	}
 	// A demand above even the steady-state step can never fit: the old
 	// implementation silently returned the last step start; the
 	// incremental one refuses.
-	if got, ok := p.earliestFit(need{cpu: 64}, 10); ok {
-		t.Fatalf("oversized demand got a reservation at %d", got)
+	if si, _, ok := p.earliestFit(need{cpu: 64}, 10); ok {
+		t.Fatalf("oversized demand got a reservation at step %d", si)
 	}
 	// Boundary insertion kept steps sorted.
 	for i := 1; i < len(p.times); i++ {

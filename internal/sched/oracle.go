@@ -4,11 +4,13 @@ package sched
 // the availability profile from scratch on every started job, re-sorts
 // the queue on every pass, and allocates fresh profile/order slices
 // per call. It is kept verbatim (modulo the interned-usage storage the
-// whole package shares, and EASY's shadow counting the whole tie group
-// at the shadow time) as the semantic ground truth for the optimized
-// incremental simulator in sched.go/conservative.go: the differential
-// property test in oracle_test.go asserts both produce identical
-// Results across seeded random traces, policies, and cluster shapes.
+// whole package shares, EASY's shadow counting the whole tie group at
+// the shadow time, and reading each running job's release time and
+// need from its run-heap entry, which no longer holds the job) as the
+// semantic ground truth for the optimized incremental simulator in
+// sched.go/conservative.go: the differential property test in
+// oracle_test.go asserts both produce identical Results across seeded
+// random traces, policies, and cluster shapes.
 //
 // Do not "optimize" this file — its entire value is being the slow,
 // obviously-correct implementation.
@@ -103,16 +105,8 @@ func (s *sim) shadowNaive(head trace.Job) (shadowTime int64, spareCPU, spareGPUC
 	}
 	var rels []rel
 	for _, e := range s.running {
-		// Conservative end: start + limit. Start = end - elapsed.
-		startT := e.end - e.job.Elapsed
-		r := rel{t: startT + e.job.Limit}
-		if e.job.Partition == "gpu" {
-			r.gpuc = e.job.Cores()
-			r.gpu = e.job.GPUs
-		} else {
-			r.cores = e.job.Cores()
-		}
-		rels = append(rels, r)
+		// Conservative end: start + limit.
+		rels = append(rels, rel{t: e.rel, cores: e.n.cpu, gpuc: e.n.gpuCore, gpu: e.n.gpu})
 	}
 	sort.Slice(rels, func(a, b int) bool { return rels[a].t < rels[b].t })
 	cpu, gpuc, gpu := s.cpuFree, s.gpuCore, s.gpuFree
@@ -170,8 +164,7 @@ func (s *sim) newProfileNaive() *naiveProfile {
 	}
 	var rels []release
 	for _, e := range s.running {
-		startT := e.end - e.job.Elapsed
-		rels = append(rels, release{t: startT + e.job.Limit, n: needOf(e.job)})
+		rels = append(rels, release{t: e.rel, n: e.n})
 	}
 	sort.Slice(rels, func(a, b int) bool { return rels[a].t < rels[b].t })
 	p := &naiveProfile{

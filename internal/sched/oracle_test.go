@@ -136,9 +136,9 @@ func burstTrace(r *rng.RNG, c Cluster, n int) []trace.Job {
 // TestDifferentialOracleDeepQueues runs the differential check on
 // traces whose queues exceed bfDepth, which the random traces above
 // never build: there the conservative early exit and its window slide
-// after a start, and EASY's release-list shadow with its tie fallback,
-// meet a full reservation window. All three policies, fairshare on and
-// off, on the small cluster.
+// after a start, and EASY's release-list shadow with the whole tie
+// group at its shadow time, meet a full reservation window. All three
+// policies, fairshare on and off, on the small cluster.
 func TestDifferentialOracleDeepQueues(t *testing.T) {
 	c := smallCluster()
 	deep := 0
@@ -171,6 +171,86 @@ func TestDifferentialOracleDeepQueues(t *testing.T) {
 	if deep == 0 {
 		t.Fatalf("no run queued more than bfDepth=%d jobs", bfDepth)
 	}
+}
+
+// fuzzJobs decodes fuzzer bytes into at most 64 jobs for smallCluster,
+// five bytes a job: the submit gap (zero for a quarter of the values,
+// so arrivals tie), the width (up to a whole partition), the runtime,
+// the limit (for a quarter of the values exactly the runtime), and one
+// byte for the partition, user and GPU count.
+func fuzzJobs(data []byte) []trace.Job {
+	c := smallCluster()
+	users := []string{"ada", "bob", "cam", "dee"}
+	var jobs []trace.Job
+	var submit int64
+	for k := 0; k+5 <= len(data) && len(jobs) < 64; k += 5 {
+		b := data[k : k+5]
+		if b[0]&3 != 0 {
+			submit += 60 * int64(b[0]>>2)
+		}
+		j := trace.Job{
+			ID: uint64(len(jobs) + 1), User: users[b[4]>>1&3], Account: "x",
+			Partition: "cpu", Year: 2024, Submit: submit,
+			Nodes: 1 + int(b[1]>>4)%c.CPUNodes, CoresPer: 1 + int(b[1]&15)%c.CoresPerNode,
+			Elapsed: 30 * int64(b[2]), State: trace.StateCompleted, Language: "c",
+		}
+		j.Limit = max(j.Elapsed, 30)
+		if b[3]&3 != 0 {
+			j.Limit += 60 * int64(b[3]>>2)
+		}
+		if b[4]&1 == 1 {
+			j.Partition = "gpu"
+			j.Nodes = 1 + int(b[1]>>4)%c.GPUNodes
+			j.GPUs = int(b[4]>>3) % (c.GPUsPerNode*j.Nodes + 1)
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// FuzzDifferentialOracle runs the differential check on traces the
+// fuzzer writes (see fuzzJobs), under all three policies with
+// fairshare on and off: the optimized simulator must match the oracle
+// bit for bit on every trace.
+func FuzzDifferentialOracle(f *testing.F) {
+	r := rng.New(29)
+	for _, n := range []int{8, 24, 64} {
+		b := make([]byte, 5*n)
+		for i := range b {
+			b[i] = byte(r.Uint64())
+		}
+		f.Add(b)
+	}
+	// A tie storm: 48 jobs arrive at once, each with an exact limit of
+	// ten or twenty minutes, in both partitions.
+	var storm []byte
+	for k := 0; k < 48; k++ {
+		storm = append(storm, 0, byte(37*k), byte(20*(1+k%2)), 0, byte(k))
+	}
+	f.Add(storm)
+	c := smallCluster()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		jobs := fuzzJobs(data)
+		if len(jobs) == 0 {
+			return
+		}
+		for _, pol := range []Policy{FCFS, EASYBackfill, ConservativeBackfill} {
+			for _, fs := range []bool{false, true} {
+				opt := Options{Policy: pol, Fairshare: fs, UtilSampleEvery: 300}
+				got, err := Simulate(c, jobs, opt)
+				if err != nil {
+					t.Fatalf("%v fairshare=%v: optimized: %v", pol, fs, err)
+				}
+				want, err := simulateOracle(c, jobs, opt)
+				if err != nil {
+					t.Fatalf("%v fairshare=%v: oracle: %v", pol, fs, err)
+				}
+				if err := diffResults(got, want); err != nil {
+					t.Fatalf("%v fairshare=%v: optimized diverges from oracle: %v", pol, fs, err)
+				}
+			}
+		}
+	})
 }
 
 // diffResults reports the first divergence between two simulation

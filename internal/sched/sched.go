@@ -9,7 +9,6 @@
 package sched
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -236,11 +235,17 @@ type sim struct {
 }
 
 type queued struct {
-	job     trace.Job
-	arrived int64
-	seq     int     // arrival sequence, the FCFS tiebreak
-	user    int     // interned usage index for job.User
-	key     float64 // usage snapshot backing the cached priority order
+	job  trace.Job
+	n    need    // the job's demand, computed once at arrival
+	seq  int     // arrival sequence, the FCFS tiebreak
+	user int     // interned usage index for job.User
+	key  float64 // usage snapshot backing the cached priority order
+}
+
+// newQueued builds the queue entry for job j with arrival sequence
+// number seq, so every scan reads the demand instead of the job.
+func (s *sim) newQueued(j trace.Job, seq int) *queued {
+	return &queued{job: j, n: needOf(j), seq: seq, user: s.internUser(j.User)}
 }
 
 // release is one future limit-based resource release, the unit of the
@@ -251,24 +256,66 @@ type release struct {
 	n   need
 }
 
-// runHeap orders running jobs by completion time.
+// runEntry is one running job: what completion and its release need
+// to know, and no pointers, so the run heap is a flat array the garbage
+// collector never scans.
 type runEntry struct {
-	end int64
-	job trace.Job
-	seq int
+	end int64 // completion time: start + Elapsed
+	rel int64 // release time: start + Limit
+	seq int   // arrival seq, the tiebreak among equal ends
+	id  uint64
+	n   need
 }
+
+// before is the run heap's order, (end, seq). seq is unique, so the
+// order is strict and the pop order does not depend on the heap layout.
+func (e *runEntry) before(f *runEntry) bool {
+	return e.end < f.end || (e.end == f.end && e.seq < f.seq)
+}
+
+// runHeap is a binary min-heap of running jobs in before order.
 type runHeap []runEntry
 
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(a, b int) bool {
-	if h[a].end != h[b].end {
-		return h[a].end < h[b].end
+func (h *runHeap) push(e runEntry) {
+	*h = append(*h, e)
+	a := *h
+	i := len(a) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&a[p]) {
+			break
+		}
+		a[i] = a[p]
+		i = p
 	}
-	return h[a].seq < h[b].seq
+	a[i] = e
 }
-func (h runHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.(runEntry)) }
-func (h *runHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (h *runHeap) pop() runEntry {
+	a := *h
+	top, last := a[0], a[len(a)-1]
+	a = a[:len(a)-1]
+	*h = a
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(a) {
+			break
+		}
+		if c+1 < len(a) && a[c+1].before(&a[c]) {
+			c++
+		}
+		if !a[c].before(&last) {
+			break
+		}
+		a[i] = a[c]
+		i = c
+	}
+	if len(a) > 0 {
+		a[i] = last
+	}
+	return top
+}
 
 // arrivesBefore is the strict arrival order both entry points enforce:
 // ascending submit time, ties broken by ascending ID. Two jobs sharing
@@ -390,6 +437,11 @@ func (s *sim) removeRelease(t int64, seq int) {
 	s.releases = append(s.releases[:i], s.releases[i+1:]...)
 }
 
+// free returns the resources free now.
+func (s *sim) free() need {
+	return need{cpu: s.cpuFree, gpuCore: s.gpuCore, gpu: s.gpuFree}
+}
+
 func (s *sim) fits(j trace.Job) bool {
 	if j.Partition == "gpu" {
 		return j.Cores() <= s.gpuCore && j.GPUs <= s.gpuFree
@@ -409,15 +461,13 @@ func (s *sim) alloc(j trace.Job) {
 	}
 }
 
-func (s *sim) release(j trace.Job) {
-	if j.Partition == "gpu" {
-		s.gpuCore += j.Cores()
-		s.gpuFree += j.GPUs
-	} else {
-		s.cpuFree += j.Cores()
-	}
+// release returns job id's need n to the free pools.
+func (s *sim) release(id uint64, n need) {
+	s.cpuFree += n.cpu
+	s.gpuCore += n.gpuCore
+	s.gpuFree += n.gpu
 	if s.cpuFree > s.cluster.cpuCapacity() || s.gpuCore > s.cluster.gpuCoreCap() || s.gpuFree > s.cluster.gpuCapacity() {
-		panic(fmt.Sprintf("sched: double release of job %d", j.ID))
+		panic(fmt.Sprintf("sched: double release of job %d", id))
 	}
 }
 
@@ -484,11 +534,17 @@ func (s *sim) order() []*queued {
 		for _, q := range s.prio {
 			q.key = s.usage[q.user]
 		}
-		sort.SliceStable(s.prio, func(a, b int) bool {
-			if s.prio[a].key != s.prio[b].key {
-				return s.prio[a].key < s.prio[b].key
+		// (key, seq) is a strict order, so the unstable sort yields the
+		// one permutation a stable sort would. Usage is never NaN, so
+		// the comparator can skip cmp.Compare's NaN checks.
+		slices.SortFunc(s.prio, func(a, b *queued) int {
+			switch {
+			case a.key < b.key:
+				return -1
+			case a.key > b.key:
+				return 1
 			}
-			return s.prio[a].seq < s.prio[b].seq
+			return a.seq - b.seq
 		})
 		s.prioDirty = false
 	}
@@ -497,8 +553,9 @@ func (s *sim) order() []*queued {
 
 func (s *sim) start(q *queued) {
 	s.alloc(q.job)
-	heap.Push(&s.running, runEntry{end: s.now + q.job.Elapsed, job: q.job, seq: q.seq})
-	s.insertRelease(release{t: s.now + q.job.Limit, seq: q.seq, n: needOf(q.job)})
+	rel := s.now + q.job.Limit
+	s.running.push(runEntry{end: s.now + q.job.Elapsed, rel: rel, seq: q.seq, id: q.job.ID, n: q.n})
+	s.insertRelease(release{t: rel, seq: q.seq, n: q.n})
 	s.results = append(s.results, JobResult{Job: q.job, Start: s.now, Wait: s.now - q.job.Submit})
 	s.usage[q.user] += float64(q.job.Cores()) * float64(q.job.Elapsed)
 	s.prioDirty = true
@@ -528,7 +585,8 @@ func (s *sim) schedule() error {
 			return nil
 		}
 		head := order[0]
-		if s.fits(head.job) {
+		free := s.free()
+		if head.n.fitsIn(free) {
 			s.start(head)
 			startedOne = true
 		} else if s.opt.Policy == EASYBackfill && len(order) > 1 {
@@ -536,26 +594,21 @@ func (s *sim) schedule() error {
 			// hold resources until their *requested* limits (as EASY does)?
 			// Computed only once a candidate fits now; nothing else reads it.
 			var shadow int64
-			var spareCPU, spareGPUCore, spareGPU int
+			var spare need
 			haveShadow := false
 			for _, cand := range order[1:] {
-				if !s.fits(cand.job) {
+				if !cand.n.fitsIn(free) {
 					continue
 				}
 				if !haveShadow {
-					shadow, spareCPU, spareGPUCore, spareGPU = s.shadow(head.job)
+					shadow, spare.cpu, spare.gpuCore, spare.gpu = s.shadow(head.job)
 					haveShadow = true
 				}
 				// A backfilled job must either end by the shadow time or
-				// not touch the resources the head is waiting for.
-				endsByShadow := s.now+cand.job.Limit <= shadow
-				var withinSpare bool
-				if cand.job.Partition == "gpu" {
-					withinSpare = cand.job.Cores() <= spareGPUCore && cand.job.GPUs <= spareGPU
-				} else {
-					withinSpare = cand.job.Cores() <= spareCPU
-				}
-				if endsByShadow || withinSpare {
+				// not touch the resources the head is waiting for (the
+				// spare is never negative, so the lanes the job leaves
+				// untouched always fit).
+				if s.now+cand.job.Limit <= shadow || cand.n.fitsIn(spare) {
 					s.start(cand)
 					s.backfills++
 					startedOne = true
@@ -580,7 +633,7 @@ func (s *sim) schedule() error {
 // only past validation) gets the last release time.
 func (s *sim) shadow(head trace.Job) (shadowTime int64, spareCPU, spareGPUCore, spareGPU int) {
 	h := needOf(head)
-	avail := need{cpu: s.cpuFree, gpuCore: s.gpuCore, gpu: s.gpuFree}
+	avail := s.free()
 	shadowTime = s.now
 	for i := 0; i < len(s.releases) && !h.fitsIn(avail); {
 		shadowTime = s.releases[i].t
@@ -596,7 +649,7 @@ func (s *sim) run() error {
 	maxEvents := s.total*4 + 16
 	for {
 		_, more := s.src.peek()
-		if !more && len(s.queue) == 0 && s.running.Len() == 0 {
+		if !more && len(s.queue) == 0 && len(s.running) == 0 {
 			break
 		}
 		guard++
@@ -608,7 +661,7 @@ func (s *sim) run() error {
 		if t, ok := s.src.peek(); ok {
 			next = t
 		}
-		if s.running.Len() > 0 && s.running[0].end < next {
+		if len(s.running) > 0 && s.running[0].end < next {
 			next = s.running[0].end
 		}
 		if next == math.MaxInt64 {
@@ -629,10 +682,10 @@ func (s *sim) run() error {
 		// (at most once) before the next conservative pass uses it.
 		s.baseOK = false
 		// Process completions at this instant.
-		for s.running.Len() > 0 && s.running[0].end == next {
-			e := heap.Pop(&s.running).(runEntry)
-			s.release(e.job)
-			s.removeRelease(e.end-e.job.Elapsed+e.job.Limit, e.seq)
+		for len(s.running) > 0 && s.running[0].end == next {
+			e := s.running.pop()
+			s.release(e.id, e.n)
+			s.removeRelease(e.rel, e.seq)
 		}
 		// Process arrivals at this instant.
 		for {
@@ -640,8 +693,7 @@ func (s *sim) run() error {
 			if !ok || t != next {
 				break
 			}
-			j := s.src.pop()
-			s.queue = append(s.queue, &queued{job: j, arrived: next, seq: s.arrivals, user: s.internUser(j.User)})
+			s.queue = append(s.queue, s.newQueued(s.src.pop(), s.arrivals))
 			s.arrivals++
 			s.prioDirty = true
 		}

@@ -499,7 +499,7 @@ func TestShadowIgnoresStartOrder(t *testing.T) {
 	startAll := func(set []trace.Job, order []int) *sim {
 		s := newSim(c, []trace.Job{mkJob(1, 0, 1, 1, 1)}, Options{Policy: EASYBackfill})
 		for _, k := range order {
-			q := &queued{job: set[k], seq: k, user: s.internUser(set[k].User)}
+			q := s.newQueued(set[k], k)
 			s.queue = append(s.queue, q)
 			s.start(q)
 		}
@@ -544,5 +544,43 @@ func TestShadowIgnoresStartOrder(t *testing.T) {
 	}
 	if crowded == 0 {
 		t.Fatal("no head met a tie group of two or more releases at its shadow time")
+	}
+}
+
+// TestRunHeapOrder pushes and pops the run heap at random, with few
+// distinct ends so most entries tie on end and seqs pushed out of
+// order, and requires every pop to return the least live entry in
+// (end, seq) order.
+func TestRunHeapOrder(t *testing.T) {
+	r := rng.New(13)
+	seqs := make([]int, 4000)
+	for i := range seqs {
+		seqs[i] = i
+	}
+	rng.Shuffle(r, seqs)
+	var h runHeap
+	var live []runEntry
+	for pushed := 0; pushed < len(seqs) || len(live) > 0; {
+		if pushed < len(seqs) && (len(live) == 0 || r.Bool(0.55)) {
+			seq := seqs[pushed]
+			pushed++
+			e := runEntry{end: int64(pushed/64 + r.Intn(4)), rel: int64(seq), seq: seq, id: uint64(seq), n: need{cpu: seq}}
+			h.push(e)
+			live = append(live, e)
+			continue
+		}
+		least := 0
+		for i, e := range live {
+			if m := live[least]; e.end < m.end || (e.end == m.end && e.seq < m.seq) {
+				least = i
+			}
+		}
+		if got := h.pop(); got != live[least] {
+			t.Fatalf("popped %+v, want %+v", got, live[least])
+		}
+		live = append(live[:least], live[least+1:]...)
+	}
+	if len(h) != 0 {
+		t.Fatalf("%d entries left", len(h))
 	}
 }

@@ -65,8 +65,9 @@ func (qr QualityReport) CleanShare() float64 {
 }
 
 // Screen runs rules plus the built-in duplicate-ID check over the
-// responses. Flags are ordered by response ID then rule name for
-// deterministic output.
+// responses. Flags are ordered by response ID, rule name, then detail,
+// so their order follows their content, not the order of the responses:
+// responses sharing an ID can trip one rule with different details.
 func Screen(ins *Instrument, responses []*Response, rules []Rule) QualityReport {
 	qr := QualityReport{HardIDs: map[string]bool{}, Responses: len(responses)}
 	seen := map[string]int{}
@@ -95,10 +96,14 @@ func Screen(ins *Instrument, responses []*Response, rules []Rule) QualityReport 
 		}
 	}
 	sort.Slice(qr.Flags, func(a, b int) bool {
-		if qr.Flags[a].ResponseID != qr.Flags[b].ResponseID {
-			return qr.Flags[a].ResponseID < qr.Flags[b].ResponseID
+		fa, fb := &qr.Flags[a], &qr.Flags[b]
+		if fa.ResponseID != fb.ResponseID {
+			return fa.ResponseID < fb.ResponseID
 		}
-		return qr.Flags[a].Rule < qr.Flags[b].Rule
+		if fa.Rule != fb.Rule {
+			return fa.Rule < fb.Rule
+		}
+		return fa.Detail < fb.Detail
 	})
 	return qr
 }

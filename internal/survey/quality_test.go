@@ -1,6 +1,8 @@
 package survey
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -150,6 +152,35 @@ func TestFlagsDeterministicOrder(t *testing.T) {
 	qr := Screen(ins, []*Response{a, b}, CanonicalRules())
 	if len(qr.Flags) != 2 || qr.Flags[0].ResponseID != "a-resp" {
 		t.Fatalf("flags unsorted: %v", qr.Flags)
+	}
+}
+
+// TestScreenOrdersTiesByDetail screens responses that share one ID and
+// trip hours-outlier with different details: the flags must come out
+// in (ID, rule, detail) order whatever order the responses arrive in.
+func TestScreenOrdersTiesByDetail(t *testing.T) {
+	ins := Canonical()
+	screen := func(order []int) []Flag {
+		rs := make([]*Response, len(order))
+		for i, k := range order {
+			rs[i] = cleanCanonicalResponse("shared")
+			rs[i].SetValue(QClusterHours, float64(6000+37*k))
+		}
+		return Screen(ins, rs, CanonicalRules()).Flags
+	}
+	const n = 40
+	fwd, rev := make([]int, n), make([]int, n)
+	for k := range fwd {
+		fwd[k], rev[k] = k, n-1-k
+	}
+	a, b := screen(fwd), screen(rev)
+	if !slices.Equal(a, b) {
+		t.Fatal("flag order depends on the order of the responses")
+	}
+	if !slices.IsSortedFunc(a, func(x, y Flag) int {
+		return cmp.Or(strings.Compare(x.ResponseID, y.ResponseID), strings.Compare(x.Rule, y.Rule), strings.Compare(x.Detail, y.Detail))
+	}) {
+		t.Fatalf("flags not in (ID, rule, detail) order: %v", a)
 	}
 }
 

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -123,26 +126,40 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 		}
 	}
 
-	var pending []Job
-	sortPending := func() {
-		sort.Slice(pending, func(a, b int) bool {
-			if pending[a].Submit != pending[b].Submit {
-				return pending[a].Submit < pending[b].Submit
-			}
-			return pending[a].ID < pending[b].ID
-		})
-	}
 	// flushBefore emits pending jobs with Submit < cutoff in (Submit,
-	// ID) order and keeps the rest buffered.
+	// ID) order and keeps the rest buffered. It sorts small pointer-free
+	// keys rather than the jobs: moving whole jobs, which hold five
+	// strings, pays a write barrier per move whenever the collector
+	// runs. (Submit, ID) is unique, so the order is strict.
+	type jobKey struct {
+		submit int64
+		id     uint64
+		i      int
+	}
+	var pending, kept []Job
+	var keys []jobKey
 	flushBefore := func(cutoff int64) error {
-		sortPending()
-		n := sort.Search(len(pending), func(i int) bool { return pending[i].Submit >= cutoff })
-		for _, j := range pending[:n] {
-			if err := emit(j); err != nil {
+		keys = keys[:0]
+		for i := range pending {
+			keys = append(keys, jobKey{submit: pending[i].Submit, id: pending[i].ID, i: i})
+		}
+		slices.SortFunc(keys, func(a, b jobKey) int {
+			if a.submit != b.submit {
+				return cmp.Compare(a.submit, b.submit)
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		n := sort.Search(len(keys), func(i int) bool { return keys[i].submit >= cutoff })
+		for _, k := range keys[:n] {
+			if err := emit(pending[k.i]); err != nil {
 				return err
 			}
 		}
-		pending = append(pending[:0], pending[n:]...)
+		kept = kept[:0]
+		for _, k := range keys[n:] {
+			kept = append(kept, pending[k.i])
+		}
+		pending, kept = kept, pending
 		return nil
 	}
 	id := firstID
@@ -236,13 +253,7 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 			}
 		}
 	}
-	sortPending()
-	for _, j := range pending {
-		if err := emit(j); err != nil {
-			return err
-		}
-	}
-	return nil
+	return flushBefore(math.MaxInt64)
 }
 
 // hourWeights is the within-day submission intensity profile (sums to
