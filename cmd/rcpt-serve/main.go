@@ -63,7 +63,10 @@
 // from a previous run in one late parameter (say, the scheduling
 // policy) recomputes only the stages that parameter reaches and
 // restores the rest byte-identically — same artifacts, same ETags,
-// a fraction of the compute. -stage-cache-dir persists stage entries
+// a fraction of the compute. The cache also keeps T16's seed sweep as
+// two halves, one per cohort, keyed by the seed and that cohort's size,
+// so a run that changes one cohort's size re-renders T16 from the other
+// cohort's cached half. -stage-cache-dir persists stage entries
 // crash-safely (and implies -stage-cache); -stage-cache-mb bounds the
 // in-memory tier. Corrupt entries are detected by checksum and
 // recomputed: stage-cache faults cost latency, never bytes.

@@ -202,6 +202,11 @@ type Artifacts struct {
 	// comparison table (T8).
 	SimConservative *sched.Result
 
+	// stageCache is the run's RunOptions.StageCache (nil: none). T16
+	// keeps its sweep halves there, so a later config that shares one
+	// cohort's seed and size renders from the cached half.
+	stageCache StageCache
+
 	// derived memoizes render-path aggregates (weighted tabulations,
 	// per-year job summaries, co-load matrices) so the 30+ experiments
 	// stop recomputing the same scans; see derived.go. It holds locks:
@@ -288,6 +293,7 @@ func RunWithOptions(ctx context.Context, cfg Config, opts RunOptions) (*Artifact
 		return nil, err
 	}
 	a := newArtifacts(cfg)
+	a.stageCache = opts.StageCache
 	g, err := buildGraph(ctx, cfg, a, opts.Steal, newStageCacher(opts.StageCache))
 	if err != nil {
 		return nil, err

@@ -77,6 +77,7 @@ const (
 	verSimPolicy = "sim-policy/3"
 	verSimFCFS   = "sim-fcfs/2"
 	verSimCons   = "sim-conservative/2"
+	verSweep     = "sweep/1"
 )
 
 // deriveKey computes one Merkle content key: a stage's (domain
@@ -127,6 +128,13 @@ func seedInputs(cfg Config) string {
 // baselines hardcode their policies, so their inputs are empty.
 func simPolicyInputs(cfg Config) string {
 	return fmt.Sprintf("policy=%d\n", int(cfg.Policy))
+}
+
+// sweepInputs: a T16 sweep half reads the seed and its own cohort's
+// size. The replicate count and seed stride are constants its version
+// tag covers.
+func sweepInputs(cfg Config, n int) string {
+	return fmt.Sprintf("seed=%d\nn=%d\n", cfg.Seed, n)
 }
 
 // jobsCodec is the trace stages' payload codec.

@@ -41,6 +41,7 @@ const (
 	payloadEvents = "rcpt-stage-events/1"
 	payloadModAgg = "rcpt-stage-modagg/1"
 	payloadSim    = "rcpt-stage-sim/2"
+	payloadSweep  = "rcpt-stage-sweep/1"
 )
 
 // openPayload checks the payload's kind marker and returns a reader
@@ -592,4 +593,39 @@ func decodeSimPayload(payload []byte) (simOutput, error) {
 		return simOutput{}, fmt.Errorf("core: sim payload: %w", err)
 	}
 	return simOutput{res: res, rows: rows}, nil
+}
+
+// --- T16 sweep halves: every replicate's shares ---
+
+func encodeSweepPayload(vals []float64) ([]byte, error) {
+	return encodePayload(payloadSweep, func(w *table.Writer) error {
+		w.Uvarint(uint64(len(vals)))
+		for _, v := range vals {
+			w.Float64(v)
+		}
+		return nil
+	})
+}
+
+// sweepDecoder decodes the payload of a half that holds want shares,
+// refusing any other count.
+func sweepDecoder(want int) func([]byte) ([]float64, error) {
+	return func(payload []byte) ([]float64, error) {
+		r, err := openPayload(payload, payloadSweep)
+		if err != nil {
+			return nil, err
+		}
+		n := r.Count("sweep shares", 8)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("core: sweep payload: %w", err)
+		}
+		if n != want {
+			return nil, fmt.Errorf("core: sweep payload has %d shares, want %d", n, want)
+		}
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = r.Float64()
+		}
+		return vals, r.Err()
+	}
 }

@@ -94,19 +94,27 @@ func fuzzConfig() Config {
 }
 
 // FuzzStageDecoders feeds arbitrary bytes to the decoder of every
-// cacheable stage in the spec list, seeded with the payloads of a real
-// cold run. The seeds must round-trip byte-identically; for any input,
-// decoding must not panic, must allocate in proportion to the input,
-// and an accepted payload must re-encode to a fixed point.
+// cacheable stage in the spec list and of T16's two sweep halves,
+// seeded with the payloads of a real cold run and of its T16 render.
+// The seeds must round-trip byte-identically; for any input, decoding
+// must not panic, must allocate in proportion to the input, and an
+// accepted payload must re-encode to a fixed point.
 func FuzzStageDecoders(f *testing.F) {
 	cfg := fuzzConfig()
 	cache := newMapStageCache()
-	if _, err := RunWithOptions(context.Background(), cfg, RunOptions{StageCache: cache}); err != nil {
+	a, err := RunWithOptions(context.Background(), cfg, RunOptions{StageCache: cache})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := table16(a); err != nil {
 		f.Fatal(err)
 	}
 	specs, err := stages(cfg, newArtifacts(cfg))
 	if err != nil {
 		f.Fatal(err)
+	}
+	for _, h := range sweepHalves(cfg) {
+		specs = append(specs, h.spec(cfg, new([]float64)))
 	}
 	var kinds []spec
 	index := map[string]int{}
@@ -116,8 +124,14 @@ func FuzzStageDecoders(f *testing.F) {
 		if s.decode == nil {
 			continue
 		}
-		if _, ok := index[s.version]; !ok {
-			index[s.version] = len(kinds)
+		// The sweep halves share a version tag but not a decoder: each
+		// refuses the other's share count.
+		kind := s.version
+		if s.version == verSweep {
+			kind = s.name
+		}
+		if _, ok := index[kind]; !ok {
+			index[kind] = len(kinds)
 			kinds = append(kinds, s)
 		}
 		seed, ok := cache.m[key]
@@ -131,7 +145,7 @@ func FuzzStageDecoders(f *testing.F) {
 		if again, err := s.encode(v); err != nil || !bytes.Equal(again, seed) {
 			f.Fatalf("%s: seed does not round-trip (err %v)", s.name, err)
 		}
-		f.Add(uint8(index[s.version]), seed)
+		f.Add(uint8(index[kind]), seed)
 	}
 
 	f.Fuzz(func(t *testing.T, kind uint8, in []byte) {

@@ -16,6 +16,41 @@ type Generator struct {
 	fieldCat   *rng.Categorical
 	careerCat  *rng.Categorical
 	clusterCat *rng.Categorical
+
+	// The multi-select questions' options with their log-odds, computed
+	// once: languages per field that has a boost map (fieldLangs) or from
+	// the base rates alone (baseLangs), the other questions from their
+	// base rates.
+	fieldLangs                    map[string][]option
+	baseLangs                     []option
+	parallelism, practices, tools []option
+}
+
+// option is one available option of a multi-select question and the
+// log-odds of selecting it before any latent shift.
+type option struct {
+	name    string
+	logOdds float64
+}
+
+// multiOptions returns the options base makes available (a positive
+// base rate), each with the log-odds of its base rate plus boost,
+// clamped; a nil boost leaves the base rate unclamped.
+func multiOptions(options []string, base, boost map[string]float64) []option {
+	out := make([]option, 0, len(options))
+	for _, opt := range options {
+		p := base[opt]
+		if p <= 0 {
+			// Structurally unavailable option (e.g. Julia in 2011):
+			// no field boost or latent shift can resurrect it.
+			continue
+		}
+		if boost != nil {
+			p = clampProb(p+boost[opt], 0.001, 0.99)
+		}
+		out = append(out, option{opt, logit(p)})
+	}
+	return out
 }
 
 // NewGenerator validates the model and prepares samplers.
@@ -35,13 +70,26 @@ func NewGenerator(m *Model) (*Generator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("population: cluster sampler: %w", err)
 	}
-	return &Generator{
-		model:      m,
-		instrument: survey.Canonical(),
-		fieldCat:   fieldCat,
-		careerCat:  careerCat,
-		clusterCat: clusterCat,
-	}, nil
+	g := &Generator{
+		model:       m,
+		instrument:  survey.Canonical(),
+		fieldCat:    fieldCat,
+		careerCat:   careerCat,
+		clusterCat:  clusterCat,
+		fieldLangs:  map[string][]option{},
+		baseLangs:   multiOptions(survey.Languages, m.LangBase, nil),
+		parallelism: multiOptions(survey.ParallelismModes, m.ParallelismBase, nil),
+		practices:   multiOptions(survey.EngineeringPractices, m.PracticeBase, nil),
+	}
+	for field, boost := range m.FieldLangBoost {
+		if boost != nil {
+			g.fieldLangs[field] = multiOptions(survey.Languages, m.LangBase, boost)
+		}
+	}
+	if m.ToolBase != nil {
+		g.tools = multiOptions(survey.ModernTools, m.ToolBase, nil)
+	}
+	return g, nil
 }
 
 // Instrument returns the canonical instrument the generator fills in.
@@ -141,14 +189,18 @@ func (g *Generator) generateOne(r *rng.RNG, id, field, career string) *survey.Re
 
 	// Languages: base + field boost; guarantee at least one language by
 	// falling back to the cohort's most likely one.
-	langs := g.drawMulti(r, survey.Languages, m.LangBase, m.FieldLangBoost[field], 0)
+	langOpts, ok := g.fieldLangs[field]
+	if !ok {
+		langOpts = g.baseLangs
+	}
+	langs := drawMulti(r, langOpts, 0)
 	if len(langs) == 0 {
 		langs = []string{mostLikely(m.LangBase)}
 	}
 	resp.SetChoices(survey.QLanguages, langs)
 
 	// Parallelism: "serial only" is exclusive of the rest.
-	par := g.drawMulti(r, survey.ParallelismModes, m.ParallelismBase, nil, eng*0.3)
+	par := drawMulti(r, g.parallelism, eng*0.3)
 	par = reconcileSerial(par, m.ParallelismBase["serial only"], r)
 	resp.SetChoices(survey.QParallelism, par)
 
@@ -157,7 +209,7 @@ func (g *Generator) generateOne(r *rng.RNG, id, field, career string) *survey.Re
 
 	// Engineering practices shift with the latent propensity, with an
 	// implication constraint: CI requires version control.
-	practices := g.drawMulti(r, survey.EngineeringPractices, m.PracticeBase, nil, eng*m.EngSlope)
+	practices := drawMulti(r, g.practices, eng*m.EngSlope)
 	if contains(practices, "continuous integration") && !contains(practices, "version control") {
 		practices = append(practices, "version control")
 	}
@@ -185,7 +237,7 @@ func (g *Generator) generateOne(r *rng.RNG, id, field, career string) *survey.Re
 
 	// Modern tools only exist on the 2024 instrument.
 	if m.ToolBase != nil {
-		tools := g.drawMulti(r, survey.ModernTools, m.ToolBase, nil, eng*0.4)
+		tools := drawMulti(r, g.tools, eng*0.4)
 		resp.SetChoices(survey.QModernTools, tools)
 	}
 
@@ -201,22 +253,12 @@ func (g *Generator) generateOne(r *rng.RNG, id, field, career string) *survey.Re
 }
 
 // drawMulti selects options independently with per-option probability
-// logistic(logit(base+boost) + shift).
-func (g *Generator) drawMulti(r *rng.RNG, options []string, base map[string]float64, boost map[string]float64, shift float64) []string {
+// logistic(log-odds + shift).
+func drawMulti(r *rng.RNG, opts []option, shift float64) []string {
 	var out []string
-	for _, opt := range options {
-		p := base[opt]
-		if p <= 0 {
-			// Structurally unavailable option (e.g. Julia in 2011):
-			// no field boost or latent shift can resurrect it.
-			continue
-		}
-		if boost != nil {
-			p = clampProb(p+boost[opt], 0.001, 0.99)
-		}
-		p = logistic(logit(p) + shift)
-		if r.Bool(p) {
-			out = append(out, opt)
+	for _, o := range opts {
+		if r.Bool(logistic(o.logOdds + shift)) {
+			out = append(out, o.name)
 		}
 	}
 	return out

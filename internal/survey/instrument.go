@@ -7,6 +7,7 @@ package survey
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -227,18 +228,12 @@ func (r *Response) Text(id string) string { return r.Answers[id].Text }
 func (r *Response) SetChoice(id, choice string) { r.Answers[id] = Answer{Choice: choice} }
 
 // SetChoices records a multi-choice answer; the slice is copied, sorted
-// and deduplicated so equality and hashing are stable.
+// and deduplicated so equality and hashing are stable. No choices
+// records an empty, non-nil slice.
 func (r *Response) SetChoices(id string, choices []string) {
-	cp := make([]string, 0, len(choices))
-	seen := map[string]bool{}
-	for _, c := range choices {
-		if !seen[c] {
-			seen[c] = true
-			cp = append(cp, c)
-		}
-	}
-	sort.Strings(cp)
-	r.Answers[id] = Answer{Choices: cp}
+	cp := append(make([]string, 0, len(choices)), choices...)
+	slices.Sort(cp)
+	r.Answers[id] = Answer{Choices: slices.Compact(cp)}
 }
 
 // SetRating records a Likert answer.
@@ -273,9 +268,7 @@ func (ins *Instrument) Validate(r *Response) []ValidationError {
 	if r.Weight < 0 {
 		add("", fmt.Sprintf("negative weight %g", r.Weight))
 	}
-	known := map[string]bool{}
 	for _, q := range ins.Questions {
-		known[q.ID] = true
 		asked := q.AskIf == nil || q.AskIf(r)
 		ans, answered := r.Answers[q.ID]
 		if !asked {
@@ -312,7 +305,7 @@ func (ins *Instrument) Validate(r *Response) []ValidationError {
 		}
 	}
 	for id := range r.Answers {
-		if !known[id] {
+		if _, known := ins.index[id]; !known {
 			add(id, "answer to unknown question")
 		}
 	}
