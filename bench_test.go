@@ -259,12 +259,14 @@ func BenchmarkFullPipeline(b *testing.B) {
 // through the Merkle stage cache on the same small study as
 // BenchmarkFullPipeline. "cold" fills a fresh cache every iteration
 // (the overhead side: every stage computes and stores); "warm" restores
-// every stage from a pre-filled cache; "policy-change" re-runs against
-// a filled cache with one late-DAG parameter changed, so only the
+// every stage from a pre-filled cache, which holds the trace and
+// telemetry tables, the sims and the panel as their payloads, so it
+// times the hold and no first read; "policy-change" re-runs against a
+// filled cache with one late-DAG parameter changed, so only the
 // sim-policy stage recomputes. The warm/cold ns_per_op ratio in
 // BENCH_incr.json is the headline speedup; artifact identity across
 // the cache is pinned by core's equivalence tests and spot-checked
-// here via the accounting-table hash.
+// here via the accounting-table hash, outside the timed loop.
 func BenchmarkRunColdVsWarmStageCache(b *testing.B) {
 	base := core.Config{
 		Seed: 1, N2011: 60, N2024: 120,

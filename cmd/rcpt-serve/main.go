@@ -10,7 +10,7 @@
 //	           [-max-cohort 20000] [-max-runs 2] [-queue-timeout 10s]
 //	           [-drain-timeout 30s] [-run-timeout 0] [-cache-dir DIR]
 //	           [-stage-retries N]
-//	           [-stage-cache] [-stage-cache-dir DIR] [-stage-cache-mb 256]
+//	           [-stage-cache] [-stage-cache-dir DIR] [-stage-cache-mb 32]
 //	           [-breaker-threshold 3] [-breaker-cooldown 30s]
 //	           [-chaos "seed=1,panic=0.05,error=0.05"]
 //	           [-pprof localhost:6060]
@@ -59,17 +59,23 @@
 //
 // -stage-cache enables the Merkle stage cache: each pipeline stage's
 // output is stored under a content key derived from the stage's own
-// inputs and its upstream stages' keys, so a POST /v1/run that differs
-// from a previous run in one late parameter (say, the scheduling
-// policy) recomputes only the stages that parameter reaches and
-// restores the rest byte-identically — same artifacts, same ETags,
-// a fraction of the compute. The cache also keeps T16's seed sweep as
-// two halves, one per cohort, keyed by the seed and that cohort's size,
-// so a run that changes one cohort's size re-renders T16 from the other
-// cohort's cached half. -stage-cache-dir persists stage entries
-// crash-safely (and implies -stage-cache); -stage-cache-mb bounds the
-// in-memory tier. Corrupt entries are detected by checksum and
-// recomputed: stage-cache faults cost latency, never bytes.
+// inputs and its upstream stages' keys, so a POST /v1/run that
+// differs from a previous run in one late parameter (say, the
+// scheduling policy) recomputes only the stages that parameter
+// reaches and restores the rest byte-identically — same artifacts,
+// same ETags, a fraction of the compute. A restored stage stays the
+// cached payload until something reads it: trace and telemetry tables
+// decode their columns on first scan, and the sims and the panel
+// decode when a render that declares them asks, so a what-if run
+// decodes only what its summary and its re-rendered artifacts read.
+// The cache also keeps T16's seed sweep as two halves, one per
+// cohort, keyed by the seed and that cohort's size, so a run that
+// changes one cohort's size re-renders T16 from the other cohort's
+// cached half. -stage-cache-dir persists stage entries crash-safely
+// (and implies -stage-cache); -stage-cache-mb bounds the in-memory
+// tier by payload bytes (default 27 MiB). Corrupt entries are
+// detected by checksum and recomputed: stage-cache faults cost
+// latency, never bytes.
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: readiness flips to
 // 503, in-flight requests finish (bounded by -drain-timeout), and the
@@ -121,7 +127,7 @@ func run() error {
 	stageRetries := flag.Int("stage-retries", 0, "retries per failed pipeline stage")
 	stageCache := flag.Bool("stage-cache", false, "reuse per-stage pipeline outputs across runs (content-addressed; in-memory unless -stage-cache-dir)")
 	stageCacheDir := flag.String("stage-cache-dir", "", "directory for crash-safe stage-cache persistence (implies -stage-cache)")
-	stageCacheMB := flag.Int64("stage-cache-mb", 0, "stage-cache in-memory bound in MiB (0 = default 256)")
+	stageCacheMB := flag.Int64("stage-cache-mb", 0, "stage-cache in-memory bound in MiB of payload (0 = default 27)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that trip a config's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 30*time.Second, "how long a tripped breaker fast-fails before a trial run")
 	chaos := flag.String("chaos", "", `deterministic fault injection, e.g. "seed=1,panic=0.05,error=0.05,latency=0.1,delay=5ms[,stages=a|b]" (dev/test only)`)

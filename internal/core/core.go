@@ -207,6 +207,10 @@ type Artifacts struct {
 	// cohort's seed and size renders from the cached half.
 	stageCache StageCache
 
+	// held is the deferred loads of the sims and the panel when a stage
+	// cache hit holds them (hold.go); a render loads those it declares.
+	held heldLoads
+
 	// derived memoizes render-path aggregates (weighted tabulations,
 	// per-year job summaries, co-load matrices) so the 30+ experiments
 	// stop recomputing the same scans; see derived.go. It holds locks:
@@ -421,7 +425,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 				*c.out, *c.quality = o.responses, o.quality
 				return nil
 			},
-			codec: codec[cohortOutput]{encodeCohortPayload, decodeCohortPayload},
+			codec: codec[cohortOutput]{encode: encodeCohortPayload, decode: decodeCohortPayload},
 		}.spec())
 	}
 
@@ -442,7 +446,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 				return members, nil
 			},
 			set:   assign(&a.Panel),
-			codec: codec[[]population.PanelMember]{encodePanelPayload, decodePanelPayload},
+			codec: codec[[]population.PanelMember]{encodePanelPayload, decodePanelPayload, a.holdPanel},
 		}.spec())
 	}
 
@@ -485,7 +489,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 					*c.rake = o.result
 					return nil
 				},
-				codec: codec[rakeOutput]{encodeRakePayload, decodeRakePayload},
+				codec: codec[rakeOutput]{encode: encodeRakePayload, decode: decodeRakePayload},
 			}.spec())
 		}
 	}
@@ -587,7 +591,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 			a.ModEventsSim = modTables[simIndex(cfg)]
 			return nil
 		},
-		codec: codec[[]modlog.YearShares]{encodeModAggPayload, decodeModAggPayload},
+		codec: codec[[]modlog.YearShares]{encode: encodeModAggPayload, decode: decodeModAggPayload},
 	}.spec())
 
 	// 5. Scheduler simulations on the sim year: the requested policy
@@ -621,15 +625,12 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 				return simOutput{res: res}, nil
 			},
 			set: func(o simOutput) error {
-				if o.rows != nil {
-					if err := o.join(concatJobTables(repTables[simIndex(cfg)])); err != nil {
-						return err
-					}
-				}
 				*sim.dst = o.res
 				return nil
 			},
-			codec: codec[simOutput]{encodeSimPayload, decodeSimPayload},
+			codec: codec[simOutput]{encodeSimPayload, decodeSimPayload, a.holdSim(sim.name, func() trace.JobTable {
+				return concatJobTables(repTables[simIndex(cfg)])
+			})},
 		}.spec())
 	}
 	return specs, nil

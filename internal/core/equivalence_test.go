@@ -33,6 +33,13 @@ func equivConfig() Config {
 // graph is broken.
 func assertArtifactsEqual(t *testing.T, labelA, labelB string, x, y *Artifacts) {
 	t.Helper()
+	// A run restored from a stage cache holds its sims and panel until a
+	// render reads them: load every held stage before comparing.
+	for _, a := range []*Artifacts{x, y} {
+		if err := a.load(func(string) bool { return true }); err != nil {
+			t.Fatalf("loading held stages: %v", err)
+		}
+	}
 	check := func(field string, a, b any) {
 		t.Helper()
 		if !reflect.DeepEqual(a, b) {

@@ -74,7 +74,7 @@ var (
 // registry lists every experiment in presentation order: the
 // paper-core set, then the extensions. The IDs match DESIGN.md's
 // reconstructed evaluation index.
-var registry = memoTables([]Experiment{
+var registry = declared([]Experiment{
 	{ID: "T1", Title: "Respondent demographics by field and career stage", Kind: KindTable, Table: table1,
 		reads: readsCohorts, version: "1"},
 	{ID: "T2", Title: "Programming-language usage by cohort", Kind: KindTable, Table: table2,
@@ -135,12 +135,29 @@ var registry = memoTables([]Experiment{
 		reads: readsSims, version: "1"},
 })
 
-// memoTables wraps every table builder in its Artifacts' memo, so a run
+// declared wraps every experiment so it loads the held stages its
+// reads declare before it builds — the declarations are the access path
+// to a held run — and memoizes each table build per Artifacts, so a run
 // builds each table once however many formats render it.
-func memoTables(exps []Experiment) []Experiment {
+func declared(exps []Experiment) []Experiment {
 	for i, e := range exps {
 		if build := e.Table; build != nil {
-			exps[i].Table = func(a *Artifacts) (*report.Table, error) { return a.table(e.ID, build) }
+			exps[i].Table = func(a *Artifacts) (*report.Table, error) {
+				return a.table(e.ID, func(a *Artifacts) (*report.Table, error) {
+					if err := a.load(e.readsStage); err != nil {
+						return nil, err
+					}
+					return build(a)
+				})
+			}
+		}
+		if fig := e.Figure; fig != nil {
+			exps[i].Figure = func(a *Artifacts, w io.Writer) error {
+				if err := a.load(e.readsStage); err != nil {
+					return err
+				}
+				return fig(a, w)
+			}
 		}
 	}
 	return exps

@@ -68,7 +68,7 @@ func (h sweepHalf) spec(cfg Config, out *[]float64) spec {
 		name: "sweep-" + h.year, version: verSweep, inputs: sweepInputs(cfg, h.n),
 		run:   func() ([]float64, error) { return h.run(cfg) },
 		set:   assign(out),
-		codec: codec[[]float64]{encodeSweepPayload, sweepDecoder(sweepReplicates * len(h.shares))},
+		codec: codec[[]float64]{encode: encodeSweepPayload, decode: sweepDecoder(sweepReplicates * len(h.shares))},
 	}.spec()
 }
 

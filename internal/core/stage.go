@@ -25,10 +25,16 @@ type stage[T any] struct {
 	codec     codec[T]          // zero for a stage that is never cached
 }
 
-// codec is the payload encoding of a stage output.
+// codec is the payload encoding of a stage output. decode restores a
+// whole output at once. hold, when set, restores a hit in decode's
+// place: it runs the payload's checks that need no other stage now and
+// leaves the rest of the decode to the output's first read (hold.go).
+// A first read that fails takes its output from redo instead; with a
+// nil redo it returns its error.
 type codec[T any] struct {
 	encode func(T) ([]byte, error)
 	decode func([]byte) (T, error)
+	hold   func(payload []byte, redo func() (T, error)) (T, error)
 }
 
 // spec is a stage with its output type erased, so one list holds the
@@ -41,6 +47,7 @@ type spec struct {
 	set                   func(any) error
 	encode                func(any) ([]byte, error) // nil: never cached
 	decode                func([]byte) (any, error)
+	hold                  func(payload []byte, redo func() (any, error)) (any, error) // nil: decode
 }
 
 func (s stage[T]) spec() spec {
@@ -58,6 +65,19 @@ func (s stage[T]) spec() spec {
 			return s.codec.encode(t)
 		}
 		sp.decode = func(payload []byte) (any, error) { return s.codec.decode(payload) }
+	}
+	if hold := s.codec.hold; hold != nil {
+		sp.hold = func(payload []byte, redo func() (any, error)) (any, error) {
+			var typed func() (T, error)
+			if redo != nil {
+				typed = func() (T, error) {
+					v, err := redo()
+					t, _ := v.(T)
+					return t, err
+				}
+			}
+			return hold(payload, typed)
+		}
 	}
 	return sp
 }
@@ -130,7 +150,11 @@ func (sc *stageCacher) key(s spec) string {
 func (sc *stageCacher) exec(ctx context.Context, cfg Config, s spec, key string, steal StealFunc, want bool) ([]byte, error) {
 	if sc.cache != nil && s.encode != nil {
 		if payload, hit := sc.cache.Load(key); hit {
-			if restore(s, payload) == nil {
+			// A held output whose first read fails recomputes through
+			// held.run, which also repairs the entry.
+			held := s
+			held.run = sc.redo(s, key)
+			if restore(held, payload) == nil {
 				return payload, nil
 			}
 			// Valid checksum, invalid structure: codec skew or a damaged
@@ -155,7 +179,9 @@ func (sc *stageCacher) exec(ctx context.Context, cfg Config, s spec, key string,
 		if err != nil {
 			return nil, err
 		}
-		if !ran && stolen != nil && restore(s, stolen) == nil {
+		// Peer bytes cross a trust boundary: the whole payload is read
+		// before the run keeps or stores it.
+		if !ran && stolen != nil && install(s, stolen, nil, true) == nil {
 			if sc.cache != nil {
 				sc.cache.Store(key, stolen)
 			}
@@ -180,16 +206,46 @@ func (sc *stageCacher) exec(ctx context.Context, cfg Config, s spec, key string,
 	return payload, nil
 }
 
-// restore decodes payload into the stage's artifact slots under a
-// panic guard: a payload malformed in a way the decoder's structural
-// checks miss must degrade to a recompute, never take down the run.
-func restore(s spec, payload []byte) (err error) {
+// redo is the recompute of a held stage whose first read failed: the
+// entry goes, the body runs, and the fresh payload repairs the entry.
+func (sc *stageCacher) redo(s spec, key string) func() (any, error) {
+	return func() (any, error) {
+		sc.cache.Delete(key)
+		v, err := s.run()
+		if err != nil {
+			return nil, err
+		}
+		if payload, err := s.encode(v); err == nil {
+			sc.cache.Store(key, payload)
+		}
+		return v, nil
+	}
+}
+
+// restore installs a cache hit's payload into the stage's artifact
+// slots; a held output whose first read fails recomputes through s.run.
+func restore(s spec, payload []byte) error { return install(s, payload, s.run, false) }
+
+// install puts payload into the stage's artifact slots: held when the
+// stage's codec holds (redo as the first read's fallback; force reads
+// it now), decoded otherwise. A panic guard makes a payload malformed in
+// a way the structural checks miss degrade to a recompute, never take
+// down the run.
+func install(s spec, payload []byte, redo func() (any, error), force bool) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("core: stage %s restore panicked: %v", s.name, p)
 		}
 	}()
-	v, err := s.decode(payload)
+	var v any
+	if s.hold != nil {
+		v, err = s.hold(payload, redo)
+		if l, ok := v.(interface{ Load() error }); ok && err == nil && force {
+			err = l.Load()
+		}
+	} else {
+		v, err = s.decode(payload)
+	}
 	if err != nil {
 		return err
 	}

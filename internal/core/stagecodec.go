@@ -76,11 +76,20 @@ func encodeTableBlock[T any](w *table.Writer, codec table.Codec[T], tab table.Ta
 // decodeTableBlock reverses encodeTableBlock into a resident table,
 // verifying the block where it lies in the payload.
 func decodeTableBlock[T any](r *table.Reader, codec table.Codec[T]) (table.Table[T], error) {
+	block, err := tableBlock(r)
+	if err != nil {
+		return nil, err
+	}
+	return table.DecodeStream[T](block, codec)
+}
+
+// tableBlock reads one block encodeTableBlock framed, in place.
+func tableBlock(r *table.Reader) ([]byte, error) {
 	block := r.Raw(r.Count("table block bytes", 1))
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: stage payload table block: %w", err)
 	}
-	return table.DecodeStream[T](block, codec)
+	return block, nil
 }
 
 // encodePayload frames one payload: its kind magic, then what body
@@ -99,8 +108,10 @@ func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, erro
 
 // --- table payloads (trace replicas, telemetry) ---
 
-// tableCodec is the payload codec of a table-valued stage output.
-func tableCodec[T any](magic string, c table.Codec[T]) codec[table.Table[T]] {
+// tableCodec is the payload codec of a table-valued stage output. A
+// hit holds its block as a table.Held: envelope and row count checked
+// now, columns decoded on first read.
+func tableCodec[T any](magic string, c table.HoldCodec[T]) codec[table.Table[T]] {
 	return codec[table.Table[T]]{
 		encode: func(tab table.Table[T]) ([]byte, error) {
 			return encodePayload(magic, func(w *table.Writer) error { return encodeTableBlock(w, c, tab) })
@@ -111,6 +122,21 @@ func tableCodec[T any](magic string, c table.Codec[T]) codec[table.Table[T]] {
 				return nil, err
 			}
 			return decodeTableBlock(r, c)
+		},
+		hold: func(payload []byte, redo func() (table.Table[T], error)) (table.Table[T], error) {
+			r, err := openPayload(payload, magic)
+			if err != nil {
+				return nil, err
+			}
+			block, err := tableBlock(r)
+			if err != nil {
+				return nil, err
+			}
+			held, err := table.Hold(block, c, redo)
+			if err != nil {
+				return nil, err
+			}
+			return held, nil
 		},
 	}
 }
@@ -427,10 +453,10 @@ func decodeModAggPayload(payload []byte) ([]modlog.YearShares, error) {
 // --- simulations: job results as rows of their feed, samples, metrics ---
 
 // simOutput is a sim stage's output. A computed one is the Result as
-// simulated. A decoded one carries, for each job result, its start and
-// wait, and in rows the row of its job in the sim-year feed; set joins
-// the rows against the restored feed to fill in the jobs. rows is nil
-// exactly when the output was computed.
+// simulated; a held one carries only the metrics until its first read
+// (hold.go). A decoded one carries, for each job result, its start and
+// wait, and in rows the row of its job in the sim-year feed, which join
+// fills in against the feed.
 type simOutput struct {
 	res  *sched.Result
 	rows []int32
@@ -464,8 +490,8 @@ func feedRows(res *sched.Result) []int32 {
 // replica tables in the order SimulateTable reads them. It refuses a
 // result count other than the feed's length, a row out of range, a row
 // used twice and a wait other than start − submit, so a payload that
-// does not fit the restored feed fails the restore and the stage
-// recomputes.
+// does not fit the restored feed fails the held result's first read and
+// the stage recomputes.
 func (o simOutput) join(feed trace.JobTable) error {
 	n := feed.Len(table.Exact)
 	if len(o.rows) != n {
@@ -545,32 +571,47 @@ func encodeSimPayload(o simOutput) ([]byte, error) {
 }
 
 // decodeSimPayload decodes a sim payload standalone: the jobs stay
-// zero until set joins the rows against the feed.
-func decodeSimPayload(payload []byte) (simOutput, error) {
+// zero until join fills them in from the feed.
+func decodeSimPayload(payload []byte) (simOutput, error) { return readSimPayload(payload, true) }
+
+// readSimPayload walks a sim payload with every check its decode
+// makes; full keeps the job results, their rows and the samples besides
+// the metrics, which a hold alone keeps.
+func readSimPayload(payload []byte, full bool) (simOutput, error) {
 	r, err := openPayload(payload, payloadSim)
 	if err != nil {
 		return simOutput{}, err
 	}
 	n := r.Count("job results", simResultMinBytes)
-	res := &sched.Result{Results: make([]sched.JobResult, n)}
-	rows := make([]int32, n)
-	for i := range rows {
+	res := &sched.Result{}
+	var rows []int32
+	if full {
+		res.Results, rows = make([]sched.JobResult, n), make([]int32, n)
+	}
+	for i := 0; i < n; i++ {
 		row := r.Uvarint()
 		if row > math.MaxInt32 {
 			r.Fail(fmt.Errorf("core: sim payload row %d out of range", row))
 		}
-		rows[i] = int32(row)
-		res.Results[i].Start = r.Varint()
-		res.Results[i].Wait = r.Varint()
+		start, wait := r.Varint(), r.Varint()
+		if full {
+			rows[i] = int32(row)
+			res.Results[i].Start, res.Results[i].Wait = start, wait
+		}
 	}
 	ns := r.Count("utilization samples", 18)
-	res.Samples = make([]sched.UtilSample, ns)
-	for i := range res.Samples {
-		res.Samples[i] = sched.UtilSample{
+	if full {
+		res.Samples = make([]sched.UtilSample, ns)
+	}
+	for i := 0; i < ns; i++ {
+		s := sched.UtilSample{
 			Time:    r.Varint(),
 			CPUUtil: r.Float64(),
 			GPUUtil: r.Float64(),
 			Queued:  int(r.Varint()),
+		}
+		if full {
+			res.Samples[i] = s
 		}
 	}
 	res.Metrics = sched.Metrics{

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -98,7 +100,9 @@ func fuzzConfig() Config {
 // seeded with the payloads of a real cold run and of its T16 render.
 // The seeds must round-trip byte-identically; for any input, decoding
 // must not panic, must allocate in proportion to the input, and an
-// accepted payload must re-encode to a fixed point.
+// accepted payload must re-encode to a fixed point. For every table and
+// sim kind, holding the input and forcing its first read must accept
+// exactly what the eager decoder accepts, with equal values.
 func FuzzStageDecoders(f *testing.F) {
 	cfg := fuzzConfig()
 	cache := newMapStageCache()
@@ -155,6 +159,7 @@ func FuzzStageDecoders(f *testing.F) {
 		if grown := totalAlloc() - before; grown > 1<<20+64*uint64(len(in)) {
 			t.Fatalf("%s: decoding %d bytes allocated %d", s.version, len(in), grown)
 		}
+		heldAgrees(t, s, in, v, err)
 		if err != nil {
 			return
 		}
@@ -171,4 +176,48 @@ func FuzzStageDecoders(f *testing.F) {
 			t.Fatalf("%s: encoding is not a fixed point of decode (err %v)", s.version, err)
 		}
 	})
+}
+
+// heldAgrees checks a held kind against its eager decoder's verdict on
+// in (v, err): holding in and forcing its first read must accept
+// exactly what the eager decoder accepts, with equal values. A table's
+// first read decodes its columns; a sim's is the eager decode itself
+// (its join needs the feed), so its hold must agree with it and keep
+// the same metrics. The panel's hold checks only the kind, and its
+// first read is the eager decode.
+func heldAgrees(t *testing.T, s spec, in []byte, v any, err error) {
+	t.Helper()
+	if s.hold == nil || s.name == "panel" {
+		return
+	}
+	if strings.HasPrefix(s.name, "sim-") {
+		held, herr := readSimPayload(in, false)
+		if (herr == nil) != (err == nil) {
+			t.Fatalf("%s: hold err %v, eager decode err %v", s.version, herr, err)
+		}
+		if err == nil && fmt.Sprintf("%#v", held.res.Metrics) != fmt.Sprintf("%#v", v.(simOutput).res.Metrics) {
+			t.Fatalf("%s: hold kept metrics %+v, decode %+v", s.version, held.res.Metrics, v.(simOutput).res.Metrics)
+		}
+		return
+	}
+	held, herr := s.hold(in, nil)
+	if herr == nil {
+		herr = held.(interface{ Load() error }).Load()
+	}
+	if (herr == nil) != (err == nil) {
+		t.Fatalf("%s: hold and first read err %v, eager decode err %v", s.version, herr, err)
+	}
+	if err != nil {
+		return
+	}
+	type lener interface{ Len(table.CountMode) int }
+	if hl, el := held.(lener).Len(table.Exact), v.(lener).Len(table.Exact); hl != el {
+		t.Fatalf("%s: held table has %d rows, decoded %d", s.version, hl, el)
+	}
+	// Encoding is a function of the rows alone.
+	hb, err1 := s.encode(held)
+	eb, err2 := s.encode(v)
+	if err1 != nil || err2 != nil || !bytes.Equal(hb, eb) {
+		t.Fatalf("%s: held table's rows differ from the decoded table's (%v, %v)", s.version, err1, err2)
+	}
 }

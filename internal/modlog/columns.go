@@ -109,6 +109,14 @@ type EventCodec struct{}
 // NewColumns implements table.Codec.
 func (EventCodec) NewColumns() table.Columns[Event] { return &EventColumns{} }
 
+// DecodeLen implements table.HoldCodec: it skips the two dictionaries
+// DecodeFrom reads first and returns the row count that follows them.
+func (EventCodec) DecodeLen(r *table.Reader) int {
+	table.SkipDict(r)
+	table.SkipDict(r)
+	return r.Count("event rows", eventRowMinBytes)
+}
+
 // HashRow implements table.Codec.
 func (EventCodec) HashRow(e Event) uint64 {
 	h := table.HashInit()

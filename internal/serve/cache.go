@@ -82,7 +82,6 @@ func etagOf(sum [sha256.Size]byte) string {
 // retained), with a disk tier at dir when it is set.
 func newRenderCache(maxBytes int64, dir string, m *stagecache.Metrics) (*stagecache.Cache, error) {
 	return stagecache.New(stagecache.Options{
-		MaxEntries:    -1,
 		MaxBytes:      maxBytes,
 		MaxEntryBytes: maxBytes,
 		Dir:           dir,

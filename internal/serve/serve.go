@@ -74,8 +74,12 @@ type Options struct {
 	// cache memory-only.
 	StageCache    bool
 	StageCacheDir string
-	// StageCacheBytes bounds the stage cache's in-memory tier (default
-	// 256 MiB, beside the store's default bound of 256 entries).
+	// StageCacheBytes bounds the stage cache's in-memory tier by payload
+	// bytes, its one bound (default 27 MiB: 256 stage entries of a study
+	// run's mean size, what an entry-count bound of 256 kept resident).
+	// A run restored from the cache holds its payloads rather than
+	// decoded copies, so the bound also caps what the retained runs'
+	// held stages keep resident.
 	StageCacheBytes int64
 	// BreakerThreshold is how many consecutive failed runs of one
 	// fingerprint trip its circuit breaker (default 3).
@@ -133,6 +137,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes <= 0 {
 		o.CacheBytes = 64 << 20
+	}
+	if o.StageCacheBytes <= 0 {
+		o.StageCacheBytes = 27 << 20
 	}
 	if o.MaxCohort <= 0 {
 		o.MaxCohort = 20000

@@ -9,9 +9,9 @@
 // changes its key (and every key downstream), and everything unaffected
 // keeps hitting.
 //
-// Storage is two-tier: an in-memory LRU bounded by entry count and
-// payload bytes, in front of an optional on-disk tier written through
-// internal/durable (one "rcpt-stg/1" envelope per key, written with
+// Storage is two-tier: an in-memory LRU bounded by payload bytes, in
+// front of an optional on-disk tier written through internal/durable
+// (one "rcpt-stg/1" envelope per key, written with
 // temp file + fsync + atomic rename, verified on every load). Each entry
 // keeps the SHA-256 computed once at Store, or verified on a disk read,
 // so callers that publish it (the serving layer's ETags) never rehash.
@@ -39,11 +39,8 @@ const suffix = ".stg"
 // Options configures a Cache. The zero value is usable: memory-only
 // with production default bounds.
 type Options struct {
-	// MaxEntries bounds the number of payloads held in memory (0: 256;
-	// negative: no count bound, only MaxBytes).
-	MaxEntries int
 	// MaxBytes bounds the total payload bytes held in memory
-	// (<=0: 256 MiB).
+	// (<=0: 256 MiB). It is the one bound: an entry weighs its bytes.
 	MaxBytes int64
 	// MaxEntryBytes is the largest single payload worth caching
 	// (<=0: 64 MiB). Larger payloads are cheaper to recompute than to
@@ -100,9 +97,6 @@ type memEntry struct {
 // its existing contents become visible immediately through read-through
 // loads (call Warm to validate and count them up front).
 func New(opts Options) (*Cache, error) {
-	if opts.MaxEntries == 0 {
-		opts.MaxEntries = 256
-	}
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = 256 << 20
 	}
@@ -283,7 +277,7 @@ func (c *Cache) put(key string, e Entry) {
 		c.bytes += int64(len(e.Payload))
 	}
 	evicted := 0
-	for (c.opts.MaxEntries > 0 && c.ll.Len() > c.opts.MaxEntries || c.bytes > c.opts.MaxBytes) && c.ll.Len() > 1 {
+	for c.bytes > c.opts.MaxBytes && c.ll.Len() > 1 {
 		c.removeLocked(c.ll.Back())
 		evicted++
 	}

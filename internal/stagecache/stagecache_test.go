@@ -42,15 +42,15 @@ func TestMemoryRoundTrip(t *testing.T) {
 }
 
 func TestLRUBounds(t *testing.T) {
-	c, err := New(Options{MaxEntries: 3})
+	c, err := New(Options{MaxBytes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
 		c.Store(key(fmt.Sprintf("k%d", i)), []byte{byte(i)})
 	}
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	if c.Len() != 3 || c.Bytes() != 3 {
+		t.Fatalf("Len, Bytes = %d, %d, want 3, 3", c.Len(), c.Bytes())
 	}
 	// Oldest two evicted, newest three resident.
 	if _, ok := c.Load(key("k0")); ok {
@@ -62,7 +62,7 @@ func TestLRUBounds(t *testing.T) {
 }
 
 func TestByteBounds(t *testing.T) {
-	c, err := New(Options{MaxEntries: 100, MaxBytes: 64})
+	c, err := New(Options{MaxBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

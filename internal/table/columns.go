@@ -160,16 +160,19 @@ func (r *Reader) Float64() float64 {
 }
 
 // String reads a length-prefixed string into memory of its own.
-func (r *Reader) String() string {
+func (r *Reader) String() string { return string(r.stringBytes()) }
+
+// stringBytes reads a length-prefixed string in place.
+func (r *Reader) stringBytes() []byte {
 	n := r.Uvarint()
 	if r.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxString {
 		r.Fail(fmt.Errorf("table: string length %d exceeds sanity bound", n))
-		return ""
+		return nil
 	}
-	return string(r.Raw(int(n)))
+	return r.Raw(int(n))
 }
 
 // Raw reads the next n bytes. The slice aliases the reader's input: a
@@ -274,11 +277,7 @@ func (d *Dict) EncodeTo(w *Writer) {
 
 // DecodeFrom reads a value table written by EncodeTo.
 func (d *Dict) DecodeFrom(r *Reader) {
-	n := r.Count("dictionary entries", 1)
-	if n > 1<<22 {
-		r.Fail(fmt.Errorf("table: dict size %d exceeds sanity bound", n))
-		return
-	}
+	n := dictLen(r)
 	d.Reset()
 	for i := 0; i < n; i++ {
 		s := r.String()
@@ -287,6 +286,25 @@ func (d *Dict) DecodeFrom(r *Reader) {
 		}
 		d.Code(s)
 	}
+}
+
+// SkipDict reads past a value table written by Dict.EncodeTo without
+// decoding it, failing r wherever Dict.DecodeFrom would.
+func SkipDict(r *Reader) {
+	n := dictLen(r)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		r.stringBytes()
+	}
+}
+
+// dictLen reads a value table's entry count.
+func dictLen(r *Reader) int {
+	n := r.Count("dictionary entries", 1)
+	if n > 1<<22 {
+		r.Fail(fmt.Errorf("table: dict size %d exceeds sanity bound", n))
+		return 0
+	}
+	return n
 }
 
 // HashString folds a string into the FNV-1a row-hash convention. The

@@ -70,36 +70,57 @@ func EncodeStream[T any](codec Codec[T], t Table[T]) ([]byte, error) {
 // DecodeStream verifies data as exactly one EncodeStream envelope and
 // returns its rows as a resident table. It checks, in order, the magic,
 // the header, the payload length's 2 GiB cap, that length against the
-// bytes left, and the checksum, over the payload in place. The table
-// owns its memory; nothing in it aliases data. Integrity failures
-// return *IntegrityError.
+// bytes left, and the checksum, over the payload in place; then it
+// decodes the columns and cross-checks their row count against the
+// header's. The table owns its memory; nothing in it aliases data.
+// Integrity failures return *IntegrityError.
 func DecodeStream[T any](data []byte, codec Codec[T]) (Table[T], error) {
+	rows, payload, err := openStream(data)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := decodeColumns(payload, rows, codec)
+	if err != nil {
+		return nil, err
+	}
+	return FromColumns(codec, cols), nil
+}
+
+// openStream runs DecodeStream's envelope checks and returns the
+// header's row count and the verified column payload, in place.
+func openStream(data []byte) (rows uint64, payload []byte, err error) {
 	if len(data) < len(streamMagic) {
-		return nil, &IntegrityError{Reason: "short magic"}
+		return 0, nil, &IntegrityError{Reason: "short magic"}
 	}
 	if string(data[:len(streamMagic)]) != streamMagic {
-		return nil, &IntegrityError{Reason: "bad magic"}
+		return 0, nil, &IntegrityError{Reason: "bad magic"}
 	}
 	hr := NewReader(data[len(streamMagic):])
-	rows := hr.Uvarint()
+	rows = hr.Uvarint()
 	paylen := hr.Uvarint()
 	if err := hr.Err(); err != nil {
-		return nil, &IntegrityError{Reason: "truncated header"}
+		return 0, nil, &IntegrityError{Reason: "truncated header"}
 	}
 	if paylen > 1<<31 {
-		return nil, &IntegrityError{Reason: "payload length out of range"}
+		return 0, nil, &IntegrityError{Reason: "payload length out of range"}
 	}
 	sum := hr.Raw(sha256.Size)
 	if hr.Err() != nil {
-		return nil, &IntegrityError{Reason: "short checksum"}
+		return 0, nil, &IntegrityError{Reason: "short checksum"}
 	}
 	if paylen != uint64(hr.Len()) {
-		return nil, &IntegrityError{Reason: fmt.Sprintf("payload length %d, %d bytes left", paylen, hr.Len())}
+		return 0, nil, &IntegrityError{Reason: fmt.Sprintf("payload length %d, %d bytes left", paylen, hr.Len())}
 	}
-	payload := hr.Raw(int(paylen))
+	payload = hr.Raw(int(paylen))
 	if got := sha256.Sum256(payload); !bytes.Equal(got[:], sum) {
-		return nil, &IntegrityError{Reason: "checksum mismatch"}
+		return 0, nil, &IntegrityError{Reason: "checksum mismatch"}
 	}
+	return rows, payload, nil
+}
+
+// decodeColumns decodes a verified column payload and cross-checks its
+// row count against the header's.
+func decodeColumns[T any](payload []byte, rows uint64, codec Codec[T]) (Columns[T], error) {
 	cols := codec.NewColumns()
 	pr := NewReader(payload)
 	if err := cols.DecodeFrom(pr); err != nil {
@@ -108,10 +129,10 @@ func DecodeStream[T any](data []byte, codec Codec[T]) (Table[T], error) {
 	if err := pr.Err(); err != nil {
 		return nil, &IntegrityError{Reason: fmt.Sprintf("decode: %v", err)}
 	}
-	if cols.Len() != int(rows) {
+	if uint64(cols.Len()) != rows {
 		return nil, &IntegrityError{Reason: fmt.Sprintf("row count %d, header says %d", cols.Len(), rows)}
 	}
-	return FromColumns(codec, cols), nil
+	return cols, nil
 }
 
 // FromColumns wraps an already-materialized Columns as a read-only

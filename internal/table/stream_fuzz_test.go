@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -17,7 +18,8 @@ import (
 // failure is an *IntegrityError, allocation stays proportional to the
 // input, and an accepted stream round-trips — re-encoding the decoded
 // table decodes to the same content hash and re-encodes to the same
-// bytes.
+// bytes. Holding the stream and forcing its first read accepts exactly
+// what DecodeStream accepts, with the same length and rows.
 func FuzzDecodeStream(f *testing.F) {
 	cfg := core.DefaultConfig()
 	cfg.N2011, cfg.N2024 = 30, 40
@@ -53,6 +55,25 @@ func FuzzDecodeStream(f *testing.F) {
 		got, err := table.DecodeStream(in, codec)
 		if grown := totalAlloc() - before; grown > 1<<20+64*uint64(len(in)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(in), grown)
+		}
+		held, herr := table.Hold(in, codec, nil)
+		if herr == nil {
+			herr = held.Load()
+		}
+		if (herr == nil) != (err == nil) {
+			t.Fatalf("hold and first read: err %v; DecodeStream: err %v", herr, err)
+		}
+		if herr != nil {
+			var ie *table.IntegrityError
+			if !errors.As(herr, &ie) {
+				t.Fatalf("hold err = %v, want *IntegrityError", herr)
+			}
+		} else {
+			want, err1 := table.Rows(got)
+			rows, err2 := table.Rows[trace.Job](held)
+			if err1 != nil || err2 != nil || held.Len(table.Exact) != got.Len(table.Exact) || !reflect.DeepEqual(rows, want) {
+				t.Fatalf("held table: %d rows (%v), DecodeStream's: %d (%v)", held.Len(table.Exact), err2, got.Len(table.Exact), err1)
+			}
 		}
 		if err != nil {
 			var ie *table.IntegrityError

@@ -184,6 +184,15 @@ type JobCodec struct{}
 // NewColumns implements table.Codec.
 func (JobCodec) NewColumns() table.Columns[Job] { return &JobColumns{} }
 
+// DecodeLen implements table.HoldCodec: it skips the five dictionaries
+// DecodeFrom reads first and returns the row count that follows them.
+func (JobCodec) DecodeLen(r *table.Reader) int {
+	for range 5 {
+		table.SkipDict(r)
+	}
+	return r.Count("job rows", jobRowMinBytes)
+}
+
 // HashRow implements table.Codec: every field that reaches an artifact
 // is mixed in.
 func (JobCodec) HashRow(j Job) uint64 {

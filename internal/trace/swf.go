@@ -88,7 +88,8 @@ func userNumber(user string) int {
 // CoresPer 1 (SWF reports flat processor counts), GPUs from the
 // partition number only when gpuPartition matches (0 disables). Records
 // with non-positive runtime or processors are skipped (archive traces
-// use them for aborted submissions); malformed lines are errors.
+// use them for aborted submissions); malformed lines, and negative job
+// numbers, which no Job ID can hold, are errors.
 func ImportSWF(r io.Reader, year int, gpuPartition int) ([]Job, error) {
 	if year <= 0 {
 		return nil, fmt.Errorf("trace: ImportSWF year %d", year)
@@ -117,6 +118,9 @@ func ImportSWF(r io.Reader, year int, gpuPartition int) ([]Job, error) {
 		id, err := get(1)
 		if err != nil {
 			return nil, err
+		}
+		if id < 0 {
+			return nil, fmt.Errorf("trace: swf line %d: job number %d", line, id)
 		}
 		submit, err := get(2)
 		if err != nil {

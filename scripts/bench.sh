@@ -14,7 +14,9 @@
 # cold (fill) vs warm (restore every stage) vs policy-change (one
 # late-DAG parameter changed, only sim-policy recomputes) on the
 # BenchmarkFullPipeline study. The warm/cold ns_per_op ratio is the
-# incremental-recomputation speedup.
+# incremental-recomputation speedup. A warm run holds its trace and
+# telemetry tables, sims and panel as payloads until a reader decodes
+# them, so the warm row times the hold, not a full decode.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
