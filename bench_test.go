@@ -11,6 +11,7 @@ package rcpt
 // underlying computation choices.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -266,7 +267,7 @@ func BenchmarkFullPipeline(b *testing.B) {
 // sim-policy stage recomputes. The warm/cold ns_per_op ratio in
 // BENCH_incr.json is the headline speedup; artifact identity across
 // the cache is pinned by core's equivalence tests and spot-checked
-// here via the accounting-table hash, outside the timed loop.
+// here via the accounting-table bytes, outside the timed loop.
 func BenchmarkRunColdVsWarmStageCache(b *testing.B) {
 	base := core.Config{
 		Seed: 1, N2011: 60, N2024: 120,
@@ -287,12 +288,12 @@ func BenchmarkRunColdVsWarmStageCache(b *testing.B) {
 		}
 		return a
 	}
-	jobsHash := func(b *testing.B, a *Artifacts) uint64 {
-		h, err := a.Jobs.Hash()
-		if err != nil {
+	accounting := func(b *testing.B, a *Artifacts) []byte {
+		var buf bytes.Buffer
+		if err := trace.WriteAccountingTable(&buf, a.Jobs); err != nil {
 			b.Fatal(err)
 		}
-		return h
+		return buf.Bytes()
 	}
 
 	b.Run("cold", func(b *testing.B) {
@@ -305,14 +306,14 @@ func BenchmarkRunColdVsWarmStageCache(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache := newCache(b)
-		want := jobsHash(b, run(b, base, cache))
+		want := accounting(b, run(b, base, cache))
 		b.ResetTimer()
 		var got *Artifacts
 		for i := 0; i < b.N; i++ {
 			got = run(b, base, cache)
 		}
 		b.StopTimer()
-		if jobsHash(b, got) != want {
+		if !bytes.Equal(accounting(b, got), want) {
 			b.Fatal("warm run diverged from the cold run that filled its cache")
 		}
 	})

@@ -169,7 +169,7 @@ func artifactSink(fn *types.Func, call *ast.CallExpr, info *types.Info) (string,
 			}
 		case recv == "Builder" && name == "Append":
 			return "table.Builder.Append", nil, true
-		case recv == "" && (name == "HashRows" || name == "FromSlice" || name == "NewSlice" || name == "Build"):
+		case recv == "" && (name == "FromSlice" || name == "NewSlice" || name == "Build"):
 			return "table." + name, nil, true
 		}
 	case strings.HasSuffix(path, "internal/report"):

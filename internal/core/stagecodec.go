@@ -156,7 +156,7 @@ func writeResponses(w *table.Writer, rs []*survey.Response) error {
 	for i, r := range rs {
 		vals[i] = *r
 	}
-	if err := encodeTableBlock(w, survey.ResponseCodec{}, table.NewSlice(vals, survey.ResponseCodec{}.HashRow)); err != nil {
+	if err := encodeTableBlock(w, survey.ResponseCodec{}, table.NewSlice(vals)); err != nil {
 		return err
 	}
 	type ref struct {

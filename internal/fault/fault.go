@@ -60,7 +60,9 @@ type Spec struct {
 	NetPartitionProb float64
 }
 
-// Validate checks the spec's probabilities.
+// Validate checks the spec's probabilities and delays. The comparisons
+// accept only what they prove in range, so a NaN probability, which
+// every threshold in Decide would compare false against, is refused.
 func (s Spec) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -70,14 +72,14 @@ func (s Spec) Validate() error {
 		{"netdrop", s.NetDropProb}, {"netdup", s.NetDupProb}, {"netdelay", s.NetDelayProb},
 		{"netpart", s.NetPartitionProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("fault: %s probability %g out of [0,1]", p.name, p.v)
 		}
 	}
-	if sum := s.PanicProb + s.ErrorProb + s.LatencyProb; sum > 1 {
+	if sum := s.PanicProb + s.ErrorProb + s.LatencyProb; !(sum <= 1) {
 		return fmt.Errorf("fault: probabilities sum to %g > 1", sum)
 	}
-	if sum := s.NetDropProb + s.NetDupProb + s.NetDelayProb; sum > 1 {
+	if sum := s.NetDropProb + s.NetDupProb + s.NetDelayProb; !(sum <= 1) {
 		return fmt.Errorf("fault: net probabilities sum to %g > 1", sum)
 	}
 	if s.Latency < 0 {

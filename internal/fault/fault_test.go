@@ -222,7 +222,10 @@ func TestParseSpec(t *testing.T) {
 	if empty, err := ParseSpec(""); err != nil || empty.Enabled() {
 		t.Fatalf("empty spec: %+v err=%v", empty, err)
 	}
-	for _, bad := range []string{"panic=2", "wat=1", "panic", "delay=xyz", "panic=0.6,error=0.6"} {
+	for _, bad := range []string{
+		"panic=2", "wat=1", "panic", "delay=xyz", "panic=0.6,error=0.6",
+		"panic=NaN", "panic=nan,error=0.9", "netpart=NaN",
+	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}

@@ -117,16 +117,6 @@ func (EventCodec) DecodeLen(r *table.Reader) int {
 	return r.Count("event rows", eventRowMinBytes)
 }
 
-// HashRow implements table.Codec.
-func (EventCodec) HashRow(e Event) uint64 {
-	h := table.HashInit()
-	h = table.HashInt64(h, e.Time)
-	h = table.HashInt64(h, int64(e.Year))
-	h = table.HashString(h, e.User)
-	h = table.HashString(h, e.Module)
-	return h
-}
-
 // EventTable is the streaming form of a module-load log.
 type EventTable = table.Table[Event]
 

@@ -57,7 +57,7 @@ func TestSimulateTableMatchesSlice(t *testing.T) {
 func TestSimulateTableRejectsOutOfOrderFeed(t *testing.T) {
 	jobs := feedTrace(t)[:100]
 	jobs[40], jobs[60] = jobs[60], jobs[40] // break arrival order
-	tab := table.NewSlice(jobs, trace.JobCodec{}.HashRow)
+	tab := table.NewSlice(jobs)
 	_, err := SimulateTable(DefaultCampusCluster(), tab, Options{Policy: FCFS})
 	if err == nil || !strings.Contains(err.Error(), "out of arrival order") {
 		t.Fatalf("want out-of-order feed error, got %v", err)
@@ -67,7 +67,7 @@ func TestSimulateTableRejectsOutOfOrderFeed(t *testing.T) {
 func TestSimulateTableValidatesLazily(t *testing.T) {
 	jobs := feedTrace(t)[:100]
 	jobs[50].Nodes = 10_000 // exceeds any partition
-	tab := table.NewSlice(jobs, trace.JobCodec{}.HashRow)
+	tab := table.NewSlice(jobs)
 	_, err := SimulateTable(DefaultCampusCluster(), tab, Options{Policy: FCFS})
 	if err == nil || !strings.Contains(err.Error(), "wants") {
 		t.Fatalf("want capacity rejection from the streamed feed, got %v", err)
@@ -75,7 +75,7 @@ func TestSimulateTableValidatesLazily(t *testing.T) {
 }
 
 func TestSimulateTableEmpty(t *testing.T) {
-	tab := table.NewSlice[trace.Job](nil, trace.JobCodec{}.HashRow)
+	tab := table.NewSlice[trace.Job](nil)
 	if _, err := SimulateTable(DefaultCampusCluster(), tab, Options{Policy: FCFS}); err == nil {
 		t.Fatal("want error for empty table")
 	}
@@ -99,7 +99,7 @@ func TestRepeatedArrivalRefused(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "job 2 ") {
 			t.Errorf("Simulate, %s feed: want an error naming job 2, got %v", tc.name, err)
 		}
-		tab := table.NewSlice(tc.jobs, trace.JobCodec{}.HashRow)
+		tab := table.NewSlice(tc.jobs)
 		_, err = SimulateTable(smallCluster(), tab, Options{Policy: EASYBackfill})
 		if err == nil || !strings.Contains(err.Error(), "job 2 ") {
 			t.Errorf("SimulateTable, %s feed: want an error naming job 2, got %v", tc.name, err)

@@ -2,7 +2,7 @@ package survey
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/table"
 )
@@ -12,8 +12,8 @@ import (
 // answers flatten into shared answer columns with per-row offsets, with
 // question IDs and choice strings dictionary-encoded (a cohort shares a
 // small instrument vocabulary). Answers are stored sorted by question
-// ID so the encoding — and the row hash — is canonical even though
-// Response holds them in a map.
+// ID so the encoding is canonical even though Response holds them in a
+// map.
 //
 // Rows are stored and returned by value; Row materializes a fresh
 // Response with its own Answers map, so batch storage can never alias
@@ -35,6 +35,8 @@ type ResponseColumns struct {
 
 	qidDict table.Dict
 	strDict table.Dict
+
+	qids []string // Append's scratch: one response's question IDs, sorted
 }
 
 func (c *ResponseColumns) init() {
@@ -46,23 +48,20 @@ func (c *ResponseColumns) init() {
 	}
 }
 
-// sortedQIDs returns the response's question IDs in sorted order.
-func sortedQIDs(r Response) []string {
-	qids := make([]string, 0, len(r.Answers))
-	for id := range r.Answers {
-		qids = append(qids, id)
-	}
-	sort.Strings(qids)
-	return qids
-}
-
-// Append implements table.Columns.
+// Append implements table.Columns. It sorts the question IDs in a
+// slice the columns keep, so appending a cohort allocates no per-row
+// key slice.
 func (c *ResponseColumns) Append(r Response) {
 	c.init()
 	c.ids = append(c.ids, r.ID)
 	c.cohorts = append(c.cohorts, int32(r.Cohort))
 	c.weights = append(c.weights, r.Weight)
-	for _, qid := range sortedQIDs(r) {
+	c.qids = c.qids[:0]
+	for id := range r.Answers {
+		c.qids = append(c.qids, id)
+	}
+	slices.Sort(c.qids)
+	for _, qid := range c.qids {
 		a := r.Answers[qid]
 		c.ansQID = append(c.ansQID, c.qidDict.Code(qid))
 		c.ansChoice = append(c.ansChoice, c.strDict.Code(a.Choice))
@@ -238,28 +237,6 @@ type ResponseCodec struct{}
 
 // NewColumns implements table.Codec.
 func (ResponseCodec) NewColumns() table.Columns[Response] { return &ResponseColumns{} }
-
-// HashRow implements table.Codec, hashing answers in sorted question
-// order so the hash is independent of map iteration.
-func (ResponseCodec) HashRow(r Response) uint64 {
-	h := table.HashInit()
-	h = table.HashString(h, r.ID)
-	h = table.HashInt64(h, int64(r.Cohort))
-	h = table.HashFloat64(h, r.Weight)
-	for _, qid := range sortedQIDs(r) {
-		a := r.Answers[qid]
-		h = table.HashString(h, qid)
-		h = table.HashString(h, a.Choice)
-		h = table.HashUint64(h, uint64(len(a.Choices)))
-		for _, ch := range a.Choices {
-			h = table.HashString(h, ch)
-		}
-		h = table.HashInt64(h, int64(a.Rating))
-		h = table.HashFloat64(h, a.Value)
-		h = table.HashString(h, a.Text)
-	}
-	return h
-}
 
 // ResponseTable is the streaming form of a cohort.
 type ResponseTable = table.Table[Response]

@@ -1,8 +1,10 @@
 package survey
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/table"
@@ -66,24 +68,42 @@ func TestResponseColumnsSpillRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResponseHashCanonicalOverMapOrder: a cohort's encoded stream,
+// checksum included, is canonical over the order its answer maps were
+// filled in, and still tells a changed weight apart.
 func TestResponseHashCanonicalOverMapOrder(t *testing.T) {
 	rs := colTestResponses(20)
 	r := rs[0]
-	// Rebuild the answers map in a different insertion order; the hash
-	// must not change (map iteration order is not part of the content).
+	// Rebuild the answers map in reverse key order: map iteration order
+	// is not part of the content.
 	reb := Response{ID: r.ID, Cohort: r.Cohort, Weight: r.Weight, Answers: map[string]Answer{}}
-	qids := sortedQIDs(r)
+	var qids []string
+	for qid := range r.Answers {
+		qids = append(qids, qid)
+	}
+	slices.Sort(qids)
 	for i := len(qids) - 1; i >= 0; i-- {
 		reb.Answers[qids[i]] = r.Answers[qids[i]]
 	}
-	if (ResponseCodec{}).HashRow(r) != (ResponseCodec{}).HashRow(reb) {
-		t.Fatal("hash depends on map insertion order")
+	rebuilt := append([]Response{reb}, rs[1:]...)
+	if !bytes.Equal(encodeResponses(t, rs), encodeResponses(t, rebuilt)) {
+		t.Fatal("encoding depends on map insertion order")
 	}
-	mut := rs[1]
-	mut.Weight += 1e-12
-	if (ResponseCodec{}).HashRow(rs[1]) == (ResponseCodec{}).HashRow(mut) {
-		t.Fatal("hash ignored a weight perturbation")
+	mut := append([]Response(nil), rs...)
+	mut[1].Weight += 1e-12
+	if bytes.Equal(encodeResponses(t, rs), encodeResponses(t, mut)) {
+		t.Fatal("encoding ignored a weight perturbation")
 	}
+}
+
+// encodeResponses returns the EncodeStream bytes of rs.
+func encodeResponses(t *testing.T, rs []Response) []byte {
+	t.Helper()
+	b, err := table.EncodeStream[Response](ResponseCodec{}, table.NewSlice(rs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestMaterializeResponsesIsolation(t *testing.T) {

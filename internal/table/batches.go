@@ -68,10 +68,6 @@ type Batches[T any] struct {
 	// make this exact: recomputed rows are byte-identical, so a corrupt
 	// spill can never change artifact bytes — only cost time.
 	rebuild func(lo, hi int, into Columns[T]) error
-
-	hashOnce sync.Once
-	hash     uint64
-	hashErr  error
 }
 
 // Builder accumulates rows into a Batches table. Not safe for
@@ -148,15 +144,6 @@ func (t *Batches[T]) SetRebuild(rebuild func(lo, hi int, into Columns[T]) error)
 
 // Len implements Table.
 func (t *Batches[T]) Len(CountMode) int { return t.total }
-
-// Hash implements Table: the row-order FNV-1a chain over
-// Codec.HashRow, cached after the first call.
-func (t *Batches[T]) Hash() (uint64, error) {
-	t.hashOnce.Do(func() {
-		t.hash, t.hashErr = HashRows[T](t, t.codec.HashRow)
-	})
-	return t.hash, t.hashErr
-}
 
 // Scanner implements Table.
 func (t *Batches[T]) Scanner(start, limit, total int) Scanner[T] {

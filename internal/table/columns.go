@@ -17,8 +17,9 @@ import (
 //
 // EncodeTo/DecodeFrom must round-trip exactly: Decode(Encode(c)) yields
 // identical rows in identical order. The wire layout may exploit the
-// batch (dictionaries, deltas), which is why content hashes are defined
-// over rows, never over encoded batch payloads.
+// batch (dictionaries, deltas), which is why a table's content identity
+// is EncodeStream's one batch over all its rows, never its own batches'
+// payloads.
 type Columns[T any] interface {
 	Append(row T)
 	Len() int
@@ -26,16 +27,15 @@ type Columns[T any] interface {
 	Reset()
 	EncodeTo(w *Writer) error
 	DecodeFrom(r *Reader) error
-	// MemBytes estimates resident heap bytes, used by the residency
-	// policy to decide when to spill. An estimate: never artifact-bearing.
+	// MemBytes estimates resident heap bytes for Batches.MemBytes. The
+	// residency policy counts batches, not bytes. An estimate: never
+	// artifact-bearing.
 	MemBytes() int
 }
 
-// Codec binds a row type to its columnar representation and content
-// hash. HashRow must depend on every field that reaches an artifact.
+// Codec binds a row type to its columnar representation.
 type Codec[T any] interface {
 	NewColumns() Columns[T]
-	HashRow(row T) uint64
 }
 
 // maxString bounds one length-prefixed string on the wire, in both
@@ -306,26 +306,3 @@ func dictLen(r *Reader) int {
 	}
 	return n
 }
-
-// HashString folds a string into the FNV-1a row-hash convention. The
-// length is mixed first so concatenations can't collide field-wise.
-func HashString(h uint64, s string) uint64 {
-	h = fnv1aMix(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnv1aPrime
-	}
-	return h
-}
-
-// HashUint64 folds an integer into a row hash.
-func HashUint64(h, v uint64) uint64 { return fnv1aMix(h, v) }
-
-// HashInt64 folds a signed integer into a row hash.
-func HashInt64(h uint64, v int64) uint64 { return fnv1aMix(h, uint64(v)) }
-
-// HashFloat64 folds a float's bit pattern into a row hash.
-func HashFloat64(h uint64, f float64) uint64 { return fnv1aMix(h, math.Float64bits(f)) }
-
-// HashInit returns the FNV-1a seed for building row hashes.
-func HashInit() uint64 { return fnv1aInit }

@@ -50,28 +50,7 @@ func FoldSeq[T, A any](t Table[T], acc A, fold func(A, T) A) (A, error) {
 // AGGREGATIONS ONLY — see the package comment; float folds must use
 // FoldSeq instead.
 func ShardFold[T, A any](t Table[T], shards int, newAcc func() A, fold func(A, T) A, merge func(A, A) A) (A, error) {
-	if shards <= 0 {
-		shards = 1
-	}
-	if n := t.Len(Exact); shards > n && n > 0 {
-		shards = n
-	}
-	idx := make([]int, shards)
-	for i := range idx {
-		idx[i] = i
-	}
-	partials, err := parallel.Map(shards, idx, func(_ int, s int) (A, error) {
-		acc := newAcc()
-		sc := t.Scanner(s, s+1, shards)
-		for sc.Scan() {
-			acc = fold(acc, sc.Row())
-		}
-		if err := sc.Err(); err != nil {
-			var zero A
-			return zero, err
-		}
-		return acc, nil
-	})
+	partials, err := foldShards(t, shards, newAcc, fold)
 	if err != nil {
 		var zero A
 		return zero, err
@@ -104,9 +83,17 @@ func ShardCollect[T, R any](t Table[T], shards int, fn func(T) R) ([]R, error) {
 	return out, nil
 }
 
-// ShardFoldParts runs a per-shard fold and returns the partials in
-// shard order, for callers that need a custom merge.
+// ShardFoldParts runs a per-shard fold from the zero accumulator and
+// returns the partials in shard order, for callers that need a custom
+// merge.
 func ShardFoldParts[T, A any](t Table[T], shards int, fold func(A, T) A) ([]A, error) {
+	return foldShards(t, shards, func() (zero A) { return zero }, fold)
+}
+
+// foldShards folds each of `shards` shard scanners concurrently, each
+// from newAcc(), and returns the partials in shard order. It clamps
+// shards to [1, rows] so no shard is empty unless the table is.
+func foldShards[T, A any](t Table[T], shards int, newAcc func() A, fold func(A, T) A) ([]A, error) {
 	if shards <= 0 {
 		shards = 1
 	}
@@ -118,7 +105,7 @@ func ShardFoldParts[T, A any](t Table[T], shards int, fold func(A, T) A) ([]A, e
 		idx[i] = i
 	}
 	return parallel.Map(shards, idx, func(_ int, s int) (A, error) {
-		var acc A
+		acc := newAcc()
 		sc := t.Scanner(s, s+1, shards)
 		for sc.Scan() {
 			acc = fold(acc, sc.Row())

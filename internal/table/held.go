@@ -24,7 +24,7 @@ type HoldCodec[T any] interface {
 }
 
 // Held is a Table over one EncodeStream envelope that decodes its
-// columns once, on the first Scanner, row window, Hash or Load, and then
+// columns once, on the first Scanner, row window or Load, and then
 // drops the envelope. Safe for concurrent use.
 type Held[T any] struct {
 	codec Codec[T]
@@ -103,14 +103,6 @@ func (h *Held[T]) decode() (cols Columns[T], err error) {
 // Len implements Table.
 func (h *Held[T]) Len(CountMode) int { return h.rows }
 
-// Hash implements Table.
-func (h *Held[T]) Hash() (uint64, error) {
-	if err := h.Load(); err != nil {
-		return 0, err
-	}
-	return h.tab.Hash()
-}
-
 // Scanner implements Table.
 func (h *Held[T]) Scanner(start, limit, total int) Scanner[T] {
 	lo, hi := ShardRange(start, limit, total, h.rows)
@@ -121,7 +113,7 @@ func (h *Held[T]) rowScanner(lo, hi int) Scanner[T] {
 	if err := h.Load(); err != nil {
 		return errScanner[T]{err}
 	}
-	return rowsIn(h.tab, lo, hi)
+	return h.tab.rowScanner(lo, hi)
 }
 
 // errScanner is the scanner of a table whose rows cannot be read.

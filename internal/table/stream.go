@@ -137,43 +137,12 @@ func decodeColumns[T any](payload []byte, rows uint64, codec Codec[T]) (Columns[
 
 // FromColumns wraps an already-materialized Columns as a read-only
 // Table view — no copying. The caller must not mutate cols afterwards.
+// The view is a one-batch Batches with no spill dir, so its scans stay
+// on the batch fast path.
 func FromColumns[T any](codec Codec[T], cols Columns[T]) Table[T] {
-	return &columnsTable[T]{codec: codec, cols: cols}
-}
-
-type columnsTable[T any] struct {
-	codec Codec[T]
-	cols  Columns[T]
-}
-
-func (t *columnsTable[T]) Len(CountMode) int { return t.cols.Len() }
-
-func (t *columnsTable[T]) Hash() (uint64, error) {
-	return HashRows[T](t, t.codec.HashRow)
-}
-
-func (t *columnsTable[T]) Scanner(start, limit, total int) Scanner[T] {
-	lo, hi := ShardRange(start, limit, total, t.cols.Len())
-	return t.rowScanner(lo, hi)
-}
-
-func (t *columnsTable[T]) rowScanner(lo, hi int) Scanner[T] {
-	return &columnsScanner[T]{cols: t.cols, i: lo - 1, hi: hi}
-}
-
-type columnsScanner[T any] struct {
-	cols Columns[T]
-	i    int
-	hi   int
-}
-
-func (s *columnsScanner[T]) Scan() bool {
-	if s.i+1 >= s.hi {
-		return false
+	t := &Batches[T]{codec: codec, total: cols.Len()}
+	if t.total > 0 {
+		t.batches, t.resident = []batch[T]{{rows: t.total, cols: cols}}, 1
 	}
-	s.i++
-	return true
+	return t
 }
-
-func (s *columnsScanner[T]) Row() T     { return s.cols.Row(s.i) }
-func (s *columnsScanner[T]) Err() error { return nil }

@@ -17,9 +17,9 @@ import (
 // seeded with a real trace-stage stream. Properties: no panic, every
 // failure is an *IntegrityError, allocation stays proportional to the
 // input, and an accepted stream round-trips — re-encoding the decoded
-// table decodes to the same content hash and re-encodes to the same
-// bytes. Holding the stream and forcing its first read accepts exactly
-// what DecodeStream accepts, with the same length and rows.
+// table decodes to the same rows and re-encodes to the same bytes.
+// Holding the stream and forcing its first read accepts exactly what
+// DecodeStream accepts, with the same length and rows.
 func FuzzDecodeStream(f *testing.F) {
 	cfg := core.DefaultConfig()
 	cfg.N2011, cfg.N2024 = 30, 40
@@ -40,7 +40,7 @@ func FuzzDecodeStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, tab := range []trace.JobTable{tab, table.NewSlice(rows[:64], trace.JobCodec{}.HashRow)} {
+	for _, tab := range []trace.JobTable{tab, table.NewSlice(rows[:64])} {
 		seed, err := table.EncodeStream(trace.JobCodec{}, tab)
 		if err != nil {
 			f.Fatal(err)
@@ -90,10 +90,10 @@ func FuzzDecodeStream(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded stream rejected: %v", err)
 		}
-		h1, err1 := got.Hash()
-		h2, err2 := again.Hash()
-		if err1 != nil || err2 != nil || h1 != h2 {
-			t.Fatalf("round trip changed the table: %x (%v) vs %x (%v)", h1, err1, h2, err2)
+		rows1, err1 := table.Rows(got)
+		rows2, err2 := table.Rows(again)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(rows1, rows2) {
+			t.Fatalf("round trip changed the table: %d rows (%v) vs %d (%v)", len(rows1), err1, len(rows2), err2)
 		}
 		enc2, err := table.EncodeStream(codec, again)
 		if err != nil {

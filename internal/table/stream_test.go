@@ -36,35 +36,87 @@ func TestStreamRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(out, rows) {
 		t.Fatal("decoded rows differ from source")
 	}
-	// The content hash must survive the trip: storage layout (batches vs
-	// one resident Columns) never reaches the hash.
-	h1, err := src.Hash()
+	// The content identity must survive the trip: storage layout
+	// (batches vs one decoded batch) never reaches the encoding.
+	again, err := EncodeStream(testCodec{}, got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := got.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
-		t.Fatalf("hash changed across stream: %x vs %x", h1, h2)
+	if !bytes.Equal(again, buf) {
+		t.Fatal("stream bytes changed across a decode")
 	}
 }
 
+// TestStreamEncodingInvariantToStorage: a table's content identity is
+// its encoded stream, so every storage of the same rows encodes to the
+// same bytes and scans the same rows at any shard count, while a
+// changed float changes the stream.
 func TestStreamEncodingInvariantToStorage(t *testing.T) {
-	rows := testRows(300)
-	small, _ := FromSlice[testRow](testCodec{}, Options{BatchSize: 16}, rows)
-	big, _ := FromSlice[testRow](testCodec{}, Options{BatchSize: 4096}, rows)
-	b1, err := EncodeStream[testRow](testCodec{}, small)
+	rows := testRows(500)
+	want := encodeRows(t, rows)
+	batches := func(opt Options, part []testRow) *Batches[testRow] {
+		tab, err := FromSlice[testRow](testCodec{}, opt, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	held := func(part []testRow) *Held[testRow] {
+		h, err := Hold[testRow](encodeRows(t, part), testCodec{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	spilled := batches(Options{BatchSize: 64, SpillDir: t.TempDir(), Resident: 2}, rows)
+	loaded := held(rows)
+	if err := loaded.Load(); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeStream[testRow](want, testCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := EncodeStream[testRow](testCodec{}, big)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		tab  Table[testRow]
+	}{
+		{"slice", NewSlice(rows)},
+		{"batches/3", batches(Options{BatchSize: 3}, rows)},
+		{"batches/64", batches(Options{BatchSize: 64}, rows)},
+		{"batches/500", batches(Options{BatchSize: 500}, rows)},
+		{"spilled", spilled},
+		{"concat/mixed", Concat[testRow](
+			NewSlice(rows[:37]),
+			NewSlice(rows[37:37]),
+			batches(Options{BatchSize: 10}, rows[37:300]),
+			held(rows[300:]),
+		)},
+		{"held/unread", held(rows)},
+		{"held/loaded", loaded},
+		{"decoded", decoded},
+		{"concat/held", Concat[testRow](held(rows[:120]), held(rows[120:333]), held(rows[333:]))},
+	} {
+		if n := tc.tab.Len(Exact); n != len(rows) {
+			t.Fatalf("%s: Len=%d, want %d", tc.name, n, len(rows))
+		}
+		enc, err := EncodeStream(testCodec{}, tc.tab)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("%s: stream bytes depend on storage", tc.name)
+		}
+		for _, shards := range []int{1, 3, 7} {
+			if !reflect.DeepEqual(shardRows(t, tc.tab, shards), rows) {
+				t.Fatalf("%s: shards=%d: sharded scan differs from rows", tc.name, shards)
+			}
+		}
 	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("stream bytes depend on batch size")
+	mut := append([]testRow(nil), rows...)
+	mut[250].Val += 1e-9
+	if bytes.Equal(encodeRows(t, mut), want) {
+		t.Fatal("stream ignored a float perturbation")
 	}
 }
 

@@ -1,10 +1,16 @@
 // Package table is the columnar streaming artifact layer: a read-only
 // Table abstraction over typed rows with range-sharded scanners, modeled
-// on grailbio/gql's Scanner(start, limit, total) / Len(Exact) /
-// Hash() contract. Two implementations ship here — Slice (a thin view
-// over an in-memory slice) and Batches (struct-of-arrays column batches
-// with lazy materialization, background prefetch, and crash-safe
-// spill-to-disk) — plus Concat, which composes tables without copying.
+// on grailbio/gql's Scanner(start, limit, total) / Len(Exact) contract.
+// Four implementations ship here — Slice (a thin view over an in-memory
+// slice), Batches (struct-of-arrays column batches with lazy
+// materialization, background prefetch, and crash-safe spill-to-disk),
+// Held (one encoded stream decoded on first read), and Concat, which
+// composes tables without copying. Table is sealed to this package: all
+// four scan through one primitive, an exact row window.
+//
+// A table's content identity is its EncodeStream bytes: one column
+// batch over every row in order, so two tables holding the same rows
+// encode the same whatever their storage.
 //
 // The layer exists to make the determinism contract a scaling mechanism:
 // artifact bytes are a pure function of the rows and their order, never
@@ -47,13 +53,13 @@ type Scanner[T any] interface {
 //
 // REQUIRES: 0 <= start <= limit <= total, total >= 1.
 //
-// Hash is a content hash over the rows in row order — independent of
-// batch size, shard count, and storage (memory vs spill). Two tables
-// hash equal iff they hold identical rows in identical order.
+// rowScanner scans the exact row window [lo, hi): Scanner maps its
+// shard to a window and opens it, and Concat routes a shard across its
+// parts through it.
 type Table[T any] interface {
 	Scanner(start, limit, total int) Scanner[T]
 	Len(mode CountMode) int
-	Hash() (uint64, error)
+	rowScanner(lo, hi int) Scanner[T]
 }
 
 // ShardRange maps the shard [start, limit) of total onto concrete row
@@ -65,99 +71,19 @@ func ShardRange(start, limit, total, n int) (lo, hi int) {
 	return start * n / total, limit * n / total
 }
 
-// rowRanger is the internal seam composing tables in this package:
-// scanning an exact row window, not a shard of the whole. All tables
-// here implement it; Concat uses it to route a shard across parts.
-type rowRanger[T any] interface {
-	rowScanner(lo, hi int) Scanner[T]
-}
-
-// rowsIn returns a scanner over rows [lo, hi) of t, using the exact
-// window when t supports it and a skip-scan otherwise.
-func rowsIn[T any](t Table[T], lo, hi int) Scanner[T] {
-	if rr, ok := t.(rowRanger[T]); ok {
-		return rr.rowScanner(lo, hi)
-	}
-	return &skipScanner[T]{inner: t.Scanner(0, 1, 1), lo: lo, hi: hi}
-}
-
-// skipScanner adapts a whole-table scanner to a row window for foreign
-// Table implementations.
-type skipScanner[T any] struct {
-	inner Scanner[T]
-	lo    int
-	hi    int
-	pos   int
-}
-
-func (s *skipScanner[T]) Scan() bool {
-	for s.pos < s.lo {
-		if !s.inner.Scan() {
-			return false
-		}
-		s.pos++
-	}
-	if s.pos >= s.hi {
-		return false
-	}
-	if !s.inner.Scan() {
-		return false
-	}
-	s.pos++
-	return true
-}
-
-func (s *skipScanner[T]) Row() T     { return s.inner.Row() }
-func (s *skipScanner[T]) Err() error { return s.inner.Err() }
-
-// fnv1aInit and fnv1aMix implement the 64-bit FNV-1a chain used for
-// row-order content hashes.
-const (
-	fnv1aInit  = 14695981039346656037
-	fnv1aPrime = 1099511628211
-)
-
-func fnv1aMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnv1aPrime
-		v >>= 8
-	}
-	return h
-}
-
-// HashRows chains hashRow over every row in order: the canonical
-// content hash implementation shared by the Table types here.
-func HashRows[T any](t Table[T], hashRow func(T) uint64) (uint64, error) {
-	h := uint64(fnv1aInit)
-	sc := t.Scanner(0, 1, 1)
-	for sc.Scan() {
-		h = fnv1aMix(h, hashRow(sc.Row()))
-	}
-	if err := sc.Err(); err != nil {
-		return 0, err
-	}
-	return h, nil
-}
-
 // Slice is a Table over an in-memory slice. It is the bridge type:
 // existing []T producers become tables without copying.
 type Slice[T any] struct {
-	rows    []T
-	hashRow func(T) uint64
+	rows []T
 }
 
-// NewSlice wraps rows (not copied; callers must not mutate) with the
-// given per-row hash.
-func NewSlice[T any](rows []T, hashRow func(T) uint64) *Slice[T] {
-	return &Slice[T]{rows: rows, hashRow: hashRow}
+// NewSlice wraps rows (not copied; callers must not mutate).
+func NewSlice[T any](rows []T) *Slice[T] {
+	return &Slice[T]{rows: rows}
 }
 
 // Len implements Table.
 func (s *Slice[T]) Len(CountMode) int { return len(s.rows) }
-
-// Hash implements Table.
-func (s *Slice[T]) Hash() (uint64, error) { return HashRows[T](s, s.hashRow) }
 
 // Scanner implements Table.
 func (s *Slice[T]) Scanner(start, limit, total int) Scanner[T] {
@@ -204,32 +130,17 @@ type concatTable[T any] struct {
 
 func (c *concatTable[T]) Len(CountMode) int { return c.offs[len(c.parts)] }
 
-func (c *concatTable[T]) Hash() (uint64, error) {
-	// Chain the part hashes in part order; identical parts in identical
-	// order hash equal regardless of how rows are batched inside.
-	h := uint64(fnv1aInit)
-	for _, p := range c.parts {
-		ph, err := p.Hash()
-		if err != nil {
-			return 0, err
-		}
-		h = fnv1aMix(h, ph)
-	}
-	return h, nil
-}
-
 func (c *concatTable[T]) Scanner(start, limit, total int) Scanner[T] {
 	lo, hi := ShardRange(start, limit, total, c.Len(Exact))
 	return c.rowScanner(lo, hi)
 }
 
 func (c *concatTable[T]) rowScanner(lo, hi int) Scanner[T] {
-	return &concatScanner[T]{c: c, lo: lo, hi: hi, pos: lo, part: -1}
+	return &concatScanner[T]{c: c, hi: hi, pos: lo, part: -1}
 }
 
 type concatScanner[T any] struct {
 	c    *concatTable[T]
-	lo   int
 	hi   int
 	pos  int
 	part int
@@ -265,7 +176,7 @@ func (s *concatScanner[T]) Scan() bool {
 		if end := s.hi - s.c.offs[s.part]; end < phi {
 			phi = end
 		}
-		s.cur = rowsIn(s.c.parts[s.part], plo, phi)
+		s.cur = s.c.parts[s.part].rowScanner(plo, phi)
 	}
 }
 

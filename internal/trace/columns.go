@@ -178,7 +178,7 @@ func (c *JobColumns) MemBytes() int {
 	return fixed + dicts
 }
 
-// JobCodec binds Job to its columnar form and content hash.
+// JobCodec binds Job to its columnar form.
 type JobCodec struct{}
 
 // NewColumns implements table.Codec.
@@ -191,26 +191,6 @@ func (JobCodec) DecodeLen(r *table.Reader) int {
 		table.SkipDict(r)
 	}
 	return r.Count("job rows", jobRowMinBytes)
-}
-
-// HashRow implements table.Codec: every field that reaches an artifact
-// is mixed in.
-func (JobCodec) HashRow(j Job) uint64 {
-	h := table.HashInit()
-	h = table.HashUint64(h, j.ID)
-	h = table.HashString(h, j.User)
-	h = table.HashString(h, j.Account)
-	h = table.HashString(h, j.Partition)
-	h = table.HashInt64(h, int64(j.Year))
-	h = table.HashInt64(h, j.Submit)
-	h = table.HashInt64(h, int64(j.Nodes))
-	h = table.HashInt64(h, int64(j.CoresPer))
-	h = table.HashInt64(h, int64(j.GPUs))
-	h = table.HashInt64(h, j.Limit)
-	h = table.HashInt64(h, j.Elapsed)
-	h = table.HashString(h, string(j.State))
-	h = table.HashString(h, j.Language)
-	return h
 }
 
 // JobTable is the streaming form of a job trace.

@@ -130,21 +130,6 @@ func TestWriteAccountingTableBytes(t *testing.T) {
 	}
 }
 
-func TestJobHashDistinguishesFields(t *testing.T) {
-	j := genYear(t, 2024)[0]
-	base := JobCodec{}.HashRow(j)
-	mut := j
-	mut.Elapsed++
-	if (JobCodec{}).HashRow(mut) == base {
-		t.Fatal("hash ignored Elapsed")
-	}
-	mut = j
-	mut.User += "x"
-	if (JobCodec{}).HashRow(mut) == base {
-		t.Fatal("hash ignored User")
-	}
-}
-
 // TestJobColumnsRejectCodeOutsideDict: a row whose dictionary code
 // names no dictionary entry is refused at decode time — Row would
 // otherwise panic on it.
