@@ -10,12 +10,11 @@
 //	           [-max-cohort 20000] [-max-runs 2] [-queue-timeout 10s]
 //	           [-drain-timeout 30s] [-run-timeout 0] [-cache-dir DIR]
 //	           [-stage-retries N]
-//	           [-stage-cache] [-stage-cache-dir DIR] [-stage-cache-mb 32]
+//	           [-stage-cache] [-stage-cache-dir DIR] [-stage-cache-mb 27]
 //	           [-breaker-threshold 3] [-breaker-cooldown 30s]
 //	           [-chaos "seed=1,panic=0.05,error=0.05"]
 //	           [-pprof localhost:6060]
-//	           [-trace-scale N] [-spill-dir DIR] [-table-shards N]
-//	           [-batch-rows N]
+//	           [-trace-scale N]
 //	           [-peers URL,URL,...] [-join URL,URL,...] [-self URL]
 //	           [-peer-secret S] [-lease-ttl 15s] [-peer-probe-interval 2s]
 //	           [-peer-suspect-timeout 10s] [-readyz-quorum]
@@ -45,11 +44,10 @@
 // detail with a 200.
 //
 // -trace-scale replicates every trace year N× (a 100× or 1000×
-// synthetic trace for scaling studies); -spill-dir bounds trace memory
-// by spilling column batches to disk, so scaled runs fit under a
-// GOMEMLIMIT the fully-resident layout cannot meet. -table-shards and
-// -batch-rows tune scan parallelism and batch granularity; none of the
-// three storage knobs change artifact bytes or ETags.
+// synthetic trace for scaling studies). It changes the fingerprint and
+// the artifacts. Each (year, replica) is its own stage and its own
+// resident column table, so scaling multiplies tables rather than
+// growing one; run under GOMEMLIMIT to bound the heap.
 //
 // -cache-dir enables crash-safe persistence: rendered artifacts are
 // atomically spilled to disk and checksum-validated back into the cache
@@ -115,7 +113,7 @@ func run() error {
 	n2011 := flag.Int("n2011", 200, "base 2011 cohort size")
 	n2024 := flag.Int("n2024", 600, "base 2024 cohort size")
 	years := flag.String("years", "", "comma-separated trace years (default: the standard study years)")
-	workers := flag.Int("workers", 0, "pipeline workers per run (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "pipeline workers per run, also the shard fan-out of table scans (0 = GOMAXPROCS)")
 	cacheMB := flag.Int64("cache-mb", 64, "rendered-artifact cache bound in MiB")
 	maxCohort := flag.Int("max-cohort", 20000, "per-cohort size cap for POST /v1/run")
 	runLimit := flag.Int("max-runs", 2, "concurrent pipeline runs")
@@ -133,9 +131,6 @@ func run() error {
 	chaos := flag.String("chaos", "", `deterministic fault injection, e.g. "seed=1,panic=0.05,error=0.05,latency=0.1,delay=5ms[,stages=a|b]" (dev/test only)`)
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled, never on the public listener)")
 	traceScale := flag.Int("trace-scale", 0, "replicate each trace year N× (0/1 = unscaled; changes the fingerprint)")
-	spillDir := flag.String("spill-dir", "", "spill column batches here to bound trace memory (empty = fully resident)")
-	tableShards := flag.Int("table-shards", 0, "scan shards per columnar aggregation (0 = worker count)")
-	batchRows := flag.Int("batch-rows", 0, "rows per column batch (0 = default)")
 	peers := flag.String("peers", "", "comma-separated base URLs seeding the initial membership, including this one (empty = standalone unless -join)")
 	join := flag.String("join", "", "comma-separated seed replica URLs to join an existing cluster through (empty = bootstrap from -peers)")
 	self := flag.String("self", "", "this replica's advertised base URL (required with -peers or -join)")
@@ -160,9 +155,6 @@ func run() error {
 	cfg.N2024 = *n2024
 	cfg.Workers = *workers
 	cfg.TraceScale = *traceScale
-	cfg.Table.SpillDir = *spillDir
-	cfg.Table.Shards = *tableShards
-	cfg.Table.BatchRows = *batchRows
 	if *years != "" {
 		ys, err := parseYears(*years)
 		if err != nil {

@@ -47,8 +47,8 @@ var errdropScopePackages = map[string]bool{
 	// sync, or close error there would let a torn entry masquerade as a
 	// durable one until checksum verification catches it much later.
 	"stagecache": true,
-	// durable is the write protocol stagecache and table spill share;
-	// the same torn-entry argument applies to every call it makes.
+	// durable is the write protocol under stagecache and the render
+	// cache; the same torn-entry argument applies to every call it makes.
 	"durable": true,
 }
 

@@ -167,8 +167,6 @@ func artifactSink(fn *types.Func, call *ast.CallExpr, info *types.Info) (string,
 			case "Raw", "Uvarint", "Varint", "Float64", "String":
 				return "table.Writer." + name, nil, true
 			}
-		case recv == "Builder" && name == "Append":
-			return "table.Builder.Append", nil, true
 		case recv == "" && (name == "FromSlice" || name == "NewSlice" || name == "Build"):
 			return "table." + name, nil, true
 		}

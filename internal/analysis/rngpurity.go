@@ -22,10 +22,9 @@ var pipelinePackages = map[string]bool{
 	"growth":     true,
 	"modlog":     true,
 	"stats":      true,
-	// table is artifact storage: its spill layer must take directories
-	// explicitly (no os.TempDir/env fallback) and its scans must not
-	// depend on ambient state, or artifact bytes stop being a pure
-	// function of the seed.
+	// table is artifact storage: its scans and codecs must not depend
+	// on ambient state, or artifact bytes stop being a pure function of
+	// the seed.
 	"table": true,
 	// cluster executes pipeline stages on behalf of peers: any ambient
 	// time or env read there would make remotely computed bytes diverge

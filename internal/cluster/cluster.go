@@ -200,7 +200,7 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 		if p == "" {
 			return nil, fmt.Errorf("cluster: empty peer URL")
 		}
-		if !strings.HasPrefix(p, "http://") && !strings.HasPrefix(p, "https://") {
+		if !validPeer(p) {
 			return nil, fmt.Errorf("cluster: peer %q is not an http(s) base URL", p)
 		}
 		if seen[p] {
@@ -215,7 +215,7 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 		if j == "" || j == opts.Self {
 			continue
 		}
-		if !strings.HasPrefix(j, "http://") && !strings.HasPrefix(j, "https://") {
+		if !validPeer(j) {
 			return nil, fmt.Errorf("cluster: join seed %q is not an http(s) base URL", j)
 		}
 		joinSeeds = append(joinSeeds, j)
@@ -647,6 +647,14 @@ func equalStrings(a, b []string) bool {
 // normalizePeer canonicalizes a peer base URL (no trailing slash).
 func normalizePeer(p string) string {
 	return strings.TrimRight(strings.TrimSpace(p), "/")
+}
+
+// validPeer reports whether name is a normalized http(s) base URL, the
+// form New requires of every -peers and -join entry. A member name
+// gossip carries is checked the same way, so a malformed one never
+// joins the ring.
+func validPeer(name string) bool {
+	return name == normalizePeer(name) && (strings.HasPrefix(name, "http://") || strings.HasPrefix(name, "https://"))
 }
 
 // NormalizePeer canonicalizes a peer base URL exactly the way the

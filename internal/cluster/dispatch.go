@@ -51,17 +51,14 @@ func (c *Cluster) runLocal(local func() error) error {
 	return local()
 }
 
-// remoteStage ships one stage to peer. Execution knobs are stripped
-// from the wire config: worker counts, batch sizes, and spill paths
-// are local concerns (artifact bytes are invariant to them, pinned by
-// the shard/batch equivalence tests), and a requester's spill
-// directory is meaningless on another machine. The thief's ring epoch
-// rides along so a steal that straddles a membership change is visible
-// on the serving side's mismatch counter.
+// remoteStage ships one stage to peer. The worker count is stripped
+// from the wire config: it is a local concern (artifact bytes are
+// invariant to it, pinned by the worker-count equivalence tests). The
+// thief's ring epoch rides along so a steal that straddles a membership
+// change is visible on the serving side's mismatch counter.
 func (c *Cluster) remoteStage(ctx context.Context, peer string, cfg core.Config, stage string) ([]byte, error) {
 	wire := cfg
 	wire.Workers = 0
-	wire.Table = core.TableConfig{}
 	sctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
 	return c.client.postStage(sctx, peer, StageRequest{Config: wire, Stage: stage, Epoch: c.EpochHex()})

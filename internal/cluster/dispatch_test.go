@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -32,6 +34,38 @@ func tinyCfg() core.Config {
 		Policy:     sched.EASYBackfill,
 		TraceScale: 2,
 		Workers:    4,
+	}
+}
+
+// TestStageRequestIgnoresTableKey: a replica from before Config lost
+// its Table knobs still sends a Table object in the config of a steal
+// or a fill. Decoding skips the unknown key, so a mixed-version ring
+// keeps working.
+func TestStageRequestIgnoresTableKey(t *testing.T) {
+	want := tinyCfg()
+	raw, err := json.Marshal(StageRequest{Config: want, Stage: "trace-2011"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(raw, []byte(`"config":{`),
+		[]byte(`"config":{"Table":{"BatchRows":64,"Shards":2,"SpillDir":"spill","Resident":2},`), 1)
+	if bytes.Equal(older, raw) {
+		t.Fatal("no config object to splice the Table key into")
+	}
+	var got StageRequest
+	if err := json.Unmarshal(older, &got); err != nil {
+		t.Fatalf("stage request with a Table key: %v", err)
+	}
+	if !reflect.DeepEqual(got.Config, want) || got.Stage != "trace-2011" {
+		t.Fatalf("decoded %+v, want config %+v", got, want)
+	}
+	var wire struct{ Config json.RawMessage }
+	if err := json.Unmarshal(older, &wire); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := DecodeConfigParam(base64.RawURLEncoding.EncodeToString(wire.Config))
+	if err != nil || !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("fill config with a Table key: %+v, %v; want %+v", cfg, err, want)
 	}
 }
 

@@ -107,7 +107,7 @@ func (c *Cluster) HandleIndirectProbe(ctx context.Context, req IndirectProbeRequ
 	first := c.members.NoteFirsthand(req.From, req.Incarnation)
 	merged := c.members.Merge(req.Members)
 	ok := false
-	if req.Target != "" && req.Target != c.self {
+	if validPeer(req.Target) && req.Target != c.self {
 		pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
 		ack, err := c.client.probe(pctx, req.Target, c.probeBody())
 		cancel()

@@ -230,13 +230,15 @@ func (m *Memberlist) StateOf(name string) (MemberState, bool) {
 // verdict at incarnation i kills any liveness claim at i). Updates
 // about self never change self's record — a suspicion or death notice
 // about self at the current incarnation is refuted by bumping the
-// incarnation, which outranks the rumor everywhere.
+// incarnation, which outranks the rumor everywhere. An update with an
+// unknown state or a name that is not a normalized http(s) base URL is
+// skipped.
 func (m *Memberlist) Merge(updates []MemberUpdate) (changed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, u := range updates {
 		state, ok := parseMemberState(u.State)
-		if !ok || u.Name == "" {
+		if !ok || !validPeer(u.Name) {
 			continue
 		}
 		if u.Name == m.self {
@@ -346,9 +348,10 @@ func overrides(ns MemberState, ni uint64, os MemberState, oi uint64) bool {
 // tombstone, which is how a restarted replica (incarnation reset to 0)
 // rejoins a ring that declared its previous life dead: the revived
 // record's incarnation is bumped past the tombstone so the resurrection
-// outgossips it.
+// outgossips it. A name that is not a normalized http(s) base URL is
+// ignored.
 func (m *Memberlist) NoteFirsthand(name string, inc uint64) (changed bool) {
-	if name == m.self || name == "" {
+	if name == m.self || !validPeer(name) {
 		return false
 	}
 	m.mu.Lock()

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"repro/internal/modlog"
 	"repro/internal/parallel"
@@ -55,54 +54,14 @@ type Config struct {
 	// bit-identical to the unscaled trace, and 0 or 1 means unscaled —
 	// which is why the fingerprint only encodes TraceScale when > 1.
 	// Replicas are separate pipeline stages, so a 100× year generates
-	// across workers, and separate column tables, so it streams under
-	// the Table memory budget.
+	// across workers, each replica into a column table of its own.
 	TraceScale int
-
-	// Table tunes the columnar artifact storage (internal/table). All
-	// execution knobs: like Workers, they are excluded from the config
-	// fingerprint because artifact bytes are invariant to them (pinned
-	// by the shard/batch equivalence tests).
-	Table TableConfig
 }
 
-// TableConfig is the columnar-storage tuning surface.
-type TableConfig struct {
-	// BatchRows is rows per column batch (<=0: 8192).
-	BatchRows int
-	// Shards is the scanner fan-out for order-free table aggregations
-	// (<=0: Workers). Order-sensitive folds ignore it by design.
-	Shards int
-	// SpillDir, when set, bounds resident memory by spilling column
-	// batches to checksummed files under this directory; the 100×–1000×
-	// runs set it. Empty keeps batches resident. Explicit by contract:
-	// pipeline code never consults the environment, so there is no
-	// os.TempDir fallback.
-	SpillDir string
-	// Resident caps in-memory batches per table when spilling (<=0: 4).
-	Resident int
-}
-
-// tableOptions maps the config onto a per-table options value; sub
-// names one table's private spill directory.
-func (c Config) tableOptions(sub string) table.Options {
-	opt := table.Options{
-		BatchSize: c.Table.BatchRows,
-		Resident:  c.Table.Resident,
-	}
-	if c.Table.SpillDir != "" {
-		// Scoped by fingerprint so concurrent runs of different configs
-		// (e.g. under rcpt-serve) never share spill files.
-		opt.SpillDir = filepath.Join(c.Table.SpillDir, c.Fingerprint()[:12], sub)
-	}
-	return opt
-}
-
-// tableShards resolves the shard fan-out for order-free aggregations.
-func (c Config) tableShards() int {
-	if c.Table.Shards > 0 {
-		return c.Table.Shards
-	}
+// workerCount resolves Workers (<=0: GOMAXPROCS). Order-free table
+// aggregations fan out over that many shards; order-sensitive folds
+// ignore it by design.
+func (c Config) workerCount() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
@@ -181,8 +140,7 @@ type Artifacts struct {
 
 	// Jobs streams the whole multi-year accounting trace: the per-year
 	// tables concatenated in TraceYears order (arrival order within each
-	// year). With Config.Table.SpillDir set it never needs to be resident
-	// at once.
+	// year).
 	Jobs trace.JobTable
 	// JobsByYr holds the same jobs keyed by year (each a concatenation
 	// of that year's TraceScale replica tables, in replica order).
@@ -498,10 +456,8 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 	// run one stage per (year, replica): TraceScale replicas of a year
 	// are separate stages — that is the per-shard parallelism beyond the
 	// per-year split — each streaming its generator straight into its
-	// own column table, so a replica's working set is O(BatchSize ×
-	// Resident), never the whole year. Trace stages are the stealable
-	// ones. Telemetry stays one stage per year (its volume does not
-	// scale).
+	// own column table. Trace stages are the stealable ones. Telemetry
+	// stays one stage per year (its volume does not scale).
 	scale := cfg.traceScale()
 	repTables := make([][]trace.JobTable, len(cfg.TraceYears))
 	modTables := make([]modlog.EventTable, len(cfg.TraceYears))
@@ -521,7 +477,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 			// every replica a smaller scale cached keeps hitting.
 			specs = append(specs, stage[trace.JobTable]{
 				name: name, version: verTrace, inputs: seedInputs(cfg), stealable: true,
-				run:   func() (trace.JobTable, error) { return buildTraceReplica(cfg, root, year, rep) },
+				run:   func() (trace.JobTable, error) { return buildTraceReplica(root, year, rep) },
 				set:   assign(&repTables[i][rep]),
 				codec: jobsCodec,
 			}.spec())
@@ -530,26 +486,11 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 		specs = append(specs, stage[modlog.EventTable]{
 			name: modStages[i], version: verModlog, inputs: seedInputs(cfg),
 			run: func() (modlog.EventTable, error) {
-				stream := modStages[i]
-				events, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(stream))
+				events, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(modStages[i]))
 				if err != nil {
 					return nil, fmt.Errorf("core: generating %d module log: %w", year, err)
 				}
-				tab, err := table.FromSlice[modlog.Event](modlog.EventCodec{}, cfg.tableOptions(stream), events)
-				if err != nil {
-					return nil, fmt.Errorf("core: %d module log table: %w", year, err)
-				}
-				tab.SetRebuild(func(lo, hi int, into table.Columns[modlog.Event]) error {
-					evs, err := modlog.CampusModulesModel(year).Generate(root.SplitNamed(stream))
-					if err != nil {
-						return err
-					}
-					for _, e := range evs[lo:hi] {
-						into.Append(e)
-					}
-					return nil
-				})
-				return tab, nil
+				return table.FromSlice[modlog.Event](modlog.EventCodec{}, events), nil
 			},
 			set:   assign(&modTables[i]),
 			codec: tableCodec(payloadEvents, modlog.EventCodec{}),
@@ -580,7 +521,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 	specs = append(specs, stage[[]modlog.YearShares]{
 		name: "modlog-merge", version: verModAgg, deps: modStages,
 		run: func() ([]modlog.YearShares, error) {
-			agg, err := modlog.AggregateByYearTable(table.Concat[modlog.Event](modTables...), cfg.tableShards())
+			agg, err := modlog.AggregateByYearTable(table.Concat[modlog.Event](modTables...), cfg.workerCount())
 			if err != nil {
 				return nil, fmt.Errorf("core: aggregating module log: %w", err)
 			}
@@ -663,55 +604,25 @@ func traceFirstID(year, rep int) uint64 {
 }
 
 // buildTraceReplica streams one (year, replica) trace generation into a
-// column table and installs the deterministic rebuild hook used if a
-// spill file is later found corrupt. Every generation pass derives a
-// fresh copy of the replica's named stream from root (SplitNamed is pure
-// and never advances root); the generator is the source of truth, so
-// rebuilding rows [lo, hi) re-runs the stream from the top and
-// recomputes byte-identical rows.
-func buildTraceReplica(cfg Config, root *rng.RNG, year, rep int) (*table.Batches[trace.Job], error) {
+// column table. The replica's named stream is derived from root
+// (SplitNamed is pure and never advances root), so every call
+// generates the same rows.
+func buildTraceReplica(root *rng.RNG, year, rep int) (*table.Resident[trace.Job], error) {
 	stream := traceStreamName(year, rep)
 	offset := int64(rep) * repStride
-	generate := func(emit func(trace.Job) error) error {
+	tab, err := table.Build[trace.Job](trace.JobCodec{}, func(appendRow func(trace.Job)) error {
 		return trace.CampusModel(year).GenerateStream(root.SplitNamed(stream), traceFirstID(year, rep),
 			func(j trace.Job) error {
 				j.Submit += offset
-				return emit(j)
-			})
-	}
-	tab, err := table.Build[trace.Job](trace.JobCodec{}, cfg.tableOptions(stream),
-		func(appendRow func(trace.Job)) error {
-			return generate(func(j trace.Job) error {
 				appendRow(j)
 				return nil
 			})
-		})
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: generating %s: %w", stream, err)
 	}
-	tab.SetRebuild(func(lo, hi int, into table.Columns[trace.Job]) error {
-		i := 0
-		err := generate(func(j trace.Job) error {
-			if i >= hi {
-				return errRebuildDone
-			}
-			if i >= lo {
-				into.Append(j)
-			}
-			i++
-			return nil
-		})
-		if err != nil && !errors.Is(err, errRebuildDone) {
-			return err
-		}
-		return nil
-	})
 	return tab, nil
 }
-
-// errRebuildDone short-circuits a rebuild scan once the requested row
-// window has been recomputed.
-var errRebuildDone = errors.New("core: rebuild window complete")
 
 // concatJobTables joins a year's replica tables in replica order (a
 // no-op for the common single-replica case).

@@ -177,10 +177,7 @@ func TestFigure7TiesBreakByAccount(t *testing.T) {
 		jobs = append(jobs, trace.Job{ID: uint64(i + 1), User: "u", Account: acct, Partition: "cpu",
 			Year: 2024, Nodes: 1, CoresPer: 4, Limit: 7200, Elapsed: 3600, State: trace.StateCompleted, Language: "python"})
 	}
-	tab, err := table.FromSlice[trace.Job](trace.JobCodec{}, table.Options{}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := table.FromSlice[trace.Job](trace.JobCodec{}, jobs)
 	cfg := smallConfig()
 	a := &Artifacts{Config: cfg, JobsByYr: map[int]trace.JobTable{cfg.SimYear: tab}}
 	var first []byte

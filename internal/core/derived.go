@@ -183,7 +183,7 @@ func (a *Artifacts) CoLoadPairs() ([]modlog.PairAffinity, error) {
 			a.derived.coLoadsErr = fmt.Errorf("core: no telemetry events for sim year %d", a.Config.SimYear)
 			return
 		}
-		a.derived.coLoads, a.derived.coLoadsErr = modlog.CoLoadsTable(a.ModEventsSim, a.Config.SimYear, a.Config.tableShards())
+		a.derived.coLoads, a.derived.coLoadsErr = modlog.CoLoadsTable(a.ModEventsSim, a.Config.SimYear, a.Config.workerCount())
 	})
 	return a.derived.coLoads, a.derived.coLoadsErr
 }

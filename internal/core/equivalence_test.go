@@ -51,7 +51,7 @@ func assertArtifactsEqual(t *testing.T, labelA, labelB string, x, y *Artifacts) 
 	check("Rake2011", x.Rake2011, y.Rake2011)
 	check("Rake2024", x.Rake2024, y.Rake2024)
 	// Tables are compared by materialized rows here and by accounting
-	// bytes below — the storage (batch layout, spill state) is an
+	// bytes below — the storage (resident, held, concatenated) is an
 	// execution detail that legitimately differs between runs.
 	check("Jobs", jobRows(t, x.Jobs), jobRows(t, y.Jobs))
 	if len(x.JobsByYr) != len(y.JobsByYr) {
@@ -136,31 +136,26 @@ func eventRows(t *testing.T, tab modlog.EventTable) []modlog.Event {
 }
 
 // TestRunShardBatchEquivalence pins the columnar-layer contract from
-// DESIGN.md: batch size, shard fan-out, and spill configuration are
-// execution knobs — artifacts (rows and serialized accounting bytes)
-// are byte-identical across all of them, and the fingerprint does not
-// encode them.
+// DESIGN.md: the worker count, which is also the shard fan-out of every
+// order-free table aggregation, is an execution knob — artifacts (rows
+// and serialized accounting bytes) are byte-identical across worker
+// counts, and the fingerprint does not encode it.
 func TestRunShardBatchEquivalence(t *testing.T) {
 	base, err := Run(equivConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []TableConfig{
-		{BatchRows: 64, Shards: 1},
-		{BatchRows: 512, Shards: 3},
-		{BatchRows: 4096, Shards: 7},
-		{BatchRows: 256, Shards: 5, SpillDir: t.TempDir(), Resident: 2},
-	} {
+	for _, workers := range []int{1, 3, 7} {
 		cfg := equivConfig()
-		cfg.Table = tc
+		cfg.Workers = workers
 		if cfg.Fingerprint() != equivConfig().Fingerprint() {
-			t.Fatalf("%+v: table knobs leaked into the fingerprint", tc)
+			t.Fatalf("workers=%d: the worker count leaked into the fingerprint", workers)
 		}
 		got, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		assertArtifactsEqual(t, "default", fmt.Sprintf("batch=%d/shards=%d/spill=%t", tc.BatchRows, tc.Shards, tc.SpillDir != ""), base, got)
+		assertArtifactsEqual(t, "default", fmt.Sprintf("workers=%d", workers), base, got)
 	}
 }
 

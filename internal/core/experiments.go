@@ -488,7 +488,7 @@ func figure3(a *Artifacts, w io.Writer) error {
 		}
 		// Core counts are integers, so the sharded collect is order-free
 		// in value; it still preserves row order by contract.
-		cores, err := table.ShardCollect[trace.Job](jobs, a.Config.tableShards(), func(j trace.Job) float64 {
+		cores, err := table.ShardCollect[trace.Job](jobs, a.Config.workerCount(), func(j trace.Job) float64 {
 			return float64(j.Cores())
 		})
 		if err != nil {

@@ -14,12 +14,12 @@ import (
 // fingerprints produce byte-identical artifacts, so the fingerprint is
 // safe to use as a cache key and as the basis for HTTP ETags.
 //
-// Config.Workers and Config.Table are deliberately excluded: the
-// determinism contract (DESIGN.md "Pipeline concurrency & determinism",
-// enforced by TestRunWorkerCountEquivalence and the shard/batch
-// equivalence tests) guarantees artifacts are byte-identical for any
-// worker count, shard fan-out, batch size, or spill configuration, so
-// runs differing only in execution knobs must share a cache slot.
+// Config.Workers is deliberately excluded: the determinism contract
+// (DESIGN.md "Pipeline concurrency & determinism", enforced by
+// TestRunWorkerCountEquivalence and TestRunShardBatchEquivalence)
+// guarantees artifacts are byte-identical for any worker count, and so
+// for any shard fan-out, so runs differing only in it must share a
+// cache slot.
 // Config.TraceScale does change artifacts, but only when > 1; the
 // unscaled encoding omits the field entirely so every fingerprint from
 // before the field existed stays valid.

@@ -275,8 +275,8 @@ func TestRenderKeysGolden(t *testing.T) {
 	}
 }
 
-// TestRenderKeysIgnoreExecutionKnobs: Workers and Table never reach a
-// render key, as they never reach a fingerprint.
+// TestRenderKeysIgnoreExecutionKnobs: Workers never reaches a render
+// key, as it never reaches a fingerprint.
 func TestRenderKeysIgnoreExecutionKnobs(t *testing.T) {
 	a, err := RenderKeys(smallConfig())
 	if err != nil {
@@ -284,7 +284,6 @@ func TestRenderKeysIgnoreExecutionKnobs(t *testing.T) {
 	}
 	knobs := smallConfig()
 	knobs.Workers = 3
-	knobs.Table = TableConfig{BatchRows: 64, Shards: 2, SpillDir: t.TempDir(), Resident: 1}
 	b, err := RenderKeys(knobs)
 	if err != nil {
 		t.Fatal(err)

@@ -68,9 +68,11 @@ func runCached(t *testing.T, cfg Config, cache StageCache) *Artifacts {
 }
 
 // TestStageCacheEquivalence is the tentpole equivalence matrix: for
-// every worker count × spill combination, a run restored entirely from
-// a warm stage cache must be byte-identical to the cold run that filled
-// it — and to a plain uncached run.
+// every worker count, a run restored entirely from a warm stage cache
+// must be byte-identical to the cold run that filled it — and to a
+// plain uncached run. With spill, the warm run reads every entry back
+// from the production store's disk tier instead of the memory the cold
+// run stored it in.
 func TestStageCacheEquivalence(t *testing.T) {
 	base := equivConfig()
 	for _, workers := range []int{1, 2, 8} {
@@ -79,11 +81,6 @@ func TestStageCacheEquivalence(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := base
 				cfg.Workers = workers
-				if spill {
-					cfg.Table.SpillDir = t.TempDir()
-					cfg.Table.Resident = 2
-					cfg.Table.BatchRows = 64
-				}
 				plain, err := RunWithOptions(t.Context(), cfg, RunOptions{})
 				if err != nil {
 					t.Fatalf("uncached run: %v", err)
@@ -98,6 +95,9 @@ func TestStageCacheEquivalence(t *testing.T) {
 				if stores == 0 {
 					t.Fatal("cold run stored nothing")
 				}
+				if spill {
+					cache.m = spillEntries(t, cache.m)
+				}
 				warm := runCached(t, cfg, cache)
 				assertArtifactsEqual(t, "cold-cached", "warm-cached", cold, warm)
 				loads, hits, _, _ := cache.stats()
@@ -109,6 +109,33 @@ func TestStageCacheEquivalence(t *testing.T) {
 			})
 		}
 	}
+}
+
+// spillEntries writes every entry of m through stagecache's disk tier
+// and returns what a fresh store over the same directory reads back.
+func spillEntries(t *testing.T, m map[string][]byte) map[string][]byte {
+	t.Helper()
+	dir := t.TempDir()
+	disk, err := stagecache.New(stagecache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, payload := range m {
+		disk.Store(key, payload)
+	}
+	fresh, err := stagecache.New(stagecache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(m))
+	for key := range m {
+		payload, ok := fresh.Load(key)
+		if !ok {
+			t.Fatalf("stage entry %s did not come back from disk", key)
+		}
+		out[key] = payload
+	}
+	return out
 }
 
 // TestStageCachePartialInvalidation pins the invalidation matrix: a

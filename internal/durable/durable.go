@@ -1,7 +1,7 @@
 // Package durable is the repository's one crash-safe file protocol. It
 // has three parts, each used by every store that keeps bytes on disk
 // (internal/stagecache, and through it the serving layer's render
-// cache; internal/table's batch spill):
+// cache):
 //
 //   - the "rcpt-stg/1" envelope: magic, the entry's key, payload length,
 //     SHA-256 and payload. The key rides inside the frame, so a file

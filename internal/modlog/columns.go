@@ -7,7 +7,7 @@ import (
 	"repro/internal/table"
 )
 
-// EventColumns is the struct-of-arrays batch form of []Event: times
+// EventColumns is the struct-of-arrays form of []Event: times
 // delta-encoded (the log is time-sorted), users and modules
 // dictionary-encoded.
 type EventColumns struct {
@@ -40,8 +40,8 @@ func (c *EventColumns) Row(i int) Event {
 	}
 }
 
-// Reset implements table.Columns.
-func (c *EventColumns) Reset() {
+// reset empties the columns for DecodeFrom.
+func (c *EventColumns) reset() {
 	c.times, c.years = c.times[:0], c.years[:0]
 	c.users, c.modules = c.users[:0], c.modules[:0]
 	c.userDict.Reset()
@@ -71,7 +71,7 @@ const eventRowMinBytes = 4
 // DecodeFrom implements table.Columns. Every column is sized once from
 // the row count, which the unread bytes bound.
 func (c *EventColumns) DecodeFrom(r *table.Reader) error {
-	c.Reset()
+	c.reset()
 	c.userDict.DecodeFrom(r)
 	c.modDict.DecodeFrom(r)
 	n := r.Count("event rows", eventRowMinBytes)

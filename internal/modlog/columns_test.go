@@ -23,26 +23,24 @@ func genEvents(t *testing.T, years ...int) []Event {
 
 func TestEventColumnsRoundTrip(t *testing.T) {
 	events := genEvents(t, 2024)
-	for _, bs := range []int{100, 4096, len(events) + 1} {
-		tab, err := table.FromSlice[Event](EventCodec{}, table.Options{BatchSize: bs}, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := table.Rows[Event](tab)
+	for _, size := range []int{100, 4096, len(events) + 1} {
+		got, err := table.Rows[Event](builtParts(events, size))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, events) {
-			t.Fatalf("BatchSize=%d: events differ after columnar round trip", bs)
+			t.Fatalf("part size %d: events differ after columnar round trip", size)
 		}
 	}
 }
 
 func TestEventColumnsSpillRoundTrip(t *testing.T) {
 	events := genEvents(t, 2011)
-	tab, err := table.FromSlice[Event](EventCodec{}, table.Options{
-		BatchSize: 1024, SpillDir: t.TempDir(), Resident: 2,
-	}, events)
+	enc, err := table.EncodeStream[Event](EventCodec{}, table.FromSlice[Event](EventCodec{}, events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := table.DecodeStream[Event](enc, EventCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,17 +49,24 @@ func TestEventColumnsSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, events) {
-		t.Fatal("events differ after spill round trip")
+		t.Fatal("events differ after an encode/decode round trip")
 	}
+}
+
+// builtParts returns events as a Concat of resident tables of size rows
+// each, so shard scans cross part boundaries.
+func builtParts(events []Event, size int) EventTable {
+	var parts []EventTable
+	for lo := 0; lo < len(events); lo += size {
+		parts = append(parts, table.FromSlice[Event](EventCodec{}, events[lo:min(lo+size, len(events))]))
+	}
+	return table.Concat(parts...)
 }
 
 func TestAggregateByYearTableMatchesSliceAcrossShards(t *testing.T) {
 	events := genEvents(t, 2011, 2024)
 	want := AggregateByYear(events)
-	tab, err := table.FromSlice[Event](EventCodec{}, table.Options{BatchSize: 500}, events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(events, 500)
 	for _, shards := range []int{1, 3, 7} {
 		got, err := AggregateByYearTable(tab, shards)
 		if err != nil {
@@ -79,10 +84,7 @@ func TestCoLoadsTableMatchesSliceAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := table.FromSlice[Event](EventCodec{}, table.Options{BatchSize: 333}, events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(events, 333)
 	for _, shards := range []int{1, 3, 7} {
 		got, err := CoLoadsTable(tab, 2024, shards)
 		if err != nil {

@@ -141,10 +141,9 @@ func gen10xStream(emit func(trace.Job) error) error {
 // BenchmarkSimulateFeed10x measures the whole feed path — trace
 // storage plus simulation — on the 10× trace, one sub-benchmark per
 // storage strategy. Run with -benchmem: bytes/op and allocs/op carry
-// the comparison, and the resident-trace-b metric reports how much of
-// the trace each strategy keeps in memory while simulating (the
-// []trace.Job slice holds everything; the spilling column table holds
-// O(BatchSize × Resident) regardless of trace length).
+// the comparison, and the resident-trace-b metric reports how much
+// memory each strategy's trace holds while simulating (a []trace.Job
+// slice, or one resident column table with dictionary-coded strings).
 func BenchmarkSimulateFeed10x(b *testing.B) {
 	opt := Options{Policy: EASYBackfill, Fairshare: true}
 	cluster := DefaultCampusCluster()
@@ -164,11 +163,11 @@ func BenchmarkSimulateFeed10x(b *testing.B) {
 		}
 		b.ReportMetric(resident, "resident-trace-b")
 	})
-	bench := func(b *testing.B, opts func(b *testing.B) table.Options) {
+	b.Run("table", func(b *testing.B) {
 		b.ReportAllocs()
 		resident := 0.0
 		for i := 0; i < b.N; i++ {
-			tab, err := table.Build[trace.Job](trace.JobCodec{}, opts(b), func(appendRow func(trace.Job)) error {
+			tab, err := table.Build[trace.Job](trace.JobCodec{}, func(appendRow func(trace.Job)) error {
 				return gen10xStream(func(j trace.Job) error { appendRow(j); return nil })
 			})
 			if err != nil {
@@ -180,13 +179,5 @@ func BenchmarkSimulateFeed10x(b *testing.B) {
 			resident = float64(tab.MemBytes())
 		}
 		b.ReportMetric(resident, "resident-trace-b")
-	}
-	b.Run("table", func(b *testing.B) {
-		bench(b, func(b *testing.B) table.Options { return table.Options{} })
-	})
-	b.Run("table-spill", func(b *testing.B) {
-		bench(b, func(b *testing.B) table.Options {
-			return table.Options{SpillDir: b.TempDir(), Resident: 2}
-		})
 	})
 }

@@ -124,8 +124,8 @@ func (s *tableSource) err() error { return s.e }
 // a silent re-sort (sorting would require materializing the trace,
 // defeating the streaming path). Jobs are validated as they arrive.
 // The simulation is identical, event for event, to Simulate over the
-// materialized rows (pinned by the feed-equivalence test); memory held
-// by the feed is one batch plus a prefetch instead of the whole trace.
+// materialized rows (pinned by the feed-equivalence test); the feed
+// reads the table one row ahead instead of copying it into a []Job.
 func SimulateTable(cluster Cluster, t table.Table[trace.Job], opt Options) (*Result, error) {
 	if err := cluster.Validate(); err != nil {
 		return nil, err

@@ -21,10 +21,17 @@ func feedTrace(t *testing.T) []trace.Job {
 
 // TestSimulateTableMatchesSlice pins the feed equivalence: the streamed
 // simulation is event-for-event identical to the batch one, across
-// policies, batch sizes, and the spill path.
+// policies, on a built table and on Concats of built parts.
 func TestSimulateTableMatchesSlice(t *testing.T) {
 	jobs := feedTrace(t)
 	cluster := DefaultCampusCluster()
+	parts := func(size int) trace.JobTable {
+		var ps []trace.JobTable
+		for lo := 0; lo < len(jobs); lo += size {
+			ps = append(ps, table.FromSlice[trace.Job](trace.JobCodec{}, jobs[lo:min(lo+size, len(jobs))]))
+		}
+		return table.Concat(ps...)
+	}
 	for _, pol := range []Policy{FCFS, EASYBackfill, ConservativeBackfill} {
 		opt := Options{Policy: pol, Fairshare: pol == EASYBackfill}
 		want, err := Simulate(cluster, jobs, opt)
@@ -33,17 +40,13 @@ func TestSimulateTableMatchesSlice(t *testing.T) {
 		}
 		for _, tc := range []struct {
 			name string
-			opt  table.Options
+			tab  trace.JobTable
 		}{
-			{"batch64", table.Options{BatchSize: 64}},
-			{"batch4096", table.Options{BatchSize: 4096}},
-			{"spill", table.Options{BatchSize: 512, SpillDir: t.TempDir(), Resident: 2}},
+			{"built", table.FromSlice[trace.Job](trace.JobCodec{}, jobs)},
+			{"parts/64", parts(64)},
+			{"parts/4096", parts(4096)},
 		} {
-			tab, err := table.FromSlice[trace.Job](trace.JobCodec{}, tc.opt, jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := SimulateTable(cluster, tab, opt)
+			got, err := SimulateTable(cluster, tc.tab, opt)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", pol, tc.name, err)
 			}

@@ -203,12 +203,12 @@ func (s *Server) handlePeerStage(w http.ResponseWriter, r *http.Request) {
 	// membership change still produces the right bytes (the ETag proves
 	// it), so a mismatch is metered, never refused.
 	s.cluster.CheckEpoch("stage", req.Epoch)
-	// The wire config arrives with execution knobs stripped (they are
-	// local concerns, invariant to the bytes and absent from stage
-	// keys); apply this replica's own.
+	// The wire config arrives with the worker count stripped (a local
+	// concern, invariant to the bytes and absent from stage keys);
+	// apply this replica's own. A Table key an older peer still sends
+	// decodes into nothing: encoding/json skips unknown fields.
 	cfg := req.Config
 	cfg.Workers = s.baseCfg.Workers
-	cfg.Table = s.baseCfg.Table
 	payload, err := core.RunStage(r.Context(), cfg, req.Stage, s.stageCache)
 	if err != nil {
 		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})

@@ -536,11 +536,22 @@ func TestStatsEndpoints(t *testing.T) {
 		"/v1/stats/chisquare?rows=2&cols=2&counts=1,2,3", // wrong count
 		"/v1/stats/chisquare?rows=2&cols=2&counts=1,2,3,x",
 		"/v1/stats/chisquare?rows=2&cols=2&counts=1,2,3,4&test=anova",
+		// A shape the counts cannot fill is refused before rows×cols
+		// cells are allocated, including one whose product overflows.
+		"/v1/stats/chisquare?rows=50000&cols=50000&counts=1,2,3,4",
+		"/v1/stats/chisquare?rows=4&cols=4611686018427387905&counts=1,2,3,4",
 		"/v1/stats/ci?successes=42", // n missing
+		// Non-finite parameters would fail the JSON encode after the
+		// header is sent.
+		"/v1/stats/ci?successes=1&n=NaN",
+		"/v1/stats/ci?successes=Inf&n=Inf",
+		"/v1/stats/oddsratio?a=NaN&b=1&c=1&d=1",
 		"/v1/stats/oddsratio?a=1&b=2&c=3",
 	} {
-		if w := get(t, h, path); w.Code != 400 {
-			t.Errorf("%s = %d, want 400", path, w.Code)
+		w := get(t, h, path)
+		var body struct{ Error string }
+		if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != 400 || err != nil || body.Error == "" {
+			t.Errorf("%s = %d %q, want a 400 JSON error", path, w.Code, w.Body)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,7 +16,7 @@ import (
 // JSON. Everything is pure computation — no admission beyond the render
 // gate, nothing cached (the work is microseconds).
 
-// queryFloat parses a required float parameter.
+// queryFloat parses a required, finite float parameter.
 func queryFloat(r *http.Request, name string) (float64, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
@@ -24,6 +25,9 @@ func queryFloat(r *http.Request, name string) (float64, error) {
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
 		return 0, fmt.Errorf("parameter %q: %v", name, err)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("parameter %q: %q is not a finite number", name, raw)
 	}
 	return v, nil
 }

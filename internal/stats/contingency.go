@@ -21,14 +21,16 @@ func NewContingency(rows, cols int) (*Contingency, error) {
 	return &Contingency{Rows: rows, Cols: cols, counts: make([]float64, rows*cols)}, nil
 }
 
-// FromCounts builds a table from row-major integer counts.
+// FromCounts builds a table from row-major integer counts. The shape is
+// checked against the counts before anything is allocated, with rows
+// bounded by len(counts)/cols first so that rows×cols cannot overflow.
 func FromCounts(rows, cols int, counts []float64) (*Contingency, error) {
+	if cols > 0 && (rows > len(counts)/cols || rows*cols != len(counts)) {
+		return nil, fmt.Errorf("stats: %d counts for %dx%d table", len(counts), rows, cols)
+	}
 	t, err := NewContingency(rows, cols)
 	if err != nil {
 		return nil, err
-	}
-	if len(counts) != rows*cols {
-		return nil, fmt.Errorf("stats: %d counts for %dx%d table", len(counts), rows, cols)
 	}
 	for i, c := range counts {
 		if c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {

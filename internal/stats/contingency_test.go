@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -44,6 +45,23 @@ func TestFromCounts(t *testing.T) {
 	tab, err := FromCounts(2, 2, []float64{10, 20, 30, 40})
 	if err != nil || tab.At(1, 0) != 30 {
 		t.Fatalf("FromCounts: %v", err)
+	}
+	// Rows and cols can come from a request: a shape the counts cannot
+	// fill is refused before rows×cols cells are allocated, and a product
+	// that overflows is refused rather than wrapped to the count length.
+	counts := []float64{1, 2, 3, 4}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = FromCounts(4096, 4096, counts)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("4096x4096 table accepted from 4 counts")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("refusing a 4096x4096 table allocated %d bytes", grown)
+	}
+	if _, err := FromCounts(4, 4611686018427387905, counts); err == nil {
+		t.Fatal("a rows×cols product that wraps to 4 was accepted")
 	}
 }
 

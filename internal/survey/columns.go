@@ -7,7 +7,7 @@ import (
 	"repro/internal/table"
 )
 
-// ResponseColumns is the struct-of-arrays batch form of survey
+// ResponseColumns is the struct-of-arrays form of survey
 // responses. The fixed fields are plain columns; the per-question
 // answers flatten into shared answer columns with per-row offsets, with
 // question IDs and choice strings dictionary-encoded (a cohort shares a
@@ -16,7 +16,7 @@ import (
 // map.
 //
 // Rows are stored and returned by value; Row materializes a fresh
-// Response with its own Answers map, so batch storage can never alias
+// Response with its own Answers map, so column storage can never alias
 // the mutable *Response views the weighting code adjusts in place.
 type ResponseColumns struct {
 	ids     []string
@@ -105,8 +105,8 @@ func (c *ResponseColumns) Row(i int) Response {
 	return r
 }
 
-// Reset implements table.Columns.
-func (c *ResponseColumns) Reset() {
+// reset empties the columns for DecodeFrom.
+func (c *ResponseColumns) reset() {
 	c.ids, c.cohorts, c.weights = c.ids[:0], c.cohorts[:0], c.weights[:0]
 	c.ansOff, c.ansChOff = c.ansOff[:0], c.ansChOff[:0]
 	c.ansQID, c.ansChoice, c.ansChoices = c.ansQID[:0], c.ansChoice[:0], c.ansChoices[:0]
@@ -157,7 +157,7 @@ const (
 // choices that follow, and every code must name a dictionary entry:
 // Row would panic on anything else.
 func (c *ResponseColumns) DecodeFrom(r *table.Reader) error {
-	c.Reset()
+	c.reset()
 	c.qidDict.DecodeFrom(r)
 	c.strDict.DecodeFrom(r)
 	rows := r.Count("response rows", responseRowMinBytes)

@@ -36,26 +36,24 @@ func colTestResponses(n int) []Response {
 
 func TestResponseColumnsRoundTrip(t *testing.T) {
 	rs := colTestResponses(500)
-	for _, bs := range []int{32, 128, 600} {
-		tab, err := table.FromSlice[Response](ResponseCodec{}, table.Options{BatchSize: bs}, rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := table.Rows[Response](tab)
+	for _, size := range []int{32, 128, 600} {
+		got, err := table.Rows[Response](builtParts(rs, size))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, rs) {
-			t.Fatalf("BatchSize=%d: responses differ after columnar round trip", bs)
+			t.Fatalf("part size %d: responses differ after columnar round trip", size)
 		}
 	}
 }
 
 func TestResponseColumnsSpillRoundTrip(t *testing.T) {
 	rs := colTestResponses(1000)
-	tab, err := table.FromSlice[Response](ResponseCodec{}, table.Options{
-		BatchSize: 100, SpillDir: t.TempDir(), Resident: 2,
-	}, rs)
+	enc, err := table.EncodeStream[Response](ResponseCodec{}, table.FromSlice[Response](ResponseCodec{}, rs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := table.DecodeStream[Response](enc, ResponseCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +62,18 @@ func TestResponseColumnsSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, rs) {
-		t.Fatal("responses differ after spill round trip")
+		t.Fatal("responses differ after an encode/decode round trip")
 	}
+}
+
+// builtParts returns rs as a Concat of resident tables of size rows
+// each.
+func builtParts(rs []Response, size int) table.Table[Response] {
+	var parts []table.Table[Response]
+	for lo := 0; lo < len(rs); lo += size {
+		parts = append(parts, table.FromSlice[Response](ResponseCodec{}, rs[lo:min(lo+size, len(rs))]))
+	}
+	return table.Concat(parts...)
 }
 
 // TestResponseHashCanonicalOverMapOrder: a cohort's encoded stream,
@@ -108,10 +116,7 @@ func encodeResponses(t *testing.T, rs []Response) []byte {
 
 func TestMaterializeResponsesIsolation(t *testing.T) {
 	rs := colTestResponses(50)
-	tab, err := table.FromSlice[Response](ResponseCodec{}, table.Options{BatchSize: 16}, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(rs, 16)
 	view, err := MaterializeResponses(tab)
 	if err != nil {
 		t.Fatal(err)

@@ -11,25 +11,23 @@ import (
 
 // Columns is a struct-of-arrays buffer for rows of type T: one growable
 // column per field rather than a slice of structs. A Columns value is
-// the unit of batching, encoding, and spill. Implementations live next
-// to their row types (trace.JobColumns, modlog.EventColumns,
+// what a resident table holds and what a stream encodes. Implementations
+// live next to their row types (trace.JobColumns, modlog.EventColumns,
 // survey.ResponseColumns) so field layout stays with field knowledge.
 //
 // EncodeTo/DecodeFrom must round-trip exactly: Decode(Encode(c)) yields
 // identical rows in identical order. The wire layout may exploit the
-// batch (dictionaries, deltas), which is why a table's content identity
-// is EncodeStream's one batch over all its rows, never its own batches'
-// payloads.
+// whole column (dictionaries, deltas), which is why a table's content
+// identity is EncodeStream's one Columns over all its rows, never the
+// encoding of whatever Columns it stores.
 type Columns[T any] interface {
 	Append(row T)
 	Len() int
 	Row(i int) T
-	Reset()
 	EncodeTo(w *Writer) error
 	DecodeFrom(r *Reader) error
-	// MemBytes estimates resident heap bytes for Batches.MemBytes. The
-	// residency policy counts batches, not bytes. An estimate: never
-	// artifact-bearing.
+	// MemBytes estimates resident heap bytes for Resident.MemBytes. An
+	// estimate: never artifact-bearing.
 	MemBytes() int
 }
 
@@ -240,7 +238,7 @@ func (d *Dict) Value(c uint32) string { return d.vals[c] }
 // Len returns the number of distinct values.
 func (d *Dict) Len() int { return len(d.vals) }
 
-// Reset clears the dictionary for batch reuse.
+// Reset clears the dictionary for reuse by a decode.
 func (d *Dict) Reset() {
 	d.vals = d.vals[:0]
 	for k := range d.idx {

@@ -71,7 +71,7 @@ func (h *Held[T]) Load() error {
 		h.payload = nil
 		switch {
 		case err == nil:
-			h.tab, h.err = FromColumns(h.codec, cols), nil
+			h.tab, h.err = FromColumns(cols), nil
 		case h.redo == nil:
 			h.err = err
 		default:

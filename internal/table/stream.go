@@ -35,10 +35,10 @@ func (e *IntegrityError) Error() string {
 }
 
 // EncodeStream returns every row of t as one checksummed column
-// envelope. The payload is a single Columns batch regardless of how t
-// stores its rows — encoding is a pure function of the row sequence, so
-// two tables with identical rows encode identically whatever their
-// batch size, shard count, or residency.
+// envelope. The payload is one Columns over every row regardless of how
+// t stores its rows — encoding is a pure function of the row sequence,
+// so two tables with identical rows encode identically whatever their
+// storage or composition.
 func EncodeStream[T any](codec Codec[T], t Table[T]) ([]byte, error) {
 	cols := codec.NewColumns()
 	sc := t.Scanner(0, 1, 1)
@@ -83,7 +83,7 @@ func DecodeStream[T any](data []byte, codec Codec[T]) (Table[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromColumns(codec, cols), nil
+	return FromColumns(cols), nil
 }
 
 // openStream runs DecodeStream's envelope checks and returns the
@@ -133,16 +133,4 @@ func decodeColumns[T any](payload []byte, rows uint64, codec Codec[T]) (Columns[
 		return nil, &IntegrityError{Reason: fmt.Sprintf("row count %d, header says %d", cols.Len(), rows)}
 	}
 	return cols, nil
-}
-
-// FromColumns wraps an already-materialized Columns as a read-only
-// Table view — no copying. The caller must not mutate cols afterwards.
-// The view is a one-batch Batches with no spill dir, so its scans stay
-// on the batch fast path.
-func FromColumns[T any](codec Codec[T], cols Columns[T]) Table[T] {
-	t := &Batches[T]{codec: codec, total: cols.Len()}
-	if t.total > 0 {
-		t.batches, t.resident = []batch[T]{{rows: t.total, cols: cols}}, 1
-	}
-	return t
 }

@@ -10,11 +10,7 @@ import (
 
 func TestStreamRoundTrip(t *testing.T) {
 	rows := testRows(500)
-	src, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 64}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := EncodeStream[testRow](testCodec{}, src)
+	buf, err := EncodeStream[testRow](testCodec{}, builtParts(rows, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +33,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatal("decoded rows differ from source")
 	}
 	// The content identity must survive the trip: storage layout
-	// (batches vs one decoded batch) never reaches the encoding.
+	// (resident parts vs one decoded Columns) never reaches the encoding.
 	again, err := EncodeStream(testCodec{}, got)
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +50,6 @@ func TestStreamRoundTrip(t *testing.T) {
 func TestStreamEncodingInvariantToStorage(t *testing.T) {
 	rows := testRows(500)
 	want := encodeRows(t, rows)
-	batches := func(opt Options, part []testRow) *Batches[testRow] {
-		tab, err := FromSlice[testRow](testCodec{}, opt, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
 	held := func(part []testRow) *Held[testRow] {
 		h, err := Hold[testRow](encodeRows(t, part), testCodec{}, nil)
 		if err != nil {
@@ -68,7 +57,15 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 		}
 		return h
 	}
-	spilled := batches(Options{BatchSize: 64, SpillDir: t.TempDir(), Resident: 2}, rows)
+	built, err := Build[testRow](testCodec{}, func(appendRow func(testRow)) error {
+		for _, r := range rows {
+			appendRow(r)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded := held(rows)
 	if err := loaded.Load(); err != nil {
 		t.Fatal(err)
@@ -82,14 +79,14 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 		tab  Table[testRow]
 	}{
 		{"slice", NewSlice(rows)},
-		{"batches/3", batches(Options{BatchSize: 3}, rows)},
-		{"batches/64", batches(Options{BatchSize: 64}, rows)},
-		{"batches/500", batches(Options{BatchSize: 500}, rows)},
-		{"spilled", spilled},
+		{"built", built},
+		{"concat/built/3", builtParts(rows, 3)},
+		{"concat/built/64", builtParts(rows, 64)},
+		{"concat/built/500", builtParts(rows, 500)},
 		{"concat/mixed", Concat[testRow](
 			NewSlice(rows[:37]),
 			NewSlice(rows[37:37]),
-			batches(Options{BatchSize: 10}, rows[37:300]),
+			builtParts(rows[37:300], 10),
 			held(rows[300:]),
 		)},
 		{"held/unread", held(rows)},
@@ -122,8 +119,7 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 
 func TestStreamDetectsCorruption(t *testing.T) {
 	rows := testRows(100)
-	src, _ := FromSlice[testRow](testCodec{}, Options{}, rows)
-	buf, err := EncodeStream[testRow](testCodec{}, src)
+	buf, err := EncodeStream[testRow](testCodec{}, FromSlice[testRow](testCodec{}, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +153,7 @@ func TestFromColumnsSharding(t *testing.T) {
 	for _, r := range rows {
 		cols.Append(r)
 	}
-	tab := FromColumns[testRow](testCodec{}, cols)
+	tab := FromColumns[testRow](cols)
 	// Scanning shard-by-shard in ascending order must reproduce the
 	// whole table for any shard count.
 	for _, total := range []int{1, 2, 3, 7, 97, 200} {

@@ -1,20 +1,19 @@
-// Package table is the columnar streaming artifact layer: a read-only
-// Table abstraction over typed rows with range-sharded scanners, modeled
-// on grailbio/gql's Scanner(start, limit, total) / Len(Exact) contract.
+// Package table is the columnar artifact layer: a read-only Table
+// abstraction over typed rows with range-sharded scanners, modeled on
+// grailbio/gql's Scanner(start, limit, total) / Len(Exact) contract.
 // Four implementations ship here — Slice (a thin view over an in-memory
-// slice), Batches (struct-of-arrays column batches with lazy
-// materialization, background prefetch, and crash-safe spill-to-disk),
-// Held (one encoded stream decoded on first read), and Concat, which
-// composes tables without copying. Table is sealed to this package: all
-// four scan through one primitive, an exact row window.
+// slice), Resident (one struct-of-arrays Columns in memory, what Build
+// and FromSlice produce), Held (one encoded stream decoded on first
+// read), and Concat, which composes tables without copying. Table is
+// sealed to this package: all four scan through one primitive, an exact
+// row window.
 //
-// A table's content identity is its EncodeStream bytes: one column
-// batch over every row in order, so two tables holding the same rows
-// encode the same whatever their storage.
+// A table's content identity is its EncodeStream bytes: one Columns
+// over every row in order, so two tables holding the same rows encode
+// the same whatever their storage.
 //
-// The layer exists to make the determinism contract a scaling mechanism:
-// artifact bytes are a pure function of the rows and their order, never
-// of batch size, shard count, residency, or spill timing. Consumers
+// Artifact bytes are a pure function of the rows and their order, never
+// of the shard count or of how a table is stored or composed. Consumers
 // therefore follow one invariant (DESIGN.md "Columnar artifact layer"):
 //
 //   - Order-free aggregation (integer counts, set union, histograms,
@@ -22,10 +21,10 @@
 //     partials in ascending shard order.
 //   - Order-sensitive reductions (float folds) must stream a single
 //     scanner in row order: float addition is not associative, so any
-//     shard- or batch-aligned re-association would make bytes depend on
+//     shard- or part-aligned re-association would make bytes depend on
 //     an execution knob.
 //
-// Tables are safe for concurrent scans once built; builders are not.
+// Tables are safe for concurrent scans once built.
 package table
 
 // CountMode controls the behavior of Table.Len.
@@ -110,6 +109,72 @@ func (s *sliceScanner[T]) Scan() bool {
 
 func (s *sliceScanner[T]) Row() T     { return s.rows[s.i] }
 func (s *sliceScanner[T]) Err() error { return nil }
+
+// Resident is a Table over one Columns in memory: what Build and
+// FromSlice produce, and what a decoded stream or a held table's first
+// read becomes. Immutable once made, and safe for concurrent scans.
+type Resident[T any] struct {
+	cols Columns[T]
+}
+
+// Build materializes a table from a row-producing callback, the common
+// construction path: emit is called once with an append function.
+func Build[T any](codec Codec[T], emit func(appendRow func(T)) error) (*Resident[T], error) {
+	cols := codec.NewColumns()
+	if err := emit(cols.Append); err != nil {
+		return nil, err
+	}
+	return FromColumns(cols), nil
+}
+
+// FromSlice builds a resident table from rows.
+func FromSlice[T any](codec Codec[T], rows []T) *Resident[T] {
+	cols := codec.NewColumns()
+	for _, r := range rows {
+		cols.Append(r)
+	}
+	return FromColumns(cols)
+}
+
+// FromColumns wraps an already-materialized Columns as a read-only
+// Table, without copying. The caller must not mutate cols afterwards.
+func FromColumns[T any](cols Columns[T]) *Resident[T] {
+	return &Resident[T]{cols: cols}
+}
+
+// Len implements Table.
+func (t *Resident[T]) Len(CountMode) int { return t.cols.Len() }
+
+// Scanner implements Table.
+func (t *Resident[T]) Scanner(start, limit, total int) Scanner[T] {
+	lo, hi := ShardRange(start, limit, total, t.cols.Len())
+	return t.rowScanner(lo, hi)
+}
+
+func (t *Resident[T]) rowScanner(lo, hi int) Scanner[T] {
+	return &colScanner[T]{cols: t.cols, i: lo - 1, hi: hi}
+}
+
+// MemBytes estimates the table's resident heap bytes.
+func (t *Resident[T]) MemBytes() int { return t.cols.MemBytes() }
+
+// colScanner iterates rows (i, hi) of one Columns.
+type colScanner[T any] struct {
+	cols Columns[T]
+	i    int
+	hi   int
+}
+
+func (s *colScanner[T]) Scan() bool {
+	if s.i+1 >= s.hi {
+		return false
+	}
+	s.i++
+	return true
+}
+
+func (s *colScanner[T]) Row() T     { return s.cols.Row(s.i) }
+func (s *colScanner[T]) Err() error { return nil }
 
 // Concat composes tables into one logical table — parts in the given
 // order, no copying. It is how per-year (and per-replica) job tables

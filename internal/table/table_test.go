@@ -2,9 +2,8 @@ package table
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -35,7 +34,7 @@ func (c *testColumns) Row(i int) testRow {
 	return testRow{ID: c.ids[i], Name: c.dict.Value(c.names[i]), Val: c.vals[i]}
 }
 
-func (c *testColumns) Reset() {
+func (c *testColumns) reset() {
 	c.ids, c.names, c.vals = c.ids[:0], c.names[:0], c.vals[:0]
 	c.dict.Reset()
 }
@@ -52,7 +51,7 @@ func (c *testColumns) EncodeTo(w *Writer) error {
 }
 
 func (c *testColumns) DecodeFrom(r *Reader) error {
-	c.Reset()
+	c.reset()
 	c.dict.DecodeFrom(r)
 	n := r.Uvarint()
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
@@ -134,104 +133,57 @@ func TestSliceScannerShards(t *testing.T) {
 
 func TestBatchesRoundTrip(t *testing.T) {
 	rows := testRows(1000)
-	for _, bs := range []int{1, 7, 100, 1000, 5000} {
-		tab, err := FromSlice[testRow](testCodec{}, Options{BatchSize: bs}, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, size := range []int{1, 7, 100, 1000, 5000} {
+		tab := builtParts(rows, size)
 		if tab.Len(Exact) != len(rows) {
-			t.Fatalf("BatchSize=%d: Len=%d, want %d", bs, tab.Len(Exact), len(rows))
+			t.Fatalf("part size %d: Len=%d, want %d", size, tab.Len(Exact), len(rows))
 		}
 		got, err := Rows[testRow](tab)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, rows) {
-			t.Fatalf("BatchSize=%d: rows differ after round trip", bs)
+			t.Fatalf("part size %d: rows differ after round trip", size)
 		}
+	}
+	built, err := Build[testRow](testCodec{}, func(appendRow func(testRow)) error {
+		for _, r := range rows {
+			appendRow(r)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Rows[testRow](built); err != nil || !reflect.DeepEqual(got, rows) {
+		t.Fatalf("built table differs from its rows (err %v)", err)
+	}
+	boom := errors.New("boom")
+	if _, err := Build[testRow](testCodec{}, func(func(testRow)) error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("Build err = %v, want the emit error", err)
 	}
 }
 
 // TestHashInvariantToBatchSizeAndStorage: the content identity (the
-// encoded stream) of a batched table is the same at every batch size,
-// resident or spilled, and a changed float changes it.
+// encoded stream) of rows split into resident parts is the same at
+// every part size, and a changed float changes it.
 func TestHashInvariantToBatchSizeAndStorage(t *testing.T) {
 	rows := testRows(500)
 	ref := encodeRows(t, rows)
-	for _, bs := range []int{3, 64, 500} {
-		for _, spill := range []bool{false, true} {
-			opt := Options{BatchSize: bs}
-			if spill {
-				opt.SpillDir = t.TempDir()
-				opt.Resident = 2
-			}
-			tab, err := FromSlice[testRow](testCodec{}, opt, rows)
-			if err != nil {
-				t.Fatal(err)
-			}
-			enc, err := EncodeStream[testRow](testCodec{}, tab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc, ref) {
-				t.Fatalf("BatchSize=%d spill=%v: stream differs from the slice's", bs, spill)
-			}
+	for _, size := range []int{3, 64, 500} {
+		enc, err := EncodeStream[testRow](testCodec{}, builtParts(rows, size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("part size %d: stream differs from the slice's", size)
 		}
 	}
 	// Different content must encode differently.
 	mut := append([]testRow(nil), rows...)
 	mut[250].Val += 1e-9
-	tab, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 64}, mut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc, err := EncodeStream[testRow](testCodec{}, tab); err != nil || bytes.Equal(enc, ref) {
+	if enc, err := EncodeStream[testRow](testCodec{}, builtParts(mut, 64)); err != nil || bytes.Equal(enc, ref) {
 		t.Fatalf("stream ignored a float perturbation (err %v)", err)
-	}
-}
-
-func TestBatchesSpillBoundedAndLossless(t *testing.T) {
-	rows := testRows(10_000)
-	dir := t.TempDir()
-	tab, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 256, SpillDir: dir, Resident: 2}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled, err := filepath.Glob(filepath.Join(dir, "batch-*.col"))
-	if err != nil || len(spilled) == 0 {
-		t.Fatalf("expected spill files, got %v (err %v)", spilled, err)
-	}
-	// Residency stays bounded while building; scanning must not blow it
-	// back up (allow current + prefetch headroom).
-	if got := tab.resident; got > 2 {
-		t.Fatalf("resident after build = %d, want <= 2", got)
-	}
-	got, err := Rows[testRow](tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatal("rows differ after spill round trip")
-	}
-	if got := tab.resident; got > 4 {
-		t.Fatalf("resident after full scan = %d, want <= 4", got)
-	}
-	// Sharded scan across spilled batches, merged in shard order,
-	// equals row order.
-	for _, shards := range []int{3, 7} {
-		var merged []testRow
-		for s := 0; s < shards; s++ {
-			sc := tab.Scanner(s, s+1, shards)
-			for sc.Scan() {
-				merged = append(merged, sc.Row())
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(merged, rows) {
-			t.Fatalf("shards=%d over spilled table: merged scan differs", shards)
-		}
 	}
 }
 
@@ -241,11 +193,7 @@ func TestConcat(t *testing.T) {
 		c[i].ID += 1000
 	}
 	want := append(append(append([]testRow(nil), a...), b...), c...)
-	batched, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 10}, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := Concat[testRow](NewSlice(a), NewSlice(b), batched)
+	cat := Concat[testRow](NewSlice(a), NewSlice(b), FromSlice[testRow](testCodec{}, c))
 	if cat.Len(Exact) != len(want) {
 		t.Fatalf("Len=%d, want %d", cat.Len(Exact), len(want))
 	}
@@ -282,10 +230,7 @@ func TestConcat(t *testing.T) {
 
 func TestShardFoldOrderFreeCount(t *testing.T) {
 	rows := testRows(999)
-	tab, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 64}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(rows, 64)
 	for _, shards := range []int{1, 3, 7} {
 		counts, err := ShardFold[testRow](tab, shards,
 			func() map[string]int { return map[string]int{} },
@@ -330,10 +275,7 @@ func TestShardCollectPreservesRowOrder(t *testing.T) {
 
 func TestFoldSeqMatchesLoop(t *testing.T) {
 	rows := testRows(777)
-	tab, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 50}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(rows, 50)
 	want := 0.0
 	for _, r := range rows {
 		want += r.Val
@@ -347,47 +289,14 @@ func TestFoldSeqMatchesLoop(t *testing.T) {
 	}
 }
 
-func TestSpillFileCorruptionWithoutRebuildFails(t *testing.T) {
-	dir := t.TempDir()
-	rows := testRows(300)
-	tab, err := FromSlice[testRow](testCodec{}, Options{BatchSize: 50, SpillDir: dir, Resident: 2}, rows)
-	if err != nil {
-		t.Fatal(err)
+// builtParts returns rows as a Concat of resident tables of size rows
+// each, the last one shorter when size does not divide the rows.
+func builtParts(rows []testRow, size int) Table[testRow] {
+	var parts []Table[testRow]
+	for lo := 0; lo < len(rows); lo += size {
+		parts = append(parts, FromSlice[testRow](testCodec{}, rows[lo:min(lo+size, len(rows))]))
 	}
-	corruptOneSpill(t, dir)
-	evictAll(tab)
-	if _, err := Rows[testRow](tab); err == nil {
-		t.Fatal("scan over corrupt spill succeeded without a rebuild hook")
-	}
-}
-
-// corruptOneSpill flips a byte near the end of the first spill file.
-func corruptOneSpill(t *testing.T, dir string) {
-	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "batch-*.col"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no spill files in %s (err %v)", dir, err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-3] ^= 0xff
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// evictAll drops every batch that has a spill file, forcing re-reads.
-func evictAll[T any](tab *Batches[T]) {
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
-	for bi := range tab.batches {
-		if tab.batches[bi].cols != nil && spillExists(tab.opt.SpillDir, bi) {
-			tab.batches[bi].cols = nil
-			tab.resident--
-		}
-	}
+	return Concat(parts...)
 }
 
 // encodeRows returns the EncodeStream bytes of rows.

@@ -8,11 +8,11 @@ import (
 	"repro/internal/table"
 )
 
-// JobColumns is the struct-of-arrays batch form of []Job: one column
-// per field, with the low-cardinality strings (user, account,
-// partition, state, language) dictionary-encoded and the monotone
-// columns (ID, Submit) delta-encoded on the wire. A 10k-row batch
-// carries five small dictionaries instead of 50k string headers.
+// JobColumns is the struct-of-arrays form of []Job: one column per
+// field, with the low-cardinality strings (user, account, partition,
+// state, language) dictionary-encoded and the monotone columns (ID,
+// Submit) delta-encoded on the wire. 10k rows carry five small
+// dictionaries instead of 50k string headers.
 type JobColumns struct {
 	ids       []uint64
 	users     []uint32
@@ -77,8 +77,8 @@ func (c *JobColumns) Row(i int) Job {
 	}
 }
 
-// Reset implements table.Columns.
-func (c *JobColumns) Reset() {
+// reset empties the columns for DecodeFrom.
+func (c *JobColumns) reset() {
 	c.ids = c.ids[:0]
 	c.users, c.accounts, c.parts = c.users[:0], c.accounts[:0], c.parts[:0]
 	c.years, c.submits = c.years[:0], c.submits[:0]
@@ -93,7 +93,7 @@ func (c *JobColumns) Reset() {
 }
 
 // EncodeTo implements table.Columns. IDs and submit times are stored as
-// deltas (both are non-decreasing within a generated batch; the signed
+// deltas (both are non-decreasing within a generated trace; the signed
 // encoding also covers out-of-order inputs).
 func (c *JobColumns) EncodeTo(w *table.Writer) error {
 	for _, d := range []*Dict{&c.userDict, &c.acctDict, &c.partDict, &c.stateDict, &c.langDict} {
@@ -128,7 +128,7 @@ const jobRowMinBytes = 13
 // DecodeFrom implements table.Columns. Every column is sized once from
 // the row count, which the unread bytes bound.
 func (c *JobColumns) DecodeFrom(r *table.Reader) error {
-	c.Reset()
+	c.reset()
 	dicts := []*Dict{&c.userDict, &c.acctDict, &c.partDict, &c.stateDict, &c.langDict}
 	for _, d := range dicts {
 		d.DecodeFrom(r)

@@ -46,26 +46,24 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 
 func TestJobColumnsRoundTrip(t *testing.T) {
 	jobs := genYear(t, 2024)
-	for _, bs := range []int{64, 1000, len(jobs) + 1} {
-		tab, err := table.FromSlice[Job](JobCodec{}, table.Options{BatchSize: bs}, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := table.Rows[Job](tab)
+	for _, size := range []int{64, 1000, len(jobs) + 1} {
+		got, err := table.Rows[Job](builtParts(jobs, size))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, jobs) {
-			t.Fatalf("BatchSize=%d: jobs differ after columnar round trip", bs)
+			t.Fatalf("part size %d: jobs differ after columnar round trip", size)
 		}
 	}
 }
 
 func TestJobColumnsSpillRoundTrip(t *testing.T) {
 	jobs := genYear(t, 2011)
-	tab, err := table.FromSlice[Job](JobCodec{}, table.Options{
-		BatchSize: 512, SpillDir: t.TempDir(), Resident: 2,
-	}, jobs)
+	enc, err := table.EncodeStream[Job](JobCodec{}, table.FromSlice[Job](JobCodec{}, jobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := table.DecodeStream[Job](enc, JobCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +72,24 @@ func TestJobColumnsSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, jobs) {
-		t.Fatal("jobs differ after spill round trip")
+		t.Fatal("jobs differ after an encode/decode round trip")
 	}
+}
+
+// builtParts returns jobs as a Concat of resident tables of size rows
+// each.
+func builtParts(jobs []Job, size int) JobTable {
+	var parts []JobTable
+	for lo := 0; lo < len(jobs); lo += size {
+		parts = append(parts, table.FromSlice[Job](JobCodec{}, jobs[lo:min(lo+size, len(jobs))]))
+	}
+	return table.Concat(parts...)
 }
 
 func TestSummarizeTableMatchesSlice(t *testing.T) {
 	jobs := append(genYear(t, 2011), genYear(t, 2024)...)
 	want := SummarizeByYear(jobs)
-	tab, err := table.FromSlice[Job](JobCodec{}, table.Options{BatchSize: 777}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(jobs, 777)
 	got, err := SummarizeTable(tab)
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +103,7 @@ func TestSummarizeTableMatchesSlice(t *testing.T) {
 func TestUserUsageTableMatchesSlice(t *testing.T) {
 	jobs := genYear(t, 2024)
 	want := UserUsage(jobs)
-	tab, err := table.FromSlice[Job](JobCodec{}, table.Options{BatchSize: 300}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(jobs, 300)
 	got, err := UserUsageTable(tab)
 	if err != nil {
 		t.Fatal(err)
@@ -117,10 +119,7 @@ func TestWriteAccountingTableBytes(t *testing.T) {
 	if err := WriteAccounting(&want, jobs); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := table.FromSlice[Job](JobCodec{}, table.Options{BatchSize: 129}, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := builtParts(jobs, 129)
 	var got bytes.Buffer
 	if err := WriteAccountingTable(&got, tab); err != nil {
 		t.Fatal(err)

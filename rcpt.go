@@ -69,7 +69,7 @@ func RunSequential(cfg Config) (*Artifacts, error) { return core.RunSequential(c
 // presentation order.
 func Experiments() []Experiment { return core.Registry() }
 
-// Lookup resolves experiment IDs: tables T1–T12 and figures F1–F11.
+// Lookup resolves experiment IDs: tables T1–T16 and figures F1–F13.
 func Lookup(id string) (Experiment, error) { return core.Lookup(id) }
 
 // WriteAll renders every experiment into dir: tables as .txt (ASCII) and
