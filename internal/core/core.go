@@ -604,14 +604,15 @@ func traceFirstID(year, rep int) uint64 {
 }
 
 // buildTraceReplica streams one (year, replica) trace generation into a
-// column table. The replica's named stream is derived from root
-// (SplitNamed is pure and never advances root), so every call
-// generates the same rows.
+// column table sized for the model's job count. The replica's named
+// stream is derived from root (SplitNamed is pure and never advances
+// root), so every call generates the same rows.
 func buildTraceReplica(root *rng.RNG, year, rep int) (*table.Resident[trace.Job], error) {
 	stream := traceStreamName(year, rep)
 	offset := int64(rep) * repStride
-	tab, err := table.Build[trace.Job](trace.JobCodec{}, func(appendRow func(trace.Job)) error {
-		return trace.CampusModel(year).GenerateStream(root.SplitNamed(stream), traceFirstID(year, rep),
+	model := trace.CampusModel(year)
+	tab, err := table.Build[trace.Job](trace.JobCodec{}, model.SizeHint(), func(appendRow func(trace.Job)) error {
+		return model.GenerateStream(root.SplitNamed(stream), traceFirstID(year, rep),
 			func(j trace.Job) error {
 				j.Submit += offset
 				appendRow(j)

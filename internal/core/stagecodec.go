@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/modlog"
 	"repro/internal/population"
@@ -60,20 +61,7 @@ func openPayload(payload []byte, want string) (*table.Reader, error) {
 	return r, nil
 }
 
-// encodeTableBlock frames a whole table as one rcpt-col/1 stream
-// envelope carried as a length-prefixed block, so table payloads can
-// embed in larger payloads.
-func encodeTableBlock[T any](w *table.Writer, codec table.Codec[T], tab table.Table[T]) error {
-	block, err := table.EncodeStream[T](codec, tab)
-	if err != nil {
-		return err
-	}
-	w.Uvarint(uint64(len(block)))
-	w.Raw(block)
-	return w.Err()
-}
-
-// decodeTableBlock reverses encodeTableBlock into a resident table,
+// decodeTableBlock reverses table.AppendBlock into a resident table,
 // verifying the block where it lies in the payload.
 func decodeTableBlock[T any](r *table.Reader, codec table.Codec[T]) (table.Table[T], error) {
 	block, err := tableBlock(r)
@@ -83,7 +71,7 @@ func decodeTableBlock[T any](r *table.Reader, codec table.Codec[T]) (table.Table
 	return table.DecodeStream[T](block, codec)
 }
 
-// tableBlock reads one block encodeTableBlock framed, in place.
+// tableBlock reads one block table.AppendBlock framed, in place.
 func tableBlock(r *table.Reader) ([]byte, error) {
 	block := r.Raw(r.Count("table block bytes", 1))
 	if err := r.Err(); err != nil {
@@ -92,10 +80,19 @@ func tableBlock(r *table.Reader) ([]byte, error) {
 	return block, nil
 }
 
+// payloadScratch holds the writers payloads are framed in, so a
+// payload's kind magic, fields and table blocks are written once, into
+// a buffer already grown by earlier payloads.
+var payloadScratch = sync.Pool{New: func() any { return table.NewWriter(nil) }}
+
 // encodePayload frames one payload: its kind magic, then what body
-// writes.
+// writes. It returns an exact-size copy of the framed bytes: a stage
+// cache keeps the slice it is handed, and spare capacity kept with it
+// would be memory the cache's byte bound does not count.
 func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, error) {
-	w := table.NewWriter(nil)
+	w := payloadScratch.Get().(*table.Writer)
+	defer payloadScratch.Put(w)
+	w.Reset()
 	w.String(magic)
 	if err := body(w); err != nil {
 		return nil, err
@@ -103,7 +100,9 @@ func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, erro
 	if err := w.Err(); err != nil {
 		return nil, err
 	}
-	return w.Bytes(), nil
+	payload := make([]byte, len(w.Bytes()))
+	copy(payload, w.Bytes())
+	return payload, nil
 }
 
 // --- table payloads (trace replicas, telemetry) ---
@@ -114,7 +113,7 @@ func encodePayload(magic string, body func(w *table.Writer) error) ([]byte, erro
 func tableCodec[T any](magic string, c table.HoldCodec[T]) codec[table.Table[T]] {
 	return codec[table.Table[T]]{
 		encode: func(tab table.Table[T]) ([]byte, error) {
-			return encodePayload(magic, func(w *table.Writer) error { return encodeTableBlock(w, c, tab) })
+			return encodePayload(magic, func(w *table.Writer) error { return table.AppendBlock[T](w, c, tab) })
 		},
 		decode: func(payload []byte) (table.Table[T], error) {
 			r, err := openPayload(payload, magic)
@@ -150,13 +149,15 @@ func tableCodec[T any](magic string, c table.HoldCodec[T]) codec[table.Table[T]]
 // collapses into nil on decode — but a restored stage must reproduce
 // exactly the values the computed stage held, down to
 // reflect.DeepEqual. Rows are emitted in order with questions sorted,
-// keeping the payload canonical.
+// keeping the payload canonical. The block frames the columns FromSlice
+// builds, sized for the responses.
 func writeResponses(w *table.Writer, rs []*survey.Response) error {
 	vals := make([]survey.Response, len(rs))
 	for i, r := range rs {
 		vals[i] = *r
 	}
-	if err := encodeTableBlock(w, survey.ResponseCodec{}, table.NewSlice(vals)); err != nil {
+	tab := table.FromSlice(survey.ResponseCodec{}, vals)
+	if err := table.AppendBlock[survey.Response](w, survey.ResponseCodec{}, tab); err != nil {
 		return err
 	}
 	type ref struct {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -219,5 +220,73 @@ func heldAgrees(t *testing.T, s spec, in []byte, v any, err error) {
 	eb, err2 := s.encode(v)
 	if err1 != nil || err2 != nil || !bytes.Equal(hb, eb) {
 		t.Fatalf("%s: held table's rows differ from the decoded table's (%v, %v)", s.version, err1, err2)
+	}
+}
+
+// TestStagePayloadsAreExactSize: a stage cache keeps the payload slice
+// it is handed, so every payload a run stores, the table-carrying trace,
+// telemetry, cohort and panel payloads among them, carries no spare
+// capacity for the cache to keep alive besides its bytes.
+func TestStagePayloadsAreExactSize(t *testing.T) {
+	cache := newMapStageCache()
+	runCached(t, fuzzConfig(), cache)
+	keys := make([]string, 0, len(cache.m))
+	for key := range cache.m {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	seen := map[string]bool{}
+	for _, key := range keys {
+		p := cache.m[key]
+		kind := table.NewReader(p).String()
+		seen[kind] = true
+		if cap(p) != len(p) {
+			t.Errorf("%s payload %.8s: cap %d, len %d", kind, key, cap(p), len(p))
+		}
+	}
+	for _, kind := range []string{payloadJobs, payloadEvents, payloadCohort, payloadPanel} {
+		if !seen[kind] {
+			t.Errorf("the run stored no %s payload", kind)
+		}
+	}
+}
+
+// BenchmarkEncodeStagePayload times the encode of one stage output
+// right as its stage computed it, on the root benchmarks' study config:
+// the 2024 trace month, the 2019 telemetry year and the 2024 cohort.
+// payload-b is the payload's length: B/op near it means an encode
+// allocates little besides the payload it returns.
+func BenchmarkEncodeStagePayload(b *testing.B) {
+	cfg := Config{
+		Seed: 42, N2011: 200, N2024: 600,
+		TraceYears: []int{2011, 2015, 2019, 2024}, SimYear: 2024,
+		Policy: sched.EASYBackfill, Rake: true, PanelN: 300, NoiseRate: 0.05,
+	}
+	specs, err := stages(cfg, newArtifacts(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct{ name, stage string }{
+		{"trace", "trace-2024"}, {"telemetry", "modlog-2019"}, {"cohort", "cohort-2024"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := specs[slices.IndexFunc(specs, func(s spec) bool { return s.name == bc.stage })]
+			out, err := s.run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, err := s.encode(out)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.encode(out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(payload)), "payload-b")
+		})
 	}
 }

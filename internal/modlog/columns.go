@@ -107,7 +107,12 @@ func (c *EventColumns) MemBytes() int {
 type EventCodec struct{}
 
 // NewColumns implements table.Codec.
-func (EventCodec) NewColumns() table.Columns[Event] { return &EventColumns{} }
+func (EventCodec) NewColumns(n int) table.Columns[Event] {
+	return &EventColumns{
+		times: make([]int64, 0, n), years: make([]int32, 0, n),
+		users: make([]uint32, 0, n), modules: make([]uint32, 0, n),
+	}
+}
 
 // DecodeLen implements table.HoldCodec: it skips the two dictionaries
 // DecodeFrom reads first and returns the row count that follows them.

@@ -117,7 +117,7 @@ func TestEventColumnsRejectCodeOutsideDict(t *testing.T) {
 		w.Varint(2024) // year
 		w.Uvarint(c.user)
 		w.Uvarint(c.modules)
-		cols := EventCodec{}.NewColumns()
+		cols := EventCodec{}.NewColumns(0)
 		if err := cols.DecodeFrom(table.NewReader(w.Bytes())); err == nil {
 			t.Errorf("%s: decoded a row whose code names no dictionary entry", c.name)
 		}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -218,26 +219,37 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 			drawable++
 		}
 	}
+	// Each module loads one era-appropriate version all year (its index
+	// scales with the year knob): format every "name/version" once.
+	modules := make(map[string]string, len(m.ModuleShare))
+	for name := range m.ModuleShare {
+		versions := moduleVersions[name]
+		vi := min(max(int(float64(len(versions)-1)*float64(m.Year-2011)/13.0), 0), len(versions)-1)
+		modules[name] = name + "/" + versions[vi]
+	}
 	window := int64(m.WindowDays) * 86400
-	var events []Event
+	// The event count is Poisson with mean Users × LoadsPerUser: room for
+	// four standard deviations more, and the slice almost never regrows.
+	mean := float64(m.Users) * m.LoadsPerUser
+	events := make([]Event, 0, int(mean+4*math.Sqrt(mean)))
 	for u := 0; u < m.Users; u++ {
 		user := fmt.Sprintf("u%04d", u)
 		// Each user works from a small personal repertoire of modules
 		// drawn from the campus mix; without this, "share of users who
 		// loaded X at least once" saturates to 1 for every module.
 		repSize := 1 + r.Poisson(1.3)
-		repertoire := make([]string, 0, repSize)
+		repertoire := make([]string, 0, repSize) // module strings
 		for len(repertoire) < repSize {
-			name := cat.Draw(r)
+			module := modules[cat.Draw(r)]
 			dup := false
 			for _, x := range repertoire {
-				if x == name {
+				if x == module {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				repertoire = append(repertoire, name)
+				repertoire = append(repertoire, module)
 			}
 			if len(repertoire) >= drawable {
 				break
@@ -245,21 +257,12 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 		}
 		n := r.Poisson(m.LoadsPerUser)
 		for k := 0; k < n; k++ {
-			name := repertoire[r.Intn(len(repertoire))]
-			versions := moduleVersions[name]
-			// Era-appropriate version: index scales with the year knob.
-			vi := int(float64(len(versions)-1) * float64(m.Year-2011) / 13.0)
-			if vi < 0 {
-				vi = 0
-			}
-			if vi >= len(versions) {
-				vi = len(versions) - 1
-			}
+			module := repertoire[r.Intn(len(repertoire))]
 			e := Event{
 				Time:   int64(r.Uint64n(uint64(window))),
 				Year:   m.Year,
 				User:   user,
-				Module: name + "/" + versions[vi],
+				Module: module,
 			}
 			if err := e.Validate(); err != nil {
 				return nil, err

@@ -167,7 +167,7 @@ func BenchmarkSimulateFeed10x(b *testing.B) {
 		b.ReportAllocs()
 		resident := 0.0
 		for i := 0; i < b.N; i++ {
-			tab, err := table.Build[trace.Job](trace.JobCodec{}, func(appendRow func(trace.Job)) error {
+			tab, err := table.Build[trace.Job](trace.JobCodec{}, 10*trace.CampusModel(2024).SizeHint(), func(appendRow func(trace.Job)) error {
 				return gen10xStream(func(j trace.Job) error { appendRow(j); return nil })
 			})
 			if err != nil {

@@ -50,9 +50,14 @@ func (c *ResponseColumns) init() {
 
 // Append implements table.Columns. It sorts the question IDs in a
 // slice the columns keep, so appending a cohort allocates no per-row
-// key slice.
+// key slice. Columns sized for n rows size their answer columns at the
+// first row, for n rows that answer as many questions as it does: the
+// responses of one cohort answer nearly the same number.
 func (c *ResponseColumns) Append(r Response) {
 	c.init()
+	if len(c.ids) == 0 {
+		c.growAnswers(cap(c.ids) * len(r.Answers))
+	}
 	c.ids = append(c.ids, r.ID)
 	c.cohorts = append(c.cohorts, int32(r.Cohort))
 	c.weights = append(c.weights, r.Weight)
@@ -74,6 +79,13 @@ func (c *ResponseColumns) Append(r Response) {
 		c.ansText = append(c.ansText, a.Text)
 	}
 	c.ansOff = append(c.ansOff, int32(len(c.ansQID)))
+}
+
+// growAnswers makes room for n more answers, each with one choice.
+func (c *ResponseColumns) growAnswers(n int) {
+	c.ansQID, c.ansChoice = slices.Grow(c.ansQID, n), slices.Grow(c.ansChoice, n)
+	c.ansChOff, c.ansChoices = slices.Grow(c.ansChOff, n), slices.Grow(c.ansChoices, n)
+	c.ansRating, c.ansValue, c.ansText = slices.Grow(c.ansRating, n), slices.Grow(c.ansValue, n), slices.Grow(c.ansText, n)
 }
 
 // Len implements table.Columns.
@@ -118,7 +130,6 @@ func (c *ResponseColumns) reset() {
 
 // EncodeTo implements table.Columns.
 func (c *ResponseColumns) EncodeTo(w *table.Writer) error {
-	c.init()
 	c.qidDict.EncodeTo(w)
 	c.strDict.EncodeTo(w)
 	w.Uvarint(uint64(len(c.ids)))
@@ -235,8 +246,14 @@ func (c *ResponseColumns) MemBytes() int {
 // ResponseCodec binds Response (by value) to its columnar form.
 type ResponseCodec struct{}
 
-// NewColumns implements table.Codec.
-func (ResponseCodec) NewColumns() table.Columns[Response] { return &ResponseColumns{} }
+// NewColumns implements table.Codec. It sizes the per-row columns; the
+// answer columns size themselves at the first row (see Append).
+func (ResponseCodec) NewColumns(n int) table.Columns[Response] {
+	return &ResponseColumns{
+		ids: make([]string, 0, n), cohorts: make([]int32, 0, n), weights: make([]float64, 0, n),
+		ansOff: make([]int32, 1, n+1),
+	}
+}
 
 // ResponseTable is the streaming form of a cohort.
 type ResponseTable = table.Table[Response]

@@ -167,7 +167,7 @@ func TestResponseColumnsRejectInconsistentBatch(t *testing.T) {
 		return w.Bytes()
 	}
 	valid := batch(1, []answer{{0, 0, 1}}, []uint64{0})
-	cols := ResponseCodec{}.NewColumns()
+	cols := ResponseCodec{}.NewColumns(0)
 	if err := cols.DecodeFrom(table.NewReader(valid)); err != nil {
 		t.Fatalf("valid batch refused: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestResponseColumnsRejectInconsistentBatch(t *testing.T) {
 		"choice code outside its dictionary":       batch(1, []answer{{0, 3, 0}}, nil),
 		"multi-choice code outside its dictionary": batch(1, []answer{{0, 0, 1}}, []uint64{3}),
 	} {
-		cols := ResponseCodec{}.NewColumns()
+		cols := ResponseCodec{}.NewColumns(0)
 		if err := cols.DecodeFrom(table.NewReader(in)); err == nil {
 			t.Errorf("%s: decoded", name)
 		}

@@ -18,8 +18,10 @@ import (
 // EncodeTo/DecodeFrom must round-trip exactly: Decode(Encode(c)) yields
 // identical rows in identical order. The wire layout may exploit the
 // whole column (dictionaries, deltas), which is why a table's content
-// identity is EncodeStream's one Columns over all its rows, never the
-// encoding of whatever Columns it stores.
+// identity is EncodeStream's one Columns appended over all its rows,
+// never the encoding of whatever decoded Columns it stores. EncodeTo
+// only reads: a resident table's Columns is shared by its scans and
+// encodes.
 type Columns[T any] interface {
 	Append(row T)
 	Len() int
@@ -33,7 +35,10 @@ type Columns[T any] interface {
 
 // Codec binds a row type to its columnar representation.
 type Codec[T any] interface {
-	NewColumns() Columns[T]
+	// NewColumns returns empty columns with room for n rows, so a build
+	// whose row count is known or tightly expected fills them without
+	// regrowing. n sizes capacity only, never bytes; 0 sizes nothing.
+	NewColumns(n int) Columns[T]
 }
 
 // maxString bounds one length-prefixed string on the wire, in both
@@ -52,6 +57,9 @@ func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
 // Bytes returns everything written so far.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// Reset empties w and clears its error, keeping its buffer for reuse.
+func (w *Writer) Reset() { w.buf, w.err = w.buf[:0], nil }
 
 // Err returns the first encoding error.
 func (w *Writer) Err() error { return w.err }

@@ -26,14 +26,14 @@ type columnsKind func() (fuzzColumns, func(i int))
 
 func kindOf[T any](codec table.Codec[T]) columnsKind {
 	return func() (fuzzColumns, func(int)) {
-		c := codec.NewColumns()
+		c := codec.NewColumns(0)
 		return c, func(i int) { _ = c.Row(i) }
 	}
 }
 
 // seedBatch is the EncodeTo bytes of one batch holding rows.
 func seedBatch[T any](f *testing.F, codec table.Codec[T], rows []T) []byte {
-	c := codec.NewColumns()
+	c := codec.NewColumns(len(rows))
 	for _, r := range rows {
 		c.Append(r)
 	}

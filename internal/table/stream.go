@@ -40,7 +40,67 @@ func (e *IntegrityError) Error() string {
 // so two tables with identical rows encode identically whatever their
 // storage or composition.
 func EncodeStream[T any](codec Codec[T], t Table[T]) ([]byte, error) {
-	cols := codec.NewColumns()
+	w := NewWriter(nil)
+	if err := AppendBlock(w, codec, t); err != nil {
+		return nil, err
+	}
+	block := w.Bytes()
+	_, n := binary.Uvarint(block)
+	return block[n:], nil
+}
+
+// blockHeaderMax bounds what AppendBlock writes ahead of the column
+// bytes: the block length, the magic, the row count, the payload length
+// and the checksum.
+const blockHeaderMax = 3*binary.MaxVarintLen64 + len(streamMagic) + sha256.Size
+
+// AppendBlock appends t's stream envelope to w as a length-prefixed
+// block: the envelope's byte length as a uvarint, then the bytes
+// EncodeStream returns, so a payload can carry tables among its other
+// fields. The block is framed in w's one buffer: the column bytes are
+// encoded once, after room for the longest header, then moved down to
+// the end of the header they get.
+func AppendBlock[T any](w *Writer, codec Codec[T], t Table[T]) error {
+	cols, err := streamColumns(codec, t)
+	if err != nil {
+		return err
+	}
+	start := len(w.buf)
+	w.buf = append(w.buf, make([]byte, blockHeaderMax)...)
+	if err := cols.EncodeTo(w); err != nil {
+		return fmt.Errorf("table: encode stream: %w", err)
+	}
+	if err := w.Err(); err != nil {
+		return fmt.Errorf("table: encode stream: %w", err)
+	}
+	payload := w.buf[start+blockHeaderMax:]
+	sum := sha256.Sum256(payload)
+	var env [blockHeaderMax]byte
+	hdr := append(env[:0], streamMagic...)
+	hdr = binary.AppendUvarint(hdr, uint64(cols.Len()))
+	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
+	hdr = append(hdr, sum[:]...)
+	var pre [binary.MaxVarintLen64]byte
+	np := binary.PutUvarint(pre[:], uint64(len(hdr)+len(payload)))
+	at := start + np + len(hdr)
+	n := copy(w.buf[at:], payload)
+	copy(w.buf[start:], pre[:np])
+	copy(w.buf[start+np:], hdr)
+	w.buf = w.buf[:at+n]
+	return nil
+}
+
+// streamColumns returns the one Columns t's envelope encodes. Columns
+// that Build or FromSlice appended from empty in row order are what a
+// re-append would build, so they are framed as they are. Every other
+// table's rows are appended afresh: decoded columns are not canonical
+// by construction, since a stream from a peer or a disk may order its
+// dictionaries otherwise or carry unused entries.
+func streamColumns[T any](codec Codec[T], t Table[T]) (Columns[T], error) {
+	if r, ok := t.(*Resident[T]); ok && r.built {
+		return r.cols, nil
+	}
+	cols := codec.NewColumns(t.Len(Exact))
 	sc := t.Scanner(0, 1, 1)
 	for sc.Scan() {
 		cols.Append(sc.Row())
@@ -48,23 +108,7 @@ func EncodeStream[T any](codec Codec[T], t Table[T]) ([]byte, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("table: encode stream scan: %w", err)
 	}
-	pw := NewWriter(nil)
-	if err := cols.EncodeTo(pw); err != nil {
-		return nil, fmt.Errorf("table: encode stream: %w", err)
-	}
-	if err := pw.Err(); err != nil {
-		return nil, fmt.Errorf("table: encode stream: %w", err)
-	}
-	payload := pw.Bytes()
-	sum := sha256.Sum256(payload)
-
-	w := NewWriter(make([]byte, 0, len(streamMagic)+2*binary.MaxVarintLen64+len(sum)+len(payload)))
-	w.Raw([]byte(streamMagic))
-	w.Uvarint(uint64(cols.Len()))
-	w.Uvarint(uint64(len(payload)))
-	w.Raw(sum[:])
-	w.Raw(payload)
-	return w.Bytes(), nil
+	return cols, nil
 }
 
 // DecodeStream verifies data as exactly one EncodeStream envelope and
@@ -121,7 +165,7 @@ func openStream(data []byte) (rows uint64, payload []byte, err error) {
 // decodeColumns decodes a verified column payload and cross-checks its
 // row count against the header's.
 func decodeColumns[T any](payload []byte, rows uint64, codec Codec[T]) (Columns[T], error) {
-	cols := codec.NewColumns()
+	cols := codec.NewColumns(0)
 	pr := NewReader(payload)
 	if err := cols.DecodeFrom(pr); err != nil {
 		return nil, &IntegrityError{Reason: fmt.Sprintf("decode: %v", err)}

@@ -2,9 +2,11 @@ package table
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -46,10 +48,23 @@ func TestStreamRoundTrip(t *testing.T) {
 // TestStreamEncodingInvariantToStorage: a table's content identity is
 // its encoded stream, so every storage of the same rows encodes to the
 // same bytes and scans the same rows at any shard count, while a
-// changed float changes the stream.
+// changed float changes the stream. That includes tables decoded from a
+// valid stream whose columns are not the ones a re-append builds.
 func TestStreamEncodingInvariantToStorage(t *testing.T) {
 	rows := testRows(500)
 	want := encodeRows(t, rows)
+	odd := noncanonicalStream(t, rows)
+	if bytes.Equal(odd, want) {
+		t.Fatal("the hand-framed stream is the canonical one")
+	}
+	oddDecoded, err := DecodeStream[testRow](odd, testCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oddHeld, err := Hold[testRow](odd, testCodec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	held := func(part []testRow) *Held[testRow] {
 		h, err := Hold[testRow](encodeRows(t, part), testCodec{}, nil)
 		if err != nil {
@@ -57,7 +72,7 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 		}
 		return h
 	}
-	built, err := Build[testRow](testCodec{}, func(appendRow func(testRow)) error {
+	built, err := Build[testRow](testCodec{}, len(rows), func(appendRow func(testRow)) error {
 		for _, r := range rows {
 			appendRow(r)
 		}
@@ -93,6 +108,8 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 		{"held/loaded", loaded},
 		{"decoded", decoded},
 		{"concat/held", Concat[testRow](held(rows[:120]), held(rows[120:333]), held(rows[333:]))},
+		{"decoded/noncanonical", oddDecoded},
+		{"held/noncanonical", oddHeld},
 	} {
 		if n := tc.tab.Len(Exact); n != len(rows) {
 			t.Fatalf("%s: Len=%d, want %d", tc.name, n, len(rows))
@@ -115,6 +132,63 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 	if bytes.Equal(encodeRows(t, mut), want) {
 		t.Fatal("stream ignored a float perturbation")
 	}
+}
+
+// noncanonicalStream frames rows as a stream with a valid checksum whose
+// dictionary is out of first-appearance order and holds an entry no row
+// uses: columns a peer or a disk may send, which decode to rows but are
+// not the columns a re-append of those rows builds.
+func noncanonicalStream(t *testing.T, rows []testRow) []byte {
+	t.Helper()
+	cols := &testColumns{}
+	cols.dict.Code("unused")
+	for i := len(rows) - 1; i >= 0; i-- {
+		cols.dict.Code(rows[i].Name)
+	}
+	for _, r := range rows {
+		cols.ids = append(cols.ids, r.ID)
+		cols.names = append(cols.names, cols.dict.Code(r.Name))
+		cols.vals = append(cols.vals, r.Val)
+	}
+	pw := NewWriter(nil)
+	if err := cols.EncodeTo(pw); err != nil {
+		t.Fatal(err)
+	}
+	payload := pw.Bytes()
+	sum := sha256.Sum256(payload)
+	w := NewWriter(nil)
+	w.Raw([]byte(streamMagic))
+	w.Uvarint(uint64(len(rows)))
+	w.Uvarint(uint64(len(payload)))
+	w.Raw(sum[:])
+	w.Raw(payload)
+	return w.Bytes()
+}
+
+// TestEncodeBuiltTableConcurrently: a built table's stream frames the
+// Columns its scans read, so encodes and scans of one table may run at
+// once (run under -race).
+func TestEncodeBuiltTableConcurrently(t *testing.T) {
+	rows := testRows(200)
+	want := encodeRows(t, rows)
+	tab := FromSlice[testRow](testCodec{}, rows)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if enc, err := EncodeStream[testRow](testCodec{}, tab); err != nil || !bytes.Equal(enc, want) {
+				t.Errorf("concurrent encode differs (err %v)", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if got, err := Rows[testRow](tab); err != nil || !reflect.DeepEqual(got, rows) {
+				t.Errorf("concurrent scan differs (err %v)", err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestStreamDetectsCorruption(t *testing.T) {
@@ -148,7 +222,7 @@ func TestStreamDetectsCorruption(t *testing.T) {
 }
 
 func TestFromColumnsSharding(t *testing.T) {
-	cols := (testCodec{}).NewColumns()
+	cols := (testCodec{}).NewColumns(0)
 	rows := testRows(97)
 	for _, r := range rows {
 		cols.Append(r)

@@ -115,25 +115,31 @@ func (s *sliceScanner[T]) Err() error { return nil }
 // read becomes. Immutable once made, and safe for concurrent scans.
 type Resident[T any] struct {
 	cols Columns[T]
+	// built marks columns this process appended from empty in row
+	// order, as Build and FromSlice do: they are the Columns a re-append
+	// of the rows would build, so a stream frames them as they are.
+	built bool
 }
 
 // Build materializes a table from a row-producing callback, the common
 // construction path: emit is called once with an append function.
-func Build[T any](codec Codec[T], emit func(appendRow func(T)) error) (*Resident[T], error) {
-	cols := codec.NewColumns()
+// hint is the row count the columns are sized for: the expected count
+// when it is known only roughly.
+func Build[T any](codec Codec[T], hint int, emit func(appendRow func(T)) error) (*Resident[T], error) {
+	cols := codec.NewColumns(hint)
 	if err := emit(cols.Append); err != nil {
 		return nil, err
 	}
-	return FromColumns(cols), nil
+	return &Resident[T]{cols: cols, built: true}, nil
 }
 
 // FromSlice builds a resident table from rows.
 func FromSlice[T any](codec Codec[T], rows []T) *Resident[T] {
-	cols := codec.NewColumns()
+	cols := codec.NewColumns(len(rows))
 	for _, r := range rows {
 		cols.Append(r)
 	}
-	return FromColumns(cols)
+	return &Resident[T]{cols: cols, built: true}
 }
 
 // FromColumns wraps an already-materialized Columns as a read-only

@@ -68,7 +68,7 @@ func (c *testColumns) MemBytes() int {
 
 type testCodec struct{}
 
-func (testCodec) NewColumns() Columns[testRow] { return &testColumns{} }
+func (testCodec) NewColumns(int) Columns[testRow] { return &testColumns{} }
 
 // DecodeLen implements HoldCodec: it skips the dictionary EncodeTo
 // writes first and returns the row count that follows it. A row takes
@@ -146,7 +146,7 @@ func TestBatchesRoundTrip(t *testing.T) {
 			t.Fatalf("part size %d: rows differ after round trip", size)
 		}
 	}
-	built, err := Build[testRow](testCodec{}, func(appendRow func(testRow)) error {
+	built, err := Build[testRow](testCodec{}, len(rows), func(appendRow func(testRow)) error {
 		for _, r := range rows {
 			appendRow(r)
 		}
@@ -159,7 +159,7 @@ func TestBatchesRoundTrip(t *testing.T) {
 		t.Fatalf("built table differs from its rows (err %v)", err)
 	}
 	boom := errors.New("boom")
-	if _, err := Build[testRow](testCodec{}, func(func(testRow)) error { return boom }); !errors.Is(err, boom) {
+	if _, err := Build[testRow](testCodec{}, 0, func(func(testRow)) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Build err = %v, want the emit error", err)
 	}
 }

@@ -182,7 +182,15 @@ func (c *JobColumns) MemBytes() int {
 type JobCodec struct{}
 
 // NewColumns implements table.Codec.
-func (JobCodec) NewColumns() table.Columns[Job] { return &JobColumns{} }
+func (JobCodec) NewColumns(n int) table.Columns[Job] {
+	return &JobColumns{
+		ids: make([]uint64, 0, n), users: make([]uint32, 0, n), accounts: make([]uint32, 0, n),
+		parts: make([]uint32, 0, n), years: make([]int32, 0, n), submits: make([]int64, 0, n),
+		nodes: make([]int32, 0, n), coresPer: make([]int32, 0, n), gpus: make([]int32, 0, n),
+		limits: make([]int64, 0, n), elapseds: make([]int64, 0, n),
+		states: make([]uint32, 0, n), languages: make([]uint32, 0, n),
+	}
+}
 
 // DecodeLen implements table.HoldCodec: it skips the five dictionaries
 // DecodeFrom reads first and returns the row count that follows them.

@@ -151,7 +151,7 @@ func TestJobColumnsRejectCodeOutsideDict(t *testing.T) {
 	w.Varint(30)
 	w.Uvarint(0) // state
 	w.Uvarint(0) // language
-	cols := JobCodec{}.NewColumns()
+	cols := JobCodec{}.NewColumns(0)
 	if err := cols.DecodeFrom(table.NewReader(w.Bytes())); err == nil {
 		t.Fatal("decoded a row whose codes name no dictionary entry")
 	}

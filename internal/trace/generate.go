@@ -116,6 +116,11 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 		return fmt.Errorf("trace: language share: %w", err)
 	}
 	userZipf := rng.NewZipf(m.Users, 1.2) // few users dominate, as in real logs
+	// Jobs name their user by Zipf rank: format each name once.
+	users := make([]string, m.Users)
+	for i := range users {
+		users[i] = fmt.Sprintf("u%04d", i)
+	}
 	// Heavy-tailed width within each class's node range: most jobs near
 	// the minimum, occasional wide ones. One table per class, built up
 	// front; NewZipf draws nothing, so the stream is unchanged.
@@ -168,14 +173,7 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 		if err := flushBefore(int64(d * day)); err != nil {
 			return err
 		}
-		// Weekly and diurnal structure: weekends run at under half the
-		// weekday rate, and submissions concentrate in working hours —
-		// the shape every campus accounting log shows.
-		dayFactor := 1.0
-		if d%7 >= 5 {
-			dayFactor = 0.45
-		}
-		n := r.Poisson(m.JobsPerDay * dayFactor)
+		n := r.Poisson(m.JobsPerDay * dayFactor(d))
 		for k := 0; k < n; k++ {
 			ci := classAlias.Draw(r)
 			c := m.Classes[ci]
@@ -206,7 +204,7 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 			}
 			j := Job{
 				ID:        id,
-				User:      fmt.Sprintf("u%04d", userZipf.Rank(r)),
+				User:      users[userZipf.Rank(r)],
 				Account:   fieldCat.Draw(r),
 				Partition: c.Partition,
 				Year:      m.Year,
@@ -227,7 +225,7 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 			// Job arrays: emit sibling tasks from the same user with
 			// the same shape, seconds apart, with per-task runtime
 			// jitter — the parameter-sweep burst pattern.
-			if c.ArrayMax > 1 && r.Bool(0.3) {
+			if c.ArrayMax > 1 && r.Bool(arrayRate) {
 				tasks := 1 + r.Intn(c.ArrayMax)
 				for t := 0; t < tasks; t++ {
 					sib := j
@@ -254,6 +252,46 @@ func (m *WorkloadModel) GenerateStream(r *rng.RNG, firstID uint64, emit func(Job
 		}
 	}
 	return flushBefore(math.MaxInt64)
+}
+
+// arrayRate is the chance that a draw of a class with ArrayMax > 1
+// becomes a job array.
+const arrayRate = 0.3
+
+// dayFactor scales day d's arrival rate. Weekly and diurnal structure:
+// weekends run at under half the weekday rate, and submissions
+// concentrate in working hours (diurnalSecond) — the shape every campus
+// accounting log shows.
+func dayFactor(d int) float64 {
+	if d%7 >= 5 {
+		return 0.45
+	}
+	return 1
+}
+
+// SizeHint returns a job count a generation of m rarely exceeds, to
+// size the columns it fills: the expected count, with weekend days at
+// their rate and array tasks included, plus four standard deviations of
+// that compound-Poisson total. It draws nothing.
+func (m *WorkloadModel) SizeHint() int {
+	wsum := 0.0
+	for _, c := range m.Classes {
+		wsum += c.Weight
+	}
+	// A draw is one job plus, as an array, tasks uniform on 1..ArrayMax:
+	// E[tasks] and E[tasks²] per draw.
+	var tasks, tasksSq float64
+	for _, c := range m.Classes {
+		if k := float64(c.ArrayMax); k > 1 && wsum > 0 {
+			p := arrayRate * c.Weight / wsum
+			tasks, tasksSq = tasks+p*(k+1)/2, tasksSq+p*(k+1)*(2*k+1)/6
+		}
+	}
+	draws := 0.0
+	for d := 0; d < m.Days; d++ {
+		draws += m.JobsPerDay * dayFactor(d)
+	}
+	return int(draws*(1+tasks) + 4*math.Sqrt(draws*(1+2*tasks+tasksSq)))
 }
 
 // hourWeights is the within-day submission intensity profile (sums to

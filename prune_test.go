@@ -22,6 +22,8 @@ var testOnlyExports = map[string]string{
 	"repro/internal/modlog.Parse":               "TestWriteParseRoundTrip and TestParseFailureInjection",
 	"repro/internal/parallel.MapChunks":         "the floatfold analyzer fixture (testdata/src/floatfold)",
 	"repro/internal/parallel.NewPool":           "the floatfold analyzer fixture (testdata/src/floatfold)",
+	"repro/internal/table.EncodeStream":         "the column codecs' round trips and TestStreamEncodingInvariantToStorage compare tables by it; payloads frame the same bytes with AppendBlock",
+	"repro/internal/table.NewSlice":             "TestSliceScannerShards and TestStreamEncodingInvariantToStorage run the Slice storage through the Table contract",
 	"repro/internal/table.Rows":                 "core's equivalence suite and FuzzDecodeStream read tables back through it",
 	"repro/internal/trace.WriteAccountingTable": "TestWriteAccountingTableBytes and cluster's TestClusterRunEquivalence",
 	"repro/internal/trace.UserUsage":            "TestUserUsageTableMatchesSlice uses it as the reference",
