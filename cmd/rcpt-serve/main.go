@@ -113,7 +113,7 @@ func run() error {
 	n2011 := flag.Int("n2011", 200, "base 2011 cohort size")
 	n2024 := flag.Int("n2024", 600, "base 2024 cohort size")
 	years := flag.String("years", "", "comma-separated trace years (default: the standard study years)")
-	workers := flag.Int("workers", 0, "pipeline workers per run, also the shard fan-out of table scans (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "pipeline workers per run (0 = GOMAXPROCS)")
 	cacheMB := flag.Int64("cache-mb", 64, "rendered-artifact cache bound in MiB")
 	maxCohort := flag.Int("max-cohort", 20000, "per-cohort size cap for POST /v1/run")
 	runLimit := flag.Int("max-runs", 2, "concurrent pipeline runs")

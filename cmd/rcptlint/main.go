@@ -1,7 +1,7 @@
 // rcptlint enforces the pipeline's reproducibility contract with the
 // analyzer suite in internal/analysis: the syntactic rules (maporder,
 // rngpurity, errdrop, panicsafe) and the interprocedural dataflow rules
-// (nondetflow, ctxprop, shardpure, splitshare, floatfold) built on the
+// (nondetflow, ctxprop, splitshare, floatfold) built on the
 // call-graph engine in internal/analysis/flow. It loads and type-checks
 // packages with the module-aware loader (no go tool invocation, std-lib
 // only) and prints findings as "file:line: [analyzer] message".

@@ -44,10 +44,6 @@ func TestCtxProp(t *testing.T) {
 	analysistest.Run(t, analysis.CtxProp, "testdata/src/ctxprop")
 }
 
-func TestShardPure(t *testing.T) {
-	analysistest.Run(t, analysis.ShardPure, "testdata/src/shardpure")
-}
-
 func TestErrDrop(t *testing.T) {
 	analysistest.Run(t, analysis.ErrDrop,
 		"testdata/src/errdrop/report", "testdata/src/errdrop/other",

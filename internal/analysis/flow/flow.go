@@ -1,5 +1,5 @@
 // Package flow is the interprocedural dataflow engine under rcptlint's
-// call-graph-aware analyzers (nondetflow, ctxprop, shardpure, and the
+// call-graph-aware analyzers (nondetflow, ctxprop, and the
 // summary-driven rewrites of floatfold and splitshare). It is std-lib
 // only — go/ast + go/types over packages loaded by the module-aware
 // loader in internal/analysis — and computes three artifacts:
@@ -212,7 +212,7 @@ func FuncOf(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // PathAndName returns the defining package path and name of fn
-// ("repro/internal/table", "ShardFold"); methods render the receiver
+// ("repro/internal/table", "FoldSeq"); methods render the receiver
 // ("(*Server).Warm" -> name "Warm", recv "*Server" is left to callers
 // via types).
 func PathAndName(fn *types.Func) (string, string) {

@@ -573,6 +573,11 @@ func (e *Engine) paramDispatch(fi *FuncInfo) (spawns, calls uint64) {
 					continue
 				}
 				sp, ca := e.argDispatch(site, n, ai)
+				if ca && inGoStmt(body, n.Pos()) {
+					// A callee that calls p from inside a go statement
+					// runs it on that goroutine, as p(...) there would.
+					sp, ca = true, false
+				}
 				if sp {
 					spawns |= bit
 				}

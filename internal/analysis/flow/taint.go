@@ -58,10 +58,10 @@ type TaintSpec struct {
 	SinkArgs func(fn *types.Func, call *ast.CallExpr, info *types.Info) (string, []ast.Expr, bool)
 	// Sanitizes returns a bitmask of fn's parameters (receiver = bit 0
 	// for methods) whose taint is contractually guaranteed not to leak
-	// into fn's results — e.g. the shard/worker counts of order-free
-	// aggregation helpers, whose output is shard-count-independent by
-	// contract (a contract enforced elsewhere: shardpure plus the
-	// shard-count equivalence tests). Nil means nothing is sanitized.
+	// into fn's results — e.g. the worker count of a parallel map whose
+	// results land by index, so its output is independent of the count
+	// (a contract the worker-count equivalence tests pin). Nil means
+	// nothing is sanitized.
 	Sanitizes func(fn *types.Func) uint64
 }
 

@@ -26,34 +26,21 @@ var NondetFlow = &Analyzer{
 	Run:  runNondetFlow,
 }
 
-// nondetSpec is shared with shardpure, which reuses the source
-// classifier for "ambient nondeterminism inside a shard closure".
 var nondetSpec = &flow.TaintSpec{
 	Name:      "nondet",
 	IsSource:  nondetSource,
 	SinkArgs:  artifactSink,
-	Sanitizes: shardCountSanitizer,
+	Sanitizes: workerCountSanitizer,
 }
 
-// shardCountSanitizer declares the fan-out-width parameters of the
-// order-free aggregation helpers as sanitized: their contract (ORDER-
-// FREE AGGREGATIONS ONLY, enforced by shardpure and the shard-count
-// equivalence tests) guarantees results are identical for any shard or
-// worker count, so a machine-dependent width (parallel.Workers, i.e.
-// GOMAXPROCS) does not make the output machine-dependent.
-func shardCountSanitizer(fn *types.Func) uint64 {
-	path, name := flow.PathAndName(fn)
-	switch {
-	case strings.HasSuffix(path, "internal/table"):
-		switch name {
-		case "ShardFold", "ShardFoldParts", "ShardCollect":
-			return 1 << 1 // shards
-		}
-	case strings.HasSuffix(path, "internal/parallel"):
-		switch name {
-		case "Map", "MapChunks":
-			return 1 << 0 // workers: results land by index, not completion
-		}
+// workerCountSanitizer declares parallel.Map's worker count sanitized:
+// its results land by index, not completion order, so they are
+// identical for any worker count, and a machine-dependent width
+// (parallel.Workers, i.e. GOMAXPROCS) does not make the output
+// machine-dependent.
+func workerCountSanitizer(fn *types.Func) uint64 {
+	if path, name := flow.PathAndName(fn); strings.HasSuffix(path, "internal/parallel") && name == "Map" {
+		return 1 << 0 // workers
 	}
 	return 0
 }
@@ -167,7 +154,7 @@ func artifactSink(fn *types.Func, call *ast.CallExpr, info *types.Info) (string,
 			case "Raw", "Uvarint", "Varint", "Float64", "String":
 				return "table.Writer." + name, nil, true
 			}
-		case recv == "" && (name == "FromSlice" || name == "NewSlice" || name == "Build"):
+		case recv == "" && (name == "FromSlice" || name == "Build"):
 			return "table." + name, nil, true
 		}
 	case strings.HasSuffix(path, "internal/report"):

@@ -11,7 +11,6 @@ func All() []*Analyzer {
 		NondetFlow,
 		PanicSafe,
 		RNGPurity,
-		ShardPure,
 		SplitShare,
 	}
 }

@@ -43,35 +43,46 @@ func mutexSum(parts [][]float64) float64 {
 	return sum
 }
 
-// poolAppend collects float results from pool tasks in completion order;
-// any later non-commutative fold inherits that order.
-func poolAppend(parts []float64) ([]float64, error) {
+// mapAppend collects float results from parallel.Map workers in
+// completion order; any later non-commutative fold inherits that order.
+// Map calls fn from inside its workers' go statement, so fn runs
+// concurrently even though no go statement names it.
+func mapAppend(parts []float64) ([]float64, error) {
 	var (
 		mu  sync.Mutex
 		out []float64
 	)
-	pool := parallel.NewPool(2, 4)
-	for _, p := range parts {
-		p := p
-		if err := pool.Submit(func() error {
-			mu.Lock()
-			out = append(out, p*p) // want `append of float values to shared "out" inside a concurrently executed closure`
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if err := pool.Close(); err != nil {
+	if _, err := parallel.Map(2, parts, func(_ int, p float64) (struct{}, error) {
+		mu.Lock()
+		out = append(out, p*p) // want `append of float values to shared "out" inside a concurrently executed closure`
+		mu.Unlock()
+		return struct{}{}, nil
+	}); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// mapSum folds parallel.Map results into a shared float under a mutex:
+// the sum re-associates with completion order.
+func mapSum(parts []float64) (float64, error) {
+	var (
+		mu  sync.Mutex
+		sum float64
+	)
+	_, err := parallel.Map(2, parts, func(_ int, p float64) (struct{}, error) {
+		mu.Lock()
+		sum += p // want `float accumulation into shared "sum" inside a concurrently executed closure`
+		mu.Unlock()
+		return struct{}{}, nil
+	})
+	return sum, err
+}
+
 // chunkFold is the deterministic pattern: per-chunk partials land at
 // their chunk index and are folded sequentially in index order.
 func chunkFold(xs []float64) (float64, error) {
-	partials, err := parallel.MapChunks(4, len(xs), func(c parallel.Chunk) (float64, error) {
+	partials, err := parallel.Map(4, parallel.Chunks(len(xs), 4), func(_ int, c parallel.Chunk) (float64, error) {
 		s := 0.0
 		for _, v := range xs[c.Lo:c.Hi] {
 			s += v

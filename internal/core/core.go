@@ -58,16 +58,6 @@ type Config struct {
 	TraceScale int
 }
 
-// workerCount resolves Workers (<=0: GOMAXPROCS). Order-free table
-// aggregations fan out over that many shards; order-sensitive folds
-// ignore it by design.
-func (c Config) workerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return parallel.Workers()
-}
-
 // traceScale normalizes TraceScale (0 and 1 both mean unscaled).
 func (c Config) traceScale() int {
 	if c.TraceScale <= 1 {
@@ -454,10 +444,10 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 
 	// 3+4. Cluster accounting traces and module-load telemetry. Traces
 	// run one stage per (year, replica): TraceScale replicas of a year
-	// are separate stages — that is the per-shard parallelism beyond the
-	// per-year split — each streaming its generator straight into its
-	// own column table. Trace stages are the stealable ones. Telemetry
-	// stays one stage per year (its volume does not scale).
+	// are separate stages — that is the parallelism beyond the per-year
+	// split — each streaming its generator straight into its own column
+	// table. Trace stages are the stealable ones. Telemetry stays one
+	// stage per year (its volume does not scale).
 	scale := cfg.traceScale()
 	repTables := make([][]trace.JobTable, len(cfg.TraceYears))
 	modTables := make([]modlog.EventTable, len(cfg.TraceYears))
@@ -521,7 +511,7 @@ func stages(cfg Config, a *Artifacts) ([]spec, error) {
 	specs = append(specs, stage[[]modlog.YearShares]{
 		name: "modlog-merge", version: verModAgg, deps: modStages,
 		run: func() ([]modlog.YearShares, error) {
-			agg, err := modlog.AggregateByYearTable(table.Concat[modlog.Event](modTables...), cfg.workerCount())
+			agg, err := modlog.AggregateByYearTable(table.Concat[modlog.Event](modTables...))
 			if err != nil {
 				return nil, fmt.Errorf("core: aggregating module log: %w", err)
 			}

@@ -175,15 +175,15 @@ func (a *Artifacts) UserUsageFor(year int) ([]float64, error) {
 }
 
 // CoLoadPairs returns the module co-load affinities for the sim year,
-// computed once off the telemetry event table with a sharded set-union
-// scan. Read-only.
+// computed once off the telemetry event table in one set-union scan.
+// Read-only.
 func (a *Artifacts) CoLoadPairs() ([]modlog.PairAffinity, error) {
 	a.derived.coLoadsOnce.Do(func() {
 		if a.ModEventsSim == nil || a.ModEventsSim.Len(table.Exact) == 0 {
 			a.derived.coLoadsErr = fmt.Errorf("core: no telemetry events for sim year %d", a.Config.SimYear)
 			return
 		}
-		a.derived.coLoads, a.derived.coLoadsErr = modlog.CoLoadsTable(a.ModEventsSim, a.Config.SimYear, a.Config.workerCount())
+		a.derived.coLoads, a.derived.coLoadsErr = modlog.CoLoadsTable(a.ModEventsSim, a.Config.SimYear)
 	})
 	return a.derived.coLoads, a.derived.coLoadsErr
 }

@@ -136,8 +136,7 @@ func eventRows(t *testing.T, tab modlog.EventTable) []modlog.Event {
 }
 
 // TestRunShardBatchEquivalence pins the columnar-layer contract from
-// DESIGN.md: the worker count, which is also the shard fan-out of every
-// order-free table aggregation, is an execution knob — artifacts (rows
+// DESIGN.md: the worker count is an execution knob — artifacts (rows
 // and serialized accounting bytes) are byte-identical across worker
 // counts, and the fingerprint does not encode it.
 func TestRunShardBatchEquivalence(t *testing.T) {

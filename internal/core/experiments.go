@@ -486,12 +486,11 @@ func figure3(a *Artifacts, w io.Writer) error {
 		if !ok {
 			return fmt.Errorf("core: figure3: no jobs for %d", year)
 		}
-		// Core counts are integers, so the sharded collect is order-free
-		// in value; it still preserves row order by contract.
-		cores, err := table.ShardCollect[trace.Job](jobs, a.Config.workerCount(), func(j trace.Job) float64 {
-			return float64(j.Cores())
-		})
-		if err != nil {
+		cores := make([]float64, 0, jobs.Len(table.Exact))
+		if err := table.Each[trace.Job](jobs, func(j trace.Job) bool {
+			cores = append(cores, float64(j.Cores()))
+			return true
+		}); err != nil {
 			return err
 		}
 		pts, probs, err := stats.ECDF(cores)
@@ -613,8 +612,8 @@ func figure7(a *Artifacts, w io.Writer) error {
 	jobs := a.JobsByYr[a.Config.SimYear]
 	cpuH := map[string]float64{}
 	gpuH := map[string]float64{}
-	// Float accumulation: must stream in row order (FoldSeq, not a
-	// sharded fold) so the sums re-associate identically on every run.
+	// Float accumulation streams in row order (FoldSeq), so the sums
+	// associate identically on every run.
 	if _, err := table.FoldSeq[trace.Job](jobs, struct{}{}, func(z struct{}, j trace.Job) struct{} {
 		cpuH[j.Account] += j.CPUHours()
 		gpuH[j.Account] += j.GPUHours()

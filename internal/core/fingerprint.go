@@ -17,9 +17,8 @@ import (
 // Config.Workers is deliberately excluded: the determinism contract
 // (DESIGN.md "Pipeline concurrency & determinism", enforced by
 // TestRunWorkerCountEquivalence and TestRunShardBatchEquivalence)
-// guarantees artifacts are byte-identical for any worker count, and so
-// for any shard fan-out, so runs differing only in it must share a
-// cache slot.
+// guarantees artifacts are byte-identical for any worker count, so
+// runs differing only in it must share a cache slot.
 // Config.TraceScale does change artifacts, but only when > 1; the
 // unscaled encoding omits the field entirely so every fingerprint from
 // before the field existed stays valid.

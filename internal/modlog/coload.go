@@ -96,38 +96,29 @@ func pairAffinities(users map[string]map[string]bool) []PairAffinity {
 	return out
 }
 
-// CoLoadsTable is the streaming, shard-parallel equivalent of CoLoads:
-// the user→module sets are built by order-free set union across shard
-// scanners (merged in ascending shard order), then scored by the same
-// pair-affinity core. Identical output for any shard count.
-func CoLoadsTable(t EventTable, year, shards int) ([]PairAffinity, error) {
+// CoLoadsTable is the streaming equivalent of CoLoads: one scan in row
+// order builds the user→module sets, which the same pair-affinity core
+// scores.
+func CoLoadsTable(t EventTable, year int) ([]PairAffinity, error) {
 	if t.Len(table.Exact) == 0 {
 		return nil, fmt.Errorf("modlog: no events")
 	}
-	users, err := table.ShardFold[Event](t, shards,
-		func() map[string]map[string]bool { return map[string]map[string]bool{} },
-		func(m map[string]map[string]bool, e Event) map[string]map[string]bool {
-			if e.Year != year {
-				panic(fmt.Sprintf("modlog: event for year %d in CoLoadsTable(%d)", e.Year, year))
-			}
-			if m[e.User] == nil {
-				m[e.User] = map[string]bool{}
-			}
-			m[e.User][e.Name()] = true
-			return m
-		},
-		func(a, b map[string]map[string]bool) map[string]map[string]bool {
-			for u, mods := range b {
-				if a[u] == nil {
-					a[u] = mods
-					continue
-				}
-				for m := range mods {
-					a[u][m] = true
-				}
-			}
-			return a
-		})
+	users := map[string]map[string]bool{}
+	var wrong error
+	err := table.Each(t, func(e Event) bool {
+		if e.Year != year {
+			wrong = fmt.Errorf("modlog: event for year %d in CoLoadsTable(%d)", e.Year, year)
+			return false
+		}
+		if users[e.User] == nil {
+			users[e.User] = map[string]bool{}
+		}
+		users[e.User][e.Name()] = true
+		return true
+	})
+	if err == nil {
+		err = wrong
+	}
 	if err != nil {
 		return nil, err
 	}

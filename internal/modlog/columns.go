@@ -125,75 +125,41 @@ func (EventCodec) DecodeLen(r *table.Reader) int {
 // EventTable is the streaming form of a module-load log.
 type EventTable = table.Table[Event]
 
-// AggregateByYearTable is the shard-parallel, streaming equivalent of
-// AggregateByYear. The aggregation is pure set union — (year, user) →
-// module sets — so it is order-free: per-shard partials merge by set
-// union in ascending shard order, and the final shares are computed
-// from the merged sets exactly as the slice version does. Output is
-// identical for any shard count (pinned by tests).
-func AggregateByYearTable(t EventTable, shards int) ([]YearShares, error) {
+// AggregateByYearTable is the streaming equivalent of AggregateByYear:
+// one scan in row order builds the (year, user) → module sets, and the
+// shares are computed from them exactly as the slice version does.
+func AggregateByYearTable(t EventTable) ([]YearShares, error) {
 	type key struct {
 		year int
 		user string
 	}
-	type partial struct {
-		usersPerYear map[int]map[string]bool
-		loads        map[key]map[string]bool
-	}
-	merged, err := table.ShardFold[Event](t, shards,
-		func() *partial {
-			return &partial{
-				usersPerYear: map[int]map[string]bool{},
-				loads:        map[key]map[string]bool{},
-			}
-		},
-		func(p *partial, e Event) *partial {
-			if p.usersPerYear[e.Year] == nil {
-				p.usersPerYear[e.Year] = map[string]bool{}
-			}
-			p.usersPerYear[e.Year][e.User] = true
-			k := key{e.Year, e.User}
-			if p.loads[k] == nil {
-				p.loads[k] = map[string]bool{}
-			}
-			p.loads[k][e.Name()] = true
-			return p
-		},
-		func(a, b *partial) *partial {
-			for y, users := range b.usersPerYear {
-				if a.usersPerYear[y] == nil {
-					a.usersPerYear[y] = users
-					continue
-				}
-				for u := range users {
-					a.usersPerYear[y][u] = true
-				}
-			}
-			for k, mods := range b.loads {
-				if a.loads[k] == nil {
-					a.loads[k] = mods
-					continue
-				}
-				for m := range mods {
-					a.loads[k][m] = true
-				}
-			}
-			return a
-		})
-	if err != nil {
+	usersPerYear := map[int]map[string]bool{}
+	loads := map[key]map[string]bool{}
+	if err := table.Each(t, func(e Event) bool {
+		if usersPerYear[e.Year] == nil {
+			usersPerYear[e.Year] = map[string]bool{}
+		}
+		usersPerYear[e.Year][e.User] = true
+		k := key{e.Year, e.User}
+		if loads[k] == nil {
+			loads[k] = map[string]bool{}
+		}
+		loads[k][e.Name()] = true
+		return true
+	}); err != nil {
 		return nil, err
 	}
-	years := make([]int, 0, len(merged.usersPerYear))
-	for y := range merged.usersPerYear {
+	years := make([]int, 0, len(usersPerYear))
+	for y := range usersPerYear {
 		years = append(years, y)
 	}
 	sort.Ints(years)
 	out := make([]YearShares, 0, len(years))
 	for _, y := range years {
-		users := merged.usersPerYear[y]
+		users := usersPerYear[y]
 		counts := make(map[string]int, 64)
 		for user := range users {
-			for name := range merged.loads[key{y, user}] {
+			for name := range loads[key{y, user}] {
 				counts[name]++
 			}
 		}

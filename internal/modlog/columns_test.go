@@ -54,7 +54,7 @@ func TestEventColumnsSpillRoundTrip(t *testing.T) {
 }
 
 // builtParts returns events as a Concat of resident tables of size rows
-// each, so shard scans cross part boundaries.
+// each, so a scan crosses part boundaries.
 func builtParts(events []Event, size int) EventTable {
 	var parts []EventTable
 	for lo := 0; lo < len(events); lo += size {
@@ -63,21 +63,23 @@ func builtParts(events []Event, size int) EventTable {
 	return table.Concat(parts...)
 }
 
+// TestAggregateByYearTableMatchesSliceAcrossShards: one scan over a
+// Concat of built parts gives what the slice version gives.
 func TestAggregateByYearTableMatchesSliceAcrossShards(t *testing.T) {
 	events := genEvents(t, 2011, 2024)
 	want := AggregateByYear(events)
-	tab := builtParts(events, 500)
-	for _, shards := range []int{1, 3, 7} {
-		got, err := AggregateByYearTable(tab, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: AggregateByYearTable differs from AggregateByYear", shards)
-		}
+	got, err := AggregateByYearTable(builtParts(events, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("AggregateByYearTable differs from AggregateByYear")
 	}
 }
 
+// TestCoLoadsTableMatchesSliceAcrossShards: one scan over a Concat of
+// built parts gives what the slice version gives, and an event from
+// another year is an error, not a panic.
 func TestCoLoadsTableMatchesSliceAcrossShards(t *testing.T) {
 	events := genEvents(t, 2024)
 	want, err := CoLoads(events, 2024)
@@ -85,16 +87,14 @@ func TestCoLoadsTableMatchesSliceAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := builtParts(events, 333)
-	for _, shards := range []int{1, 3, 7} {
-		got, err := CoLoadsTable(tab, 2024, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: CoLoadsTable differs from CoLoads", shards)
-		}
+	got, err := CoLoadsTable(tab, 2024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CoLoadsTable(tab, 2011, 2); err == nil {
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("CoLoadsTable differs from CoLoads")
+	}
+	if _, err := CoLoadsTable(tab, 2011); err == nil {
 		t.Fatal("CoLoadsTable accepted events from the wrong year")
 	}
 }

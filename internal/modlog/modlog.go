@@ -38,14 +38,21 @@ func (e Event) Validate() error {
 		return fmt.Errorf("modlog: negative time %d", e.Time)
 	case e.Year <= 0:
 		return fmt.Errorf("modlog: year %d", e.Year)
-	case e.User == "":
-		return errors.New("modlog: empty user")
-	case e.Module == "":
-		return errors.New("modlog: empty module")
-	case strings.ContainsAny(e.Module, " \t"):
-		return fmt.Errorf("modlog: module %q contains whitespace", e.Module)
-	case strings.ContainsAny(e.User, " \t"):
-		return fmt.Errorf("modlog: user %q contains whitespace", e.User)
+	}
+	if err := checkName("user", e.User); err != nil {
+		return err
+	}
+	return checkName("module", e.Module)
+}
+
+// checkName refuses an empty user or module string, or one holding
+// whitespace, which a log line's space-separated fields cannot carry.
+func checkName(what, s string) error {
+	switch {
+	case s == "":
+		return fmt.Errorf("modlog: empty %s", what)
+	case strings.ContainsAny(s, " \t"):
+		return fmt.Errorf("modlog: %s %q contains whitespace", what, s)
 	}
 	return nil
 }
@@ -220,12 +227,18 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 		}
 	}
 	// Each module loads one era-appropriate version all year (its index
-	// scales with the year knob): format every "name/version" once.
+	// scales with the year knob): format and check every "name/version"
+	// once, and each user name where it is formatted. An event's time
+	// and year hold by construction, so no event is checked again.
 	modules := make(map[string]string, len(m.ModuleShare))
 	for name := range m.ModuleShare {
 		versions := moduleVersions[name]
 		vi := min(max(int(float64(len(versions)-1)*float64(m.Year-2011)/13.0), 0), len(versions)-1)
-		modules[name] = name + "/" + versions[vi]
+		module := name + "/" + versions[vi]
+		if err := checkName("module", module); err != nil {
+			return nil, err
+		}
+		modules[name] = module
 	}
 	window := int64(m.WindowDays) * 86400
 	// The event count is Poisson with mean Users × LoadsPerUser: room for
@@ -234,6 +247,9 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 	events := make([]Event, 0, int(mean+4*math.Sqrt(mean)))
 	for u := 0; u < m.Users; u++ {
 		user := fmt.Sprintf("u%04d", u)
+		if err := checkName("user", user); err != nil {
+			return nil, err
+		}
 		// Each user works from a small personal repertoire of modules
 		// drawn from the campus mix; without this, "share of users who
 		// loaded X at least once" saturates to 1 for every module.
@@ -258,16 +274,12 @@ func (m *GeneratorModel) Generate(r *rng.RNG) ([]Event, error) {
 		n := r.Poisson(m.LoadsPerUser)
 		for k := 0; k < n; k++ {
 			module := repertoire[r.Intn(len(repertoire))]
-			e := Event{
+			events = append(events, Event{
 				Time:   int64(r.Uint64n(uint64(window))),
 				Year:   m.Year,
 				User:   user,
 				Module: module,
-			}
-			if err := e.Validate(); err != nil {
-				return nil, err
-			}
-			events = append(events, e)
+			})
 		}
 	}
 	return sortEvents(events), nil

@@ -1,8 +1,8 @@
 // Package parallel provides the small concurrent runtime the study
 // pipeline uses to fan generation and analysis out across cores while
 // staying deterministic: chunked parallel map with stable output order,
-// a bounded worker pool, fold/reduce over chunk partials, and the stage
-// graph executor (graph.go).
+// fold/reduce over chunk partials, and the stage graph executor
+// (graph.go).
 //
 // Determinism convention: callers split an rng stream per chunk *before*
 // submitting work, so results are identical for any worker count —
@@ -11,7 +11,6 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -134,15 +133,6 @@ func Chunks(n, parts int) []Chunk {
 	return out
 }
 
-// MapChunks runs fn over a contiguous partition of n items and returns
-// one partial result per chunk in chunk order. It is the deterministic
-// fan-out primitive: each chunk's fn receives its Chunk so the caller
-// can derive a per-chunk RNG stream keyed by Chunk.Index.
-func MapChunks[R any](workers, n int, fn func(Chunk) (R, error)) ([]R, error) {
-	chunks := Chunks(n, workers)
-	return Map(workers, chunks, func(_ int, c Chunk) (R, error) { return fn(c) })
-}
-
 // Fold reduces partial results sequentially in order, so any
 // non-commutative merge is still deterministic.
 func Fold[R, A any](partials []R, init A, merge func(A, R) A) A {
@@ -151,91 +141,4 @@ func Fold[R, A any](partials []R, init A, merge func(A, R) A) A {
 		acc = merge(acc, p)
 	}
 	return acc
-}
-
-// ErrPoolClosed is returned by Pool.Submit after Close.
-var ErrPoolClosed = errors.New("parallel: pool closed")
-
-// Pool is a bounded worker pool for heterogeneous background tasks.
-// Tasks are arbitrary funcs; errors are collected and returned by Wait.
-type Pool struct {
-	tasks  chan func() error
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	errs   []error
-	closed bool
-}
-
-// NewPool starts workers goroutines servicing a queue of depth queue.
-func NewPool(workers, queue int) *Pool {
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if queue < 0 {
-		queue = 0
-	}
-	p := &Pool{tasks: make(chan func() error, queue)}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer p.wg.Done()
-			defer func() {
-				// Task panics are recovered per-task in runTask; this
-				// keeps a pool worker from ever killing the process.
-				if r := recover(); r != nil {
-					p.mu.Lock()
-					p.errs = append(p.errs, fmt.Errorf("parallel: pool worker panicked: %v", r))
-					p.mu.Unlock()
-				}
-			}()
-			for t := range p.tasks {
-				if err := runTask(t); err != nil {
-					p.mu.Lock()
-					p.errs = append(p.errs, err)
-					p.mu.Unlock()
-				}
-			}
-		}()
-	}
-	return p
-}
-
-func runTask(t func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("parallel: pool task panicked: %v", r)
-		}
-	}()
-	return t()
-}
-
-// Submit enqueues a task, blocking if the queue is full. It returns
-// ErrPoolClosed after Close.
-func (p *Pool) Submit(t func() error) error {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return ErrPoolClosed
-	}
-	p.tasks <- t
-	return nil
-}
-
-// Close stops accepting tasks and waits for in-flight tasks to finish,
-// returning the accumulated task errors joined together (nil if none).
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return errors.Join(p.errs...)
-	}
-	p.closed = true
-	p.mu.Unlock()
-	close(p.tasks)
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return errors.Join(p.errs...)
 }

@@ -2,8 +2,6 @@ package parallel
 
 import (
 	"errors"
-	"fmt"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -108,84 +106,11 @@ func TestChunksCoverExactly(t *testing.T) {
 	}
 }
 
-func TestMapChunksDeterministic(t *testing.T) {
-	sum := func(c Chunk) (int, error) {
-		s := 0
-		for i := c.Lo; i < c.Hi; i++ {
-			s += i
-		}
-		return s, nil
-	}
-	p1, err := MapChunks(4, 1000, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := Fold(p1, 0, func(a, r int) int { return a + r })
-	if total != 999*1000/2 {
-		t.Fatalf("total=%d", total)
-	}
-}
-
 func TestFoldOrdered(t *testing.T) {
 	// Non-commutative merge: string concat must be in chunk order.
 	got := Fold([]string{"a", "b", "c"}, "", func(a string, r string) string { return a + r })
 	if got != "abc" {
 		t.Fatalf("fold=%q", got)
-	}
-}
-
-func TestPoolRunsAll(t *testing.T) {
-	p := NewPool(4, 16)
-	var n atomic.Int64
-	for i := 0; i < 200; i++ {
-		if err := p.Submit(func() error { n.Add(1); return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 200 {
-		t.Fatalf("ran %d of 200", n.Load())
-	}
-}
-
-func TestPoolCollectsErrors(t *testing.T) {
-	p := NewPool(2, 4)
-	for i := 0; i < 10; i++ {
-		i := i
-		_ = p.Submit(func() error {
-			if i%3 == 0 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-	}
-	err := p.Close()
-	if err == nil {
-		t.Fatal("errors dropped")
-	}
-}
-
-func TestPoolSubmitAfterClose(t *testing.T) {
-	p := NewPool(1, 1)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(func() error { return nil }); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("err=%v", err)
-	}
-	// Double close is safe.
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoolPanicBecomesError(t *testing.T) {
-	p := NewPool(1, 1)
-	_ = p.Submit(func() error { panic("pool kaboom") })
-	if err := p.Close(); err == nil {
-		t.Fatal("panic swallowed by pool")
 	}
 }
 

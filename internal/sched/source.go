@@ -135,7 +135,7 @@ func SimulateTable(cluster Cluster, t table.Table[trace.Job], opt Options) (*Res
 		return nil, errors.New("sched: no jobs")
 	}
 	applyOptionDefaults(&opt)
-	src := &tableSource{sc: t.Scanner(0, 1, 1), cluster: cluster}
+	src := &tableSource{sc: t.Scanner(), cluster: cluster}
 	s := newSimFromSource(cluster, src, total, 64+total/8, opt)
 	if err := s.run(); err != nil {
 		return nil, err

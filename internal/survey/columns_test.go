@@ -107,7 +107,7 @@ func TestResponseHashCanonicalOverMapOrder(t *testing.T) {
 // encodeResponses returns the EncodeStream bytes of rs.
 func encodeResponses(t *testing.T, rs []Response) []byte {
 	t.Helper()
-	b, err := table.EncodeStream[Response](ResponseCodec{}, table.NewSlice(rs))
+	b, err := table.EncodeStream[Response](ResponseCodec{}, table.FromSlice[Response](ResponseCodec{}, rs))
 	if err != nil {
 		t.Fatal(err)
 	}

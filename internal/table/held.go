@@ -24,8 +24,8 @@ type HoldCodec[T any] interface {
 }
 
 // Held is a Table over one EncodeStream envelope that decodes its
-// columns once, on the first Scanner, row window or Load, and then
-// drops the envelope. Safe for concurrent use.
+// columns once, on the first Scanner or Load, and then drops the
+// envelope. Safe for concurrent use.
 type Held[T any] struct {
 	codec Codec[T]
 	rows  int
@@ -103,17 +103,12 @@ func (h *Held[T]) decode() (cols Columns[T], err error) {
 // Len implements Table.
 func (h *Held[T]) Len(CountMode) int { return h.rows }
 
-// Scanner implements Table.
-func (h *Held[T]) Scanner(start, limit, total int) Scanner[T] {
-	lo, hi := ShardRange(start, limit, total, h.rows)
-	return h.rowScanner(lo, hi)
-}
-
-func (h *Held[T]) rowScanner(lo, hi int) Scanner[T] {
+// Scanner implements Table: it loads the columns, then scans them.
+func (h *Held[T]) Scanner() Scanner[T] {
 	if err := h.Load(); err != nil {
 		return errScanner[T]{err}
 	}
-	return h.tab.rowScanner(lo, hi)
+	return h.tab.Scanner()
 }
 
 // errScanner is the scanner of a table whose rows cannot be read.

@@ -101,7 +101,7 @@ func streamColumns[T any](codec Codec[T], t Table[T]) (Columns[T], error) {
 		return r.cols, nil
 	}
 	cols := codec.NewColumns(t.Len(Exact))
-	sc := t.Scanner(0, 1, 1)
+	sc := t.Scanner()
 	for sc.Scan() {
 		cols.Append(sc.Row())
 	}

@@ -40,7 +40,7 @@ func FuzzDecodeStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, tab := range []trace.JobTable{tab, table.NewSlice(rows[:64])} {
+	for _, tab := range []trace.JobTable{tab, table.FromSlice(trace.JobCodec{}, rows[:64])} {
 		seed, err := table.EncodeStream(trace.JobCodec{}, tab)
 		if err != nil {
 			f.Fatal(err)

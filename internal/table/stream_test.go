@@ -24,7 +24,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d rows, want %d", got.Len(Exact), len(rows))
 	}
 	var out []testRow
-	sc := got.Scanner(0, 1, 1)
+	sc := got.Scanner()
 	for sc.Scan() {
 		out = append(out, sc.Row())
 	}
@@ -47,8 +47,8 @@ func TestStreamRoundTrip(t *testing.T) {
 
 // TestStreamEncodingInvariantToStorage: a table's content identity is
 // its encoded stream, so every storage of the same rows encodes to the
-// same bytes and scans the same rows at any shard count, while a
-// changed float changes the stream. That includes tables decoded from a
+// same bytes and scans the same rows, while a changed float changes the
+// stream. That includes tables decoded from a
 // valid stream whose columns are not the ones a re-append builds.
 func TestStreamEncodingInvariantToStorage(t *testing.T) {
 	rows := testRows(500)
@@ -93,14 +93,13 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 		name string
 		tab  Table[testRow]
 	}{
-		{"slice", NewSlice(rows)},
 		{"built", built},
 		{"concat/built/3", builtParts(rows, 3)},
 		{"concat/built/64", builtParts(rows, 64)},
 		{"concat/built/500", builtParts(rows, 500)},
 		{"concat/mixed", Concat[testRow](
-			NewSlice(rows[:37]),
-			NewSlice(rows[37:37]),
+			FromSlice[testRow](testCodec{}, rows[:37]),
+			FromSlice[testRow](testCodec{}, rows[37:37]),
 			builtParts(rows[37:300], 10),
 			held(rows[300:]),
 		)},
@@ -121,10 +120,8 @@ func TestStreamEncodingInvariantToStorage(t *testing.T) {
 		if !bytes.Equal(enc, want) {
 			t.Fatalf("%s: stream bytes depend on storage", tc.name)
 		}
-		for _, shards := range []int{1, 3, 7} {
-			if !reflect.DeepEqual(shardRows(t, tc.tab, shards), rows) {
-				t.Fatalf("%s: shards=%d: sharded scan differs from rows", tc.name, shards)
-			}
+		if got, err := Rows(tc.tab); err != nil || !reflect.DeepEqual(got, rows) {
+			t.Fatalf("%s: scan differs from rows (err %v)", tc.name, err)
 		}
 	}
 	mut := append([]testRow(nil), rows...)
@@ -154,11 +151,36 @@ func noncanonicalStream(t *testing.T, rows []testRow) []byte {
 	if err := cols.EncodeTo(pw); err != nil {
 		t.Fatal(err)
 	}
-	payload := pw.Bytes()
+	return frameStream(len(rows), pw.Bytes())
+}
+
+// undecodableStream frames a stream with a valid checksum that Hold
+// accepts but whose first read fails: its columns claim three rows and
+// hold two, each wide enough that the claim passes the count bound.
+func undecodableStream(t *testing.T) []byte {
+	t.Helper()
+	pw := NewWriter(nil)
+	var d Dict
+	d.Code("name-0")
+	d.EncodeTo(pw)
+	pw.Uvarint(3)
+	for i := 0; i < 2; i++ {
+		pw.Uvarint(1 << 40)
+		pw.Uvarint(0)
+		pw.Float64(1)
+	}
+	if err := pw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return frameStream(3, pw.Bytes())
+}
+
+// frameStream wraps a column payload in a stream envelope claiming rows.
+func frameStream(rows int, payload []byte) []byte {
 	sum := sha256.Sum256(payload)
 	w := NewWriter(nil)
 	w.Raw([]byte(streamMagic))
-	w.Uvarint(uint64(len(rows)))
+	w.Uvarint(uint64(rows))
 	w.Uvarint(uint64(len(payload)))
 	w.Raw(sum[:])
 	w.Raw(payload)
@@ -217,32 +239,6 @@ func TestStreamDetectsCorruption(t *testing.T) {
 		var ie *IntegrityError
 		if !errors.As(err, &ie) {
 			t.Errorf("%s: err = %v, want *IntegrityError", name, err)
-		}
-	}
-}
-
-func TestFromColumnsSharding(t *testing.T) {
-	cols := (testCodec{}).NewColumns(0)
-	rows := testRows(97)
-	for _, r := range rows {
-		cols.Append(r)
-	}
-	tab := FromColumns[testRow](cols)
-	// Scanning shard-by-shard in ascending order must reproduce the
-	// whole table for any shard count.
-	for _, total := range []int{1, 2, 3, 7, 97, 200} {
-		var out []testRow
-		for s := 0; s < total; s++ {
-			sc := tab.Scanner(s, s+1, total)
-			for sc.Scan() {
-				out = append(out, sc.Row())
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(out, rows) {
-			t.Fatalf("shard total %d: reassembled rows differ", total)
 		}
 	}
 }

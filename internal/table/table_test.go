@@ -90,47 +90,6 @@ func testRows(n int) []testRow {
 	return rows
 }
 
-func TestShardRangePartition(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 8192} {
-		for _, total := range []int{1, 2, 3, 7, 16} {
-			prev := 0
-			for s := 0; s < total; s++ {
-				lo, hi := ShardRange(s, s+1, total, n)
-				if lo != prev {
-					t.Fatalf("n=%d total=%d shard %d: lo=%d, want %d (gap/overlap)", n, total, s, lo, prev)
-				}
-				if hi < lo {
-					t.Fatalf("n=%d total=%d shard %d: hi %d < lo %d", n, total, s, hi, lo)
-				}
-				prev = hi
-			}
-			if prev != n {
-				t.Fatalf("n=%d total=%d: shards cover %d rows", n, total, prev)
-			}
-		}
-	}
-}
-
-func TestSliceScannerShards(t *testing.T) {
-	rows := testRows(101)
-	tab := NewSlice(rows)
-	for _, shards := range []int{1, 2, 3, 7, 101, 200} {
-		var got []testRow
-		for s := 0; s < shards; s++ {
-			sc := tab.Scanner(s, s+1, shards)
-			for sc.Scan() {
-				got = append(got, sc.Row())
-			}
-			if err := sc.Err(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(got, rows) {
-			t.Fatalf("shards=%d: sharded scan differs from rows", shards)
-		}
-	}
-}
-
 func TestBatchesRoundTrip(t *testing.T) {
 	rows := testRows(1000)
 	for _, size := range []int{1, 7, 100, 1000, 5000} {
@@ -193,7 +152,7 @@ func TestConcat(t *testing.T) {
 		c[i].ID += 1000
 	}
 	want := append(append(append([]testRow(nil), a...), b...), c...)
-	cat := Concat[testRow](NewSlice(a), NewSlice(b), FromSlice[testRow](testCodec{}, c))
+	cat := Concat[testRow](FromSlice[testRow](testCodec{}, a), FromSlice[testRow](testCodec{}, b), FromSlice[testRow](testCodec{}, c))
 	if cat.Len(Exact) != len(want) {
 		t.Fatalf("Len=%d, want %d", cat.Len(Exact), len(want))
 	}
@@ -204,18 +163,16 @@ func TestConcat(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("concat rows differ from concatenated slices")
 	}
-	for _, shards := range []int{2, 5, 11} {
-		if !reflect.DeepEqual(shardRows(t, cat, shards), want) {
-			t.Fatalf("shards=%d: concat sharded scan differs", shards)
-		}
-	}
 	// Parts are storage, not content: the rows encode the same however
-	// they are split or stored, and the same as one flat table.
+	// they are split, and the same as one flat table.
 	cat2 := Concat[testRow](
-		NewSlice(append([]testRow(nil), a...)),
-		NewSlice[testRow](nil),
-		NewSlice(append([]testRow(nil), c...)),
+		FromSlice[testRow](testCodec{}, want[:20]),
+		FromSlice[testRow](testCodec{}, nil),
+		FromSlice[testRow](testCodec{}, want[20:]),
 	)
+	if got, err := Rows[testRow](cat2); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("resplit concat rows differ (err %v)", err)
+	}
 	flat := encodeRows(t, want)
 	for _, tab := range []Table[testRow]{cat, cat2} {
 		enc, err := EncodeStream(testCodec{}, tab)
@@ -228,48 +185,43 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestShardFoldOrderFreeCount(t *testing.T) {
-	rows := testRows(999)
-	tab := builtParts(rows, 64)
-	for _, shards := range []int{1, 3, 7} {
-		counts, err := ShardFold[testRow](tab, shards,
-			func() map[string]int { return map[string]int{} },
-			func(m map[string]int, r testRow) map[string]int { m[r.Name]++; return m },
-			func(a, b map[string]int) map[string]int {
-				for k, v := range b {
-					a[k] += v
-				}
-				return a
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, v := range counts {
-			total += v
-		}
-		if total != len(rows) {
-			t.Fatalf("shards=%d: counted %d rows, want %d", shards, total, len(rows))
-		}
+// TestConcatStopsAtFailingPart: a Concat whose middle part fails its
+// first read delivers the rows before that part, then stops with the
+// part's *IntegrityError on every read path, and does not encode.
+func TestConcatStopsAtFailingPart(t *testing.T) {
+	first := testRows(5)
+	bad, err := Hold[testRow](undecodableStream(t), testCodec{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestShardCollectPreservesRowOrder(t *testing.T) {
-	rows := testRows(500)
-	tab := NewSlice(rows)
-	for _, shards := range []int{1, 4, 9} {
-		ids, err := ShardCollect[testRow](tab, shards, func(r testRow) uint64 { return r.ID })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ids) != len(rows) {
-			t.Fatalf("shards=%d: %d ids", shards, len(ids))
-		}
-		for i, id := range ids {
-			if id != rows[i].ID {
-				t.Fatalf("shards=%d: ids out of row order at %d", shards, i)
-			}
-		}
+	cat := Concat[testRow](FromSlice[testRow](testCodec{}, first), bad, FromSlice[testRow](testCodec{}, testRows(7)))
+	var seen []testRow
+	eachErr := Each(cat, func(r testRow) bool {
+		seen = append(seen, r)
+		return true
+	})
+	var ie *IntegrityError
+	if !errors.As(eachErr, &ie) {
+		t.Fatalf("Each: err = %v, want *IntegrityError", eachErr)
+	}
+	if want := bad.Load(); !errors.Is(eachErr, want) {
+		t.Fatalf("Each: err = %v, want the held part's %v", eachErr, want)
+	}
+	if !reflect.DeepEqual(seen, first) {
+		t.Fatalf("Each delivered %d rows before the failing part, want the first part's %d", len(seen), len(first))
+	}
+	seen = nil
+	if _, err := FoldSeq(cat, 0, func(n int, r testRow) int {
+		seen = append(seen, r)
+		return n + 1
+	}); !errors.Is(err, eachErr) || !reflect.DeepEqual(seen, first) {
+		t.Fatalf("FoldSeq: %d rows, err %v; want %d rows, then %v", len(seen), err, len(first), eachErr)
+	}
+	if rows, err := Rows[testRow](cat); rows != nil || !errors.Is(err, eachErr) {
+		t.Fatalf("Rows: %d rows, err %v; want none and %v", len(rows), err, eachErr)
+	}
+	if _, err := EncodeStream[testRow](testCodec{}, cat); !errors.Is(err, eachErr) {
+		t.Fatalf("EncodeStream: err = %v, want %v", err, eachErr)
 	}
 }
 
@@ -302,25 +254,9 @@ func builtParts(rows []testRow, size int) Table[testRow] {
 // encodeRows returns the EncodeStream bytes of rows.
 func encodeRows(t *testing.T, rows []testRow) []byte {
 	t.Helper()
-	b, err := EncodeStream[testRow](testCodec{}, NewSlice(rows))
+	b, err := EncodeStream[testRow](testCodec{}, FromSlice[testRow](testCodec{}, rows))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// shardRows scans tab shard by shard in ascending shard order.
-func shardRows(t *testing.T, tab Table[testRow], shards int) []testRow {
-	t.Helper()
-	var out []testRow
-	for s := 0; s < shards; s++ {
-		sc := tab.Scanner(s, s+1, shards)
-		for sc.Scan() {
-			out = append(out, sc.Row())
-		}
-		if err := sc.Err(); err != nil {
-			t.Fatalf("shard %d/%d: %v", s, shards, err)
-		}
-	}
-	return out
 }

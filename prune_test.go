@@ -20,10 +20,7 @@ var testOnlyExports = map[string]string{
 	"repro/internal/modlog.CoLoads":             "TestCoLoadsTableMatchesSliceAcrossShards compares CoLoadsTable against it",
 	"repro/internal/modlog.Write":               "TestWriteParseRoundTrip",
 	"repro/internal/modlog.Parse":               "TestWriteParseRoundTrip and TestParseFailureInjection",
-	"repro/internal/parallel.MapChunks":         "the floatfold analyzer fixture (testdata/src/floatfold)",
-	"repro/internal/parallel.NewPool":           "the floatfold analyzer fixture (testdata/src/floatfold)",
 	"repro/internal/table.EncodeStream":         "the column codecs' round trips and TestStreamEncodingInvariantToStorage compare tables by it; payloads frame the same bytes with AppendBlock",
-	"repro/internal/table.NewSlice":             "TestSliceScannerShards and TestStreamEncodingInvariantToStorage run the Slice storage through the Table contract",
 	"repro/internal/table.Rows":                 "core's equivalence suite and FuzzDecodeStream read tables back through it",
 	"repro/internal/trace.WriteAccountingTable": "TestWriteAccountingTableBytes and cluster's TestClusterRunEquivalence",
 	"repro/internal/trace.UserUsage":            "TestUserUsageTableMatchesSlice uses it as the reference",
