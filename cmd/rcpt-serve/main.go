@@ -16,7 +16,7 @@
 //	           [-pprof localhost:6060]
 //	           [-trace-scale N]
 //	           [-peers URL,URL,...] [-join URL,URL,...] [-self URL]
-//	           [-peer-secret S] [-lease-ttl 15s] [-peer-probe-interval 2s]
+//	           [-peer-secret S] [-peer-probe-interval 2s]
 //	           [-peer-suspect-timeout 10s] [-readyz-quorum]
 //
 // -peers or -join turns on distributed serving (see internal/cluster).
@@ -33,9 +33,11 @@
 // content-derived epoch that every replica converges to without
 // coordination. A config fingerprint routes to an authority replica,
 // non-authorities fill their caches from it (fills carry the epoch, so
-// a fill that straddles a handover is redirected, not recomputed),
-// compute leases keep duplicate pipeline runs off the ring even when
-// the authority dies, and trace stages are work-stolen by idle peers.
+// a fill that straddles a handover is redirected, not recomputed), a
+// fill that cannot reach the authority walks on to the next live
+// member in the fingerprint's takeover order, which keeps duplicate
+// pipeline runs off the ring even when the authority dies before any
+// prober notices, and trace stages are work-stolen by idle peers.
 // Replicas share no state — determinism is the replication protocol —
 // so any replica can always fall back to serving alone.
 // -peer-suspect-timeout is how long a suspect member has to refute
@@ -135,7 +137,6 @@ func run() error {
 	join := flag.String("join", "", "comma-separated seed replica URLs to join an existing cluster through (empty = bootstrap from -peers)")
 	self := flag.String("self", "", "this replica's advertised base URL (required with -peers or -join)")
 	peerSecret := flag.String("peer-secret", "", "shared secret authenticating peer endpoints (empty = unauthenticated; localhost only)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "compute-lease TTL; bounds how long a dead replica blocks takeover")
 	probeInterval := flag.Duration("peer-probe-interval", 2*time.Second, "peer health probe period")
 	suspectTimeout := flag.Duration("peer-suspect-timeout", 0, "how long a suspect member may refute before being declared dead (0 = 5x probe interval, min 3s)")
 	readyzQuorum := flag.Bool("readyz-quorum", false, "make /readyz return 503 on cluster quorum loss (default: 200 with degraded detail)")
@@ -188,7 +189,6 @@ func run() error {
 		opts.Cluster = &cluster.Options{
 			Self:           *self,
 			Secret:         *peerSecret,
-			LeaseTTL:       *leaseTTL,
 			ProbeInterval:  *probeInterval,
 			SuspectTimeout: *suspectTimeout,
 		}

@@ -28,8 +28,8 @@ var pipelinePackages = map[string]bool{
 	"table": true,
 	// cluster executes pipeline stages on behalf of peers: any ambient
 	// time or env read there would make remotely computed bytes diverge
-	// from local ones. Leases and breakers take their clock via
-	// Options.Now instead.
+	// from local ones. Breakers and membership take their clock from
+	// the Cluster's injected now instead.
 	"cluster": true,
 	// stagecache stores stage outputs that flow straight back into
 	// artifacts: its storage decisions (eviction, spill, verification)

@@ -17,12 +17,11 @@ import (
 	"repro/internal/table"
 )
 
-// The peer protocol's client half. Seven verbs, all under /v1/peer/
-// and all authenticated with the shared secret header — three on the
-// data plane:
+// The peer protocol's client half. Six verbs, all under /v1/peer/ and
+// all authenticated with the shared secret header — two on the data
+// plane:
 //
 //	GET  /v1/peer/artifact/{fp}/{artifact}?format=&config=   cache fill
-//	POST /v1/peer/lease                                      compute lease
 //	POST /v1/peer/stage                                      stage steal
 //
 // and four on the membership plane:
@@ -34,7 +33,7 @@ import (
 //
 // Every probe, ack, and join response piggybacks the sender's full
 // membership view, so rumor needs no channel of its own; data-plane
-// requests carry the requester's ring epoch so a fill or grant that
+// requests carry the requester's ring epoch so a fill or steal that
 // straddles a membership change is detected, not trusted.
 //
 // Every byte-carrying response is integrity-checked on this side: an
@@ -65,6 +64,31 @@ const EpochHeader = "X-Rcpt-Ring-Epoch"
 // without the probes cascading into computes or recursing.
 const HintHeader = "X-Rcpt-Fill-Hint"
 
+// TakeoverHeader marks an artifact fill as a *takeover fill*: the
+// requester's fill to the fingerprint's authority failed, and it walked
+// the takeover order (Cluster.Takeover) to this responder. The
+// responder computes the run under its own singleflight even when its
+// ring names another authority, and skips the hint probe, so a
+// takeover never waits on the unreachable authority. Every replica
+// that lost the same authority walks to the same first live member,
+// whose singleflight collapses their fills onto one compute.
+const TakeoverHeader = "X-Rcpt-Fill-Takeover"
+
+// FillMode is what an artifact fill lets the responder do to answer.
+type FillMode uint8
+
+const (
+	// FillPlain: an authority fill. A cold responder whose ring names
+	// another authority answers 409; a cold authority probes its peers
+	// for the bytes, then computes.
+	FillPlain FillMode = iota
+	// FillHint: serve only bytes already held (see HintHeader).
+	FillHint
+	// FillTakeover: compute here, whoever the authority is (see
+	// TakeoverHeader).
+	FillTakeover
+)
+
 // ConfigParam is the query parameter carrying the base64url-encoded
 // JSON config on peer artifact requests, so an owner can compute a run
 // it has never seen. (A fingerprint alone names the bytes but cannot
@@ -77,28 +101,9 @@ type peerClient struct {
 	secret string
 }
 
-// LeaseRequest / LeaseResponse are the lease endpoint's JSON bodies.
-// Release true drops the holder's lease instead of acquiring one.
-// Epoch (hex, optional) is each side's ring epoch at send time: a
-// mismatch marks a grant that straddled a membership change — advisory
-// waste worth metering, never a correctness problem.
-type LeaseRequest struct {
-	Key     string `json:"key"`
-	Holder  string `json:"holder"`
-	Release bool   `json:"release,omitempty"`
-	Epoch   string `json:"epoch,omitempty"`
-}
-
-type LeaseResponse struct {
-	Granted bool   `json:"granted"`
-	Holder  string `json:"holder"`
-	TTLMs   int64  `json:"ttl_ms"`
-	Epoch   string `json:"epoch,omitempty"`
-}
-
 // StageRequest is the stage-steal endpoint's JSON body: which stage of
 // which config to compute. Epoch carries the thief's ring epoch for the
-// same observability as leases.
+// same observability as fills.
 type StageRequest struct {
 	Config core.Config `json:"config"`
 	Stage  string      `json:"stage"`
@@ -142,8 +147,8 @@ func DecodeConfigParam(s string) (core.Config, error) {
 // its ETag (fetchPayload). epochHex rides along so the responder can
 // detect a fill that straddled a ring change; a 409 comes back as
 // *NotAuthorityError with the responder's view attached, and the caller
-// re-resolves.
-func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam, epochHex string, hint bool) ([]byte, error) {
+// re-resolves. mode sets the hint or takeover header.
+func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam, epochHex string, mode FillMode) ([]byte, error) {
 	u := fmt.Sprintf("%s/v1/peer/artifact/%s/%s?format=%s&%s=%s",
 		peer, url.PathEscape(fp), url.PathEscape(artifact), url.QueryEscape(format), ConfigParam, url.QueryEscape(cfgParam))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -153,21 +158,14 @@ func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, for
 	if epochHex != "" {
 		req.Header.Set(EpochHeader, epochHex)
 	}
-	if hint {
+	switch mode {
+	case FillHint:
 		req.Header.Set(HintHeader, "1")
+	case FillTakeover:
+		req.Header.Set(TakeoverHeader, "1")
 	}
 	cl.auth(req)
 	return cl.fetchPayload(req, peer, "artifact body")
-}
-
-// postLease asks authority for (or releases) the compute lease on
-// lr.Key.
-func (cl *peerClient) postLease(ctx context.Context, authority string, lr LeaseRequest) (*LeaseResponse, error) {
-	var lresp LeaseResponse
-	if err := cl.postJSON(ctx, authority, "/v1/peer/lease", lr, &lresp); err != nil {
-		return nil, err
-	}
-	return &lresp, nil
 }
 
 // postStage asks peer to compute one stage and returns its verified
@@ -214,7 +212,7 @@ func (cl *peerClient) fetchPayload(req *http.Request, peer, what string) ([]byte
 }
 
 // postJSON POSTs body to peer+path and decodes the 200 response into
-// out — the shared shape of the lease and every gossip verb.
+// out — the shared shape of every gossip verb.
 func (cl *peerClient) postJSON(ctx context.Context, peer, path string, body, out any) error {
 	req, err := cl.newPost(ctx, peer, path, body)
 	if err != nil {

@@ -55,7 +55,7 @@ func TestPeerReadsAreCapped(t *testing.T) {
 	cl := &peerClient{hc: srv.Client()}
 	ctx := context.Background()
 
-	if _, err := cl.fetchArtifact(ctx, srv.URL, "fp", "T1", "json", "cfg", "", false); err == nil {
+	if _, err := cl.fetchArtifact(ctx, srv.URL, "fp", "T1", "json", "cfg", "", FillPlain); err == nil {
 		t.Error("fill accepted a body over the data cap")
 	}
 	if _, err := cl.postStage(ctx, srv.URL, StageRequest{Stage: "trace-2011"}); err == nil {

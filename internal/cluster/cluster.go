@@ -8,10 +8,11 @@
 //   - a consistent-hash ring (ring.go) routes each fingerprint to an
 //     owner replica, concentrating cache hits and collapsing duplicate
 //     work onto the owner's singleflight;
-//   - cluster-wide singleflight (lease.go + the serve integration):
-//     non-owners first try a peer cache fill from the owner, and when
-//     the owner is gone they race for a compute lease so at most one
-//     surviving replica executes the run;
+//   - cluster-wide singleflight (Takeover + the serve integration):
+//     non-owners fill from the fingerprint's authority, and a fill
+//     that cannot reach it walks on down the takeover order, so every
+//     replica that lost the same authority lands on the same next live
+//     member and at most one surviving replica executes the run;
 //   - work-stealing stage dispatch (dispatch.go): the replica executing
 //     a run farms its stealable stages out to idle peers, which answer
 //     with the stage payload under its SHA-256 ETag, falling back to
@@ -28,10 +29,10 @@
 // seed-node join protocol (-join). The hash ring is rebuilt from the
 // live member list under a content-derived epoch — replicas that agree
 // on membership agree on the epoch with no coordination — and authority
-// fills and lease grants carry that epoch so a request that straddles a
-// handover is detected and retried against the new authority. Because
-// duplicate computes are byte-identical, every window of membership
-// disagreement costs at most duplicated CPU, never wrong bytes.
+// fills carry that epoch so a request that straddles a handover is
+// detected and retried against the new authority. Because duplicate
+// computes are byte-identical, every window of membership disagreement
+// costs at most duplicated CPU, never wrong bytes.
 package cluster
 
 import (
@@ -74,9 +75,6 @@ type Options struct {
 	// Secret authenticates peer endpoints. Empty disables auth (tests,
 	// trusted localhost rings).
 	Secret string
-	// LeaseTTL bounds how long a dead lease holder blocks takeover
-	// (<=0: 15s).
-	LeaseTTL time.Duration
 	// ProbeInterval is the gossip-probe period (<=0: 2s); ProbeTimeout
 	// bounds one probe request (<=0: 1s).
 	ProbeInterval time.Duration
@@ -100,18 +98,15 @@ const (
 	// circuit for peerBreakerCooldown.
 	peerBreakerThreshold = 3
 	peerBreakerCooldown  = 5 * time.Second
-	// requestTimeout bounds control-plane requests: lease, join, and
-	// status calls. Artifact fills and stage steals are compute-bound on
-	// the far side and use fillTimeout, which is also the peer HTTP
-	// client's overall timeout.
+	// requestTimeout bounds control-plane requests: join, leave and
+	// indirect probe calls. Artifact fills and stage steals are
+	// compute-bound on the far side and use fillTimeout, which is also
+	// the peer HTTP client's overall timeout.
 	requestTimeout = 5 * time.Second
 	fillTimeout    = 120 * time.Second
 )
 
 func (o Options) withDefaults() Options {
-	if o.LeaseTTL <= 0 {
-		o.LeaseTTL = defaultLeaseTTL
-	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
 	}
@@ -128,13 +123,12 @@ func (o Options) withDefaults() Options {
 }
 
 // Cluster is one replica's handle on the peer protocol: membership and
-// gossip, ring routing under an epoch, lease acquisition, peer fills,
-// stage stealing, and health tracking.
+// gossip, ring routing under an epoch, peer fills, stage stealing, and
+// health tracking.
 type Cluster struct {
 	opts    Options
 	self    string
 	client  *peerClient
-	leases  *LeaseTable
 	members *Memberlist
 	// now is time.Now, read through a value: rngpurity forbids direct
 	// time.Now calls in this package.
@@ -164,10 +158,8 @@ type Cluster struct {
 	started bool
 
 	peerFills         *obs.CounterVec // outcome: ok | error | integrity | not_authority
-	leaseReqs         *obs.CounterVec // outcome: granted | denied | error
 	steals            *obs.CounterVec // outcome: local | remote | fallback
 	stealSeconds      *obs.Histogram
-	takeovers         *obs.Counter
 	peerHealthyG      *obs.GaugeVec   // peer
 	breakerOpenG      *obs.GaugeVec   // peer
 	probeFailures     *obs.CounterVec // peer
@@ -180,7 +172,7 @@ type Cluster struct {
 	gossipSent    *obs.CounterVec // type: probe | probe_indirect | join | leave
 	gossipRecv    *obs.CounterVec // type: probe | probe_indirect | join
 	memberEvents  *obs.CounterVec // event: join | alive | suspect | dead | left | refute
-	epochMismatch *obs.CounterVec // op: fill | lease | stage
+	epochMismatch *obs.CounterVec // op: fill | stage
 }
 
 // New validates the membership options, builds the initial ring, and
@@ -247,14 +239,10 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 
 		peerFills: reg.CounterVec("rcpt_cluster_peer_fills_total",
 			"peer cache-fill attempts by outcome", "outcome"),
-		leaseReqs: reg.CounterVec("rcpt_cluster_lease_requests_total",
-			"compute-lease acquisition attempts by outcome", "outcome"),
 		steals: reg.CounterVec("rcpt_cluster_stage_steals_total",
 			"trace-stage dispatch decisions by outcome", "outcome"),
 		stealSeconds: reg.Histogram("rcpt_cluster_stage_steal_seconds",
 			"remote stage execution latency (successful steals)", obs.DefBuckets()),
-		takeovers: reg.Counter("rcpt_cluster_lease_takeovers_total",
-			"leases acquired from a non-owner authority after the owner was unreachable"),
 		peerHealthyG: reg.GaugeVec("rcpt_cluster_peer_healthy",
 			"1 while the peer is an alive member (not suspect, dead, or left)", "peer"),
 		breakerOpenG: reg.GaugeVec("rcpt_cluster_peer_breaker_open",
@@ -283,11 +271,19 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 	}
 	c.members = newMemberlist(opts.Self, peers, c.now, func(ev memberEvent, member string) {
 		c.memberEvents.With(string(ev)).Inc()
+		// Probes feed the breaker, so a partition opened it; a member
+		// that membership takes back is on the ring again and must not
+		// stay refused by fills and steals until the cooldown ends.
+		// Lock order: m.mu (held here), then peersMu, then p.mu.
+		if ev == eventJoin || ev == eventAlive {
+			if p := c.lookupPeer(member); p != nil {
+				c.reportSuccess(p)
+			}
+		}
 	})
 	initial := c.members.RingMembers()
 	c.ring = NewRing(initial, defaultVirtualNodes)
 	c.epoch = EpochOf(initial)
-	c.leases = NewLeaseTable(opts.LeaseTTL, c.now)
 	c.membershipChanged()
 	return c, nil
 }
@@ -342,10 +338,6 @@ func (c *Cluster) Self() string { return c.self }
 // it to verify inbound peer requests).
 func (c *Cluster) Secret() string { return c.opts.Secret }
 
-// Leases exposes the local lease table: this replica grants leases for
-// keys it is the authority of.
-func (c *Cluster) Leases() *LeaseTable { return c.leases }
-
 // Epoch returns the current ring epoch: the content hash of the live
 // member list. Replicas with the same membership view report the same
 // epoch without any coordination.
@@ -359,13 +351,6 @@ func (c *Cluster) Epoch() uint64 {
 // form.
 func (c *Cluster) EpochHex() string {
 	return fmt.Sprintf("%016x", c.Epoch())
-}
-
-// Owner returns the ring owner of key under the current epoch.
-func (c *Cluster) Owner(key string) string {
-	c.ringMu.RLock()
-	defer c.ringMu.RUnlock()
-	return c.ring.Owner(key)
 }
 
 // Sequence returns the takeover order for key (owner first) under the
@@ -463,21 +448,28 @@ func (c *Cluster) healthyPeer(peer string) bool {
 	return ok && st == StateAlive
 }
 
-// Authority returns the current lease authority for key: the first
-// member in the ring sequence that is self or alive (suspects keep
-// their ring position but are skipped, so their keys are served without
-// waiting out the suspicion). Every replica walks the same sequence
-// with (eventually) the same membership view, so they converge on the
-// same authority; transient disagreement during churn is safe because
-// duplicate computes produce identical bytes.
-func (c *Cluster) Authority(key string) string {
-	for _, p := range c.Sequence(key) {
+// Takeover returns key's takeover order under the current epoch: the
+// ring sequence (owner first) keeping self and every alive peer.
+// Suspects keep their ring position but are skipped, so their keys are
+// served without waiting out the suspicion. Every replica walks the
+// same sequence with (eventually) the same membership view, so a fill
+// that cannot reach one member moves on to the same next one from
+// every replica; transient disagreement during churn is safe because
+// duplicate computes produce identical bytes. Self is always present.
+func (c *Cluster) Takeover(key string) []string {
+	seq := c.Sequence(key)
+	order := seq[:0]
+	for _, p := range seq {
 		if p == c.self || c.healthyPeer(p) {
-			return p
+			order = append(order, p)
 		}
 	}
-	return c.self
+	return order
 }
+
+// Authority returns the replica that computes key: the first member of
+// its takeover order.
+func (c *Cluster) Authority(key string) string { return c.Takeover(key)[0] }
 
 // Quorum reports how many ring members (including self) are currently
 // alive, and the total ring membership (alive + suspect + self).
@@ -501,89 +493,13 @@ func (c *Cluster) PeerHealth() []PeerHealth {
 	return out
 }
 
-// AcquireLease obtains (or is denied) the compute lease on key,
-// walking the takeover sequence: ask the owner first; if it is not
-// alive or unreachable, ask the next alive member, and so on. Self
-// grants locally. The final fallback — every candidate unreachable —
-// grants locally: with the whole ring dark this replica must be able
-// to serve alone, and a duplicate compute costs CPU, not correctness.
-func (c *Cluster) AcquireLease(ctx context.Context, key string) (granted bool, holder string, err error) {
-	epoch := c.EpochHex()
-	for _, candidate := range c.Sequence(key) {
-		if candidate == c.self {
-			g, h, _ := c.leases.Acquire(key, c.self)
-			c.countLease(g)
-			if g && c.Owner(key) != c.self {
-				c.takeovers.Inc()
-			}
-			return g, h, nil
-		}
-		p := c.lookupPeer(candidate)
-		if p == nil || !c.healthyPeer(candidate) || !p.allow(c.now()) {
-			continue
-		}
-		lctx, cancel := context.WithTimeout(ctx, requestTimeout)
-		lr, lerr := c.client.postLease(lctx, candidate, LeaseRequest{Key: key, Holder: c.self, Epoch: epoch})
-		cancel()
-		if lerr != nil {
-			c.reportFailure(p, lerr)
-			c.leaseReqs.With("error").Inc()
-			continue // authority unreachable: next in sequence takes over
-		}
-		c.reportSuccess(p)
-		if lr.Epoch != "" && lr.Epoch != epoch {
-			// The grant straddled a membership change: advisory-only
-			// waste (at worst two computes of identical bytes), metered
-			// so churn cost is visible.
-			c.epochMismatch.With("lease").Inc()
-		}
-		c.countLease(lr.Granted)
-		if lr.Granted && c.Owner(key) != candidate {
-			c.takeovers.Inc()
-		}
-		return lr.Granted, lr.Holder, nil
-	}
-	g, h, _ := c.leases.Acquire(key, c.self)
-	c.countLease(g)
-	return g, h, nil
-}
-
-func (c *Cluster) countLease(granted bool) {
-	if granted {
-		c.leaseReqs.With("granted").Inc()
-	} else {
-		c.leaseReqs.With("denied").Inc()
-	}
-}
-
-// CheckEpoch meters a peer request (op: fill | lease | stage) whose
-// sender held a different ring epoch than this serving replica. The
-// disagreement is advisory: bytes are content-addressed, so it is
-// counted, never refused.
+// CheckEpoch meters a peer request (op: fill | stage) whose sender held
+// a different ring epoch than this serving replica. The disagreement is
+// advisory: bytes are content-addressed, so it is counted, never
+// refused.
 func (c *Cluster) CheckEpoch(op, reqEpoch string) {
 	if reqEpoch != "" && reqEpoch != c.EpochHex() {
 		c.epochMismatch.With(op).Inc()
-	}
-}
-
-// ReleaseLease drops the lease on key, wherever it was granted.
-// Best-effort: an unreachable authority's lease simply expires.
-func (c *Cluster) ReleaseLease(ctx context.Context, key string) {
-	authority := c.Authority(key)
-	if authority == c.self {
-		c.leases.Release(key, c.self)
-		return
-	}
-	p := c.lookupPeer(authority)
-	if p == nil || !c.healthyPeer(authority) {
-		return
-	}
-	lctx, cancel := context.WithTimeout(ctx, requestTimeout)
-	defer cancel()
-	// TTL expiry is the backstop: a failed release costs at most one
-	// LeaseTTL of blocked takeover, never correctness.
-	if _, err := c.client.postLease(lctx, authority, LeaseRequest{Key: key, Holder: c.self, Release: true, Epoch: c.EpochHex()}); err != nil {
-		c.reportFailure(p, err)
 	}
 }
 
@@ -593,9 +509,9 @@ func (c *Cluster) ReleaseLease(ctx context.Context, key string) {
 // The request carries this replica's ring epoch; a *NotAuthorityError
 // return means the responder's ring disagrees that it should compute —
 // the caller re-resolves the authority and retries rather than treating
-// the peer as failed. hint marks the fill as a hint probe (see
-// HintHeader): the responder serves only bytes it already holds.
-func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam string, hint bool) ([]byte, error) {
+// the peer as failed. mode says what the responder may do to answer
+// (see FillMode).
+func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam string, mode FillMode) ([]byte, error) {
 	p := c.peerStateFor(peer)
 	if !p.allow(c.now()) {
 		c.peerFills.With("error").Inc()
@@ -603,7 +519,7 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 	}
 	fctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
-	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), hint)
+	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), mode)
 	if err != nil {
 		var na *NotAuthorityError
 		if errors.As(err, &na) {

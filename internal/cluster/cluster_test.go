@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -52,110 +53,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// leasePeer is a fake authority: /healthz plus a lease endpoint backed
-// by a real LeaseTable, the same wiring the serve handler uses.
-func leasePeer(t *testing.T, clk *fakeClock) *httptest.Server {
-	t.Helper()
-	lt := NewLeaseTable(10*time.Second, clk.Now)
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("POST /v1/peer/lease", func(w http.ResponseWriter, r *http.Request) {
-		var lr LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&lr); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if lr.Release {
-			lt.Release(lr.Key, lr.Holder)
-			if err := json.NewEncoder(w).Encode(LeaseResponse{Holder: lr.Holder}); err != nil {
-				return
-			}
-			return
-		}
-		g, holder, ttl := lt.Acquire(lr.Key, lr.Holder)
-		if err := json.NewEncoder(w).Encode(LeaseResponse{Granted: g, Holder: holder, TTLMs: ttl.Milliseconds()}); err != nil {
-			return
-		}
-	})
-	return httptest.NewServer(mux)
-}
-
 // keyOwnedBy finds a key whose ring owner is the wanted peer.
 func keyOwnedBy(t *testing.T, c *Cluster, peer string) string {
 	t.Helper()
 	for i := 0; i < 10_000; i++ {
 		k := keyset(i + 1)[i]
-		if c.Owner(k) == peer {
+		if c.Sequence(k)[0] == peer {
 			return k
 		}
 	}
 	t.Fatalf("no key owned by %s in 10k tries", peer)
 	return ""
-}
-
-// TestAcquireLeaseRemoteAuthority: when the key's owner is a live
-// peer, the lease round-trips through its endpoint — one grant, then
-// denial naming the first holder.
-func TestAcquireLeaseRemoteAuthority(t *testing.T) {
-	clk := newFakeClock()
-	srv := leasePeer(t, clk)
-	defer srv.Close()
-	// One membership, two replicas' views of it: a and b are distinct
-	// selves in the same three-member ring, so they agree on who owns
-	// every key.
-	members := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", srv.URL}
-	a, err := New(Options{Self: members[0], Peers: members}, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{Self: members[1], Peers: members}, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := keyOwnedBy(t, a, normalizePeer(srv.URL))
-	g, holder, err := a.AcquireLease(context.Background(), key)
-	if err != nil || !g {
-		t.Fatalf("first acquire: granted=%v err=%v", g, err)
-	}
-	if holder != a.Self() {
-		t.Fatalf("holder = %q, want %q", holder, a.Self())
-	}
-	g, holder, err = b.AcquireLease(context.Background(), key)
-	if err != nil || g {
-		t.Fatalf("second acquire: granted=%v err=%v", g, err)
-	}
-	if holder != a.Self() {
-		t.Fatalf("denial names holder %q, want %q", holder, a.Self())
-	}
-	// Release, then the second replica wins.
-	a.ReleaseLease(context.Background(), key)
-	if g, _, _ := b.AcquireLease(context.Background(), key); !g {
-		t.Fatal("acquire after release denied")
-	}
-}
-
-// TestAcquireLeaseOwnerDeadTakeover: with the owner unreachable, the
-// walk falls through to the next candidate in the ring sequence —
-// here self — and the takeover is granted locally and counted.
-func TestAcquireLeaseOwnerDeadTakeover(t *testing.T) {
-	clk := newFakeClock()
-	srv := leasePeer(t, clk)
-	url := srv.URL
-	srv.Close()
-	c := testCluster(t, url)
-	key := keyOwnedBy(t, c, normalizePeer(url))
-	g, holder, err := c.AcquireLease(context.Background(), key)
-	if err != nil || !g {
-		t.Fatalf("takeover acquire: granted=%v err=%v", g, err)
-	}
-	if holder != c.Self() {
-		t.Fatalf("holder = %q, want self", holder)
-	}
-	if v := c.takeovers.Value(); v != 1 {
-		t.Fatalf("takeover counter = %d, want 1", v)
-	}
 }
 
 // TestProberFlipsHealth: the gossip prober marks a peer suspect when
@@ -218,6 +126,9 @@ func TestProberFlipsHealth(t *testing.T) {
 	// A suspect keeps its ring position (no key remapping on a blip)
 	// but must not be the authority for its keys.
 	key := keyOwnedBy(t, c, normalizePeer(srv.URL))
+	if order := c.Takeover(key); len(order) != 1 || order[0] != c.Self() {
+		t.Fatalf("takeover order for suspect owner's key = %v, want just self", order)
+	}
 	if auth := c.Authority(key); auth != c.Self() {
 		t.Fatalf("authority for suspect owner's key = %q, want self", auth)
 	}
@@ -225,5 +136,34 @@ func TestProberFlipsHealth(t *testing.T) {
 	waitFor(true, "healthy again")
 	if st, _ := c.members.StateOf(normalizePeer(srv.URL)); st != StateAlive {
 		t.Fatalf("peer state after recovery = %v, want alive", st)
+	}
+}
+
+// TestRevivedPeerBreakerCloses: probes feed a peer's breaker, so a
+// partition opens it. When membership takes the peer back — here a
+// probe from it after it was swept dead — the breaker closes with it,
+// so fills and steals reach the peer at once instead of after the
+// cooldown.
+func TestRevivedPeerBreakerCloses(t *testing.T) {
+	c := twoMemberRing(t)
+	p := c.peerStateFor("http://b")
+	for i := 0; i < peerBreakerThreshold; i++ {
+		c.reportFailure(p, errors.New("probe timed out"))
+	}
+	if p.allow(c.now()) {
+		t.Fatal("breaker admits requests after the failure threshold")
+	}
+	c.members.MarkSuspect("http://b")
+	c.members.SweepSuspects(0)
+	c.membershipChanged()
+	if c.healthyPeer("http://b") {
+		t.Fatal("peer still alive after the sweep")
+	}
+	c.HandleProbe(ProbeRequest{From: "http://b"})
+	if !c.healthyPeer("http://b") {
+		t.Fatal("a probe from the peer did not revive it")
+	}
+	if !p.allow(c.now()) {
+		t.Fatal("revived peer's breaker still refuses requests")
 	}
 }

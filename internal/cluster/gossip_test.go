@@ -44,11 +44,10 @@ func TestGossipSkipsMalformedNames(t *testing.T) {
 	}
 }
 
-// FuzzPeerBodies decodes arbitrary bytes as each gossip and lease body
-// a replica accepts from its peers and applies it: a probe through
-// HandleProbe, a join through HandleJoin, a lease through the lease
-// table as the lease handler does. No input may panic, every member
-// name must stay a normalized http(s) base URL, and self must stay a
+// FuzzPeerBodies decodes arbitrary bytes as each gossip body a replica
+// accepts from its peers and applies it: a probe through HandleProbe,
+// a join through HandleJoin. No input may panic, every member name
+// must stay a normalized http(s) base URL, and self must stay a
 // member.
 func FuzzPeerBodies(f *testing.F) {
 	peer := twoMemberRing(f)
@@ -56,12 +55,17 @@ func FuzzPeerBodies(f *testing.F) {
 	for _, body := range []any{
 		peer.probeBody(),
 		JoinRequest{From: "http://c", Incarnation: 2},
-		LeaseRequest{Key: "0123abcd", Holder: "http://b", Epoch: peer.EpochHex()},
-		LeaseRequest{Key: "0123abcd", Holder: "http://b", Release: true},
 		ProbeRequest{From: "http://b/", Members: []MemberUpdate{
 			{Name: "ftp://x", State: "alive"},
 			{Name: " http://b", State: "alive"},
 		}},
+		// A rumor that self is dead (refuted) beside a tombstone, and a
+		// join from a malformed name.
+		ProbeRequest{From: "http://b", Incarnation: 3, Members: []MemberUpdate{
+			{Name: "http://a", State: "dead", Incarnation: 4},
+			{Name: "http://c", State: "dead", Incarnation: 1},
+		}},
+		JoinRequest{From: "junk", Incarnation: 1},
 	} {
 		raw, err := json.Marshal(body)
 		if err != nil {
@@ -78,14 +82,6 @@ func FuzzPeerBodies(f *testing.F) {
 		var join JoinRequest
 		if json.Unmarshal(body, &join) == nil {
 			c.HandleJoin(join)
-		}
-		var lease LeaseRequest
-		if json.Unmarshal(body, &lease) == nil && lease.Key != "" && lease.Holder != "" {
-			if lease.Release {
-				c.Leases().Release(lease.Key, lease.Holder)
-			} else {
-				c.Leases().Acquire(lease.Key, lease.Holder)
-			}
 		}
 		members := c.Members()
 		for _, name := range members {

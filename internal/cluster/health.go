@@ -19,9 +19,10 @@ import (
 // shared internal/breaker machine, the same one guarding
 // per-fingerprint runs in serve) so a flapping replica is cut off after
 // repeated request failures instead of adding its timeout to every
-// render. Membership gates routing — lease authority and steal targets
-// only consider alive members — while the breaker gates individual
-// requests in between probe rounds.
+// render. Membership gates routing — the takeover order and steal
+// targets only consider alive members — while the breaker gates
+// individual requests in between probe rounds, and membership taking a
+// member back closes its breaker.
 
 // peerState is the request-tracking state for one remote member. The
 // mutex guards the breaker and the last error; inflight is atomic so

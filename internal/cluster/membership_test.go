@@ -2,9 +2,30 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
+
+// fakeClock is a hand-advanced clock for membership tests.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
 
 func newTestMemberlist(initial ...string) (*Memberlist, *fakeClock) {
 	clk := newFakeClock()

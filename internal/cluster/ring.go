@@ -83,8 +83,8 @@ func (r *Ring) Owner(key string) string {
 // Sequence returns every peer in ring order starting at key's owner:
 // the owner first, then each distinct successor. This is the takeover
 // order — when the owner is unreachable, the first healthy entry after
-// it is the lease authority, and every replica walking the same
-// sequence converges on the same stand-in.
+// it is the authority, and every replica walking the same sequence
+// converges on the same stand-in.
 func (r *Ring) Sequence(key string) []string {
 	if len(r.points) == 0 {
 		return nil

@@ -8,19 +8,19 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
 // The serve side of the peer protocol (see internal/cluster for the
-// client half and the package doc). Three data-plane endpoints plus a
+// client half and the package doc). Two data-plane endpoints plus a
 // status probe, all secret-authenticated, all bypassing the client
 // admission gates: replicas coordinating a run must not be rejected by
 // the capacity limits that protect the cluster from clients. Each has
 // its own bound instead — the artifact endpoint joins the runner's
-// singleflight, the stage endpoint is capped by peerStageGate, and the
-// lease endpoint is a map operation.
+// singleflight, and the stage endpoint is capped by peerStageGate.
 
 // peerAuth rejects peer requests that do not carry the shared cluster
 // secret. Comparison is constant-time; an empty configured secret
@@ -113,30 +113,38 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no retained run for this fingerprint")
 		return
 	}
-	// If this replica's ring says someone else is the authority, the
-	// requester resolved against a stale ring (a membership change
-	// straddled the fill): answer 409 naming who this replica believes
-	// the authority is, so the requester re-resolves instead of fanning
-	// duplicate computes across a handover.
-	if auth := s.cluster.Authority(fp); !hinted && auth != s.cluster.Self() && !s.runner.knows(fp) {
-		s.writeJSON(w, http.StatusConflict, peerRedirect{
-			Error:     "not the authority for this fingerprint",
-			Authority: auth,
-			Epoch:     s.cluster.EpochHex(),
-		})
-		return
-	}
 	ctx, cancel := s.runContext(r)
 	defer cancel()
-	// The symmetric cold-start: this replica agrees it is the authority
-	// but has never computed the run — a non-hinted fill arriving here
-	// would recompute bytes some peer may still hold. Probe the ring
-	// first; only when nobody has them is the compute genuinely fresh.
-	// (A run it cannot name — another base config — computes directly.)
-	if !hinted && !s.runner.knows(fp) && named {
-		if e, ok := s.hintFill(ctx, fp, key); ok {
-			s.writeCached(w, r, e)
+	// A takeover fill (see cluster.TakeoverHeader) computes here
+	// directly: its requester could not reach the authority, so a
+	// redirect would send it back there, and a hint probe could wait on
+	// that same authority for up to the fill timeout.
+	plain := !hinted && r.Header.Get(cluster.TakeoverHeader) == ""
+	if plain && !s.runner.knows(fp) {
+		// If this replica's ring says someone else is the authority, the
+		// requester resolved against a stale ring (a membership change
+		// straddled the fill): answer 409 naming who this replica
+		// believes the authority is, so the requester re-resolves
+		// instead of fanning duplicate computes across a handover.
+		if auth := s.cluster.Authority(fp); auth != s.cluster.Self() {
+			s.writeJSON(w, http.StatusConflict, peerRedirect{
+				Error:     "not the authority for this fingerprint",
+				Authority: auth,
+				Epoch:     s.cluster.EpochHex(),
+			})
 			return
+		}
+		// The symmetric cold-start: this replica agrees it is the
+		// authority but has never computed the run — a fill arriving
+		// here would recompute bytes some peer may still hold. Probe the
+		// ring first; only when nobody has them is the compute
+		// genuinely fresh. (A run it cannot name — another base config —
+		// computes directly.)
+		if named {
+			if e, ok := s.hintFill(ctx, fp, key); ok {
+				s.writeCached(w, r, e)
+				return
+			}
 		}
 	}
 	run, err := s.runner.artifacts(ctx, fp, cfg)
@@ -151,34 +159,6 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	key.content = run.keys[id]
 	s.writeCached(w, r, s.cachePut(fp, key, body))
-}
-
-// handlePeerLease serves POST /v1/peer/lease: this replica acting as
-// the lease authority for keys it owns (or has taken over). Grant,
-// denial-naming-the-holder, renewal, and release are all one lease
-// table operation; correctness never depends on the answer — a
-// duplicate compute produces identical bytes — so no persistence or
-// consensus is needed behind it.
-func (s *Server) handlePeerLease(w http.ResponseWriter, r *http.Request) {
-	var lr cluster.LeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&lr); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad lease request: "+err.Error())
-		return
-	}
-	if lr.Key == "" || lr.Holder == "" {
-		s.writeError(w, http.StatusBadRequest, "lease request needs key and holder")
-		return
-	}
-	s.cluster.CheckEpoch("lease", lr.Epoch)
-	lt := s.cluster.Leases()
-	if lr.Release {
-		lt.Release(lr.Key, lr.Holder)
-		s.writeJSON(w, http.StatusOK, cluster.LeaseResponse{Holder: lr.Holder, Epoch: s.cluster.EpochHex()})
-		return
-	}
-	granted, holder, ttl := lt.Acquire(lr.Key, lr.Holder)
-	s.writeJSON(w, http.StatusOK, cluster.LeaseResponse{
-		Granted: granted, Holder: holder, TTLMs: ttl.Milliseconds(), Epoch: s.cluster.EpochHex()})
 }
 
 // handlePeerStage serves POST /v1/peer/stage: run one stolen stage
@@ -282,7 +262,6 @@ type peerStatusBody struct {
 	MembersDetail []cluster.MemberUpdate `json:"membersDetail"`
 	QuorumHealthy int                    `json:"quorumHealthy"`
 	QuorumTotal   int                    `json:"quorumTotal"`
-	Leases        int                    `json:"leases"`
 	Peers         []cluster.PeerHealth   `json:"peers"`
 }
 
@@ -295,73 +274,84 @@ func (s *Server) handlePeerStatus(w http.ResponseWriter, r *http.Request) {
 		MembersDetail: s.cluster.MemberUpdates(),
 		QuorumHealthy: healthy,
 		QuorumTotal:   total,
-		Leases:        s.cluster.Leases().Len(),
 		Peers:         s.cluster.PeerHealth(),
 	})
 }
 
 // clusterRender produces one base-config rendered artifact under the
-// cluster-wide singleflight protocol. The ring concentrates each
-// fingerprint's compute on one replica — the owner while it lives, the
-// takeover authority (next healthy peer in ring order) after it dies:
+// cluster-wide singleflight. The ring concentrates each fingerprint's
+// compute on one replica: its authority, the first live member of its
+// takeover order.
 //
-//  1. authority is a peer: fill from it. It computes on demand, so the
-//     fill blocks until the bytes exist — concurrent fills from every
+//  1. Fill from the authority. It computes on demand, so the fill
+//     blocks until the bytes exist — concurrent fills from every
 //     replica collapse onto its one execution, and a replica asking
-//     after the fact gets the cached bytes without anyone recomputing.
-//     A 409 redirect means the rings disagree (a membership change
-//     straddled the fill): re-resolve against the responder's named
-//     authority and retry, bounded, instead of computing a duplicate.
-//  2. authority is self, or the fill failed: race for the compute
-//     lease. The winner computes; a loser fills from whoever holds it.
-//  3. every peer path failed: compute locally. The determinism contract
+//     after the fact gets the cached bytes. A 409 redirect means the
+//     rings disagree (a membership change straddled the fill):
+//     re-resolve against the responder's named authority and retry,
+//     bounded, instead of computing a duplicate.
+//  2. Authority is self: probe the ring for a peer that already holds
+//     the run (a cold start after a handover), then compute here.
+//  3. The authority could not be reached (dead before any prober
+//     noticed, partitioned, breaker open): walk the takeover order,
+//     skipping the peers whose fills just failed, and send each a
+//     takeover fill, which it computes under its own singleflight.
+//     Every replica that lost the same authority lands on the same
+//     first live member, so their fills meet in one runner. A walk
+//     that reaches self computes here.
+//  4. Every peer path failed: compute locally. The determinism contract
 //     makes this safe — a duplicate compute costs CPU, never bytes —
 //     so faults degrade latency and cache efficiency only.
 func (s *Server) clusterRender(ctx context.Context, fp string, key cacheKey) (cacheEntry, error) {
+	self := s.cluster.Self()
 	// Up to two authority handovers are followed; past that the rings
-	// are churning faster than fills resolve, and the lease race below
+	// are churning faster than fills resolve, and the takeover walk
 	// (then local compute) is the bounded-latency way out.
+	var failed []string
 	auth := s.cluster.Authority(fp)
-	for hop := 0; hop < 3 && auth != s.cluster.Self(); hop++ {
-		e, err := s.peerFill(ctx, auth, fp, key)
+	for hop := 0; hop < 3 && auth != self; hop++ {
+		e, err := s.peerFill(ctx, auth, fp, key, cluster.FillPlain)
 		if err == nil {
 			return e, nil
 		}
 		var na *cluster.NotAuthorityError
-		if !errors.As(err, &na) || na.Authority == "" || na.Authority == auth {
+		if !errors.As(err, &na) {
+			failed = append(failed, auth)
+			break
+		}
+		if na.Authority == "" || na.Authority == auth {
 			break
 		}
 		auth = na.Authority
 	}
-	if auth == s.cluster.Self() && !s.runner.knows(fp) {
-		// Authority cold-start: probe the ring for a peer that already
-		// holds the bytes before racing for the compute lease.
-		if e, ok := s.hintFill(ctx, fp, key); ok {
-			return e, nil
+	if auth == self {
+		if !s.runner.knows(fp) {
+			if e, ok := s.hintFill(ctx, fp, key); ok {
+				return e, nil
+			}
 		}
-	}
-	granted, holder, _ := s.cluster.AcquireLease(ctx, fp)
-	if granted {
-		// Release promptly so a holder crash is the only case that costs
-		// a TTL of blocked takeover; the release must not be lost to the
-		// request's own cancellation.
-		defer s.cluster.ReleaseLease(context.Background(), fp)
 		return s.localRender(ctx, fp, key)
 	}
-	if holder != "" && holder != s.cluster.Self() {
-		if e, err := s.peerFill(ctx, holder, fp, key); err == nil {
+	for _, peer := range s.cluster.Takeover(fp) {
+		if peer == self {
+			break
+		}
+		if slices.Contains(failed, peer) {
+			continue
+		}
+		if e, err := s.peerFill(ctx, peer, fp, key, cluster.FillTakeover); err == nil {
 			return e, nil
 		}
 	}
 	return s.localRender(ctx, fp, key)
 }
 
-// peerFill fetches run fp's rendered artifact from peer (integrity-
-// checked against its ETag by the cluster client) and installs it in
-// the local cache under key — same bytes, same ETag, as if rendered
-// here.
-func (s *Server) peerFill(ctx context.Context, peer, fp string, key cacheKey) (cacheEntry, error) {
-	body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, s.baseCfgParam, false)
+// peerFill fetches run fp's rendered artifact from peer in the given
+// fill mode (integrity-checked against its ETag by the cluster client)
+// and installs it in the local cache under key — same bytes, same
+// ETag, as if rendered here.
+func (s *Server) peerFill(ctx context.Context, peer, fp string, key cacheKey, mode cluster.FillMode) (cacheEntry, error) {
+	body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, s.baseCfgParam, mode)
 	if err != nil {
 		return cacheEntry{}, err
 	}
@@ -371,9 +361,9 @@ func (s *Server) peerFill(ctx context.Context, peer, fp string, key cacheKey) (c
 // hintFill handles the authority's cold-start after a handover: this
 // replica owns key's fingerprint but has never computed its run — it
 // joined the ring, or a heal or death moved the keyspace. Before
-// paying for a compute, walk the ring sequence (the takeover order,
-// which leads with whoever held the authority before the handover)
-// asking each peer whether it already holds the bytes or the run. The
+// paying for a compute, walk the ring sequence (owner first, which
+// leads with whoever held the authority before the handover, suspects
+// included) asking each peer whether it already holds the bytes or the run. The
 // asks are hint-marked, so a peer answers only from what it has —
 // never computes, never re-hints — which keeps the walk loop-free and
 // means its total cost is bounded by ring size, not by pipeline runs.
@@ -382,11 +372,9 @@ func (s *Server) hintFill(ctx context.Context, fp string, key cacheKey) (cacheEn
 		if peer == s.cluster.Self() {
 			continue
 		}
-		body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, s.baseCfgParam, true)
-		if err != nil {
-			continue
+		if e, err := s.peerFill(ctx, peer, fp, key, cluster.FillHint); err == nil {
+			return e, true
 		}
-		return s.cachePut(fp, key, body), true
 	}
 	return cacheEntry{}, false
 }

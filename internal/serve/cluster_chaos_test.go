@@ -166,7 +166,6 @@ func joinReplica(t *testing.T, seed string, secret string) *replica {
 			ProbeInterval:  50 * time.Millisecond,
 			ProbeTimeout:   500 * time.Millisecond,
 			SuspectTimeout: 400 * time.Millisecond,
-			LeaseTTL:       2 * time.Second,
 		},
 	})
 	r := &replica{srv: s, url: self, l: l}
@@ -280,7 +279,7 @@ func TestChaosFlappingPeerNeverRecomputes(t *testing.T) {
 	// Flap a replica that is not the run's authority, so the bytes'
 	// home is never in doubt — the property under test is that the
 	// membership layer ignores sub-timeout noise entirely.
-	owner := reps[0].srv.cluster.Owner(reps[0].srv.baseFP)
+	owner := reps[0].srv.cluster.Sequence(reps[0].srv.baseFP)[0]
 	var flapper *replica
 	var rest []string
 	for _, r := range reps {

@@ -54,7 +54,6 @@ func startReplicasWith(t *testing.T, n int, secret string, mutate func(i int, o 
 				Secret:        secret,
 				ProbeInterval: 50 * time.Millisecond,
 				ProbeTimeout:  500 * time.Millisecond,
-				LeaseTTL:      2 * time.Second,
 			},
 		}
 		if mutate != nil {
@@ -103,10 +102,14 @@ func httpGet(t *testing.T, base, path string) (int, http.Header, []byte) {
 }
 
 // kill simulates a replica dying without any drain: connections are
-// torn down mid-flight and its prober stops.
+// torn down mid-flight and its prober stops. The cluster closes under
+// an already-cancelled context, so no graceful leave goes out and the
+// survivors learn of the death only by probing.
 func (r *replica) kill() {
 	r.srv.httpSrv.Close()
-	_ = r.srv.cluster.Close(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = r.srv.cluster.Close(ctx)
 }
 
 // runsOn returns how many pipeline executions a replica performed.
@@ -148,7 +151,7 @@ func TestClusterThreeReplicasOneCompute(t *testing.T) {
 	}
 	var total uint64
 	var ownerRuns uint64
-	owner := reps[0].srv.cluster.Owner(reps[0].srv.baseFP)
+	owner := reps[0].srv.cluster.Sequence(reps[0].srv.baseFP)[0]
 	for _, r := range reps {
 		n := runsOn(r)
 		total += n
@@ -165,13 +168,13 @@ func TestClusterThreeReplicasOneCompute(t *testing.T) {
 }
 
 // TestClusterOwnerDeathByteIdentical kills the fingerprint's owner
-// before any request, then hits both survivors: the owner fill fails,
-// the survivors race for the compute lease, exactly one executes, and
-// both responses are byte-identical — faults cost latency, never
-// bytes.
+// before any request and waits for both survivors' probers to demote
+// it, then hits both survivors: both name the same next member as the
+// authority, exactly one executes, and both responses are
+// byte-identical — faults cost latency, never bytes.
 func TestClusterOwnerDeathByteIdentical(t *testing.T) {
 	reps := startReplicas(t, 3, "")
-	owner := reps[0].srv.cluster.Owner(reps[0].srv.baseFP)
+	owner := reps[0].srv.cluster.Sequence(reps[0].srv.baseFP)[0]
 	var dead *replica
 	var survivors []*replica
 	for _, r := range reps {
@@ -183,7 +186,7 @@ func TestClusterOwnerDeathByteIdentical(t *testing.T) {
 	}
 	dead.kill()
 	// Wait until both survivors' probers have marked the owner down, so
-	// the lease walk skips it instead of timing out against it.
+	// neither sends it a fill at all.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, r := range survivors {
 		for r.srv.cluster.Authority(r.srv.baseFP) == owner {
@@ -222,7 +225,7 @@ func TestClusterOwnerDeathByteIdentical(t *testing.T) {
 	}
 	// Later, sequential requests for fresh artifacts must not recompute
 	// anywhere either: the takeover authority holds the run, and the
-	// other survivor fills from it instead of re-racing for the lease.
+	// other survivor fills from it.
 	bodies := make([]string, len(survivors))
 	for i, r := range survivors {
 		code, _, body := httpGet(t, r.url, "/v1/figures/F1")
@@ -236,6 +239,75 @@ func TestClusterOwnerDeathByteIdentical(t *testing.T) {
 	}
 	if total := runsOn(survivors[0]) + runsOn(survivors[1]); total != 1 {
 		t.Fatalf("sequential renders grew total runs to %d, want still 1", total)
+	}
+}
+
+// TestClusterUnnoticedOwnerDeathOneCompute: the owner crashes before
+// any prober notices — probing runs one round a minute — so both
+// survivors still name it as the authority. Their fills to it fail,
+// both walk the takeover order to the same first live member, and its
+// singleflight runs the pipeline once, whether both survivors render
+// at once or the one further down the order renders first.
+func TestClusterUnnoticedOwnerDeathOneCompute(t *testing.T) {
+	for _, concurrent := range []bool{true, false} {
+		name := "walker first"
+		if concurrent {
+			name = "concurrent"
+		}
+		t.Run(name, func(t *testing.T) {
+			reps := startReplicasWith(t, 3, "", func(_ int, o *Options) {
+				o.Cluster.ProbeInterval = time.Minute
+			})
+			fp := reps[0].srv.baseFP
+			byURL := map[string]*replica{}
+			for _, r := range reps {
+				byURL[r.url] = r
+			}
+			order := reps[0].srv.cluster.Sequence(fp)
+			owner, survivors := byURL[order[0]], []*replica{byURL[order[1]], byURL[order[2]]}
+			owner.kill()
+			for _, r := range survivors {
+				if auth := r.srv.cluster.Authority(fp); auth != owner.url {
+					t.Fatalf("%s names %s as authority, want the dead owner %s", r.url, auth, owner.url)
+				}
+			}
+			codes := make([]int, len(survivors))
+			etags := make([]string, len(survivors))
+			render := func(i int) {
+				resp, err := http.Get(survivors[i].url + "/v1/tables/T1")
+				if err != nil {
+					return
+				}
+				defer resp.Body.Close()
+				_, _ = io.Copy(io.Discard, resp.Body)
+				codes[i], etags[i] = resp.StatusCode, resp.Header.Get("ETag")
+			}
+			if concurrent {
+				var wg sync.WaitGroup
+				for i := range survivors {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						render(i)
+					}(i)
+				}
+				wg.Wait()
+			} else {
+				render(1)
+				render(0)
+			}
+			for i, code := range codes {
+				if code != http.StatusOK {
+					t.Fatalf("survivor %s: status %d", survivors[i].url, code)
+				}
+			}
+			if etags[0] == "" || etags[0] != etags[1] {
+				t.Fatalf("survivors disagree: etags %q vs %q", etags[0], etags[1])
+			}
+			if first, second := runsOn(survivors[0]), runsOn(survivors[1]); first+second != 1 {
+				t.Fatalf("survivors ran the pipeline %d and %d times, want exactly 1 in all", first, second)
+			}
+		})
 	}
 }
 

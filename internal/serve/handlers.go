@@ -245,7 +245,7 @@ var tableFormats = map[string]struct {
 
 // renderArtifact renders one experiment (table or figure) from a
 // completed run into a body — the one rendering path shared by
-// client requests, cluster fills of never-seen runs, and lease-winner
+// client requests, cluster fills of never-seen runs, and takeover
 // computes, so every replica producing a given (render key, artifact,
 // format) produces the same bytes and therefore the same ETag.
 func renderArtifact(arts *core.Artifacts, id, format string) ([]byte, error) {

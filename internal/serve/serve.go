@@ -100,8 +100,8 @@ type Options struct {
 	RunFunc func(ctx context.Context, cfg core.Config) (*core.Artifacts, error)
 
 	// Cluster enables multi-replica serving (see internal/cluster): peer
-	// cache fills, cluster-wide singleflight via compute leases, and
-	// work-stealing stage dispatch. Nil serves standalone — zero cluster
+	// cache fills, cluster-wide singleflight through the takeover order,
+	// and work-stealing stage dispatch. Nil serves standalone — zero cluster
 	// code on any request path and no cluster metric families.
 	Cluster *cluster.Options
 	// ReadyzQuorumStrict makes /readyz return 503 when a majority of the
@@ -326,7 +326,7 @@ func New(opts Options) (*Server, error) {
 		if opts.Chaos.NetEnabled() {
 			// Transport chaos rides the peer client via WrapTransport, so
 			// injected weather hits exactly the traffic the cluster sends —
-			// fills, leases, steals, gossip — and nothing else.
+			// fills, steals, gossip — and nothing else.
 			inj, err := fault.NewNet(opts.Chaos, cluster.NormalizePeer(clOpts.Self))
 			if err != nil {
 				return nil, err
@@ -446,7 +446,6 @@ func (s *Server) routes() {
 	// carries its own bound (see cluster.go).
 	if s.cluster != nil {
 		handle("GET /v1/peer/artifact/{fp}/{artifact}", nil, s.peerAuth(s.handlePeerArtifact))
-		handle("POST /v1/peer/lease", nil, s.peerAuth(s.handlePeerLease))
 		handle("POST /v1/peer/stage", nil, s.peerAuth(s.handlePeerStage))
 		handle("POST /v1/peer/probe", nil, s.peerAuth(s.handlePeerProbe))
 		handle("POST /v1/peer/probe-indirect", nil, s.peerAuth(s.handlePeerProbeIndirect))
