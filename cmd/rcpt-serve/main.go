@@ -23,8 +23,8 @@
 // -peers seeds the membership statically: the comma-separated list is
 // the initial ring, -self is this replica's own advertised base URL
 // (it must appear in -peers). -join instead bootstraps dynamically:
-// the replica starts as a ring of one and announces itself to any of
-// the listed seed replicas, learning the rest of the membership over
+// the replica starts as a ring of one and probes the listed seed
+// replicas until one answers, learning the rest of the membership over
 // gossip — so a 3-replica ring is one replica with -peers $SELF and
 // two more with -join $FIRST. Either way membership is dynamic after
 // boot: SWIM-style probing (direct, then indirect through peers)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -17,24 +16,22 @@ import (
 	"repro/internal/table"
 )
 
-// The peer protocol's client half. Six verbs, all under /v1/peer/ and
+// The peer protocol's client half. Four verbs, all under /v1/peer/ and
 // all authenticated with the shared secret header — two on the data
 // plane:
 //
-//	GET  /v1/peer/artifact/{fp}/{artifact}?format=&config=   cache fill
-//	POST /v1/peer/stage                                      stage steal
+//	GET  /v1/peer/artifact/{fp}/{artifact}?format=   cache fill of the base run
+//	POST /v1/peer/stage                              stage steal
 //
-// and four on the membership plane:
+// and two on the membership plane:
 //
-//	POST /v1/peer/probe           direct liveness probe + gossip
+//	POST /v1/peer/probe           liveness probe + gossip; also the join
 //	POST /v1/peer/probe-indirect  probe a third peer on my behalf
-//	POST /v1/peer/join            announce a new replica to the ring
-//	GET  /v1/peer/status          operator view: members, epoch, quorum
 //
-// Every probe, ack, and join response piggybacks the sender's full
-// membership view, so rumor needs no channel of its own; data-plane
-// requests carry the requester's ring epoch so a fill or steal that
-// straddles a membership change is detected, not trusted.
+// Every probe and ack piggybacks the sender's full membership view, so
+// rumor needs no channel of its own; data-plane requests carry the
+// requester's ring epoch so a fill or steal that straddles a membership
+// change is detected, not trusted. The ring's status view is /readyz.
 //
 // Every byte-carrying response is integrity-checked on this side: an
 // artifact body or a stage payload must hash to its own ETag (the
@@ -47,11 +44,11 @@ import (
 // SecretHeader carries the shared cluster secret on peer requests.
 const SecretHeader = "X-Rcpt-Peer-Secret"
 
-// EpochHeader carries the requester's ring epoch (hex) on authority
-// fills, and the responder's on the reply — so a fill that straddles a
-// membership change is visible to both sides. Epoch disagreement alone
-// never refuses bytes (they are content-addressed); it is metered, and
-// a cold non-authority responder uses it to redirect the requester.
+// EpochHeader carries the requester's ring epoch (hex) on artifact
+// fills; a steal carries it as the body's epoch field. The responder
+// meters a disagreement, a 409 redirect names the responder's own epoch,
+// and /readyz shows it. Epoch disagreement alone never refuses bytes
+// (they are content-addressed).
 const EpochHeader = "X-Rcpt-Ring-Epoch"
 
 // HintHeader marks an artifact fill as a *hint probe*: the requester
@@ -89,12 +86,6 @@ const (
 	FillTakeover
 )
 
-// ConfigParam is the query parameter carrying the base64url-encoded
-// JSON config on peer artifact requests, so an owner can compute a run
-// it has never seen. (A fingerprint alone names the bytes but cannot
-// reconstruct the configuration that produces them.)
-const ConfigParam = "config"
-
 // peerClient issues peer-protocol requests.
 type peerClient struct {
 	hc     *http.Client
@@ -112,45 +103,22 @@ type StageRequest struct {
 
 // Response read caps. maxPayloadBytes bounds the two data verbs; it is
 // the stage store's default MaxEntryBytes, far above any artifact or
-// stage payload the pipeline produces. maxJSONBytes bounds every JSON
-// verb and the status view.
+// stage payload the pipeline produces. maxJSONBytes bounds both gossip
+// verbs.
 const (
 	maxPayloadBytes = 64 << 20
 	maxJSONBytes    = 1 << 20
 )
 
-// EncodeConfigParam serializes cfg for the artifact request's config
-// query parameter.
-func EncodeConfigParam(cfg core.Config) (string, error) {
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("cluster: encoding config: %w", err)
-	}
-	return base64.RawURLEncoding.EncodeToString(raw), nil
-}
-
-// DecodeConfigParam reverses EncodeConfigParam (used by the serve-side
-// peer handler).
-func DecodeConfigParam(s string) (core.Config, error) {
-	raw, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil {
-		return core.Config{}, fmt.Errorf("cluster: config parameter: %w", err)
-	}
-	var cfg core.Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return core.Config{}, fmt.Errorf("cluster: config parameter: %w", err)
-	}
-	return cfg, nil
-}
-
-// fetchArtifact GETs one rendered artifact from peer, verified against
-// its ETag (fetchPayload). epochHex rides along so the responder can
-// detect a fill that straddled a ring change; a 409 comes back as
-// *NotAuthorityError with the responder's view attached, and the caller
-// re-resolves. mode sets the hint or takeover header.
-func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam, epochHex string, mode FillMode) ([]byte, error) {
-	u := fmt.Sprintf("%s/v1/peer/artifact/%s/%s?format=%s&%s=%s",
-		peer, url.PathEscape(fp), url.PathEscape(artifact), url.QueryEscape(format), ConfigParam, url.QueryEscape(cfgParam))
+// fetchArtifact GETs one rendered artifact of the responder's base run
+// fp from peer, verified against its ETag (fetchPayload). epochHex
+// rides along so the responder can detect a fill that straddled a ring
+// change; a 409 comes back as *NotAuthorityError with the responder's
+// view attached, and the caller re-resolves. mode sets the hint or
+// takeover header.
+func (cl *peerClient) fetchArtifact(ctx context.Context, peer, fp, artifact, format, epochHex string, mode FillMode) ([]byte, error) {
+	u := fmt.Sprintf("%s/v1/peer/artifact/%s/%s?format=%s",
+		peer, url.PathEscape(fp), url.PathEscape(artifact), url.QueryEscape(format))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
@@ -211,39 +179,29 @@ func (cl *peerClient) fetchPayload(req *http.Request, peer, what string) ([]byte
 	return body, nil
 }
 
-// postJSON POSTs body to peer+path and decodes the 200 response into
-// out — the shared shape of every gossip verb.
+// postJSON POSTs body to peer+path and decodes the 200 response, of at
+// most maxJSONBytes, into out — the shared shape of both gossip verbs.
 func (cl *peerClient) postJSON(ctx context.Context, peer, path string, body, out any) error {
 	req, err := cl.newPost(ctx, peer, path, body)
 	if err != nil {
 		return err
 	}
-	raw, err := cl.fetchJSON(req, peer)
+	resp, err := cl.hc.Do(req)
 	if err != nil {
 		return err
+	}
+	defer drainClose(resp)
+	if resp.StatusCode != http.StatusOK {
+		return peerErr(peer, resp)
+	}
+	raw, err := readBody(resp, maxJSONBytes)
+	if err != nil {
+		return fmt.Errorf("cluster: reading response from %s: %w", peer, err)
 	}
 	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("cluster: response from %s%s: %w", peer, path, err)
 	}
 	return nil
-}
-
-// fetchJSON sends req and returns its 200 body, of at most
-// maxJSONBytes.
-func (cl *peerClient) fetchJSON(req *http.Request, peer string) ([]byte, error) {
-	resp, err := cl.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, peerErr(peer, resp)
-	}
-	body, err := readBody(resp, maxJSONBytes)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reading response from %s: %w", peer, err)
-	}
-	return body, nil
 }
 
 // newPost builds an authenticated JSON POST of body to peer+path.
@@ -277,9 +235,10 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	return body, nil
 }
 
-// probe sends a direct gossip probe.
-func (cl *peerClient) probe(ctx context.Context, peer string, pr ProbeRequest) (*ProbeAck, error) {
-	var ack ProbeAck
+// probe sends a direct gossip probe; the ack is the peer's own probe
+// body.
+func (cl *peerClient) probe(ctx context.Context, peer string, pr ProbeRequest) (*ProbeRequest, error) {
+	var ack ProbeRequest
 	if err := cl.postJSON(ctx, peer, "/v1/peer/probe", pr, &ack); err != nil {
 		return nil, err
 	}
@@ -293,26 +252,6 @@ func (cl *peerClient) indirectProbe(ctx context.Context, relay string, pr Indire
 		return nil, err
 	}
 	return &ack, nil
-}
-
-// join announces this replica to a seed node and pulls the member list.
-func (cl *peerClient) join(ctx context.Context, seed string, jr JoinRequest) (*JoinResponse, error) {
-	var resp JoinResponse
-	if err := cl.postJSON(ctx, seed, "/v1/peer/join", jr, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// status fetches a peer's /v1/peer/status JSON (raw; the caller shapes
-// it for display).
-func (cl *peerClient) status(ctx context.Context, peer string) (json.RawMessage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/peer/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	cl.auth(req)
-	return cl.fetchJSON(req, peer)
 }
 
 func (cl *peerClient) auth(req *http.Request) {

@@ -25,10 +25,10 @@ func (spaces) Read(p []byte) (int, error) {
 // TestPeerReadsAreCapped: a peer may not make a replica read without
 // bound. A fake peer answers a fill and a steal with a body one byte
 // over the data cap that hashes to its ETag (declaring its length, so
-// the client refuses it unread), and a status call and a gossip verb
-// with valid JSON one byte over the JSON cap (streamed with no declared
-// length, so the client stops reading at the cap). Every call returns
-// an error; without the caps every one would succeed or read on.
+// the client refuses it unread), and a gossip verb with valid JSON one
+// byte over the JSON cap (streamed with no declared length, so the
+// client stops reading at the cap). Every call returns an error;
+// without the caps every one would succeed or read on.
 func TestPeerReadsAreCapped(t *testing.T) {
 	body := func(n int64) io.Reader { return io.MultiReader(strings.NewReader("{}"), io.LimitReader(spaces{}, n-2)) }
 	h := sha256.New()
@@ -48,21 +48,17 @@ func TestPeerReadsAreCapped(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/peer/artifact/{fp}/{artifact}", over(maxPayloadBytes+1, true))
 	mux.HandleFunc("POST /v1/peer/stage", over(maxPayloadBytes+1, true))
-	mux.HandleFunc("GET /v1/peer/status", over(maxJSONBytes+1, false))
 	mux.HandleFunc("POST /v1/peer/probe", over(maxJSONBytes+1, false))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	cl := &peerClient{hc: srv.Client()}
 	ctx := context.Background()
 
-	if _, err := cl.fetchArtifact(ctx, srv.URL, "fp", "T1", "json", "cfg", "", FillPlain); err == nil {
+	if _, err := cl.fetchArtifact(ctx, srv.URL, "fp", "T1", "json", "", FillPlain); err == nil {
 		t.Error("fill accepted a body over the data cap")
 	}
 	if _, err := cl.postStage(ctx, srv.URL, StageRequest{Stage: "trace-2011"}); err == nil {
 		t.Error("steal accepted a body over the data cap")
-	}
-	if _, err := cl.status(ctx, srv.URL); err == nil {
-		t.Error("status accepted a body over the JSON cap")
 	}
 	if _, err := cl.probe(ctx, srv.URL, ProbeRequest{}); err == nil {
 		t.Error("probe accepted a body over the JSON cap")

@@ -25,8 +25,8 @@
 // Membership is dynamic (membership.go, gossip.go): replicas probe each
 // other SWIM-style (direct probe, then indirect probe through K relays,
 // then alive→suspect→dead with incarnation numbers), gossip their full
-// member list on every probe and ack, and admit newcomers through a
-// seed-node join protocol (-join). The hash ring is rebuilt from the
+// member list on every probe and ack, and admit a newcomer when it
+// probes a seed node (-join). The hash ring is rebuilt from the
 // live member list under a content-derived epoch — replicas that agree
 // on membership agree on the epoch with no coordination — and authority
 // fills carry that epoch so a request that straddles a handover is
@@ -52,7 +52,7 @@ import (
 
 // epochGaugeMask truncates the 64-bit content-derived epoch to 53 bits
 // so the Prometheus gauge (a float64) represents it exactly; the full
-// value is exposed as hex in /v1/peer/status. Equality comparisons on
+// value is exposed as hex in /readyz. Equality comparisons on
 // the gauge remain sound — 53 bits of a SHA-256 prefix do not collide
 // across the handful of membership sets a ring sees in its lifetime.
 const epochGaugeMask = (uint64(1) << 53) - 1
@@ -157,7 +157,7 @@ type Cluster struct {
 	wg      sync.WaitGroup
 	started bool
 
-	peerFills         *obs.CounterVec // outcome: ok | error | integrity | not_authority
+	peerFills         *obs.CounterVec // outcome: ok | miss | error | integrity | not_authority
 	steals            *obs.CounterVec // outcome: local | remote | fallback
 	stealSeconds      *obs.Histogram
 	peerHealthyG      *obs.GaugeVec   // peer
@@ -170,7 +170,7 @@ type Cluster struct {
 	suspectsG     *obs.Gauge
 	epochG        *obs.Gauge
 	gossipSent    *obs.CounterVec // type: probe | probe_indirect | join | leave
-	gossipRecv    *obs.CounterVec // type: probe | probe_indirect | join
+	gossipRecv    *obs.CounterVec // type: probe | probe_indirect
 	memberEvents  *obs.CounterVec // event: join | alive | suspect | dead | left | refute
 	epochMismatch *obs.CounterVec // op: fill | stage
 }
@@ -259,7 +259,7 @@ func New(opts Options, reg *obs.Registry) (*Cluster, error) {
 		suspectsG: reg.Gauge("rcpt_cluster_suspects",
 			"members currently suspected but not yet declared dead"),
 		epochG: reg.Gauge("rcpt_cluster_epoch",
-			"ring epoch (low 53 bits of the membership content hash; full value in /v1/peer/status)"),
+			"ring epoch (low 53 bits of the membership content hash; full value in /readyz)"),
 		gossipSent: reg.CounterVec("rcpt_cluster_gossip_sent_total",
 			"gossip messages sent, by type", "type"),
 		gossipRecv: reg.CounterVec("rcpt_cluster_gossip_received_total",
@@ -368,10 +368,6 @@ func (c *Cluster) Members() []string {
 	defer c.ringMu.RUnlock()
 	return c.ring.Peers()
 }
-
-// MemberUpdates snapshots the full membership table — including dead
-// and left tombstones — for /v1/peer/status.
-func (c *Cluster) MemberUpdates() []MemberUpdate { return c.members.Snapshot() }
 
 // membershipChanged rebuilds the ring and epoch from the live member
 // list and refreshes the membership gauges. Called after any merge,
@@ -503,15 +499,14 @@ func (c *Cluster) CheckEpoch(op, reqEpoch string) {
 	}
 }
 
-// FetchArtifact pulls one rendered artifact from peer with breaker
-// gating and integrity verification. cfgParam is the encoded config
-// (EncodeConfigParam) so the peer can compute a run it has never seen.
-// The request carries this replica's ring epoch; a *NotAuthorityError
-// return means the responder's ring disagrees that it should compute —
-// the caller re-resolves the authority and retries rather than treating
-// the peer as failed. mode says what the responder may do to answer
-// (see FillMode).
-func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format, cfgParam string, mode FillMode) ([]byte, error) {
+// FetchArtifact pulls one rendered artifact of run fp, which must be
+// the peer's base run, from peer with breaker gating and integrity
+// verification. The request carries this replica's ring epoch; a
+// *NotAuthorityError return means the responder's ring disagrees that
+// it should compute — the caller re-resolves the authority and retries
+// rather than treating the peer as failed. mode says what the responder
+// may do to answer (see FillMode).
+func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format string, mode FillMode) ([]byte, error) {
 	p := c.peerStateFor(peer)
 	if !p.allow(c.now()) {
 		c.peerFills.With("error").Inc()
@@ -519,7 +514,7 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 	}
 	fctx, cancel := context.WithTimeout(ctx, fillTimeout)
 	defer cancel()
-	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, cfgParam, c.EpochHex(), mode)
+	body, err := c.client.fetchArtifact(fctx, peer, fp, artifact, format, c.EpochHex(), mode)
 	if err != nil {
 		var na *NotAuthorityError
 		if errors.As(err, &na) {
@@ -529,6 +524,14 @@ func (c *Cluster) FetchArtifact(ctx context.Context, peer, fp, artifact, format,
 			c.reportSuccess(p)
 			c.epochMismatch.With("fill").Inc()
 			c.peerFills.With("not_authority").Inc()
+			return nil, err
+		}
+		var pe *PeerError
+		if errors.As(err, &pe) && pe.Status == http.StatusNotFound {
+			// A hint miss or another base run: a coherent answer that
+			// this peer does not hold the bytes, not a peer failure.
+			c.reportSuccess(p)
+			c.peerFills.With("miss").Inc()
 			return nil, err
 		}
 		c.reportFailure(p, err)

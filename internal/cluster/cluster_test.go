@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ func TestProberFlipsHealth(t *testing.T) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(ProbeAck{From: peerURL, Incarnation: 1})
+		_ = json.NewEncoder(w).Encode(ProbeRequest{From: peerURL, Incarnation: 1})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -165,5 +166,70 @@ func TestRevivedPeerBreakerCloses(t *testing.T) {
 	}
 	if !p.allow(c.now()) {
 		t.Fatal("revived peer's breaker still refuses requests")
+	}
+}
+
+// TestJoinThroughProbe: a replica started with -join probes its seed,
+// and the seed's ack admits it. The fake seed serves nothing but
+// POST /v1/peer/probe, so a join that needed any other verb would never
+// complete.
+func TestJoinThroughProbe(t *testing.T) {
+	mux := http.NewServeMux()
+	var seedURL string
+	mux.HandleFunc("POST /v1/peer/probe", func(w http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(w).Encode(ProbeRequest{From: seedURL, Incarnation: 1})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	seedURL = srv.URL
+
+	c, err := New(Options{
+		Self:          "http://127.0.0.1:1",
+		Join:          []string{srv.URL},
+		ProbeInterval: 20 * time.Millisecond,
+		ProbeTimeout:  200 * time.Millisecond,
+	}, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer func() { _ = c.Close(context.Background()) }()
+	deadline := time.Now().Add(3 * time.Second)
+	for !slices.Contains(c.Members(), normalizePeer(srv.URL)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("joiner never admitted its seed: members %v", c.Members())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHintMissKeepsBreakerClosed: a peer that answers a fill with 404
+// (it holds no run for the fingerprint) has answered coherently, so
+// misses past the failure threshold leave its breaker closed and the
+// next fill still reaches it.
+func TestHintMissKeepsBreakerClosed(t *testing.T) {
+	var fills atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/peer/artifact/{fp}/{artifact}", func(w http.ResponseWriter, r *http.Request) {
+		fills.Add(1)
+		http.Error(w, "no retained run for this fingerprint", http.StatusNotFound)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	self := "http://127.0.0.1:1"
+	c, err := New(Options{Self: self, Peers: []string{self, srv.URL}}, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= peerBreakerThreshold; i++ {
+		_, err := c.FetchArtifact(context.Background(), srv.URL, "fp", "T1", "json", FillHint)
+		var pe *PeerError
+		if !errors.As(err, &pe) || pe.Status != http.StatusNotFound {
+			t.Fatalf("fill %d: err = %v, want the peer's 404", i+1, err)
+		}
+	}
+	if n := fills.Load(); n != peerBreakerThreshold+1 {
+		t.Fatalf("peer saw %d fills, want %d: its breaker refused the rest", n, peerBreakerThreshold+1)
 	}
 }

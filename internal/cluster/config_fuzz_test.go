@@ -1,46 +1,50 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// FuzzDecodeConfigParam feeds arbitrary strings to the decoder of the
-// config a peer fill carries in its query. It must never panic, its
-// allocation must stay bounded by the input size, and every config it
-// accepts must re-encode to one with the same fingerprint.
-func FuzzDecodeConfigParam(f *testing.F) {
+// FuzzStageRequest feeds arbitrary bytes to the decoder of a stage
+// steal's body, the one peer body that carries a config. It must never
+// panic, its allocation must stay bounded by the input size, and every
+// config that validates must re-encode to one with the same
+// fingerprint.
+func FuzzStageRequest(f *testing.F) {
 	scaled := core.DefaultConfig()
 	scaled.TraceScale = 3
 	scaled.Rake = false
 	for _, cfg := range []core.Config{core.DefaultConfig(), scaled} {
-		param, err := EncodeConfigParam(cfg)
+		raw, err := json.Marshal(StageRequest{Config: cfg, Stage: "trace-2011"})
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(param)
+		f.Add(raw)
 	}
-	f.Fuzz(func(t *testing.T, in string) {
+	f.Fuzz(func(t *testing.T, in []byte) {
 		before := totalAlloc()
-		cfg, err := DecodeConfigParam(in)
+		var sr StageRequest
+		err := json.NewDecoder(bytes.NewReader(in)).Decode(&sr)
 		if grown := totalAlloc() - before; grown > 1<<20+64*uint64(len(in)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(in), grown)
 		}
-		if err != nil {
+		if err != nil || sr.Config.Validate() != nil {
 			return
 		}
-		param, err := EncodeConfigParam(cfg)
+		raw, err := json.Marshal(sr)
 		if err != nil {
-			t.Fatalf("accepted config does not re-encode: %v", err)
+			t.Fatalf("accepted stage request does not re-encode: %v", err)
 		}
-		again, err := DecodeConfigParam(param)
-		if err != nil {
-			t.Fatalf("re-encoded config rejected: %v", err)
+		var again StageRequest
+		if err := json.Unmarshal(raw, &again); err != nil {
+			t.Fatalf("re-encoded stage request rejected: %v", err)
 		}
-		if again.Fingerprint() != cfg.Fingerprint() {
-			t.Fatalf("fingerprint changed across re-encoding: %+v vs %+v", cfg, again)
+		if again.Config.Fingerprint() != sr.Config.Fingerprint() {
+			t.Fatalf("fingerprint changed across re-encoding: %+v vs %+v", sr.Config, again.Config)
 		}
 	})
 }

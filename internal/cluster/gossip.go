@@ -4,7 +4,7 @@ import (
 	"context"
 )
 
-// The gossip wire protocol: three verbs layered on the existing
+// The gossip wire protocol: two verbs layered on the existing
 // authenticated peer endpoints, each carrying the sender's full
 // membership snapshot as piggyback. At the ring sizes this system
 // targets (a handful of replicas serving one paper's artifacts) full
@@ -13,23 +13,17 @@ import (
 //
 //	POST /v1/peer/probe           direct liveness probe + gossip exchange
 //	POST /v1/peer/probe-indirect  "probe the target for me" relay
-//	POST /v1/peer/join            seed-node bootstrap: announce + pull
+//
+// A joining replica needs no verb of its own: it probes a seed, and the
+// ack hands it the seed's full view.
 
 // ProbeRequest is a direct probe: "I am alive at this incarnation, and
 // here is everything I believe." The receiver merges, notes firsthand
-// contact from the sender, and acks with its own view.
+// contact from the sender, and acks with a ProbeRequest of its own — so
+// one message is both the probe and its ack.
 type ProbeRequest struct {
 	From        string         `json:"from"`
 	Incarnation uint64         `json:"incarnation"`
-	Members     []MemberUpdate `json:"members,omitempty"`
-}
-
-// ProbeAck is the probe response: the receiver's identity, epoch, and
-// full membership view.
-type ProbeAck struct {
-	From        string         `json:"from"`
-	Incarnation uint64         `json:"incarnation"`
-	Epoch       string         `json:"epoch"` // ring epoch, hex
 	Members     []MemberUpdate `json:"members,omitempty"`
 }
 
@@ -46,28 +40,12 @@ type IndirectProbeRequest struct {
 // IndirectProbeAck reports the relay's attempt: TargetOK is whether the
 // relay reached the target directly just now.
 type IndirectProbeAck struct {
-	From     string         `json:"from"`
 	TargetOK bool           `json:"target_ok"`
-	Epoch    string         `json:"epoch"`
 	Members  []MemberUpdate `json:"members,omitempty"`
 }
 
-// JoinRequest announces a new replica to a seed node.
-type JoinRequest struct {
-	From        string `json:"from"`
-	Incarnation uint64 `json:"incarnation"`
-}
-
-// JoinResponse hands the joiner the seed's full membership view; the
-// joiner merges it and starts probing, which disseminates its arrival
-// to everyone else.
-type JoinResponse struct {
-	From    string         `json:"from"`
-	Epoch   string         `json:"epoch"`
-	Members []MemberUpdate `json:"members,omitempty"`
-}
-
-// probeBody builds this replica's outbound probe.
+// probeBody builds this replica's outbound probe, which is also its
+// ack.
 func (c *Cluster) probeBody() ProbeRequest {
 	return ProbeRequest{
 		From:        c.self,
@@ -76,27 +54,17 @@ func (c *Cluster) probeBody() ProbeRequest {
 	}
 }
 
-// ackBody builds this replica's probe/gossip response.
-func (c *Cluster) ackBody() ProbeAck {
-	return ProbeAck{
-		From:        c.self,
-		Incarnation: c.members.SelfIncarnation(),
-		Epoch:       c.EpochHex(),
-		Members:     c.members.Snapshot(),
-	}
-}
-
 // HandleProbe is the serve-side logic for POST /v1/peer/probe: record
 // firsthand contact from the sender, merge its gossip, answer with our
 // own. Pure state exchange — it can never fail.
-func (c *Cluster) HandleProbe(req ProbeRequest) ProbeAck {
+func (c *Cluster) HandleProbe(req ProbeRequest) ProbeRequest {
 	c.gossipRecv.With("probe").Inc()
 	first := c.members.NoteFirsthand(req.From, req.Incarnation)
 	merged := c.members.Merge(req.Members)
 	if first || merged {
 		c.membershipChanged()
 	}
-	return c.ackBody()
+	return c.probeBody()
 }
 
 // HandleIndirectProbe is the serve-side logic for POST
@@ -126,25 +94,7 @@ func (c *Cluster) HandleIndirectProbe(ctx context.Context, req IndirectProbeRequ
 		c.membershipChanged()
 	}
 	return IndirectProbeAck{
-		From:     c.self,
 		TargetOK: ok,
-		Epoch:    c.EpochHex(),
 		Members:  c.members.Snapshot(),
-	}
-}
-
-// HandleJoin is the serve-side logic for POST /v1/peer/join: admit the
-// joiner as a firsthand-alive member and hand it the full view. The
-// joiner's first probe round spreads its arrival to the rest of the
-// ring; nothing else is needed.
-func (c *Cluster) HandleJoin(req JoinRequest) JoinResponse {
-	c.gossipRecv.With("join").Inc()
-	if c.members.NoteFirsthand(req.From, req.Incarnation) {
-		c.membershipChanged()
-	}
-	return JoinResponse{
-		From:    c.self,
-		Epoch:   c.EpochHex(),
-		Members: c.members.Snapshot(),
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"slices"
 	"testing"
@@ -21,9 +22,9 @@ func twoMemberRing(t testing.TB) *Cluster {
 }
 
 // TestGossipSkipsMalformedNames: a gossiped member name gets the check
-// -peers gets. A probe whose sender and members are not normalized
-// http(s) base URLs, and a join from one, leave the membership and the
-// ring epoch as they were.
+// -peers gets. Probes whose senders and members are not normalized
+// http(s) base URLs leave the membership and the ring epoch as they
+// were.
 func TestGossipSkipsMalformedNames(t *testing.T) {
 	c := twoMemberRing(t)
 	members, epoch := c.Members(), c.EpochHex()
@@ -31,7 +32,7 @@ func TestGossipSkipsMalformedNames(t *testing.T) {
 		{Name: "ftp://x", State: "alive"},
 		{Name: " http://b", State: "alive"},
 	}})
-	c.HandleJoin(JoinRequest{From: "junk"})
+	c.HandleProbe(ProbeRequest{From: "junk"})
 	ack := c.HandleIndirectProbe(t.Context(), IndirectProbeRequest{From: "http://b", Target: "ftp://x"})
 	if ack.TargetOK {
 		t.Fatal("indirect probe of a malformed target reported it reachable")
@@ -46,26 +47,32 @@ func TestGossipSkipsMalformedNames(t *testing.T) {
 
 // FuzzPeerBodies decodes arbitrary bytes as each gossip body a replica
 // accepts from its peers and applies it: a probe through HandleProbe,
-// a join through HandleJoin. No input may panic, every member name
-// must stay a normalized http(s) base URL, and self must stay a
-// member.
+// an indirect probe through HandleIndirectProbe. The indirect probe
+// runs under an already-cancelled context, so the relay's own probe of
+// the target fails at once and never dials. No input may panic, every
+// member name must stay a normalized http(s) base URL, and self must
+// stay a member.
 func FuzzPeerBodies(f *testing.F) {
 	peer := twoMemberRing(f)
-	peer.HandleJoin(JoinRequest{From: "http://c", Incarnation: 2})
+	peer.HandleProbe(ProbeRequest{From: "http://c", Incarnation: 2})
 	for _, body := range []any{
 		peer.probeBody(),
-		JoinRequest{From: "http://c", Incarnation: 2},
+		ProbeRequest{From: "http://c", Incarnation: 2},
 		ProbeRequest{From: "http://b/", Members: []MemberUpdate{
 			{Name: "ftp://x", State: "alive"},
 			{Name: " http://b", State: "alive"},
 		}},
-		// A rumor that self is dead (refuted) beside a tombstone, and a
-		// join from a malformed name.
+		// A rumor that self is dead (refuted) beside a tombstone, a
+		// probe from a malformed name, and a relay asked about a third
+		// member it hears is suspect.
 		ProbeRequest{From: "http://b", Incarnation: 3, Members: []MemberUpdate{
 			{Name: "http://a", State: "dead", Incarnation: 4},
 			{Name: "http://c", State: "dead", Incarnation: 1},
 		}},
-		JoinRequest{From: "junk", Incarnation: 1},
+		ProbeRequest{From: "junk", Incarnation: 1},
+		IndirectProbeRequest{From: "http://b", Incarnation: 1, Target: "http://c", Members: []MemberUpdate{
+			{Name: "http://c", State: "suspect", Incarnation: 2},
+		}},
 	} {
 		raw, err := json.Marshal(body)
 		if err != nil {
@@ -73,15 +80,17 @@ func FuzzPeerBodies(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := twoMemberRing(t)
 		var probe ProbeRequest
 		if json.Unmarshal(body, &probe) == nil {
 			c.HandleProbe(probe)
 		}
-		var join JoinRequest
-		if json.Unmarshal(body, &join) == nil {
-			c.HandleJoin(join)
+		var indirect IndirectProbeRequest
+		if json.Unmarshal(body, &indirect) == nil {
+			c.HandleIndirectProbe(cancelled, indirect)
 		}
 		members := c.Members()
 		for _, name := range members {

@@ -39,7 +39,7 @@ type peerState struct {
 }
 
 // PeerHealth is the externally visible snapshot of one peer, reported
-// by /v1/peer/status and the cluster-aware readyz detail.
+// in the cluster-aware /readyz detail.
 type PeerHealth struct {
 	Peer        string `json:"peer"`
 	Healthy     bool   `json:"healthy"` // state == alive
@@ -329,24 +329,22 @@ func (c *Cluster) relaysFor(target string, k int) []string {
 	return out
 }
 
-// tryJoin announces this replica to the configured seeds, stopping at
-// the first that answers. Called from the probe loop every round until
-// it succeeds, so a replica started before its seed converges as soon
-// as the seed comes up.
+// tryJoin probes the configured seeds in turn, stopping at the first
+// that answers: its ack admits this replica and hands it the seed's
+// full view. Called from the probe loop every round until it succeeds,
+// so a replica started before its seed converges as soon as the seed
+// comes up.
 func (c *Cluster) tryJoin() {
 	for _, seed := range c.opts.Join {
+		prevState, _ := c.members.StateOf(seed)
 		jctx, cancel := context.WithTimeout(context.Background(), requestTimeout)
-		resp, err := c.client.join(jctx, seed, JoinRequest{From: c.self, Incarnation: c.members.SelfIncarnation()})
+		ack, err := c.client.probe(jctx, seed, c.probeBody())
 		cancel()
 		c.gossipSent.With("join").Inc()
 		if err != nil {
 			continue
 		}
-		first := c.members.NoteFirsthand(seed, 0)
-		merged := c.members.Merge(resp.Members)
-		if first || merged {
-			c.membershipChanged()
-		}
+		c.absorbContact(seed, ack.Incarnation, ack.Members, prevState)
 		c.joined = true
 		return
 	}

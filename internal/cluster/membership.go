@@ -73,8 +73,7 @@ func parseMemberState(s string) (MemberState, bool) {
 	}
 }
 
-// MemberUpdate is one member's record as gossiped on the wire and as
-// reported by /v1/peer/status.
+// MemberUpdate is one member's record as gossiped on the wire.
 type MemberUpdate struct {
 	Name        string `json:"name"`  // normalized base URL
 	State       string `json:"state"` // alive | suspect | dead | left

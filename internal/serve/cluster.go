@@ -6,7 +6,6 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"slices"
 
@@ -15,12 +14,13 @@ import (
 )
 
 // The serve side of the peer protocol (see internal/cluster for the
-// client half and the package doc). Two data-plane endpoints plus a
-// status probe, all secret-authenticated, all bypassing the client
+// client half and the package doc). Two data-plane endpoints and two
+// gossip endpoints, all secret-authenticated, all bypassing the client
 // admission gates: replicas coordinating a run must not be rejected by
 // the capacity limits that protect the cluster from clients. Each has
-// its own bound instead — the artifact endpoint joins the runner's
-// singleflight, and the stage endpoint is capped by peerStageGate.
+// its own bound instead — the artifact endpoint serves only the base
+// run and joins the runner's singleflight, the stage endpoint is capped
+// by peerStageGate, and the gossip bodies are size-capped.
 
 // peerAuth rejects peer requests that do not carry the shared cluster
 // secret. Comparison is constant-time; an empty configured secret
@@ -39,14 +39,12 @@ func (s *Server) peerAuth(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // handlePeerArtifact serves GET /v1/peer/artifact/{fp}/{artifact}: a
-// peer cache fill. The request carries the full config (base64url JSON)
-// because a fingerprint names artifact bytes but cannot reconstruct the
-// configuration that produces them — so this replica can compute a run
-// it has never seen. The declared fingerprint must match the config's
-// own: a mismatch means the requester and this replica would disagree
-// about what the bytes are called, which is never recoverable. The
-// artifact, its format and the work caps POST /v1/run enforces are all
-// checked before anything is looked up or computed.
+// peer cache fill of this replica's base run. Requesters fill only
+// their own base run, and a ring serves one base config, so the
+// fingerprint alone names the config to compute; any other fingerprint
+// is a 404 (a ring whose base configs differ renders each locally). The
+// artifact, its format and the fingerprint are all checked before
+// anything is looked up or computed.
 func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	id := r.PathValue("artifact")
@@ -63,40 +61,15 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	encoded := r.URL.Query().Get(cluster.ConfigParam)
-	if encoded == "" {
-		s.writeError(w, http.StatusBadRequest, "missing config parameter")
-		return
-	}
-	cfg, err := cluster.DecodeConfigParam(encoded)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := cfg.Validate(); err != nil {
-		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
-		return
-	}
-	if err := s.checkCaps(cfg); err != nil {
-		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
-		return
-	}
-	if got := cfg.Fingerprint(); got != fp {
-		s.writeJSON(w, http.StatusUnprocessableEntity, apiError{
-			Error: fmt.Sprintf("config fingerprints to %s, path says %s", got, fp)})
+	if fp != s.baseFP {
+		s.writeError(w, http.StatusNotFound, "not this replica's base run")
 		return
 	}
 	s.cluster.CheckEpoch("fill", r.Header.Get(cluster.EpochHeader))
-	// Bodies are cached by render key, which this replica holds for the
-	// base config and for retained runs; a run it cannot name yet is a
-	// miss until it runs.
-	keys, named := s.renderKeys(fp)
-	key := cacheKey{artifact: id, format: format, content: keys[id]}
-	if named {
-		if e, hit := s.cacheGet(key); hit {
-			s.writeCached(w, r, e)
-			return
-		}
+	key := cacheKey{artifact: id, format: format, content: s.baseKeys[id]}
+	if e, hit := s.cacheGet(key); hit {
+		s.writeCached(w, r, e)
+		return
 	}
 	// A cache miss means serving this fill would compute the run. Bytes
 	// this replica already holds (a retained or in-flight run) are served
@@ -138,16 +111,13 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		// authority but has never computed the run — a fill arriving
 		// here would recompute bytes some peer may still hold. Probe the
 		// ring first; only when nobody has them is the compute
-		// genuinely fresh. (A run it cannot name — another base config —
-		// computes directly.)
-		if named {
-			if e, ok := s.hintFill(ctx, fp, key); ok {
-				s.writeCached(w, r, e)
-				return
-			}
+		// genuinely fresh.
+		if e, ok := s.hintFill(ctx, fp, key); ok {
+			s.writeCached(w, r, e)
+			return
 		}
 	}
-	run, err := s.runner.artifacts(ctx, fp, cfg)
+	run, err := s.runner.artifacts(ctx, fp, s.baseCfg)
 	if err != nil {
 		s.writeRunError(w, err)
 		return
@@ -157,7 +127,6 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	key.content = run.keys[id]
 	s.writeCached(w, r, s.cachePut(fp, key, body))
 }
 
@@ -209,9 +178,10 @@ type peerRedirect struct {
 	Epoch     string `json:"epoch"`
 }
 
-// handlePeerProbe serves POST /v1/peer/probe: the direct SWIM probe.
-// The ack carries this replica's full membership view, which is how
-// gossip disseminates — every probe in either direction merges states.
+// handlePeerProbe serves POST /v1/peer/probe: the direct SWIM probe,
+// and a joining replica's first contact with its seed. The ack carries
+// this replica's full membership view, which is how gossip disseminates
+// — every probe in either direction merges states.
 func (s *Server) handlePeerProbe(w http.ResponseWriter, r *http.Request) {
 	var req cluster.ProbeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<18)).Decode(&req); err != nil {
@@ -235,47 +205,6 @@ func (s *Server) handlePeerProbeIndirect(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.cluster.HandleIndirectProbe(r.Context(), req))
-}
-
-// handlePeerJoin serves POST /v1/peer/join: a joining replica announces
-// itself to any seed and receives the full membership snapshot. From
-// there gossip keeps it current; the seed is only a bootstrap.
-func (s *Server) handlePeerJoin(w http.ResponseWriter, r *http.Request) {
-	var req cluster.JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad join request: "+err.Error())
-		return
-	}
-	if req.From == "" {
-		s.writeError(w, http.StatusBadRequest, "join needs a from identity")
-		return
-	}
-	s.writeJSON(w, http.StatusOK, s.cluster.HandleJoin(req))
-}
-
-// peerStatusBody is the GET /v1/peer/status response: this replica's
-// view of the ring, for operators and for peers' dashboards.
-type peerStatusBody struct {
-	Self          string                 `json:"self"`
-	Epoch         string                 `json:"epoch"`
-	Members       []string               `json:"members"`
-	MembersDetail []cluster.MemberUpdate `json:"membersDetail"`
-	QuorumHealthy int                    `json:"quorumHealthy"`
-	QuorumTotal   int                    `json:"quorumTotal"`
-	Peers         []cluster.PeerHealth   `json:"peers"`
-}
-
-func (s *Server) handlePeerStatus(w http.ResponseWriter, r *http.Request) {
-	healthy, total := s.cluster.Quorum()
-	s.writeJSON(w, http.StatusOK, peerStatusBody{
-		Self:          s.cluster.Self(),
-		Epoch:         s.cluster.EpochHex(),
-		Members:       s.cluster.Members(),
-		MembersDetail: s.cluster.MemberUpdates(),
-		QuorumHealthy: healthy,
-		QuorumTotal:   total,
-		Peers:         s.cluster.PeerHealth(),
-	})
 }
 
 // clusterRender produces one base-config rendered artifact under the
@@ -351,7 +280,7 @@ func (s *Server) clusterRender(ctx context.Context, fp string, key cacheKey) (ca
 // and installs it in the local cache under key — same bytes, same
 // ETag, as if rendered here.
 func (s *Server) peerFill(ctx context.Context, peer, fp string, key cacheKey, mode cluster.FillMode) (cacheEntry, error) {
-	body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, s.baseCfgParam, mode)
+	body, err := s.cluster.FetchArtifact(ctx, peer, fp, key.artifact, key.format, mode)
 	if err != nil {
 		return cacheEntry{}, err
 	}

@@ -216,8 +216,7 @@ func TestChaosJoinServesWithoutRecompute(t *testing.T) {
 
 	// And the joiner answers authenticated peer fills for those bytes.
 	req, err := http.NewRequest(http.MethodGet,
-		d.url+"/v1/peer/artifact/"+d.srv.baseFP+"/T1?format=json&"+
-			cluster.ConfigParam+"="+d.srv.baseCfgParam, nil)
+		d.url+"/v1/peer/artifact/"+d.srv.baseFP+"/T1?format=json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -315,29 +316,39 @@ func TestClusterUnnoticedOwnerDeathOneCompute(t *testing.T) {
 // requests without it and accept requests carrying it.
 func TestPeerAuth(t *testing.T) {
 	reps := startReplicas(t, 2, "hunter2")
-	code, _, _ := httpGet(t, reps[0].url, "/v1/peer/status")
-	if code != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated peer status = %d, want 401", code)
+	probe := func(secret string) *http.Response {
+		t.Helper()
+		raw, err := json.Marshal(cluster.ProbeRequest{From: reps[1].url})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, reps[0].url+"/v1/peer/probe", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if secret != "" {
+			req.Header.Set(cluster.SecretHeader, secret)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
 	}
-	req, err := http.NewRequest(http.MethodGet, reps[0].url+"/v1/peer/status", nil)
-	if err != nil {
-		t.Fatal(err)
+	if resp := probe(""); resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unauthenticated peer probe = %d, want 401", resp.StatusCode)
 	}
-	req.Header.Set(cluster.SecretHeader, "hunter2")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp := probe("hunter2")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("authenticated peer status = %d, want 200", resp.StatusCode)
+		t.Fatalf("authenticated peer probe = %d, want 200", resp.StatusCode)
 	}
-	var st peerStatusBody
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decoding status: %v", err)
+	var ack cluster.ProbeRequest
+	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		t.Fatalf("decoding ack: %v", err)
 	}
-	if st.Self != reps[0].url || st.QuorumTotal != 2 {
-		t.Fatalf("status = %+v", st)
+	if ack.From != reps[0].url || len(ack.Members) != 2 {
+		t.Fatalf("ack = %+v, want two members from %s", ack, reps[0].url)
 	}
 }
 
@@ -391,9 +402,9 @@ func TestReadyzClusterModes(t *testing.T) {
 }
 
 // TestPeerFillValidatesBeforeComputing: a peer fill for an unknown
-// artifact, in a format the artifact has no renderer for, or of a
-// config over the caps POST /v1/run enforces is refused before the
-// cache lookup, so it never starts a pipeline run.
+// artifact, in a format the artifact has no renderer for, or of another
+// replica's base run is refused before the cache lookup, so it never
+// starts a pipeline run.
 func TestPeerFillValidatesBeforeComputing(t *testing.T) {
 	var runs atomic.Int64
 	reps := startReplicasWith(t, 1, "", func(_ int, o *Options) {
@@ -403,8 +414,8 @@ func TestPeerFillValidatesBeforeComputing(t *testing.T) {
 		}
 	})
 	base := tinyConfig()
-	capped := tinyConfig()
-	capped.N2024 = 20001 // above the default MaxCohort
+	other := tinyConfig()
+	other.Seed++
 	cases := []struct {
 		name     string
 		cfg      core.Config
@@ -415,21 +426,64 @@ func TestPeerFillValidatesBeforeComputing(t *testing.T) {
 		{"unknown artifact", base, "T99", "json", http.StatusNotFound},
 		{"table as svg", base, "T5", "svg", http.StatusBadRequest},
 		{"figure as json", base, "F1", "json", http.StatusBadRequest},
-		{"cohort over cap", capped, "T5", "json", http.StatusUnprocessableEntity},
+		{"another base run", other, "T5", "json", http.StatusNotFound},
 	}
 	for _, c := range cases {
-		param, err := cluster.EncodeConfigParam(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := fmt.Sprintf("/v1/peer/artifact/%s/%s?format=%s&%s=%s",
-			c.cfg.Fingerprint(), c.artifact, c.format, cluster.ConfigParam, param)
+		path := fmt.Sprintf("/v1/peer/artifact/%s/%s?format=%s", c.cfg.Fingerprint(), c.artifact, c.format)
 		code, _, body := httpGet(t, reps[0].url, path)
 		if code != c.want {
 			t.Errorf("%s: status %d (%s), want %d", c.name, code, body, c.want)
 		}
 		if n := runs.Swap(0); n != 0 {
 			t.Errorf("%s: the fill started %d pipeline runs, want none", c.name, n)
+		}
+	}
+}
+
+// TestColdAuthorityBurstKeepsPeersAdmitted: concurrent first renders on
+// the base run's cold authority each hint-probe both peers, which hold
+// no run and answer 404. Those misses are answers, not failures, so
+// after the burst the authority still admits fills and steals to both
+// peers. Probing runs one round a minute, so no probe success closes a
+// breaker the burst opened.
+func TestColdAuthorityBurstKeepsPeersAdmitted(t *testing.T) {
+	reps := startReplicasWith(t, 3, "", func(_ int, o *Options) {
+		o.Cluster.ProbeInterval = time.Minute
+	})
+	var auth *replica
+	for _, r := range reps {
+		if r.url == r.srv.cluster.Authority(r.srv.baseFP) {
+			auth = r
+		}
+	}
+	if auth == nil {
+		t.Fatal("no replica is the base run's authority")
+	}
+	var wg sync.WaitGroup
+	codes := make([]int, 4)
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(fmt.Sprintf("%s/v1/tables/T%d", auth.url, i+1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			_, _ = io.Copy(io.Discard, resp.Body)
+			codes[i] = resp.StatusCode
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("T%d on the authority: status %d", i+1, code)
+		}
+	}
+	for _, ph := range auth.srv.cluster.PeerHealth() {
+		if ph.Breaker != "closed" {
+			t.Errorf("peer %s: breaker %s after the burst (last error %q), want closed", ph.Peer, ph.Breaker, ph.LastErr)
 		}
 	}
 }

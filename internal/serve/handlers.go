@@ -500,8 +500,8 @@ func (s *Server) buildRunConfig(req runRequest) (core.Config, error) {
 	return cfg, nil
 }
 
-// checkCaps enforces the work-admission caps on a config a request
-// would run: POST /v1/run and peer fills share them.
+// checkCaps enforces the work-admission caps on a config POST /v1/run
+// would run.
 func (s *Server) checkCaps(cfg core.Config) error {
 	if cfg.N2011 > s.opts.MaxCohort || cfg.N2024 > s.opts.MaxCohort {
 		return fmt.Errorf("cohort size exceeds the server cap of %d", s.opts.MaxCohort)

@@ -42,10 +42,9 @@ type Options struct {
 	BaseConfig core.Config
 	// CacheBytes bounds the rendered-artifact cache (default 64 MiB).
 	CacheBytes int64
-	// MaxCohort caps the per-cohort and panel size a POST /v1/run or a
-	// peer fill may request (default 20000): admission control for work,
-	// not just connections. The trace-year count is capped at
-	// maxTraceYears.
+	// MaxCohort caps the per-cohort and panel size a POST /v1/run may
+	// request (default 20000): admission control for work, not just
+	// connections. The trace-year count is capped at maxTraceYears.
 	MaxCohort int
 	// Run admission: the concurrent-run limit and bounded queue depth
 	// (defaults 2 and 8). Renders are admitted renderLimit at a time
@@ -117,8 +116,8 @@ const (
 	// runCacheEntries bounds how many completed runs (Artifacts) are
 	// retained for re-rendering; Artifacts are large.
 	runCacheEntries = 4
-	// maxTraceYears caps the trace-year count a POST /v1/run or a peer
-	// fill may request.
+	// maxTraceYears caps the trace-year count a POST /v1/run may
+	// request.
 	maxTraceYears = 16
 	// renderLimit concurrent render requests run, and renderQueue more
 	// wait for a slot.
@@ -184,12 +183,9 @@ type Server struct {
 	stageCache core.StageCache
 
 	// cluster is non-nil when Options.Cluster enabled multi-replica
-	// serving; peerStageGate bounds concurrent stolen-stage work, and
-	// baseCfgParam is the base config pre-encoded for peer artifact
-	// requests (computed once — it never changes).
+	// serving; peerStageGate bounds concurrent stolen-stage work.
 	cluster       *cluster.Cluster
 	peerStageGate chan struct{}
-	baseCfgParam  string
 	// netChaos is the transport fault injector when Chaos has net faults
 	// and cluster mode is on (nil otherwise). The chaos suite scripts
 	// partitions through it.
@@ -340,10 +336,6 @@ func New(opts Options) (*Server, error) {
 		}
 		s.cluster = cl
 		s.peerStageGate = make(chan struct{}, peerStageLimit)
-		s.baseCfgParam, err = cluster.EncodeConfigParam(opts.BaseConfig)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	runFn := opts.RunFunc
@@ -449,8 +441,6 @@ func (s *Server) routes() {
 		handle("POST /v1/peer/stage", nil, s.peerAuth(s.handlePeerStage))
 		handle("POST /v1/peer/probe", nil, s.peerAuth(s.handlePeerProbe))
 		handle("POST /v1/peer/probe-indirect", nil, s.peerAuth(s.handlePeerProbeIndirect))
-		handle("POST /v1/peer/join", nil, s.peerAuth(s.handlePeerJoin))
-		handle("GET /v1/peer/status", nil, s.peerAuth(s.handlePeerStatus))
 	}
 }
 
@@ -506,19 +496,6 @@ func (s *Server) recordStale(key cacheKey, fp string, e cacheEntry) {
 	s.staleMu.Lock()
 	s.stale[[2]string{key.artifact, key.format}] = staleEntry{entry: e, fingerprint: fp}
 	s.staleMu.Unlock()
-}
-
-// renderKeys returns the render keys of run fp when this replica holds
-// them — the base config's, or a retained run's — without deriving any.
-func (s *Server) renderKeys(fp string) (map[string]string, bool) {
-	if fp == s.baseFP {
-		return s.baseKeys, true
-	}
-	run, ok := s.runner.lookup(fp)
-	if !ok {
-		return nil, false
-	}
-	return run.keys, true
 }
 
 // lookupStale returns the last good body for (artifact, format), if any.
